@@ -19,9 +19,11 @@ of how a certificate was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, _proper_subsets, cell_decoder, cell_encoder)
+                    VertexStarSet, cell_decoder, cell_encoder, nested_key,
+                    proper_faces)
 
 
 class CertificateFormatError(ValueError):
@@ -30,6 +32,16 @@ class CertificateFormatError(ValueError):
 
 class CertificateGenerationError(ValueError):
     """A certificate generator could not produce a valid certificate."""
+
+
+class StepFailure(ValueError):
+    """A certificate step whose precondition fails on the current carrier."""
+
+    def __init__(self, step: int, reason: str, witness: CellT):
+        super().__init__(f"step {step}: {reason}")
+        self.step = step
+        self.reason = reason
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -105,47 +117,56 @@ def verify_certificate(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     """
     if isinstance(cert.start, VertexStarSet) and cert.start.centers == "old":
         return _verify_star_old(tower, cert)
-    carrier = _materialize_start(tower, cert.start)
-    return _verify_explicit(tower, cert, carrier)
+    return _verify_explicit(tower, cert)
 
 
-def _materialize_start(tower: SubdivisionTower, start: CellSet) -> tuple[int, frozenset[CellT]]:
+def _materialize_start(start: CellSet) -> tuple[int, frozenset[CellT]]:
     if isinstance(start, VertexStarSet):
         start = start.materialize()
     return start.level, frozenset(start.cells)
 
 
-def _verify_explicit(tower: SubdivisionTower, cert: Certificate,
-                     carrier: tuple[int, frozenset[CellT]]) -> Verdict:
-    level, cells = carrier
-    for idx, step in enumerate(cert.steps):
+def _verify_explicit(tower: SubdivisionTower, cert: Certificate) -> Verdict:
+    level, cells = _materialize_start(cert.start)
+    try:
+        for _, level, cells in replay(tower, level, cells, cert.steps):
+            pass
+    except StepFailure as exc:
+        return _fail(exc.step, exc.reason, exc.witness)
+    return _final_verdict(tower, cert.target, level, cells)
+
+
+def replay(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
+           steps: Sequence[Step]) -> Iterator[tuple[int, int, frozenset[CellT]]]:
+    """Apply certificate steps to a materialized carrier, one at a time.
+
+    Yields (step index, level, carrier) after each step. Raises StepFailure
+    when a step's precondition fails on the carrier, and
+    CertificateFormatError when a step does not fit the carrier's level or
+    names something outside the tower.
+    """
+    for idx, step in enumerate(steps):
         if isinstance(step, Refine):
             level, cells = _refine_carrier(tower, level, cells)
-        elif isinstance(step, PartitionPush):
+        elif isinstance(step, (PartitionPush, StarSnap)):
             if step.level != level:
                 raise CertificateFormatError(
-                    f"push at level {step.level} applied to a level-{level} carrier")
-            keep = _expand_keep(tower, level, step.keep)
-            new_cells = set()
-            for c in cells:
-                kept = tuple(v for v in c if v in keep)
-                if not kept:
-                    return _fail(idx, "push leaves a carrier cell with no kept vertex",
-                                 witness=c)
-                new_cells.add(kept)
-            cells = frozenset(new_cells)
-        elif isinstance(step, StarSnap):
-            if step.level != level:
-                raise CertificateFormatError(
-                    f"snap at level {step.level} applied to a level-{level} carrier")
-            result = _apply_snap(tower, level, cells, step)
-            if isinstance(result, Verdict):
-                result.failing_step = idx
-                return result
-            cells = result
-        else:  # pragma: no cover
+                    f"{step.kind} at level {step.level} applied to a level-{level} carrier")
+            if isinstance(step, StarSnap):
+                cells = _apply_snap(tower, level, cells, step, idx)
+            else:
+                keep = _expand_keep(tower, level, step.keep)
+                pushed = set()
+                for c in cells:
+                    kept = tuple(v for v in c if v in keep)
+                    if not kept:
+                        raise StepFailure(
+                            idx, "push leaves a carrier cell with no kept vertex", c)
+                    pushed.add(kept)
+                cells = frozenset(pushed)
+        else:
             raise CertificateFormatError(f"unknown step {step!r}")
-    return _final_verdict(tower, cert.target, level, cells)
+        yield idx, level, cells
 
 
 def _refine_carrier(tower: SubdivisionTower, level: int,
@@ -159,7 +180,7 @@ def _refine_carrier(tower: SubdivisionTower, level: int,
         while stack:
             ids, mn = stack.pop()
             out.add(tuple(sorted(ids)))
-            for f in _proper_subsets(mn):
+            for f in proper_faces(mn):
                 stack.append((ids + [vid[f]], f))
     return level + 1, frozenset(out)
 
@@ -175,7 +196,7 @@ def _expand_keep(tower: SubdivisionTower, level: int,
 
 
 def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
-                step: StarSnap):
+                step: StarSnap, idx: int) -> frozenset[CellT]:
     comp = _components(cells)
     if step.assignment == "min-base-vertex":
         assign: dict[CellT, int] = {}
@@ -185,8 +206,8 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
                 verts = set(tower.carrier0(level, c))
                 common = verts if common is None else common & verts
             if not common:
-                return _fail(None, "snap component has no common base-carrier vertex",
-                             witness=sorted(cls)[0])
+                raise StepFailure(idx, "snap component has no common base-carrier vertex",
+                                  sorted(cls)[0])
             target = min(common)
             for c in cls:
                 assign[c] = target
@@ -201,16 +222,15 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
         for cls in comp:
             targets = {assign[c] for c in cls}
             if len(targets) > 1:
-                return _fail(None, "snap assigns different vertices inside one component",
-                             witness=sorted(cls)[0])
+                raise StepFailure(idx, "snap assigns different vertices inside one component",
+                                  sorted(cls)[0])
             (target,) = targets
             for c in cls:
                 if target not in tower.carrier0(level, c):
-                    return _fail(None,
-                                 "snap target is not a vertex of a member cell's base carrier",
-                                 witness=c)
-    out = {( tower.lift_base_vertex(assign[next(iter(cls))], level), ) for cls in comp}
-    return frozenset(out)
+                    raise StepFailure(
+                        idx, "snap target is not a vertex of a member cell's base carrier", c)
+    return frozenset((tower.lift_base_vertex(assign[next(iter(cls))], level),)
+                     for cls in comp)
 
 
 def _components(cells: frozenset[CellT]) -> list[set[CellT]]:
@@ -225,7 +245,7 @@ def _components(cells: frozenset[CellT]) -> list[set[CellT]]:
         return x
 
     for c in cells:
-        for f in _proper_subsets(c):
+        for f in proper_faces(c):
             if f in parent:
                 parent[find(f)] = find(c)
     comp: dict[CellT, set[CellT]] = {}
@@ -238,19 +258,14 @@ def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
                    cells: frozenset[CellT]) -> Verdict:
     max_dim = max((len(c) - 1 for c in cells), default=-1)
     max_base = max((tower.carrier0_dim(level, c) for c in cells), default=-1)
-    achieved = (max_dim, max_base)
-    if target.kind == "skeletal":
-        if max_base > target.r:
-            bad = next(c for c in cells if tower.carrier0_dim(level, c) > target.r)
-            return _fail(None, f"final carrier leaves the base {target.r}-skeleton",
-                         witness=bad)
-    else:
-        if max_dim > target.r:
-            bad = next(c for c in cells if len(c) - 1 > target.r)
-            return _fail(None,
-                         f"final carrier has dimension {max_dim} > {target.r}",
-                         witness=bad)
-    return Verdict(True, True, achieved)
+    verdict = _target_verdict(target, max_dim, max_base)
+    if not verdict.passed:
+        if target.kind == "skeletal":
+            verdict.witness = next(c for c in cells
+                                   if tower.carrier0_dim(level, c) > target.r)
+        else:
+            verdict.witness = next(c for c in cells if len(c) - 1 > target.r)
+    return verdict
 
 
 def _verify_star_old(tower: SubdivisionTower, cert: Certificate) -> Verdict:
@@ -268,7 +283,7 @@ def _verify_star_old(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     if not steps or not isinstance(steps[0], PartitionPush) or steps[0].keep != "old" \
             or steps[0].level != level:
         # fall back to explicit verification, which may be expensive
-        return _verify_explicit(tower, cert, _materialize_start(tower, start))
+        return _verify_explicit(tower, cert)
     # after the push: one cell per old vertex; old vertices at `level` are
     # exactly the vertices of level-1, i.e. the cells of level-2
     lowlv = tower.level(level - 1)
@@ -277,16 +292,18 @@ def _verify_star_old(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     if not rest:
         # bare push: final carrier is the old vertex cells
         max_base = max((len(lowlv.vbase[w]) - 1 for w in old_verts), default=-1)
-        return _final_verdict_lazy(cert.target, 0, max_base)
+        return _target_verdict(cert.target, 0, max_base)
     if len(rest) == 1 and isinstance(rest[0], StarSnap) \
             and rest[0].assignment == "min-base-vertex" and rest[0].level == level:
         # isolated vertex cells are their own components; the rule picks the
         # least vertex of each base carrier, which is a valid assignment
-        return _final_verdict_lazy(cert.target, 0, 0)
+        return _target_verdict(cert.target, 0, 0)
     return _fail(1, "unsupported step after a lazy star push", witness=None)
 
 
-def _final_verdict_lazy(target: Target, max_dim: int, max_base: int) -> Verdict:
+def _target_verdict(target: Target, max_dim: int, max_base: int) -> Verdict:
+    """Judge the final carrier's dimensions against the target. Every step
+    kind that replay accepts is monotone, so a passing verdict is monotone."""
     if target.kind == "skeletal" and max_base > target.r:
         return _fail(None, f"final carrier leaves the base {target.r}-skeleton")
     if target.kind == "dimensional" and max_dim > target.r:
@@ -298,26 +315,15 @@ def _final_verdict_lazy(target: Target, max_dim: int, max_base: int) -> Verdict:
 
 
 def run_steps(tower: SubdivisionTower, start: CellSet,
-              steps: list[Step]) -> tuple[int, frozenset[CellT]]:
-    """Apply steps to a set, returning the final carrier; raises on failure."""
-    level, cells = _materialize_start(tower, start)
-    for step in steps:
-        if isinstance(step, Refine):
-            level, cells = _refine_carrier(tower, level, cells)
-        elif isinstance(step, PartitionPush):
-            keep = _expand_keep(tower, level, step.keep)
-            new_cells = set()
-            for c in cells:
-                kept = tuple(v for v in c if v in keep)
-                if not kept:
-                    raise CertificateGenerationError("push drops a cell entirely")
-                new_cells.add(kept)
-            cells = frozenset(new_cells)
-        elif isinstance(step, StarSnap):
-            res = _apply_snap(tower, level, cells, step)
-            if isinstance(res, Verdict):
-                raise CertificateGenerationError(res.reason)
-            cells = res
+              steps: Sequence[Step]) -> tuple[int, frozenset[CellT]]:
+    """Apply steps to a set, returning the final carrier; raises
+    CertificateGenerationError when a step precondition fails."""
+    level, cells = _materialize_start(start)
+    try:
+        for _, level, cells in replay(tower, level, cells, steps):
+            pass
+    except StepFailure as exc:
+        raise CertificateGenerationError(exc.reason) from exc
     return level, cells
 
 
@@ -405,7 +411,7 @@ def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
                 keep = {"kind": "explicit",
                         "verts": sorted(
                             (enc(step.level - 1, lv.verts[v]) for v in step.keep),
-                            key=_json_key)}
+                            key=nested_key)}
             steps.append({"kind": "push", "level": step.level, "keep": keep})
         elif isinstance(step, StarSnap):
             if step.assignment == "min-base-vertex":
@@ -415,7 +421,7 @@ def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
                               "pairs": sorted(
                                   ([enc(step.level, c), tower.base.vertices[v]]
                                    for c, v in step.assignment),
-                                  key=_json_key)}
+                                  key=nested_key)}
             steps.append({"kind": "snap", "level": step.level, "assignment": assignment})
     return {"start": cert.start.to_json(), "steps": steps,
             "target": {"kind": cert.target.kind, "r": cert.target.r}}
@@ -466,8 +472,3 @@ def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
         return VertexStarSet(tower, data["level"], centers)
     raise CertificateFormatError(f"unknown cell set kind {data.get('kind')!r}")
 
-
-def _json_key(x):
-    if isinstance(x, str):
-        return (0, x)
-    return (1, tuple(_json_key(y) for y in x))

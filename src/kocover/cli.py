@@ -12,6 +12,7 @@ import sys
 
 from .bounds import (BoundsError, BoundProfile, FibrationProfile, best_upper,
                      cuplength_mod2, profile_from_json)
+from .certify import CertificateFormatError
 from .complexes import Complex, ComplexError, builtin, load_complex
 from .cover import (ConstructionError, CoverBundle, CoverError, build_cover,
                     cover_parameters, is_k_cover, verify_cover_bundle)
@@ -268,7 +269,8 @@ def run(argv: list[str]) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (ComplexError, CoverError, BoundsError, TowerError) as exc:
+    except (ComplexError, CoverError, BoundsError, TowerError,
+            CertificateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:

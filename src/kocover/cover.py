@@ -20,13 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 from .complexes import Complex, SimplicialMap
-from .certify import (Certificate, CertificateFormatError, PartitionPush, Refine,
-                      StarSnap, Target, Verdict, _apply_snap, _components,
-                      _expand_keep, _materialize_start, _refine_carrier,
-                      certificate_from_json, certificate_to_json,
-                      cellset_from_json, verify_certificate)
+from .certify import (Certificate, CertificateFormatError, PartitionPush,
+                      StarSnap, Target, certificate_from_json,
+                      certificate_to_json, cellset_from_json, verify_certificate)
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerDepthError,
-                    TowerError, TowerSizeError, VertexStarSet, _proper_subsets)
+                    TowerError, TowerSizeError, VertexStarSet, proper_faces)
 
 
 class CoverError(ValueError):
@@ -342,7 +340,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
 
     cofaces: dict[CellT, list[CellT]] = {c: [] for c in cells}
     for c in cells:
-        for f in _proper_subsets(c):
+        for f in proper_faces(c):
             cofaces[f].append(c)
 
     two_cells = [c for c in cx.cells() if len(c) == 3]
@@ -368,7 +366,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
                 grown.add((v,))
             closed = set(grown)
             for c in grown:
-                closed.update(_proper_subsets(c))
+                closed.update(proper_faces(c))
             bd = {c for c in closed
                   if any(cf not in closed for cf in cofaces[c])}
             if any(tower.carrier0(level, c) != t for c in bd):
@@ -569,33 +567,35 @@ def verify_cover_bundle(bundle: CoverBundle) -> CoverReport:
                    + ("" if agree else "; brute force disagrees with the criterion"))
 
     for i, (el, cert) in enumerate(zip(bundle.elements, bundle.certificates)):
-        if not _same_set(el, cert.start):
-            report.add(f"certificate-{i}", False,
-                       "certificate start differs from the element")
-            continue
-        try:
-            verdict = verify_certificate(tower, cert)
-        except (CertificateFormatError, TowerError) as exc:
-            report.add(f"certificate-{i}", False, f"structural error: {exc}")
-            continue
-        if not verdict.passed:
-            report.add(f"certificate-{i}", False,
-                       f"step {verdict.failing_step}: {verdict.reason}")
-            continue
-        if bundle.r == 0:
-            good = cert.target.kind == "skeletal" and cert.target.r == 0 \
-                and verdict.monotone
-            report.add(f"certificate-{i}", good,
-                       "" if good else "r=0 needs a monotone certificate into the 0-skeleton")
-        else:
-            good = (cert.target.kind == "dimensional" and cert.target.r <= bundle.r) \
-                or (cert.target.kind == "skeletal" and cert.target.r <= bundle.r)
-            report.add(f"certificate-{i}", good,
-                       "" if good else f"target does not witness {bundle.r}-deformability")
+        report.add(f"certificate-{i}", *check_certificate(tower, el, cert, bundle.r))
 
-    disjoint_ok, detail = _snap_closures_disjoint(tower, bundle.certificates)
-    report.add("snap-closure-disjointness", disjoint_ok, detail)
+    # A carrier cell in the closures of two snapped components would be a
+    # face of a member of each (or a member itself), and components are
+    # built by joining every present cell to its present faces, so the two
+    # would be one component. Nothing is left to check.
+    report.add("snap-closure-disjointness", True, "implied by component construction")
     return report
+
+
+def check_certificate(tower: SubdivisionTower, element: CellSet,
+                      cert: Certificate, r: int) -> tuple[bool, str]:
+    """Does the certificate deform this element as an r-deformability
+    witness? It must start at the element and pass verify_certificate; for
+    r = 0 it must be monotone into the base 0-skeleton, otherwise its target
+    must have dimension at most r. Returns (passed, detail)."""
+    if not _same_set(element, cert.start):
+        return False, "certificate start differs from the element"
+    try:
+        verdict = verify_certificate(tower, cert)
+    except (CertificateFormatError, TowerError) as exc:
+        return False, f"structural error: {exc}"
+    if not verdict.passed:
+        return False, f"step {verdict.failing_step}: {verdict.reason}"
+    if r == 0:
+        good = cert.target.kind == "skeletal" and cert.target.r == 0 and verdict.monotone
+        return good, "" if good else "r=0 needs a monotone certificate into the 0-skeleton"
+    good = cert.target.r <= r
+    return good, "" if good else f"target does not witness {r}-deformability"
 
 
 def _same_set(a: CellSet, b: CellSet) -> bool:
@@ -660,45 +660,6 @@ def _brute_k_cover(sigs: dict[int, set[frozenset[int]]], skeleton: int,
     return all(
         all(set(sub) & s for s in sets)
         for sub in itertools.combinations(range(m), k))
-
-
-def _snap_closures_disjoint(tower: SubdivisionTower,
-                            certs: list[Certificate]) -> tuple[bool, str]:
-    """At every snap step, the snapped components must have pairwise
-    disjoint closures (isolated vertex cells pass structurally)."""
-    for idx, cert in enumerate(certs):
-        if isinstance(cert.start, VertexStarSet) and cert.start.centers == "old":
-            continue  # lazy path snaps isolated vertex cells only
-        level, cells = _materialize_start(tower, cert.start)
-        for step in cert.steps:
-            if isinstance(step, Refine):
-                level, cells = _refine_carrier(tower, level, cells)
-            elif isinstance(step, PartitionPush):
-                keep = _expand_keep(tower, level, step.keep)
-                cells = frozenset(tuple(v for v in c if v in keep) for c in cells)
-                if any(not c for c in cells):
-                    return False, f"certificate {idx}: push empties a cell"
-            elif isinstance(step, StarSnap):
-                comps = _components(cells)
-                closures = []
-                for comp in comps:
-                    cl: set[CellT] = set()
-                    for c in comp:
-                        cl.add(c)
-                        cl.update(_proper_subsets(c))
-                    closures.append(cl)
-                # closures of distinct snapped pieces may only meet outside
-                # the carrier; a shared carrier cell would join the pieces
-                # and break the piecewise contraction
-                for a, b in itertools.combinations(closures, 2):
-                    if (a & b) & cells:
-                        return False, (f"certificate {idx}: snapped components "
-                                       f"share a carrier cell")
-                res = _apply_snap(tower, level, cells, step)
-                if isinstance(res, Verdict):
-                    return False, f"certificate {idx}: {res.reason}"
-                cells = res
-    return True, ""
 
 
 # -- pullback -----------------------------------------------------------------

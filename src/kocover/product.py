@@ -14,10 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import Complex
-from .certify import (Certificate, PartitionPush, Refine, StarSnap,
-                      _expand_keep, _materialize_start, _refine_carrier)
-from .cover import CoverBundle, CoverError, CoverReport, build_cover
-from .tower import CellT, SubdivisionTower
+from .cover import (CoverBundle, CoverError, CoverReport, build_cover,
+                    check_certificate)
+from .tower import CellT
 
 
 class ProductComplex:
@@ -96,8 +95,8 @@ def assemble_product_cover(x: Complex, b: Complex,
 
 def verify_product_cover(pcb: ProductCoverBundle) -> CoverReport:
     """Three checks: direct coverage of the product n-skeleton, the
-    index-matching replay, and the filtration discipline of the factor
-    certificates. The final contractibility of each paired set also uses
+    index-matching replay, and the factor certificates, each replayed by
+    the cover verifier's per-certificate check. The final contractibility of each paired set also uses
     simple connectivity of the first factor, which is recorded as an
     explicit assumption rather than verified."""
     report = CoverReport()
@@ -169,50 +168,14 @@ def verify_product_cover(pcb: ProductCoverBundle) -> CoverReport:
     report.add("coverage-agreement", agree,
                "" if agree else "direct check and replay disagree")
 
-    # (c) filtration: b certificates are monotone into the 0-skeleton and
-    # never raise the b-carrier dimension along any step
-    for i, cert in enumerate(pcb.b_bundle.certificates):
-        ok = cert.target.kind == "skeletal" and cert.target.r == 0
-        detail = "" if ok else "b-factor certificate is not a 0-skeleton certificate"
-        if ok:
-            drop = _steps_never_raise_carrier(bt, cert)
-            ok = drop is None
-            detail = "" if ok else f"step raises the base-carrier dimension at {drop}"
-        report.add(f"b-filtration-{i}", ok, detail)
-    for i, cert in enumerate(pcb.x_bundle.certificates):
-        ok = cert.target.kind == "dimensional" and cert.target.r <= 1
-        report.add(f"x-deformability-{i}", ok,
-                   "" if ok else "x-factor certificate does not witness 1-deformability")
+    # (c) filtration: b certificates are monotone into the 0-skeleton, so
+    # no track raises the b-carrier dimension; x certificates witness
+    # 1-deformability
+    for i, (el, cert) in enumerate(zip(pcb.b_bundle.elements, pcb.b_bundle.certificates)):
+        report.add(f"b-filtration-{i}", *check_certificate(bt, el, cert, 0))
+    for i, (el, cert) in enumerate(zip(pcb.x_bundle.elements, pcb.x_bundle.certificates)):
+        report.add(f"x-deformability-{i}", *check_certificate(xt, el, cert, 1))
     report.add("assumption", True,
                "final contractibility of each paired set additionally uses "
                "simple connectivity of the first factor (not verified here)")
     return report
-
-
-def _steps_never_raise_carrier(tower: SubdivisionTower, cert: Certificate):
-    """Walk a certificate; return a witness cell if some step image has a
-    larger base carrier than its source, else None. Star-backed starts are
-    handled by materializing (factor complexes are small)."""
-    level, cells = _materialize_start(tower, cert.start)
-    for step in cert.steps:
-        if isinstance(step, Refine):
-            level, cells = _refine_carrier(tower, level, cells)
-        elif isinstance(step, PartitionPush):
-            keep = _expand_keep(tower, level, step.keep)
-            new_cells = set()
-            for c in cells:
-                img = tuple(v for v in c if v in keep)
-                if not img:
-                    return c
-                if tower.carrier0_dim(level, img) > tower.carrier0_dim(level, c):
-                    return c
-                new_cells.add(img)
-            cells = frozenset(new_cells)
-        elif isinstance(step, StarSnap):
-            # snap targets are base vertices (carrier dimension 0), which can
-            # never raise the carrier dimension; keep walking on the images
-            if step.assignment == "min-base-vertex":
-                break
-            cells = frozenset((tower.lift_base_vertex(v, level),)
-                              for c, v in step.assignment if c in cells)
-    return None

@@ -45,7 +45,8 @@ def max_level_from_env() -> int:
         return DEFAULT_MAX_LEVEL
 
 
-def _proper_subsets(cell: CellT) -> Iterator[CellT]:
+def proper_faces(cell: CellT) -> Iterator[CellT]:
+    """Nonempty proper faces of a cell, largest first."""
     for k in range(len(cell) - 1, 0, -1):
         yield from itertools.combinations(cell, k)
 
@@ -101,7 +102,7 @@ class SubdivisionTower:
             s = len(self._levels) - 1
             lower_cells = self.cells(s)
             vdim = [len(c) - 1 for c in lower_cells]
-            vbase = [self._carrier0_materialized(s, c) for c in lower_cells]
+            vbase = [self.carrier0(s, c) for c in lower_cells]
             self._levels.append(_Level(s + 1, list(lower_cells), vdim, vbase))
         return self._levels[t]
 
@@ -145,7 +146,7 @@ class SubdivisionTower:
             while stack:
                 ids, mn = stack.pop()
                 yield tuple(sorted(ids))
-                for f in _proper_subsets(mn):
+                for f in proper_faces(mn):
                     stack.append((ids + [vid[f]], f))
 
     def count_cells(self, t: int) -> int:
@@ -156,7 +157,7 @@ class SubdivisionTower:
         order = sorted(lower, key=len)
         memo: dict[CellT, int] = {}
         for c in order:
-            memo[c] = 1 + sum(memo[f] for f in _proper_subsets(c))
+            memo[c] = 1 + sum(memo[f] for f in proper_faces(c))
         return sum(memo.values())
 
     def estimate_top_cells(self, t: int) -> int:
@@ -171,14 +172,6 @@ class SubdivisionTower:
         return n
 
     # -- carriers ----------------------------------------------------------
-
-    def _carrier0_materialized(self, t: int, cell: CellT) -> CellT:
-        # base carrier of a level-t cell, available once level t exists
-        if t == 0:
-            return cell
-        lv = self._levels[t]
-        top = max(cell, key=lambda v: lv.vdim[v])
-        return lv.vbase[top]
 
     def carrier_down(self, t: int, cell: CellT) -> CellT:
         """Minimal level-(t-1) cell carrying the open cell (the chain maximum)."""
@@ -276,7 +269,7 @@ class OpenCellSet:
         out: set[CellT] = set()
         for c in self.cells:
             out.add(c)
-            out.update(_proper_subsets(c))
+            out.update(proper_faces(c))
         return OpenCellSet(self.tower, self.level, out)
 
     def is_closed(self) -> bool:
@@ -288,7 +281,7 @@ class OpenCellSet:
         for c in universe:
             if c in self.cells:
                 continue
-            if any(f in self.cells for f in _proper_subsets(c)):
+            if any(f in self.cells for f in proper_faces(c)):
                 return False
         return True
 
@@ -405,7 +398,7 @@ def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
         if t == 0:
             return [tower.base.vertices[i] for i in cell]
         lv = tower.level(t)
-        return sorted((enc(t - 1, lv.verts[v]) for v in cell), key=_nested_key)
+        return sorted((enc(t - 1, lv.verts[v]) for v in cell), key=nested_key)
 
     return enc
 
@@ -421,10 +414,11 @@ def cell_decoder(tower: SubdivisionTower) -> Callable[[int, object], CellT]:
     return dec
 
 
-def _nested_key(x):
+def nested_key(x):
+    """Sort key for encoded cells: labels before lists, lists by their keys."""
     if isinstance(x, str):
         return (0, x)
-    return (1, tuple(_nested_key(y) for y in x))
+    return (1, tuple(nested_key(y) for y in x))
 
 
 # -- tower operations ----------------------------------------------------------
@@ -459,7 +453,7 @@ def dual_complex(tower: SubdivisionTower, m: int) -> OpenCellSet:
         while stack:
             ids, mn = stack.pop()
             out.append(tuple(sorted(ids)))
-            for f in _proper_subsets(mn):
+            for f in proper_faces(mn):
                 if f in highset:
                     stack.append((ids + [vid[f]], f))
     return OpenCellSet(tower, 1, out)

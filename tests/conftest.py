@@ -2,7 +2,7 @@ import collections
 
 import pytest
 
-from kocover import builtin
+from kocover import SubdivisionTower, builtin
 
 CATALOG_NAMES = [
     "delta-2", "delta-3", "boundary-delta-3", "boundary-delta-4", "s1",
@@ -22,6 +22,11 @@ def record_acceptance(criterion: int, label: str, passed: bool, detail: str = ""
 @pytest.fixture(scope="session")
 def catalog():
     return {name: builtin(name) for name in CATALOG_NAMES}
+
+
+@pytest.fixture(scope="session")
+def small_towers():
+    return {name: SubdivisionTower(builtin(name)) for name in SMALL_NAMES}
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,15 +1,20 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import CATALOG_NAMES, SMALL_NAMES
 
 from kocover import (Certificate, CertificateFormatError,
                      CertificateGenerationError, OpenCellSet, PartitionPush,
-                     Refine, StarSnap, SubdivisionTower, Target, VertexStarSet,
-                     builtin, certify_to_dimension, make_dual_push,
-                     make_star_snap, verify_certificate)
-from kocover.certify import (certificate_from_json, certificate_to_json,
-                             run_steps)
+                     Refine, StarSnap, SubdivisionTower, Target, TowerSizeError,
+                     VertexStarSet, builtin, certify_to_dimension,
+                     make_dual_push, make_star_snap, verify_certificate)
+from kocover.certify import (_components, certificate_from_json,
+                             certificate_to_json, run_steps)
+from kocover.tower import proper_faces
 
 
 @pytest.fixture
@@ -161,19 +166,42 @@ def test_monotone_along_every_step(s2_tower):
 
 
 def test_lazy_and_explicit_verification_agree():
-    t = SubdivisionTower(builtin("delta-2"))
-    lazy = VertexStarSet(t, 2, "old")
-    cert_lazy = Certificate(lazy, (PartitionPush(2, "old"),
-                                   StarSnap(2, "min-base-vertex")),
-                            Target("skeletal", 0))
-    v_lazy = verify_certificate(t, cert_lazy)
-    explicit = lazy.materialize()
-    cert_exp = Certificate(explicit, (PartitionPush(2, "old"),
-                                      StarSnap(2, "min-base-vertex")),
-                           Target("skeletal", 0))
-    v_exp = verify_certificate(t, cert_exp)
-    assert v_lazy.passed == v_exp.passed == True
-    assert v_lazy.monotone == v_exp.monotone
+    """The structural star path gives the verdict of an explicit replay of
+    the materialized start, on every catalog complex at every level up to 3
+    that fits the tower budget, with and without the trailing snap."""
+    for name in CATALOG_NAMES:
+        t = SubdivisionTower(builtin(name))
+        for level in (1, 2, 3):
+            try:
+                t.cells(level)
+            except TowerSizeError:
+                break
+            lazy = VertexStarSet(t, level, "old")
+            explicit = lazy.materialize()
+            push, snap = PartitionPush(level, "old"), StarSnap(level, "min-base-vertex")
+            for steps in ((push,), (push, snap)):
+                v_lazy = verify_certificate(t, Certificate(lazy, steps, Target("skeletal", 0)))
+                v_exp = verify_certificate(t, Certificate(explicit, steps,
+                                                          Target("skeletal", 0)))
+                assert (v_lazy.passed, v_lazy.monotone, v_lazy.achieved, v_lazy.reason) \
+                    == (v_exp.passed, v_exp.monotone, v_exp.achieved, v_exp.reason), \
+                    (name, level, len(steps))
+                assert v_lazy.passed == (len(steps) == 2 or level == 1)
+
+
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
+       density=st.floats(0.05, 0.95), rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_snapped_component_closures_share_no_carrier_cell(small_towers, name, level,
+                                                          density, rng):
+    # the reason the cover verifier needs no snap-closure disjointness replay
+    tower = small_towers[name]
+    cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
+    comps = _components(cells)
+    assert sum(len(comp) for comp in comps) == len(cells)
+    closures = [{f for c in comp for f in (c, *proper_faces(c))} for comp in comps]
+    for a, b in itertools.combinations(closures, 2):
+        assert not (a & b & cells)
 
 
 def test_certificate_json_round_trip(s2_tower):

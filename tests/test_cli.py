@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from kocover import assemble_product_cover, build_cover, builtin
 from kocover.cli import run
 
 
@@ -97,6 +100,38 @@ def test_product_round_trip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "product", "verify", "--in", str(out_file), "--json")
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("factor", ["b_bundle", "x_bundle"])
+def test_product_verify_fails_on_stripped_certificates(tmp_path, capsys, factor):
+    data = assemble_product_cover(builtin("torus-7"), builtin("s1")).to_json()
+    for cert in data[factor]["certificates"]:
+        cert["steps"] = []
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, "product", "verify", "--in", str(path), "--json")
+    assert code == 1
+    assert not json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("command", ["cover", "product"])
+@pytest.mark.parametrize("field", ["step", "target"])
+def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, field):
+    if command == "cover":
+        data = build_cover(builtin("s1"), 0, 3).to_json()
+        cert = data["certificates"][0]
+    else:
+        data = assemble_product_cover(builtin("s1"), builtin("point")).to_json()
+        cert = data["b_bundle"]["certificates"][0]
+    if field == "step":
+        cert["steps"] = [{"kind": "twist"}]
+    else:
+        cert["target"]["kind"] = "twisted"
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = invoke(capsys, command, "verify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "unknown" in err
 
 
 def test_cuplength(capsys):

@@ -8,7 +8,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      OpenCellSet, SimplicialMap, SubdivisionTower, builtin,
                      build_cover, cover_parameters, is_k_cover, ord_profile,
                      pullback_cover, random_complex, verify_cover_bundle)
-from kocover.certify import Certificate, PartitionPush, Target
+from kocover.certify import Certificate, PartitionPush, StarSnap, Target
 from kocover.cover import _cover_signatures
 
 
@@ -184,6 +184,19 @@ def test_corrupted_certificate_fails_only_itself():
     assert not names["certificate-1"]
     assert names["certificate-0"] and names["certificate-2"]
     assert names["coverage"] and names["profile-k1"]
+
+
+def test_snap_missing_a_carrier_cell_is_reported_not_raised():
+    bundle = build_cover(builtin("s1"), 0, 3)
+    el, tower = bundle.elements[0], bundle.tower
+    pairs = sorted((c, min(tower.carrier0(el.level, c))) for c in el.cells)
+    bundle.certificates[0] = Certificate(
+        el, (StarSnap(el.level, tuple(pairs[1:])),), Target("skeletal", 0))
+    report = verify_cover_bundle(bundle)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["certificate-0"].passed
+    assert checks["certificate-0"].detail.startswith("structural error")
+    assert checks["certificate-1"].passed and checks["certificate-2"].passed
 
 
 def test_profile_monotone_in_m():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kocover import (CoverError, ProductComplex, ProductCoverBundle,
@@ -60,6 +62,17 @@ def test_removed_element_fails_direct_check():
     assert not report.ok
     failing = {c.name for c in report.checks if not c.passed}
     assert "element-count" in failing or "coverage-direct" in failing
+
+
+@pytest.mark.parametrize("factor,check", [("b_bundle", "b-filtration"),
+                                          ("x_bundle", "x-deformability")])
+def test_stripped_factor_certificates_fail(factor, check):
+    pcb = assemble_product_cover(builtin("torus-7"), builtin("s1"))
+    bundle = getattr(pcb, factor)
+    bundle.certificates = [dataclasses.replace(c, steps=()) for c in bundle.certificates]
+    report = verify_product_cover(pcb)
+    failing = {c.name for c in report.checks if not c.passed}
+    assert failing == {f"{check}-{i}" for i in range(pcb.m)}
 
 
 def test_arithmetic_guard_identity():

@@ -3,10 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SMALL_NAMES
+
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, builtin, dual_complex, preimage,
                      random_complex, star)
-from kocover.tower import _proper_subsets
+from kocover.tower import proper_faces
 
 
 def chains_of(cells):
@@ -14,7 +16,7 @@ def chains_of(cells):
     cells = sorted(cells, key=len)
     memo = {}
     for c in cells:
-        memo[c] = 1 + sum(memo[f] for f in _proper_subsets(c) if f in memo)
+        memo[c] = 1 + sum(memo[f] for f in proper_faces(c) if f in memo)
     return sum(memo.values())
 
 
@@ -85,10 +87,22 @@ def test_carrier_laws():
             for v in cell:
                 assert set(lv.verts[v]) <= set(carrier)
             # carrier of a face is a face-or-equal of the carrier
-            for f in _proper_subsets(cell):
+            for f in proper_faces(cell):
                 assert set(t.carrier_down(lvl, f)) <= set(carrier)
             # carriers compose
             assert t.carrier(lvl, cell, 0) == t.carrier0(lvl, cell)
+
+
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
+       density=st.floats(0.05, 0.95), rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_carrier_dim_never_rises_to_a_face(small_towers, name, level, density, rng):
+    # why a push, whose image is a face of its source, never raises the
+    # base-carrier dimension
+    t = small_towers[name]
+    for cell in (c for c in t.cells(level) if rng.random() < density):
+        d = t.carrier0_dim(level, cell)
+        assert all(t.carrier0_dim(level, f) <= d for f in proper_faces(cell))
 
 
 def test_cells_have_distinct_member_dimensions():
