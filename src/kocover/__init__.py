@@ -11,8 +11,8 @@ from .certify import (Certificate, CertificateFormatError,
                       StarSnap, Target, Verdict, certify_to_dimension,
                       make_dual_push, make_star_snap, verify_certificate)
 from .cover import (ConstructionError, CoverBundle, CoverError, CoverReport,
-                    OrdProfile, build_cover, cover_parameters, is_k_cover,
-                    ord_profile, pullback_cover, verify_cover_bundle)
+                    OrdProfile, build_cover, cover_parameters, cover_signatures,
+                    is_k_cover, ord_profile, pullback_cover, verify_cover_bundle)
 from .product import (ProductComplex, ProductCoverBundle, assemble_product_cover,
                       lemma_bound, product_skeleton, verify_product_cover)
 from .bounds import (BoundProfile, BoundResult, BoundsError, FibrationProfile,

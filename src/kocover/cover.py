@@ -5,12 +5,13 @@ one deformability certificate per element and a claimed multiplicity
 profile: on the base skeleton of dimension k(r+1)-1 every point must lie
 in at least m-k+1 elements, for every k up to N = ceil((dim+1)/(r+1)).
 
-The verifier recomputes multiplicities from scratch. When the top working
-level is too large to enumerate, it walks the cells one level down and
-uses the exact per-block minimum: every finer cell inside the open cell of
-F carries the barycenter vertex of F, so a star-backed element at the top
-level either contains the whole block (its center set holds that
-barycenter) or misses the block's own barycenter cell.
+The verifier recomputes multiplicities from scratch with one engine,
+cover_signatures: the exact set of cover index sets of the cells at the
+finest element level, per base-carrier dimension. A cell there is a chain
+of cells one level down and inherits its coarser memberships from the
+chain maximum, so "old" stars on the top level become a per-chain flag,
+the stars of the level below become a DP over the face poset, and only
+the remaining elements are read cell by cell, two levels further down.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .complexes import Complex, SimplicialMap
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
-from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerDepthError,
-                    TowerError, TowerSizeError, VertexStarSet, proper_faces)
+from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
+                    TowerSizeError, VertexStarSet, proper_faces)
 
 
 class CoverError(ValueError):
@@ -45,7 +47,7 @@ class OrdProfile:
     level: int
     table: dict[CellT, int] | None               # per-cell counts when enumerable
     skeleton_minima: dict[int, int]               # base-skeleton dim -> min Ord
-    signatures: dict[int, set[frozenset[int]]]    # dim -> minimal cover index sets
+    signatures: dict[int, set[frozenset[int]]]    # dim -> exact cover index sets
 
     def min_on_skeleton(self, j: int) -> int:
         dims = [d for d in self.skeleton_minima if d <= j]
@@ -54,29 +56,92 @@ class OrdProfile:
         return min(self.skeleton_minima[d] for d in dims)
 
 
-def _common_level(elements: list[CellSet]) -> int:
-    return max(el.level for el in elements)
+def cover_signatures(tower: SubdivisionTower,
+                     elements: list[CellSet]) -> dict[int, set[frozenset[int]]]:
+    """Exact cover index sets of the cells at the finest element level L,
+    keyed by base-carrier dimension.
+
+    A level-t cell is a chain of level-(t-1) cells whose maximum is its
+    carrier one level down, so membership in every coarser element and the
+    base carrier are the maximum's. Up to two top levels are not walked:
+
+    * when every level-L element is an "old" star, a chain lies in them
+      exactly when it holds a vertex of level L-1: always for a singleton
+      chain over a vertex, and for any other maximum both ways (a flag);
+    * when every element at the next level t is a star, membership is an
+      OR over the chain's vertices, so a DP over level t-1, faces first,
+      gives every star mask of a chain with maximum c:
+      R(c) = {s(c)} | {s(c)|y : y in R(f), f a proper face of c},
+      each R(c) a small-int bitset over the distinct star masks met.
+
+    Every other element is read by the per-cell contains_at loop at the
+    walk level below those.
+    """
+    if not elements:
+        raise CoverError("empty family")
+    level = max(el.level for el in elements)
+    flag = 0
+    if level >= 1 and all(isinstance(el, VertexStarSet) and el.centers == "old"
+                          for el in elements if el.level == level):
+        flag = sum(1 << i for i, el in enumerate(elements) if el.level == level)
+        level -= 1
+    stars = [(i, el) for i, el in enumerate(elements) if el.level == level]
+    dp = level >= 1 and all(isinstance(el, VertexStarSet) for _, el in stars)
+    if dp:
+        level -= 1
+    else:
+        stars = []
+    low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
+    cells = sorted(tower.cells(level), key=len) if dp else tower.iter_cells(level)
+    masks: dict[int, set[int]] = {}
+    reach: dict[CellT, int] = {}  # R(c): bit j stands for the star mask seen[j]
+    seen: list[int] = []
+    for cell, lo in _cell_masks(tower, level, low, cells):
+        out = masks.setdefault(tower.carrier0_dim(level, cell), set())
+        if not dp:
+            out.add(lo | flag)
+            if len(cell) > 1:
+                out.add(lo)
+            continue
+        s = sum(1 << i for i, el in stars if el.center_over_lower_cell(cell))
+        below = 0
+        for f in proper_faces(cell):
+            below |= reach[f]
+        longer = {s | y for j, y in enumerate(seen) if below >> j & 1}
+        out.add(s | lo | flag)
+        out.update(y | lo | f for y in longer for f in (0, flag))
+        seen.extend(y for y in longer | {s} if y not in seen)
+        reach[cell] = sum(1 << seen.index(y) for y in longer | {s})
+    n = len(elements)
+    return {d: {frozenset(i for i in range(n) if mask >> i & 1) for mask in ms}
+            for d, ms in masks.items()}
+
+
+def _cell_masks(tower: SubdivisionTower, level: int,
+                elements: list[tuple[int, CellSet]],
+                cells: Iterable[CellT]) -> Iterator[tuple[CellT, int]]:
+    """The one per-cell loop: each level cell with the mask of the indexed
+    elements that contain it."""
+    for cell in cells:
+        yield cell, sum(1 << i for i, el in elements if el.contains_at(level, cell))
 
 
 def ord_profile(elements: list[CellSet], max_table: int = 200_000) -> OrdProfile:
-    """Per-cell multiplicity counts at the finest element level."""
+    """Exact multiplicities at the finest element level; the per-cell table
+    is kept while the level has at most max_table cells."""
     if not elements:
         raise CoverError("empty family")
     tower = elements[0].tower
-    level = _common_level(elements)
+    sigs = cover_signatures(tower, elements)
+    level = max(el.level for el in elements)
     table: dict[CellT, int] | None = {}
-    minima: dict[int, int] = {}
-    sigs: dict[int, set[frozenset[int]]] = {}
-    for cell in tower.iter_cells(level):
-        cov = frozenset(i for i, el in enumerate(elements)
-                        if el.contains_at(level, cell))
-        d = tower.carrier0_dim(level, cell)
-        minima[d] = min(minima.get(d, len(elements) + 1), len(cov))
-        sigs.setdefault(d, set()).add(cov)
-        if table is not None:
-            table[cell] = len(cov)
-            if len(table) > max_table:
-                table = None
+    for cell, mask in _cell_masks(tower, level, list(enumerate(elements)),
+                                  tower.iter_cells(level)):
+        if len(table) == max_table:
+            table = None
+            break
+        table[cell] = mask.bit_count()
+    minima = {d: min(map(len, ss)) for d, ss in sigs.items()}
     return OrdProfile(level, table, minima, sigs)
 
 
@@ -84,35 +149,33 @@ def is_k_cover(elements: list[CellSet], k: int, region: CellSet | None = None) -
     """Does every k-element subfamily cover the region?
 
     Computed both by brute force over subfamilies and by the multiplicity
-    criterion (min Ord >= m-k+1); the two must agree.
+    criterion (min Ord >= m-k+1); the two must agree. The region is one
+    more element of the signature walk.
     """
     m = len(elements)
     if not 1 <= k <= m:
         raise CoverError(f"k must lie in 1..{m}")
-    tower = elements[0].tower
-    level = _common_level(elements)
+    family = elements if region is None else [*elements, region]
+    sets = [s for ss in cover_signatures(elements[0].tower, family).values()
+            for s in ss]
     if region is not None:
-        level = max(level, region.level)
-    cover_sets: set[frozenset[int]] = set()
-    min_ord = m + 1
-    for cell in tower.iter_cells(level):
-        if region is not None and not region.contains_at(level, cell):
-            continue
-        cov = frozenset(i for i, el in enumerate(elements)
-                        if el.contains_at(level, cell))
-        cover_sets.add(cov)
-        min_ord = min(min_ord, len(cov))
-    if min_ord == m + 1:
+        sets = [s - {m} for s in sets if m in s]
+    if not sets:
         return True  # empty region
-    brute = all(
-        all(set(sub) & cov for cov in cover_sets)
-        for sub in itertools.combinations(range(m), k))
-    criterion = min_ord >= m - k + 1
+    brute = _brute_k_cover(sets, k, m)
+    criterion = min(map(len, sets)) >= m - k + 1
     if brute != criterion:
         raise AssertionError(
             f"k-cover brute force ({brute}) disagrees with the multiplicity "
             f"criterion ({criterion}) at k={k}")
     return brute
+
+
+def _brute_k_cover(sets: list[frozenset[int]], k: int, m: int) -> bool:
+    """Does every k-subset of range(m) meet every cover index set?"""
+    return all(
+        all(set(sub) & s for s in sets)
+        for sub in itertools.combinations(range(m), k))
 
 
 # -- bundles ------------------------------------------------------------------
@@ -159,11 +222,21 @@ class CoverBundle:
     def from_json(cls, data: dict) -> "CoverBundle":
         cx = Complex.from_json(data["complex"])
         params = data["params"]
-        tower = SubdivisionTower(cx, max_level=params.get("max_level"))
+        r, N, m = (int_param(params, name) for name in ("r", "N", "m"))
+        max_level = None if params.get("max_level") is None \
+            else int_param(params, "max_level")
+        tower = SubdivisionTower(cx, max_level=max_level)
         elements = [cellset_from_json(tower, e) for e in data["elements"]]
         certs = [certificate_from_json(tower, c) for c in data["certificates"]]
-        return cls(cx, tower, params["r"], params["N"], params["m"],
-                   elements, certs, params.get("construction", ""))
+        return cls(cx, tower, r, N, m, elements, certs, params.get("construction", ""))
+
+
+def int_param(params: dict, name: str) -> int:
+    """A bundle parameter that must be an int (a bool is refused)."""
+    value = params[name]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CoverError(f"bundle parameter {name!r} must be an integer, got {value!r}")
+    return value
 
 
 def cover_parameters(cx: Complex, r: int) -> int:
@@ -174,9 +247,6 @@ def cover_parameters(cx: Complex, r: int) -> int:
 
 
 # -- construction -------------------------------------------------------------
-
-_STREAM_BUDGET = 3_000_000
-
 
 def build_cover(cx: Complex, r: int, m: int,
                 max_level: int | None = None) -> CoverBundle:
@@ -214,10 +284,12 @@ def build_cover(cx: Complex, r: int, m: int,
                 f"cap {tower.max_level} (KO_COVER_MAX_LEVEL); packing several "
                 f"elements into one level needs separating-crack components, "
                 f"which this builder only constructs for graphs and surfaces")
-        if tower.estimate_top_cells(m - 1) > _STREAM_BUDGET:
+        try:
+            tower.cells(m - 2)  # the level the verifier's signature walk reads
+        except TowerSizeError as exc:
             raise ConstructionError(
-                f"verification at level {m} would stream more than "
-                f"{_STREAM_BUDGET} cells; the complex is too large for m={m}")
+                f"verification at level {m} walks level {m - 2}: {exc}; the "
+                f"complex is too large for m={m}") from None
         elements = [VertexStarSet(tower, w, "old") for w in range(1, m + 1)]
         certs = [Certificate(el,
                              (PartitionPush(el.level, "old"),
@@ -539,27 +611,29 @@ def verify_cover_bundle(bundle: CoverBundle) -> CoverReport:
     tower = bundle.tower
     m = bundle.m
     try:
-        sigs = _cover_signatures(tower, bundle.elements)
-    except (TowerError, ConstructionError) as exc:
+        sigs = cover_signatures(tower, bundle.elements)
+    except (TowerError, CoverError) as exc:
         report.add("multiplicity", False, f"enumeration failed: {exc}")
         return report
 
     if len(bundle.elements) != m:
         report.add("element-count", False,
                    f"bundle claims m={m} but has {len(bundle.elements)} elements")
+    elif len(bundle.certificates) != m:
+        report.add("element-count", False,
+                   f"bundle claims m={m} but has {len(bundle.certificates)} certificates")
     else:
         report.add("element-count", True)
 
-    min_all = min((min(len(s) for s in ss) for ss in sigs.values() if ss),
-                  default=0)
+    min_all = min((len(s) for ss in sigs.values() for s in ss), default=0)
     report.add("coverage", min_all >= 1,
                "" if min_all >= 1 else "some open cell lies in no element")
 
     for claim in bundle.profile_claims:
-        dims = [d for d in sigs if d <= claim.skeleton]
-        min_ord = min((len(s) for d in dims for s in sigs[d]), default=m)
+        sets = [s for d, ss in sigs.items() if d <= claim.skeleton for s in ss]
+        min_ord = min(map(len, sets), default=m)
         formula_ok = min_ord >= claim.min_multiplicity
-        brute_ok = _brute_k_cover(sigs, claim.skeleton, claim.k, m)
+        brute_ok = _brute_k_cover(sets, claim.k, m)
         agree = formula_ok == brute_ok
         report.add(f"profile-k{claim.k}", formula_ok and agree,
                    f"min Ord {min_ord} on skeleton {claim.skeleton}, "
@@ -606,60 +680,6 @@ def _same_set(a: CellSet, b: CellSet) -> bool:
     if isinstance(a, OpenCellSet) and isinstance(b, OpenCellSet):
         return a.level == b.level and a.cells == b.cells
     return False
-
-
-def _cover_signatures(tower: SubdivisionTower,
-                      elements: list[CellSet]) -> dict[int, set[frozenset[int]]]:
-    """Minimal cover index sets per base-carrier dimension, exact.
-
-    Enumerates the common level directly when it fits the streaming budget;
-    otherwise walks one level down and uses per-block minima, which star
-    sets at the top level support exactly.
-    """
-    level = _common_level(elements)
-    low = [(i, el) for i, el in enumerate(elements) if el.level < level]
-    top = [(i, el) for i, el in enumerate(elements) if el.level == level]
-    blockable = level >= 1 and all(isinstance(el, VertexStarSet) for _, el in top)
-    sigs: dict[int, set[frozenset[int]]] = {}
-    if not blockable:
-        if not _direct_enumeration_ok(tower, level):
-            raise ConstructionError(
-                f"level {level} is too large to enumerate and some top-level "
-                f"element is not star-backed")
-        for cell in tower.iter_cells(level):
-            cov = frozenset(i for i, el in enumerate(elements)
-                            if el.contains_at(level, cell))
-            d = tower.carrier0_dim(level, cell)
-            sigs.setdefault(d, set()).add(cov)
-        return sigs
-    # per-block minima over the cells one level down; the block's own
-    # barycenter cell realizes the minimum
-    for block in tower.iter_cells(level - 1):
-        cov = set(i for i, el in low if el.contains_at(level - 1, block))
-        for i, el in top:
-            if el.center_over_lower_cell(block):
-                cov.add(i)
-        d = tower.carrier0_dim(level - 1, block)
-        sigs.setdefault(d, set()).add(frozenset(cov))
-    return sigs
-
-
-def _direct_enumeration_ok(tower: SubdivisionTower, level: int) -> bool:
-    if level == 0:
-        return True
-    try:
-        tower.cells(level - 1)
-        return tower.count_cells(level) <= _STREAM_BUDGET
-    except (TowerSizeError, TowerDepthError):
-        return False
-
-
-def _brute_k_cover(sigs: dict[int, set[frozenset[int]]], skeleton: int,
-                   k: int, m: int) -> bool:
-    sets = [s for d, ss in sigs.items() if d <= skeleton for s in ss]
-    return all(
-        all(set(sub) & s for s in sets)
-        for sub in itertools.combinations(range(m), k))
 
 
 # -- pullback -----------------------------------------------------------------

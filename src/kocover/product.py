@@ -10,13 +10,14 @@ n-skeleton, which bounds its category by m - 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .complexes import Complex
 from .cover import (CoverBundle, CoverError, CoverReport, build_cover,
-                    check_certificate)
+                    check_certificate, cover_signatures, int_param)
 from .tower import CellT
+
+Signatures = dict[int, set[frozenset[int]]]
 
 
 class ProductComplex:
@@ -73,8 +74,8 @@ class ProductCoverBundle:
     def from_json(cls, data: dict) -> "ProductCoverBundle":
         xb = CoverBundle.from_json(data["x_bundle"])
         bb = CoverBundle.from_json(data["b_bundle"])
-        p = data["params"]
-        return cls(xb.complex, bb.complex, p["n"], p["d"], p["m"], xb, bb)
+        n, d, m = (int_param(data["params"], name) for name in ("n", "d", "m"))
+        return cls(xb.complex, bb.complex, n, d, m, xb, bb)
 
 
 def assemble_product_cover(x: Complex, b: Complex,
@@ -96,9 +97,9 @@ def assemble_product_cover(x: Complex, b: Complex,
 def verify_product_cover(pcb: ProductCoverBundle) -> CoverReport:
     """Three checks: direct coverage of the product n-skeleton, the
     index-matching replay, and the factor certificates, each replayed by
-    the cover verifier's per-certificate check. The final contractibility of each paired set also uses
-    simple connectivity of the first factor, which is recorded as an
-    explicit assumption rather than verified."""
+    the cover verifier's per-certificate check. The final contractibility
+    of each paired set also uses simple connectivity of the first factor,
+    which is recorded as an explicit assumption rather than verified."""
     report = CoverReport()
     n, d, m = pcb.n, pcb.d, pcb.m
 
@@ -106,6 +107,9 @@ def verify_product_cover(pcb: ProductCoverBundle) -> CoverReport:
             or len(pcb.b_bundle.elements) != m:
         report.add("element-count", False,
                    f"expected m={(d + n) // 2 + 1} paired elements")
+        return report
+    if len(pcb.x_bundle.certificates) != m or len(pcb.b_bundle.certificates) != m:
+        report.add("element-count", False, f"expected m={m} certificates per factor")
         return report
     report.add("element-count", True, f"m={m}")
 
@@ -115,60 +119,17 @@ def verify_product_cover(pcb: ProductCoverBundle) -> CoverReport:
                "index-matching arithmetic fails for some j")
 
     xt, bt = pcb.x_bundle.tower, pcb.b_bundle.tower
-    lx = max(el.level for el in pcb.x_bundle.elements)
-    lb = max(el.level for el in pcb.b_bundle.elements)
-    x_cells = list(xt.iter_cells(lx))
-    b_cells = list(bt.iter_cells(lb))
-    x_cov = {}
-    for s in x_cells:
-        x_cov[s] = frozenset(i for i, el in enumerate(pcb.x_bundle.elements)
-                             if el.contains_at(lx, s))
-    b_cov = {}
-    for t in b_cells:
-        b_cov[t] = frozenset(i for i, el in enumerate(pcb.b_bundle.elements)
-                             if el.contains_at(lb, t))
-    x_dim = {s: xt.carrier0_dim(lx, s) for s in x_cells}
-    b_dim = {t: bt.carrier0_dim(lb, t) for t in b_cells}
-
-    # (a) direct brute force over refined product cells of total base dim <= n
-    witness = None
-    for s, t in itertools.product(x_cells, b_cells):
-        if x_dim[s] + b_dim[t] > n:
-            continue
-        if not x_cov[s] & b_cov[t]:
-            witness = (s, t)
-            break
-    report.add("coverage-direct", witness is None,
-               "" if witness is None else f"uncovered product cell {witness}")
-
-    # (b) the index-matching replay: the b-part of a cell over the j-skeleton
-    # is covered by at least m-j elements, and those indices restricted to
-    # the x cover form an (m-j)-cover of the x (2(m-j)-1)-skeleton, which
-    # contains the (n-j)-skeleton by the arithmetic guard
-    replay_ok = True
-    replay_detail = ""
-    for t in b_cells:
-        j = b_dim[t]
-        idxs = b_cov[t]
-        if len(idxs) < m - j:
-            replay_ok = False
-            replay_detail = f"b-cell over the {j}-skeleton covered {len(idxs)} < {m - j} times"
-            break
-        sk = 2 * (m - j) - 1
-        for s in x_cells:
-            if x_dim[s] <= sk and not (x_cov[s] & idxs):
-                replay_ok = False
-                replay_detail = (f"indices covering a {j}-dim b-cell miss an x-cell "
-                                 f"of the {sk}-skeleton")
-                break
-        if not replay_ok:
-            break
+    x_sigs = cover_signatures(xt, pcb.x_bundle.elements)
+    b_sigs = cover_signatures(bt, pcb.b_bundle.elements)
+    direct_ok, direct_detail = coverage_direct(n, x_sigs, b_sigs)
+    report.add("coverage-direct", direct_ok, direct_detail)
+    replay_ok, replay_detail = coverage_replay(m, x_sigs, b_sigs)
     report.add("coverage-replay", replay_ok, replay_detail)
-    agree = (witness is None) == replay_ok
+    agree = direct_ok == replay_ok
     report.add("coverage-agreement", agree,
                "" if agree else "direct check and replay disagree")
 
-    # (c) filtration: b certificates are monotone into the 0-skeleton, so
+    # filtration: b certificates are monotone into the 0-skeleton, so
     # no track raises the b-carrier dimension; x certificates witness
     # 1-deformability
     for i, (el, cert) in enumerate(zip(pcb.b_bundle.elements, pcb.b_bundle.certificates)):
@@ -179,3 +140,39 @@ def verify_product_cover(pcb: ProductCoverBundle) -> CoverReport:
                "final contractibility of each paired set additionally uses "
                "simple connectivity of the first factor (not verified here)")
     return report
+
+
+def _ordered(sigs: Signatures) -> list[tuple[int, frozenset[int]]]:
+    return sorted(((d, s) for d, ss in sigs.items() for s in ss),
+                  key=lambda p: (p[0], sorted(p[1])))
+
+
+def coverage_direct(n: int, x_sigs: Signatures, b_sigs: Signatures) -> tuple[bool, str]:
+    """Every refined product cell of total base dim <= n lies in a paired
+    set: its two factor cells share a cover index. Both depend only on
+    each factor cell's (base-carrier dim, cover index set), so this and the
+    replay run over the factors' exact signatures, not their cells."""
+    bs = _ordered(b_sigs)
+    for dx, sx in _ordered(x_sigs):
+        for db, sb in bs:
+            if dx + db <= n and not sx & sb:
+                return False, (f"uncovered product cells: x over a {dx}-cell in "
+                               f"elements {sorted(sx)}, b over a {db}-cell in "
+                               f"elements {sorted(sb)}")
+    return True, ""
+
+
+def coverage_replay(m: int, x_sigs: Signatures, b_sigs: Signatures) -> tuple[bool, str]:
+    """The index-matching replay: the b-part of a cell over the j-skeleton
+    is covered by at least m-j elements, and those indices restricted to
+    the x cover form an (m-j)-cover of the x (2(m-j)-1)-skeleton, which
+    contains the (n-j)-skeleton by the arithmetic guard."""
+    xs = _ordered(x_sigs)
+    for j, idxs in _ordered(b_sigs):
+        if len(idxs) < m - j:
+            return False, f"b-cell over the {j}-skeleton covered {len(idxs)} < {m - j} times"
+        sk = 2 * (m - j) - 1
+        if any(dx <= sk and not sx & idxs for dx, sx in xs):
+            return False, (f"indices covering a {j}-dim b-cell miss an x-cell "
+                           f"of the {sk}-skeleton")
+    return True, ""

@@ -160,17 +160,6 @@ class SubdivisionTower:
             memo[c] = 1 + sum(memo[f] for f in proper_faces(c))
         return sum(memo.values())
 
-    def estimate_top_cells(self, t: int) -> int:
-        """Cheap upper-level size signal: top flags multiply by (d+1)! each level."""
-        n = 0
-        for f in self.base.facets:
-            d = len(f) - 1
-            per = 1
-            for _ in range(t):
-                per *= _factorial(d + 1)
-            n += per
-        return n
-
     # -- carriers ----------------------------------------------------------
 
     def carrier_down(self, t: int, cell: CellT) -> CellT:
@@ -221,13 +210,6 @@ class SubdivisionTower:
         olv = other.level(t)
         imgs = {self.map_cell(other, fmap, t - 1, lv.verts[v]) for v in cell}
         return tuple(sorted(olv.vert_id[c] for c in imgs))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # -- open cell sets ----------------------------------------------------------

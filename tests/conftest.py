@@ -2,12 +2,27 @@ import collections
 
 import pytest
 
-from kocover import SubdivisionTower, builtin
+from kocover import SubdivisionTower, builtin, cover_parameters
 
 CATALOG_NAMES = [
     "delta-2", "delta-3", "boundary-delta-3", "boundary-delta-4", "s1",
     "torus-7", "rp2-6", "s1-x-s1", "s1-x-s2",
 ]
+
+
+
+def cover_grid():
+    """The criterion-3 grid: every r in 0..2 with the four smallest
+    admissible m."""
+    out = []
+    for name in CATALOG_NAMES:
+        cx = builtin(name)
+        for r in (0, 1, 2):
+            n_min = cover_parameters(cx, r)
+            for m in range(n_min, n_min + 4):
+                out.append((name, r, m))
+    return out
+
 
 SMALL_NAMES = ["s1", "delta-2", "boundary-delta-3", "torus-7", "rp2-6"]
 

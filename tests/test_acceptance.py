@@ -7,12 +7,12 @@ import time
 
 import pytest
 
-from conftest import CATALOG_NAMES, record_acceptance
+from conftest import CATALOG_NAMES, cover_grid, record_acceptance
 
 from kocover import (BoundProfile, Certificate, ConstructionError, CoverError,
                      OpenCellSet, PartitionPush, StarSnap, SubdivisionTower,
                      Target, best_upper, builtin, build_cover, corollary_bound,
-                     cover_parameters, cuplength_mod2, dual_complex,
+                     cuplength_mod2, dual_complex,
                      fibration_bound, is_k_cover, main_bound, random_complex,
                      rconn_bound, star, verify_certificate, verify_cover_bundle,
                      assemble_product_cover, verify_product_cover,
@@ -79,18 +79,7 @@ def test_criterion_2_k_cover_equivalence():
 # -- criterion 3: cover construction grid ---------------------------------------
 
 
-def _grid():
-    out = []
-    for name in CATALOG_NAMES:
-        cx = builtin(name)
-        for r in (0, 1, 2):
-            n_min = cover_parameters(cx, r)
-            for m in range(n_min, n_min + 4):
-                out.append((name, r, m))
-    return out
-
-
-@pytest.mark.parametrize("name,r,m", _grid())
+@pytest.mark.parametrize("name,r,m", cover_grid())
 def test_criterion_3_cover_grid(name, r, m, monkeypatch):
     monkeypatch.setenv("KO_COVER_MAX_LEVEL", "4")
     label = f"build_cover({name}, r={r}, m={m})"

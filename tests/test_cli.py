@@ -134,6 +134,35 @@ def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, fiel
     assert err.startswith("error:") and "unknown" in err
 
 
+def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
+    data = build_cover(builtin("s1"), 0, 3).to_json()
+    data["certificates"] = []
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, "cover", "verify", "--in", str(path), "--json")
+    assert code == 1
+    assert not json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("cover", "m", "3"),
+    ("cover", "r", None),
+    ("cover", "max_level", "4"),
+    ("product", "m", True),
+])
+def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, field, value):
+    if command == "cover":
+        data = build_cover(builtin("s1"), 0, 3).to_json()
+    else:
+        data = assemble_product_cover(builtin("s1"), builtin("point")).to_json()
+    data["params"][field] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = invoke(capsys, command, "verify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:") and repr(field) in err
+
+
 def test_cuplength(capsys):
     code, out, _ = invoke(capsys, "cuplength", "--builtin", "rp2-6", "--json")
     assert code == 0

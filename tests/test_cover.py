@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from conftest import CATALOG_NAMES, cover_grid
+
 from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
-                     OpenCellSet, SimplicialMap, SubdivisionTower, builtin,
-                     build_cover, cover_parameters, is_k_cover, ord_profile,
-                     pullback_cover, random_complex, verify_cover_bundle)
+                     OpenCellSet, SimplicialMap, SubdivisionTower, TowerSizeError,
+                     VertexStarSet, builtin, build_cover, cover_parameters,
+                     cover_signatures, is_k_cover, ord_profile, pullback_cover,
+                     random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, StarSnap, Target
-from kocover.cover import _cover_signatures
 
 
 def three_point_family():
@@ -207,30 +209,125 @@ def test_profile_monotone_in_m():
         small = build_cover(builtin(name), r, m)
         for el_big, el_small in zip(big.elements, small.elements):
             assert type(el_big) is type(el_small)
-        sigs = _cover_signatures(big.tower, big.elements[:m])
+        sigs = cover_signatures(big.tower, big.elements[:m])
         for claim in small.profile_claims:
             dims = [d for d in sigs if d <= claim.skeleton]
             min_ord = min((len(s) for d in dims for s in sigs[d]), default=m)
             assert min_ord >= claim.min_multiplicity
 
 
-def test_block_signatures_agree_with_direct_enumeration():
-    """The per-block minima used on huge levels match the cell-by-cell
-    enumeration on an instance where both strategies run."""
-    bundle = build_cover(builtin("boundary-delta-3"), 0, 3)
-    tower, els = bundle.tower, bundle.elements
-    level = max(el.level for el in els)
-    direct = {}
+def chain_enumeration(tower, elements):
+    """Reference signatures: every cell of the finest element level, read
+    one by one."""
+    level = max(el.level for el in elements)
+    out = {}
     for cell in tower.iter_cells(level):
-        cov = frozenset(i for i, el in enumerate(els) if el.contains_at(level, cell))
-        direct.setdefault(tower.carrier0_dim(level, cell), set()).add(cov)
-    block = _cover_signatures(tower, els)  # picks the block path (stars on top)
-    assert set(direct) == set(block)
-    for d in direct:
-        assert min(len(s) for s in direct[d]) == min(len(s) for s in block[d])
-        dmin = {s for s in direct[d] if not any(t < s for t in direct[d])}
-        bmin = {s for s in block[d] if not any(t < s for t in block[d])}
-        assert dmin == bmin
+        cov = frozenset(i for i, el in enumerate(elements) if el.contains_at(level, cell))
+        out.setdefault(tower.carrier0_dim(level, cell), set()).add(cov)
+    return out
+
+
+def _walkable(bundle, limit=100_000):
+    level = max(el.level for el in bundle.elements)
+    try:
+        return bundle.tower.count_cells(level) <= limit
+    except TowerSizeError:
+        return False
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_signatures_equal_chain_enumeration_on_the_grid(name):
+    """Every criterion-3 instance of this complex that builds and whose
+    finest level has at most 100k cells."""
+    checked = 0
+    for _, r, m in [g for g in cover_grid() if g[0] == name]:
+        try:
+            bundle = build_cover(builtin(name), r, m, max_level=4)
+        except (ConstructionError, CoverError):
+            continue
+        if not _walkable(bundle):
+            continue
+        assert cover_signatures(bundle.tower, bundle.elements) == \
+            chain_enumeration(bundle.tower, bundle.elements), (r, m)
+        checked += 1
+    assert checked
+
+
+def _random_element(rng, tower, kind, level):
+    if kind == "cells":
+        cells = tower.cells(level)
+        return OpenCellSet(tower, level, rng.sample(cells, rng.randrange(len(cells) + 1)))
+    if kind == "old":
+        return VertexStarSet(tower, level, "old")
+    verts = range(len(tower.level(level).verts))
+    return VertexStarSet(tower, level,
+                         frozenset(rng.sample(verts, rng.randrange(len(verts) + 1))))
+
+
+def _random_family(seed):
+    rng = random.Random(seed)
+    name = rng.choice(["s1", "delta-2", f"random:2:5:{seed}"])
+    tower = SubdivisionTower(builtin(name))
+    fam = []
+    for _ in range(rng.randrange(2, 6)):
+        kind = rng.choice(["cells", "old", "explicit"])
+        level = rng.randrange(3) if kind == "cells" else rng.randrange(1, 4)
+        fam.append(_random_element(rng, tower, kind, level))
+    if rng.random() < 0.5:
+        skeleton = rng.randrange(2)
+        fam.append(OpenCellSet(tower, 0, [c for c in tower.base.cells()
+                                          if len(c) - 1 <= skeleton]))
+    return tower, fam
+
+
+def _special_family(which):
+    """explicit-beside-old-top: an explicit set beside an "old" star on the
+    top level (no flag). explicit-below-old-top: an explicit set one level
+    below an "old" top (no DP). chain-skipping-faces: on the triangle T, the
+    chain {v, T} skips both edges through v, and only it has the star mask
+    {0}, so the DP must reach v from T directly, not through facets."""
+    tower = SubdivisionTower(builtin("delta-2"))
+    if which == "chain-skipping-faces":
+        vid = tower.level(1).vert_id
+        return tower, [VertexStarSet(tower, 1, frozenset({vid[(0,)]})),
+                       VertexStarSet(tower, 1, frozenset({vid[(0, 1)], vid[(0, 2)]}))]
+    rng = random.Random(which)
+    top = 3 if which == "explicit-beside-old-top" else 2
+    fam = [_random_element(rng, tower, "old", 3),
+           _random_element(rng, tower, "cells", top),
+           _random_element(rng, tower, "explicit", 2),
+           _random_element(rng, tower, "cells", 1)]
+    return tower, fam
+
+
+@pytest.mark.parametrize("family", [f"seed-{seed}" for seed in range(40)] + [
+    "explicit-beside-old-top", "explicit-below-old-top", "chain-skipping-faces"])
+def test_signatures_equal_chain_enumeration_on_mixed_families(family):
+    if family.startswith("seed-"):
+        tower, fam = _random_family(int(family[5:]))
+    else:
+        tower, fam = _special_family(family)
+    assert cover_signatures(tower, fam) == chain_enumeration(tower, fam)
+
+
+def test_is_k_cover_with_a_region_on_mixed_families():
+    """Brute force and the criterion agree (asserted inside is_k_cover)
+    with the region as one more element of the walk."""
+    for seed in range(20):
+        tower, fam = _random_family(seed)
+        region = OpenCellSet(tower, 0, [c for c in tower.base.cells() if len(c) == 1])
+        for k in range(1, len(fam) + 1):
+            is_k_cover(fam, k, region)
+
+
+def test_emptied_certificate_list_fails():
+    bundle = build_cover(builtin("s1"), 0, 3)
+    bundle.certificates = []
+    report = verify_cover_bundle(bundle)
+    assert not report.ok
+    checks = {c.name: c for c in report.checks}
+    assert not checks["element-count"].passed
+    assert "0 certificates" in checks["element-count"].detail
 
 
 def test_pullback_cover():

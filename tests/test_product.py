@@ -3,8 +3,12 @@ import dataclasses
 import pytest
 
 from kocover import (CoverError, ProductComplex, ProductCoverBundle,
-                     assemble_product_cover, builtin, lemma_bound,
-                     product_skeleton, verify_product_cover)
+                     assemble_product_cover, builtin, cover_signatures,
+                     lemma_bound, product_skeleton, verify_product_cover)
+from kocover.product import coverage_direct, coverage_replay
+
+CRITERION_4_PAIRS = [(x, b) for x in ("boundary-delta-3", "torus-7", "s1-x-s1")
+                     for b in ("point", "s1")]
 
 
 def test_product_skeleton_counts():
@@ -73,6 +77,58 @@ def test_stripped_factor_certificates_fail(factor, check):
     report = verify_product_cover(pcb)
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {f"{check}-{i}" for i in range(pcb.m)}
+
+
+def test_emptied_factor_certificate_lists_fail():
+    pcb = assemble_product_cover(builtin("torus-7"), builtin("s1"))
+    pcb.x_bundle.certificates = []
+    pcb.b_bundle.certificates = []
+    report = verify_product_cover(pcb)
+    assert not report.ok
+    assert [(c.name, c.passed) for c in report.checks] == [("element-count", False)]
+
+
+def cell_loop_coverage(n, m, xb, bb):
+    """Reference verdicts (direct, replay): the product verifier's former
+    loops over every pair of refined factor cells."""
+    xt, bt = xb.tower, bb.tower
+    lx = max(el.level for el in xb.elements)
+    lb = max(el.level for el in bb.elements)
+    x_cells = list(xt.iter_cells(lx))
+    b_cells = list(bt.iter_cells(lb))
+    x_cov = {s: frozenset(i for i, el in enumerate(xb.elements) if el.contains_at(lx, s))
+             for s in x_cells}
+    b_cov = {t: frozenset(i for i, el in enumerate(bb.elements) if el.contains_at(lb, t))
+             for t in b_cells}
+    x_dim = {s: xt.carrier0_dim(lx, s) for s in x_cells}
+    b_dim = {t: bt.carrier0_dim(lb, t) for t in b_cells}
+    direct = all(x_cov[s] & b_cov[t] for s in x_cells for t in b_cells
+                 if x_dim[s] + b_dim[t] <= n)
+    replay = True
+    for t in b_cells:
+        j, idxs = b_dim[t], b_cov[t]
+        if len(idxs) < m - j or any(x_dim[s] <= 2 * (m - j) - 1 and not x_cov[s] & idxs
+                                    for s in x_cells):
+            replay = False
+            break
+    return direct, replay
+
+
+@pytest.mark.parametrize("variant", ["as-built", "one-element-dropped", "x-reversed"])
+@pytest.mark.parametrize("xname,bname", CRITERION_4_PAIRS)
+def test_signature_coverage_equals_cell_loops(xname, bname, variant):
+    pcb = assemble_product_cover(builtin(xname), builtin(bname))
+    xb, bb, m = pcb.x_bundle, pcb.b_bundle, pcb.m
+    if variant == "one-element-dropped":
+        m -= 1
+        xb = dataclasses.replace(xb, elements=xb.elements[:m], m=m)
+        bb = dataclasses.replace(bb, elements=bb.elements[:m], m=m)
+    elif variant == "x-reversed":
+        xb = dataclasses.replace(xb, elements=xb.elements[::-1])
+    x_sigs = cover_signatures(xb.tower, xb.elements)
+    b_sigs = cover_signatures(bb.tower, bb.elements)
+    got = (coverage_direct(pcb.n, x_sigs, b_sigs)[0], coverage_replay(m, x_sigs, b_sigs)[0])
+    assert got == cell_loop_coverage(pcb.n, m, xb, bb)
 
 
 def test_arithmetic_guard_identity():
