@@ -243,39 +243,24 @@ def gf2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-class _Gf2Span:
-    """Canonical coset reduction against a fixed row space over the field."""
+class _Gf2Incremental:
+    """Growing span in echelon form: an independence test, and reduction to
+    the coset representative that vanishes on the pivot columns."""
 
-    def __init__(self, vectors: Iterable[np.ndarray], width: int):
-        vecs = list(vectors)
-        self.width = width
-        mat = (np.array(vecs, dtype=np.uint8) if vecs
-               else np.zeros((0, width), dtype=np.uint8))
-        self.red, self.pivots = (gf2_rref(mat) if vecs else
-                                 (np.zeros((0, width), dtype=np.uint8), []))
+    def __init__(self, vectors: Iterable[np.ndarray] = ()):
+        self.rows: list[tuple[int, np.ndarray]] = []
+        for v in vectors:
+            self.add_if_independent(v)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        for i, p in enumerate(self.pivots):
-            if out[p]:
-                out ^= self.red[i]
-        return out
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
-
-
-class _Gf2Incremental:
-    """Growing span with an independence test (membership only)."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, np.ndarray]] = []
-
-    def add_if_independent(self, v: np.ndarray) -> bool:
         red = v.copy()
         for p, row in self.rows:
             if red[p]:
                 red ^= row
+        return red
+
+    def add_if_independent(self, v: np.ndarray) -> bool:
+        red = self.reduce(v)
         if not red.any():
             return False
         pivot = int(np.nonzero(red)[0][0])
@@ -326,9 +311,7 @@ def cohomology_representatives(cx: Complex, p: int) -> list[np.ndarray]:
         kernel = gf2_nullspace(mats[p])
     else:
         kernel = [np.eye(n_p, dtype=np.uint8)[i] for i in range(n_p)]
-    span = _Gf2Incremental()
-    for v in _image_vectors(mats, p, n_p):
-        span.add_if_independent(v)
+    span = _Gf2Incremental(_image_vectors(mats, p, n_p))
     reps = []
     for v in kernel:
         if span.add_if_independent(v):
@@ -370,8 +353,7 @@ def cuplength_mod2(cx: Complex) -> int:
             reps[p] = rs
     if not reps:
         return 0
-    image_spans = {p: _Gf2Span(_image_vectors(mats, p, len(cx.cells(p))),
-                               len(cx.cells(p)))
+    image_spans = {p: _Gf2Incremental(_image_vectors(mats, p, len(cx.cells(p))))
                    for p in range(1, n + 1)}
     # k-fold products, deduplicated per length by their canonical coset
     # form; degrees grow strictly, so at most dim rounds happen

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .complexes import components
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cell_decoder, cell_encoder, nested_key,
-                    proper_faces)
+                    VertexStarSet, cell_decoder, cell_encoder, proper_faces)
 
 
 class CertificateFormatError(ValueError):
@@ -120,14 +120,9 @@ def verify_certificate(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     return _verify_explicit(tower, cert)
 
 
-def _materialize_start(start: CellSet) -> tuple[int, frozenset[CellT]]:
-    if isinstance(start, VertexStarSet):
-        start = start.materialize()
-    return start.level, frozenset(start.cells)
-
-
 def _verify_explicit(tower: SubdivisionTower, cert: Certificate) -> Verdict:
-    level, cells = _materialize_start(cert.start)
+    start = cert.start.materialize()
+    level, cells = start.level, start.cells
     try:
         for _, level, cells in replay(tower, level, cells, cert.steps):
             pass
@@ -147,7 +142,8 @@ def replay(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
     """
     for idx, step in enumerate(steps):
         if isinstance(step, Refine):
-            level, cells = _refine_carrier(tower, level, cells)
+            level += 1
+            cells = frozenset(tower.chains(level, cells))
         elif isinstance(step, (PartitionPush, StarSnap)):
             if step.level != level:
                 raise CertificateFormatError(
@@ -169,22 +165,6 @@ def replay(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
         yield idx, level, cells
 
 
-def _refine_carrier(tower: SubdivisionTower, level: int,
-                    cells: frozenset[CellT]) -> tuple[int, frozenset[CellT]]:
-    nxt = tower.level(level + 1)
-    vid = nxt.vert_id
-    out: set[CellT] = set()
-    for c in cells:
-        # chains of faces with maximum equal to the cell itself
-        stack = [([vid[c]], c)]
-        while stack:
-            ids, mn = stack.pop()
-            out.add(tuple(sorted(ids)))
-            for f in proper_faces(mn):
-                stack.append((ids + [vid[f]], f))
-    return level + 1, frozenset(out)
-
-
 def _expand_keep(tower: SubdivisionTower, level: int,
                  keep: frozenset[int] | str) -> frozenset[int]:
     lv = tower.level(level)
@@ -197,7 +177,9 @@ def _expand_keep(tower: SubdivisionTower, level: int,
 
 def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
                 step: StarSnap, idx: int) -> frozenset[CellT]:
-    comp = _components(cells)
+    # two open cells touch iff one is a face of the other and both are present
+    comp = components(cells, ((c, f) for c in cells for f in proper_faces(c)
+                              if f in cells))
     if step.assignment == "min-base-vertex":
         assign: dict[CellT, int] = {}
         for cls in comp:
@@ -231,27 +213,6 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
                         idx, "snap target is not a vertex of a member cell's base carrier", c)
     return frozenset((tower.lift_base_vertex(assign[next(iter(cls))], level),)
                      for cls in comp)
-
-
-def _components(cells: frozenset[CellT]) -> list[set[CellT]]:
-    """Connected components of an open cell union: two open cells touch iff
-    one is a face of the other and both are present."""
-    parent: dict[CellT, CellT] = {c: c for c in cells}
-
-    def find(x: CellT) -> CellT:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in cells:
-        for f in proper_faces(c):
-            if f in parent:
-                parent[find(f)] = find(c)
-    comp: dict[CellT, set[CellT]] = {}
-    for c in cells:
-        comp.setdefault(find(c), set()).add(c)
-    return list(comp.values())
 
 
 def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
@@ -318,7 +279,8 @@ def run_steps(tower: SubdivisionTower, start: CellSet,
               steps: Sequence[Step]) -> tuple[int, frozenset[CellT]]:
     """Apply steps to a set, returning the final carrier; raises
     CertificateGenerationError when a step precondition fails."""
-    level, cells = _materialize_start(start)
+    start = start.materialize()
+    level, cells = start.level, start.cells
     try:
         for _, level, cells in replay(tower, level, cells, steps):
             pass
@@ -336,7 +298,7 @@ def make_dual_push(s: CellSet, avoid_cells: set[CellT]) -> list[Step]:
     dimension at most dim - m - 1.
     """
     tower = s.tower
-    for c in (s.materialize().cells if isinstance(s, VertexStarSet) else s.cells):
+    for c in s.materialize().cells:
         if tower.carrier0(s.level, c) in avoid_cells:
             raise CertificateGenerationError(
                 f"set meets the avoided subcomplex at {c}")
@@ -349,8 +311,7 @@ def make_dual_push(s: CellSet, avoid_cells: set[CellT]) -> list[Step]:
 
 def make_star_snap(s: CellSet) -> StarSnap:
     """Snap a set of isolated points to base vertices (least vertex id wins)."""
-    if isinstance(s, VertexStarSet):
-        s = s.materialize()
+    s = s.materialize()
     tower = s.tower
     if any(len(c) != 1 for c in s.cells):
         raise CertificateGenerationError("star snap needs a zero-dimensional carrier")
@@ -368,7 +329,7 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
     n = tower.base.dim
     if r < 0:
         raise CertificateGenerationError("negative target dimension")
-    cells = s.materialize().cells if isinstance(s, VertexStarSet) else s.cells
+    cells = s.materialize().cells
     if n <= r:
         return Certificate(s, (), Target("dimensional", r))
     lowest = n - r - 1
@@ -409,19 +370,16 @@ def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
             else:
                 lv = tower.level(step.level)
                 keep = {"kind": "explicit",
-                        "verts": sorted(
-                            (enc(step.level - 1, lv.verts[v]) for v in step.keep),
-                            key=nested_key)}
+                        "verts": sorted(enc(step.level - 1, lv.verts[v])
+                                        for v in step.keep)}
             steps.append({"kind": "push", "level": step.level, "keep": keep})
         elif isinstance(step, StarSnap):
             if step.assignment == "min-base-vertex":
                 assignment = {"kind": "min-base-vertex"}
             else:
                 assignment = {"kind": "explicit",
-                              "pairs": sorted(
-                                  ([enc(step.level, c), tower.base.vertices[v]]
-                                   for c, v in step.assignment),
-                                  key=nested_key)}
+                              "pairs": sorted([enc(step.level, c), tower.base.vertices[v]]
+                                              for c, v in step.assignment)}
             steps.append({"kind": "snap", "level": step.level, "assignment": assignment})
     return {"start": cert.start.to_json(), "steps": steps,
             "target": {"kind": cert.target.kind, "r": cert.target.r}}

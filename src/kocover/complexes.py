@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random as _random
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 
 class ComplexError(ValueError):
@@ -19,6 +19,7 @@ class ComplexError(ValueError):
 
 
 Cell = tuple[int, ...]
+T = TypeVar("T", bound=Hashable)
 
 
 class Complex:
@@ -84,9 +85,6 @@ class Complex:
             return tuple(itertools.chain.from_iterable(closure[d] for d in sorted(closure)))
         return closure.get(dim, ())
 
-    def n_cells(self) -> int:
-        return sum(len(cs) for cs in self._closure().values())
-
     def has_cell(self, cell: Cell) -> bool:
         return cell in set(self._closure().get(len(cell) - 1, ()))
 
@@ -94,19 +92,7 @@ class Complex:
         return sum((-1) ** d * len(cs) for d, cs in self._closure().items())
 
     def is_connected(self) -> bool:
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self.facets:
-            for a, b in zip(f, f[1:]):
-                parent[find(a)] = find(b)
-        roots = {find(i) for i in range(len(self.vertices))}
-        return len(roots) == 1
+        return len(components(range(len(self.vertices)), _facet_links(self.facets))) == 1
 
     # -- operations --------------------------------------------------------
 
@@ -251,7 +237,7 @@ def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True)
     cx = Complex(vs, [[vs[i] for i in f] for f in _antichain(facets)], name=f"random-{dim}-{seed}")
     if connected and not cx.is_connected():
         facets = set(cx.facets)
-        comp = _components(n_vertices, facets)
+        comp = components(range(n_vertices), _facet_links(facets))
         reps = sorted(min(c) for c in comp)
         for a, b in zip(reps, reps[1:]):
             facets.add((a, b))
@@ -265,21 +251,28 @@ def _antichain(cells: set[Cell]) -> list[Cell]:
                   if not any(c != d and set(c) <= set(d) for d in cells))
 
 
-def _components(n: int, facets: set[Cell]) -> list[set[int]]:
-    parent = list(range(n))
+def _facet_links(facets: Iterable[Cell]) -> Iterator[tuple[int, int]]:
+    """Consecutive vertices of each facet, which join all of its vertices."""
+    for f in facets:
+        yield from zip(f, f[1:])
 
-    def find(x: int) -> int:
+
+def components(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> list[set[T]]:
+    """Connected components of the graph on nodes joined by links (union-find),
+    listed in the order of their first node."""
+    parent: dict[T, T] = {x: x for x in nodes}
+
+    def find(x: T) -> T:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for f in facets:
-        for a, b in zip(f, f[1:]):
-            parent[find(a)] = find(b)
-    comp: dict[int, set[int]] = {}
-    for i in range(n):
-        comp.setdefault(find(i), set()).add(i)
+    for a, b in links:
+        parent[find(a)] = find(b)
+    comp: dict[T, set[T]] = {}
+    for x in parent:
+        comp.setdefault(find(x), set()).add(x)
     return list(comp.values())
 
 
@@ -347,9 +340,6 @@ class SimplicialMap:
                 raise ComplexError(
                     f"image of facet {source.label_cell(f)} does not span a target cell")
         self.mapping = dict(mapping)
-
-    def image_vertex(self, i: int) -> int:
-        return self._vmap[i]
 
     def image_cell(self, cell: Cell) -> Cell:
         return tuple(sorted({self._vmap[i] for i in cell}))

@@ -128,19 +128,23 @@ def _cell_masks(tower: SubdivisionTower, level: int,
 
 def ord_profile(elements: list[CellSet], max_table: int = 200_000) -> OrdProfile:
     """Exact multiplicities at the finest element level; the per-cell table
-    is kept while the level has at most max_table cells."""
+    is kept while the level has at most max_table cells and can be streamed
+    under the tower's cell budget."""
     if not elements:
         raise CoverError("empty family")
     tower = elements[0].tower
     sigs = cover_signatures(tower, elements)
     level = max(el.level for el in elements)
     table: dict[CellT, int] | None = {}
-    for cell, mask in _cell_masks(tower, level, list(enumerate(elements)),
-                                  tower.iter_cells(level)):
-        if len(table) == max_table:
-            table = None
-            break
-        table[cell] = mask.bit_count()
+    try:
+        for cell, mask in _cell_masks(tower, level, list(enumerate(elements)),
+                                      tower.iter_cells(level)):
+            if len(table) == max_table:
+                table = None
+                break
+            table[cell] = mask.bit_count()
+    except TowerSizeError:
+        table = None  # streaming level L needs level L-1 within the budget
     minima = {d: min(map(len, ss)) for d, ss in sigs.items()}
     return OrdProfile(level, table, minima, sigs)
 
@@ -353,33 +357,20 @@ def _dyadic_phases(m: int) -> list[tuple[int, int]]:
 
 
 def _edge_path_vertices(tower: SubdivisionTower, t: int, edge: CellT) -> list[int]:
-    """Interior vertices of a subdivided base edge, ordered from the least
-    endpoint; entry k sits at dyadic position k / 2^t. Index 0 is unused."""
-    lv = tower.level(t)
-    a, b = edge
-    on_edge = [v for v in range(len(lv.verts)) if lv.vbase[v] == edge]
-    # adjacency along the subdivided edge: two vertices joined by a level-t cell
-    cells_on = [c for c in tower.cells(t)
-                if len(c) == 2 and tower.carrier0(t, c) == edge]
-    adj: dict[int, list[int]] = {}
-    for u, w in cells_on:
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, []).append(u)
-    start = tower.lift_base_vertex(a, t)
-    end = tower.lift_base_vertex(b, t)
-    path = [start]
-    prev = None
-    cur = start
-    while cur != end:
-        nxts = [x for x in adj[cur] if x != prev]
-        if len(nxts) != 1:
-            raise ConstructionError("subdivided edge is not a path")
-        prev, cur = cur, nxts[0]
-        path.append(cur)
-    interior = path[1:-1]
-    if len(interior) != 2 ** t - 1 or any(v not in on_edge for v in interior):
-        raise ConstructionError("unexpected edge subdivision structure")
-    return [start] + interior  # index k = position k/2^t
+    """Vertices of a subdivided base edge at level t, from its least endpoint
+    to the other; entry k sits at dyadic position k / 2^t.
+
+    A level-s vertex is a level-(s-1) cell, so each subdivision puts the
+    barycenter (u, w) of every path edge between its ends (u,) and (w,).
+    """
+    path = list(edge)
+    for s in range(1, t + 1):
+        vid = tower.level(s).vert_id
+        nxt = [vid[(path[0],)]]
+        for u, w in zip(path, path[1:]):
+            nxt += [vid[(u, w) if u < w else (w, u)], vid[(w,)]]
+        path = nxt
+    return path
 
 
 def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBundle:
@@ -407,7 +398,6 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     except TowerSizeError as exc:
         raise ConstructionError(f"wheel cracks: {exc}") from None
     lv = tower.level(level)
-    cell_set = set(cells)
     carrier_dim = {c: tower.carrier0_dim(level, c) for c in cells}
 
     cofaces: dict[CellT, list[CellT]] = {c: [] for c in cells}
@@ -467,11 +457,6 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
             counts[c] = counts.get(c, 0) + 1
     if any(counts[c] > carrier_dim[c] for crack in cracks for c in crack):
         raise ConstructionError("wheel cracks: ring reservation exceeds a budget")
-
-    def usable(c: CellT, own: set[CellT]) -> bool:
-        if c in own:
-            return False
-        return counts.get(c, 0) + 1 <= carrier_dim[c]
 
     for i in range(m):
         crack = cracks[i]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .complexes import Complex, ComplexError, SimplicialMap
 
@@ -126,12 +126,8 @@ class SubdivisionTower:
         return self._levels[t].cells_set  # type: ignore[return-value]
 
     def iter_cells(self, t: int) -> Iterator[CellT]:
-        """Stream the cells of level t without materializing them.
-
-        Level t cells are the nonempty chains of level t-1 cells; each chain
-        is produced once, by descending from its maximal element through
-        faces of the current minimum.
-        """
+        """Stream the cells of level t, the chains of level t-1 cells,
+        without materializing them."""
         if t == 0:
             yield from self.cells(0)
             return
@@ -139,14 +135,31 @@ class SubdivisionTower:
         if lv.cells_list is not None:
             yield from lv.cells_list
             return
-        vid = lv.vert_id
+        yield from self.chains(t, lv.verts)
+
+    def chains(self, t: int, tops: Iterable[CellT],
+               within: Container[CellT] | None = None) -> Iterator[CellT]:
+        """Level-t cells whose chain maximum is in tops (level t-1 cells)
+        and, when within is given, whose members all lie in within.
+
+        Each chain is produced once, by descending from its maximum through
+        faces of the current minimum.
+        """
+        vid = self.level(t).vert_id
+        if within is None:
+            faces = proper_faces
+        else:
+            tops = [c for c in tops if c in within]
+
+            def faces(c: CellT) -> Iterator[CellT]:
+                return (f for f in proper_faces(c) if f in within)
         stack: list[tuple[list[int], CellT]] = []
-        for top_id, top_cell in enumerate(lv.verts):
-            stack.append(([top_id], top_cell))
+        for top in tops:
+            stack.append(([vid[top]], top))
             while stack:
                 ids, mn = stack.pop()
                 yield tuple(sorted(ids))
-                for f in proper_faces(mn):
+                for f in faces(mn):
                     stack.append((ids + [vid[f]], f))
 
     def count_cells(self, t: int) -> int:
@@ -235,17 +248,11 @@ class OpenCellSet:
             raise TowerError("cannot test a coarser cell against a finer set")
         return self.contains(self.tower.carrier(t, cell, self.level))
 
-    def iter_at(self, t: int) -> Iterator[CellT]:
-        """Cells of the refinement of this set at level t >= level."""
-        if t == self.level:
-            yield from self.cells
-            return
-        for c in self.tower.iter_cells(t):
-            if self.contains_at(t, c):
-                yield c
-
     def is_empty(self) -> bool:
         return not self.cells
+
+    def materialize(self) -> "OpenCellSet":
+        return self
 
     def closure(self) -> "OpenCellSet":
         out: set[CellT] = set()
@@ -266,14 +273,6 @@ class OpenCellSet:
             if any(f in self.cells for f in proper_faces(c)):
                 return False
         return True
-
-    def union(self, other: "OpenCellSet") -> "OpenCellSet":
-        self._check_mate(other)
-        return OpenCellSet(self.tower, self.level, self.cells | other.cells)
-
-    def intersection(self, other: "OpenCellSet") -> "OpenCellSet":
-        self._check_mate(other)
-        return OpenCellSet(self.tower, self.level, self.cells & other.cells)
 
     def point_disjoint(self, other: "OpenCellSet") -> bool:
         """Two open-cell unions share a point iff they share a cell at a common level."""
@@ -337,11 +336,6 @@ class VertexStarSet:
             raise TowerError("cannot test a coarser cell against a finer set")
         return self.contains(self.tower.carrier(t, cell, self.level))
 
-    def iter_at(self, t: int) -> Iterator[CellT]:
-        for c in self.tower.iter_cells(t):
-            if self.contains_at(t, c):
-                yield c
-
     def is_empty(self) -> bool:
         if self.centers == "old":
             return False
@@ -380,7 +374,7 @@ def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
         if t == 0:
             return [tower.base.vertices[i] for i in cell]
         lv = tower.level(t)
-        return sorted((enc(t - 1, lv.verts[v]) for v in cell), key=nested_key)
+        return sorted(enc(t - 1, lv.verts[v]) for v in cell)
 
     return enc
 
@@ -394,13 +388,6 @@ def cell_decoder(tower: SubdivisionTower) -> Callable[[int, object], CellT]:
         return tuple(sorted(lv.vert_id[dec(t - 1, d)] for d in data))
 
     return dec
-
-
-def nested_key(x):
-    """Sort key for encoded cells: labels before lists, lists by their keys."""
-    if isinstance(x, str):
-        return (0, x)
-    return (1, tuple(nested_key(y) for y in x))
 
 
 # -- tower operations ----------------------------------------------------------
@@ -425,20 +412,7 @@ def dual_complex(tower: SubdivisionTower, m: int) -> OpenCellSet:
     high = [c for c in base_cells if len(c) - 1 > m]
     if not high:
         return OpenCellSet(tower, 1, ())
-    highset = set(high)
-    lv = tower.level(1)
-    vid = lv.vert_id
-    out: list[CellT] = []
-    stack: list[tuple[list[int], CellT]] = []
-    for top in high:
-        stack.append(([vid[top]], top))
-        while stack:
-            ids, mn = stack.pop()
-            out.append(tuple(sorted(ids)))
-            for f in proper_faces(mn):
-                if f in highset:
-                    stack.append((ids + [vid[f]], f))
-    return OpenCellSet(tower, 1, out)
+    return OpenCellSet(tower, 1, tower.chains(1, high, set(high)))
 
 
 def star(tower: SubdivisionTower, core: CellSet, kind: str = "open") -> OpenCellSet:
@@ -448,9 +422,7 @@ def star(tower: SubdivisionTower, core: CellSet, kind: str = "open") -> OpenCell
     if kind not in ("open", "closed"):
         raise TowerError("star kind must be 'open' or 'closed'")
     t = core.level
-    if isinstance(core, VertexStarSet):
-        core = core.materialize()
-    closure_cells = core.closure().cells
+    closure_cells = core.materialize().closure().cells
     nxt = tower.level(t + 1)
     marked = {nxt.vert_id[c] for c in closure_cells}
     cells = [c for c in tower.cells(t + 1) if any(v in marked for v in c)]

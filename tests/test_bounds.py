@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kocover import (BoundProfile, BoundsError, FibrationProfile, NotApplicable,
                      best_upper, betti_mod2, builtin, corollary_bound,
                      cuplength_mod2, fibration_bound, main_bound, rconn_bound)
-from kocover.bounds import (coboundary_matrices, cohomology_representatives,
-                            cup_product, gf2_rank)
+from kocover.bounds import (_Gf2Incremental, coboundary_matrices,
+                            cohomology_representatives, cup_product, gf2_rank)
 
 
 def test_main_bound_examples():
@@ -157,6 +159,22 @@ def test_cup_product_bilinear_and_graded():
     assert not (mats[2] @ ab % 2).any() if cx.dim > 2 else True
     s = cup_product(cx, 1, 1, (a + b) % 2, b)
     assert ((s - (ab + cup_product(cx, 1, 1, b, b)) % 2) % 2 == 0).all()
+
+
+@given(name=st.sampled_from(["torus-7", "rp2-6", "s1-x-s1", "boundary-delta-3"]),
+       p=st.integers(1, 2), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_span_reduction_is_constant_on_cosets(name, p, data):
+    # cup-length dedup keys products by this reduction, so it must not see
+    # which coset representative it was given
+    mat = coboundary_matrices(builtin(name))[p - 1]
+    span = _Gf2Incremental(mat[:, j] for j in range(mat.shape[1]))
+    bits = st.lists(st.integers(0, 1), min_size=mat.shape[0], max_size=mat.shape[0])
+    v = np.array(data.draw(bits), dtype=np.uint8)
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=mat.shape[1],
+                                    max_size=mat.shape[1])), dtype=np.uint8)
+    w = mat @ x % 2  # a coboundary
+    assert (span.reduce(v) == span.reduce(v ^ w)).all()
 
 
 @pytest.mark.parametrize("name,length", [

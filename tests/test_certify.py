@@ -12,8 +12,8 @@ from kocover import (Certificate, CertificateFormatError,
                      Refine, StarSnap, SubdivisionTower, Target, TowerSizeError,
                      VertexStarSet, builtin, certify_to_dimension,
                      make_dual_push, make_star_snap, verify_certificate)
-from kocover.certify import (_components, certificate_from_json,
-                             certificate_to_json, run_steps)
+from kocover.certify import certificate_from_json, certificate_to_json, run_steps
+from kocover.complexes import components
 from kocover.tower import proper_faces
 
 
@@ -147,10 +147,11 @@ def test_monotone_along_every_step(s2_tower):
     comp = one_skeleton_complement(s2_tower)
     cert = certify_to_dimension(comp, 0)
     level, cells = comp.level, frozenset(comp.cells)
-    from kocover.certify import _expand_keep, _refine_carrier
+    from kocover.certify import _expand_keep
     for step in cert.steps:
         if isinstance(step, Refine):
-            level, cells = _refine_carrier(s2_tower, level, cells)
+            level += 1
+            cells = frozenset(s2_tower.chains(level, cells))
         elif isinstance(step, PartitionPush):
             keep = _expand_keep(s2_tower, level, step.keep)
             new = set()
@@ -197,7 +198,8 @@ def test_snapped_component_closures_share_no_carrier_cell(small_towers, name, le
     # the reason the cover verifier needs no snap-closure disjointness replay
     tower = small_towers[name]
     cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
-    comps = _components(cells)
+    comps = components(cells, ((c, f) for c in cells for f in proper_faces(c)
+                               if f in cells))
     assert sum(len(comp) for comp in comps) == len(cells)
     closures = [{f for c in comp for f in (c, *proper_faces(c))} for comp in comps]
     for a, b in itertools.combinations(closures, 2):

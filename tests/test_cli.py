@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kocover
 from kocover import assemble_product_cover, build_cover, builtin
 from kocover.cli import run
 
@@ -187,6 +192,47 @@ def test_deterministic_output(tmp_path, capsys):
         assert code == 0
         seeds.append(f.read_bytes())
     assert seeds[0] == seeds[1]
+
+
+# sha256 of small CLI bundles and of a certificate with explicit push
+# verts and snap pairs, as written before canonical cell order became plain
+# list order; the encoding must not drift
+PINNED_SHA256 = {
+    "arc-s1-m5": "5a5fbd84c2674f10a259112e570e900a25b2c552951595ba451816fd172dfe63",
+    "staggered-bd3-r1-m2":
+        "b60c5df87ff4b2308cc242d4757a607e39c1c0328027e4b4ffac7a3f35f1d455",
+    "layered-bd3-m4": "f242b4c87b05d5dfa272bd6c64559caf0292b70cdb86ec4048e9c2df5867219c",
+    "certificate-s2-r0": "66ff21956dec3c4d272c367935509783a44a7f92e28857cd3ceb5d6cc0d7df25",
+}
+
+_PIN_SCRIPT = """
+import hashlib, json
+from kocover import OpenCellSet, SubdivisionTower, builtin, certify_to_dimension
+from kocover.certify import certificate_to_json
+from kocover.cli import run
+
+out = {}
+for tag, argv in [("arc-s1-m5", ["s1", "--r", "0", "--m", "5"]),
+                  ("staggered-bd3-r1-m2", ["boundary-delta-3", "--r", "1", "--m", "2"]),
+                  ("layered-bd3-m4", ["boundary-delta-3", "--r", "0", "--m", "4"])]:
+    run(["cover", "build", "--builtin", *argv, "--out", tag + ".json"])
+    out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
+t = SubdivisionTower(builtin("s2"))
+cert = certify_to_dimension(OpenCellSet(t, 0, [c for c in t.base.cells() if len(c) > 2]), 0)
+data = json.dumps(certificate_to_json(t, cert), sort_keys=True)
+out["certificate-s2-r0"] = hashlib.sha256(data.encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_bundle_bytes_are_pinned(tmp_path, hashseed):
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PIN_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == PINNED_SHA256
 
 
 def test_complex_from_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      cover_signatures, is_k_cover, ord_profile, pullback_cover,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, StarSnap, Target
+from kocover.cover import _edge_path_vertices
 
 
 def three_point_family():
@@ -49,6 +50,33 @@ def test_ord_profile_matches_naive_recount():
         for cell in cells:
             naive = sum(1 for s in fam if cell in s.cells)
             assert prof.table[cell] == naive
+
+
+def test_ord_profile_without_a_streamable_top_level():
+    # the signatures walk level 2; only the per-cell table needs level 3
+    tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
+    fam = [VertexStarSet(tower, w, "old") for w in range(1, 5)]
+    with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
+        tower.cells(3)
+    prof = ord_profile(fam)
+    assert prof.table is None
+    assert prof.signatures == cover_signatures(tower, fam)
+
+
+@pytest.mark.parametrize("name", ["s1", "delta-2", "torus-7", "boundary-delta-3",
+                                  "rp2-6", "s1-x-s1"])
+def test_edge_paths_run_along_the_subdivided_edge(name):
+    tower = SubdivisionTower(builtin(name))
+    for t in range(1, 5):
+        cells = tower.cell_set(t)
+        vbase = tower.level(t).vbase
+        for edge in tower.base.cells(1):
+            path = _edge_path_vertices(tower, t, edge)
+            assert len(path) == 2 ** t + 1
+            assert path[0] == tower.lift_base_vertex(edge[0], t)
+            assert path[-1] == tower.lift_base_vertex(edge[1], t)
+            assert all(vbase[v] == edge for v in path[1:-1])
+            assert all(tuple(sorted(p)) in cells for p in zip(path, path[1:]))
 
 
 def test_is_k_cover_examples():

@@ -117,6 +117,23 @@ def test_cells_have_distinct_member_dimensions():
                 assert len(set(dims)) == len(dims)
 
 
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
+       top_density=st.floats(0.0, 1.0), within=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_chains_are_the_filtered_level_cells(small_towers, name, level, top_density,
+                                             within, rng):
+    t = small_towers[name]
+    lower = t.cells(level - 1)
+    tops = {c for c in lower if rng.random() < top_density}
+    keep = None if within is None else {c for c in lower if rng.random() < within}
+    lv = t.level(level)
+    expected = [cell for cell in t.iter_cells(level)
+                if t.carrier_down(level, cell) in tops
+                and (keep is None or all(lv.verts[v] in keep for v in cell))]
+    assert list(t.chains(level, [c for c in lower if c in tops], keep)) == expected
+
+
 def test_dual_complex_examples():
     s2 = builtin("boundary-delta-3")
     t = SubdivisionTower(s2)
