@@ -23,7 +23,8 @@ from typing import Iterator, Sequence
 
 from .complexes import components
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cell_decoder, cell_encoder, proper_faces)
+                    VertexStarSet, cell_decoder, cell_encoder, proper_faces,
+                    vertex_set_from_json, vertex_set_to_json)
 
 
 class CertificateFormatError(ValueError):
@@ -341,10 +342,10 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
         steps = make_dual_push(s, avoid)
         if r == 0:
             level, carrier = run_steps(tower, s, steps)
-            if any(len(c) != 1 for c in carrier):
+            try:
+                snap = make_star_snap(OpenCellSet(tower, level, carrier))
+            except CertificateGenerationError:
                 continue
-            snap = StarSnap(level, tuple(
-                sorted((c, min(tower.carrier0(level, c))) for c in carrier)))
             cert = Certificate(s, tuple(steps) + (snap,), Target("skeletal", 0))
         else:
             cert = Certificate(s, tuple(steps), Target("dimensional", r))
@@ -365,14 +366,8 @@ def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
         if isinstance(step, Refine):
             steps.append({"kind": "refine"})
         elif isinstance(step, PartitionPush):
-            if step.keep == "old":
-                keep = {"kind": "old-vertices"}
-            else:
-                lv = tower.level(step.level)
-                keep = {"kind": "explicit",
-                        "verts": sorted(enc(step.level - 1, lv.verts[v])
-                                        for v in step.keep)}
-            steps.append({"kind": "push", "level": step.level, "keep": keep})
+            steps.append({"kind": "push", "level": step.level,
+                          "keep": vertex_set_to_json(tower, step.level, step.keep, enc)})
         elif isinstance(step, StarSnap):
             if step.assignment == "min-base-vertex":
                 assignment = {"kind": "min-base-vertex"}
@@ -394,13 +389,7 @@ def certificate_from_json(tower: SubdivisionTower, data: dict) -> Certificate:
             steps.append(Refine())
         elif sd["kind"] == "push":
             level = sd["level"]
-            if sd["keep"]["kind"] == "old-vertices":
-                steps.append(PartitionPush(level, "old"))
-            else:
-                lv = tower.level(level)
-                keep = frozenset(lv.vert_id[dec(level - 1, v)]
-                                 for v in sd["keep"]["verts"])
-                steps.append(PartitionPush(level, keep))
+            steps.append(PartitionPush(level, vertex_set_from_json(tower, level, sd["keep"])))
         elif sd["kind"] == "snap":
             level = sd["level"]
             if sd["assignment"]["kind"] == "min-base-vertex":
@@ -422,11 +411,7 @@ def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
         return OpenCellSet(tower, data["level"],
                            (dec(data["level"], c) for c in data["cells"]))
     if data["kind"] == "star":
-        if data["centers"]["kind"] == "old-vertices":
-            return VertexStarSet(tower, data["level"], "old")
-        lv = tower.level(data["level"])
-        centers = frozenset(lv.vert_id[dec(data["level"] - 1, v)]
-                            for v in data["centers"]["verts"])
-        return VertexStarSet(tower, data["level"], centers)
+        level = data["level"]
+        return VertexStarSet(tower, level, vertex_set_from_json(tower, level, data["centers"]))
     raise CertificateFormatError(f"unknown cell set kind {data.get('kind')!r}")
 

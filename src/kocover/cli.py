@@ -83,10 +83,9 @@ def _cmd_complex(args) -> int:
         tower = SubdivisionTower(cx)
         lv = tower.level(1)
         verts = ["+".join(cx.label_cell(c)) for c in lv.verts]
-        facets = []
-        for top in tower.cells(1):
-            if not any(set(top) < set(other) for other in tower.cells(1)):
-                facets.append(sorted(verts[v] for v in top))
+        # a level-1 cell is maximal iff it is a full flag of a base facet
+        facets = [sorted(verts[v] for v in c) for f in cx.facets
+                  for c in tower.chains(1, [f]) if len(c) == len(f)]
         sub = Complex(sorted(verts), sorted(facets),
                       name=(cx.name or "complex") + "-bary")
         _emit(sub.to_json(), args)

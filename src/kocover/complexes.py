@@ -57,6 +57,7 @@ class Complex:
         self.facets: tuple[Cell, ...] = tuple(fs)
         self._index = index
         self._cells_by_dim: dict[int, tuple[Cell, ...]] | None = None
+        self._cell_set: frozenset[Cell] = frozenset()
 
     # -- basic queries ----------------------------------------------------
 
@@ -77,6 +78,7 @@ class Complex:
             for c in seen:
                 by_dim.setdefault(len(c) - 1, []).append(c)
             self._cells_by_dim = {d: tuple(sorted(cs)) for d, cs in sorted(by_dim.items())}
+            self._cell_set = frozenset(seen)
         return self._cells_by_dim
 
     def cells(self, dim: int | None = None) -> tuple[Cell, ...]:
@@ -86,7 +88,8 @@ class Complex:
         return closure.get(dim, ())
 
     def has_cell(self, cell: Cell) -> bool:
-        return cell in set(self._closure().get(len(cell) - 1, ()))
+        self._closure()
+        return cell in self._cell_set
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._closure().items())
@@ -110,9 +113,7 @@ class Complex:
                 new_facets.update(itertools.combinations(f, m + 1))
         # the m-skeleton's facets are automatically an antichain except where a
         # low facet sits inside an m-face of a bigger one
-        reduced = [c for c in new_facets
-                   if not any(c != d and set(c) <= set(d) for d in new_facets)]
-        labels = [self.label_cell(c) for c in sorted(reduced)]
+        labels = [self.label_cell(c) for c in _antichain(new_facets)]
         return Complex(self.vertices, labels,
                        name=f"{self.name}^({m})" if self.name else None)
 
@@ -207,9 +208,7 @@ def product_complex(k: Complex, l: Complex, name: str | None = None) -> Complex:
                         j += 1
                     path.append((f[i], g[j]))
                 facets.add(tuple(sorted(pair_label[v] for v in path)))
-    reduced = [c for c in facets
-               if not any(c != d and set(c) <= set(d) for d in facets)]
-    return Complex(verts, sorted(reduced), name=name)
+    return Complex(verts, _antichain(facets), name=name)
 
 
 def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True) -> Complex:
@@ -246,7 +245,8 @@ def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True)
     return cx
 
 
-def _antichain(cells: set[Cell]) -> list[Cell]:
+def _antichain(cells: set[T]) -> list[T]:
+    """The maximal members of a set of cells, sorted."""
     return sorted(c for c in cells
                   if not any(c != d and set(c) <= set(d) for d in cells))
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .complexes import Complex, SimplicialMap
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
-                    TowerSizeError, VertexStarSet, proper_faces)
+                    TowerSizeError, VertexStarSet, preimage, proper_faces)
 
 
 class CoverError(ValueError):
@@ -38,22 +37,6 @@ class ConstructionError(RuntimeError):
 
 
 # -- multiplicity -------------------------------------------------------------
-
-
-@dataclass
-class OrdProfile:
-    """Exact multiplicity data for a family of open cell sets."""
-
-    level: int
-    table: dict[CellT, int] | None               # per-cell counts when enumerable
-    skeleton_minima: dict[int, int]               # base-skeleton dim -> min Ord
-    signatures: dict[int, set[frozenset[int]]]    # dim -> exact cover index sets
-
-    def min_on_skeleton(self, j: int) -> int:
-        dims = [d for d in self.skeleton_minima if d <= j]
-        if not dims:
-            return 0
-        return min(self.skeleton_minima[d] for d in dims)
 
 
 def cover_signatures(tower: SubdivisionTower,
@@ -96,7 +79,8 @@ def cover_signatures(tower: SubdivisionTower,
     masks: dict[int, set[int]] = {}
     reach: dict[CellT, int] = {}  # R(c): bit j stands for the star mask seen[j]
     seen: list[int] = []
-    for cell, lo in _cell_masks(tower, level, low, cells):
+    for cell in cells:
+        lo = sum(1 << i for i, el in low if el.contains_at(level, cell))
         out = masks.setdefault(tower.carrier0_dim(level, cell), set())
         if not dp:
             out.add(lo | flag)
@@ -115,38 +99,6 @@ def cover_signatures(tower: SubdivisionTower,
     n = len(elements)
     return {d: {frozenset(i for i in range(n) if mask >> i & 1) for mask in ms}
             for d, ms in masks.items()}
-
-
-def _cell_masks(tower: SubdivisionTower, level: int,
-                elements: list[tuple[int, CellSet]],
-                cells: Iterable[CellT]) -> Iterator[tuple[CellT, int]]:
-    """The one per-cell loop: each level cell with the mask of the indexed
-    elements that contain it."""
-    for cell in cells:
-        yield cell, sum(1 << i for i, el in elements if el.contains_at(level, cell))
-
-
-def ord_profile(elements: list[CellSet], max_table: int = 200_000) -> OrdProfile:
-    """Exact multiplicities at the finest element level; the per-cell table
-    is kept while the level has at most max_table cells and can be streamed
-    under the tower's cell budget."""
-    if not elements:
-        raise CoverError("empty family")
-    tower = elements[0].tower
-    sigs = cover_signatures(tower, elements)
-    level = max(el.level for el in elements)
-    table: dict[CellT, int] | None = {}
-    try:
-        for cell, mask in _cell_masks(tower, level, list(enumerate(elements)),
-                                      tower.iter_cells(level)):
-            if len(table) == max_table:
-                table = None
-                break
-            table[cell] = mask.bit_count()
-    except TowerSizeError:
-        table = None  # streaming level L needs level L-1 within the budget
-    minima = {d: min(map(len, ss)) for d, ss in sigs.items()}
-    return OrdProfile(level, table, minima, sigs)
 
 
 def is_k_cover(elements: list[CellSet], k: int, region: CellSet | None = None) -> bool:
@@ -674,15 +626,7 @@ def pullback_cover(fmap: SimplicialMap, bundle: CoverBundle,
                    source_tower: SubdivisionTower | None = None) -> list[OpenCellSet]:
     """Preimages of the bundle elements under a simplicial map; coverage is
     preserved and multiplicity only grows pointwise."""
-    if fmap.target != bundle.complex:
-        raise CoverError("map target does not match the bundle's complex")
     if source_tower is None:
         source_tower = SubdivisionTower(fmap.source,
                                         max_level=bundle.tower.max_level)
-    out = []
-    for el in bundle.elements:
-        t = el.level
-        cells = [c for c in source_tower.cells(t)
-                 if el.contains(source_tower.map_cell(bundle.tower, fmap, t, c))]
-        out.append(OpenCellSet(source_tower, t, cells))
-    return out
+    return [preimage(fmap, source_tower, bundle.tower, el) for el in bundle.elements]

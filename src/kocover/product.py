@@ -20,30 +20,12 @@ from .tower import CellT
 Signatures = dict[int, set[frozenset[int]]]
 
 
-class ProductComplex:
-    """CW product of two complexes: cells are pairs of base cells."""
-
-    def __init__(self, x: Complex, b: Complex):
-        self.x = x
-        self.b = b
-
-    def cells(self) -> list[tuple[CellT, CellT]]:
-        return [(s, t) for s in self.x.cells() for t in self.b.cells()]
-
-    def skeleton_cells(self, n: int) -> list[tuple[CellT, CellT]]:
-        return [(s, t) for s, t in self.cells()
-                if (len(s) - 1) + (len(t) - 1) <= n]
-
-    @property
-    def dim(self) -> int:
-        return self.x.dim + self.b.dim
-
-
 def product_skeleton(x: Complex, b: Complex, n: int) -> list[tuple[CellT, CellT]]:
-    """All product cells of total dimension at most n."""
+    """All product cells, pairs of base cells, of total dimension at most n."""
     if n > x.dim + b.dim:
         raise CoverError("skeleton dimension exceeds the product dimension")
-    return ProductComplex(x, b).skeleton_cells(n)
+    return [(s, t) for s in x.cells() for t in b.cells()
+            if (len(s) - 1) + (len(t) - 1) <= n]
 
 
 def lemma_bound(n: int, d: int) -> int:

@@ -106,7 +106,7 @@ class SubdivisionTower:
             self._levels.append(_Level(s + 1, list(lower_cells), vdim, vbase))
         return self._levels[t]
 
-    def cells(self, t: int, dim: int | None = None) -> list[CellT]:
+    def cells(self, t: int) -> list[CellT]:
         """All cells of level t, materialized (guarded by the cell budget)."""
         lv = self.level(t)
         if lv.cells_list is None:
@@ -117,9 +117,7 @@ class SubdivisionTower:
                     f"{self.max_cells}")
             lv.cells_list = list(self.iter_cells(t))
             lv.cells_set = frozenset(lv.cells_list)
-        if dim is None:
-            return lv.cells_list
-        return [c for c in lv.cells_list if len(c) - 1 == dim]
+        return lv.cells_list
 
     def cell_set(self, t: int) -> frozenset[CellT]:
         self.cells(t)
@@ -346,15 +344,8 @@ class VertexStarSet:
                            (c for c in self.tower.cells(self.level) if self.contains(c)))
 
     def to_json(self) -> dict:
-        if self.centers == "old":
-            centers = {"kind": "old-vertices"}
-        else:
-            enc = cell_encoder(self.tower)
-            lv = self.tower.level(self.level)
-            centers = {"kind": "explicit",
-                       "verts": sorted(enc(self.level - 1, lv.verts[v])
-                                       for v in self.centers)}  # type: ignore[union-attr]
-        return {"kind": "star", "level": self.level, "centers": centers}
+        return {"kind": "star", "level": self.level,
+                "centers": vertex_set_to_json(self.tower, self.level, self.centers)}
 
     def __repr__(self) -> str:
         c = "old" if self.centers == "old" else len(self.centers)  # type: ignore[arg-type]
@@ -390,17 +381,32 @@ def cell_decoder(tower: SubdivisionTower) -> Callable[[int, object], CellT]:
     return dec
 
 
+def vertex_set_to_json(tower: SubdivisionTower, level: int,
+                       verts: frozenset[int] | str,
+                       enc: Callable[[int, CellT], object] | None = None) -> dict:
+    """Star centers or a push keep set as JSON: "old" (every vertex that was
+    already a vertex one level down) by its kind, explicit vertex ids as
+    their underlying level-(level-1) cells. A caller that holds a
+    cell_encoder passes it as enc."""
+    if verts == "old":
+        return {"kind": "old-vertices"}
+    enc = enc or cell_encoder(tower)
+    lv = tower.level(level)
+    return {"kind": "explicit",
+            "verts": sorted(enc(level - 1, lv.verts[v]) for v in verts)}
+
+
+def vertex_set_from_json(tower: SubdivisionTower, level: int,
+                         data: dict) -> frozenset[int] | str:
+    """Inverse of vertex_set_to_json."""
+    if data["kind"] == "old-vertices":
+        return "old"
+    dec = cell_decoder(tower)
+    vid = tower.level(level).vert_id
+    return frozenset(vid[dec(level - 1, v)] for v in data["verts"])
+
+
 # -- tower operations ----------------------------------------------------------
-
-
-def barycentric(tower: SubdivisionTower) -> SubdivisionTower:
-    """Deepen the tower by one subdivision level and return it.
-
-    Materialization is idempotent and never alters existing levels, so the
-    returned view is safe to share with readers of shallower levels.
-    """
-    tower.level(len(tower._levels))
-    return tower
 
 
 def dual_complex(tower: SubdivisionTower, m: int) -> OpenCellSet:
@@ -436,7 +442,7 @@ def preimage(fmap: SimplicialMap, source_tower: SubdivisionTower,
              target_tower: SubdivisionTower, s: CellSet) -> OpenCellSet:
     """Preimage of an open cell set under a simplicial map, lifted through
     subdivisions to the set's level."""
-    if fmap.target is not target_tower.base and fmap.target != target_tower.base:
+    if fmap.target != target_tower.base:
         raise TowerError("set does not live on the map's target")
     t = s.level
     cells = [c for c in source_tower.cells(t)

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import kocover
-from kocover import assemble_product_cover, build_cover, builtin
+from kocover import (Complex, SubdivisionTower, assemble_product_cover, build_cover,
+                     builtin)
 from kocover.cli import run
+from kocover.complexes import CATALOG
 
 
 def invoke(capsys, *argv):
@@ -58,6 +60,22 @@ def test_complex_skeleton_and_bary(capsys):
     data = json.loads(out)
     assert len(data["vertices"]) == 7
     assert len(data["facets"]) == 6
+
+
+# s1-x-s2 is left out only because the quadratic scan takes seconds there
+@pytest.mark.parametrize("name", [n for n in CATALOG if n != "s1-x-s2"]
+                         + ["random:2:7:3", "random:1:5:2", "random:3:7:11"])
+def test_bary_facets_match_the_quadratic_scan(capsys, name):
+    code, out, _ = invoke(capsys, "complex", "bary", "--builtin", name, "--json")
+    assert code == 0
+    tower = SubdivisionTower(builtin(name))
+    cx = tower.base
+    verts = ["+".join(cx.label_cell(c)) for c in tower.level(1).verts]
+    cells = tower.cells(1)
+    maximal = [sorted(verts[v] for v in top) for top in cells
+               if not any(set(top) < set(other) for other in cells)]
+    expected = Complex(sorted(verts), sorted(maximal), name=(cx.name or "complex") + "-bary")
+    assert json.loads(out) == expected.to_json()
 
 
 def test_unknown_builtin_is_usage_error(capsys):
@@ -194,15 +212,17 @@ def test_deterministic_output(tmp_path, capsys):
     assert seeds[0] == seeds[1]
 
 
-# sha256 of small CLI bundles and of a certificate with explicit push
-# verts and snap pairs, as written before canonical cell order became plain
-# list order; the encoding must not drift
+# sha256 of small CLI cover and product bundles and of a certificate with
+# explicit push verts and snap pairs, as written before canonical cell order
+# became plain list order; the encoding must not drift
 PINNED_SHA256 = {
     "arc-s1-m5": "5a5fbd84c2674f10a259112e570e900a25b2c552951595ba451816fd172dfe63",
     "staggered-bd3-r1-m2":
         "b60c5df87ff4b2308cc242d4757a607e39c1c0328027e4b4ffac7a3f35f1d455",
     "layered-bd3-m4": "f242b4c87b05d5dfa272bd6c64559caf0292b70cdb86ec4048e9c2df5867219c",
     "certificate-s2-r0": "66ff21956dec3c4d272c367935509783a44a7f92e28857cd3ceb5d6cc0d7df25",
+    "product-rp2-6-s1": "dae9f94171f8180cfe125e3be97637216aae6302c5cf827ed469dea294149728",
+    "product-torus-7-s1": "ede0f2dcfd38e0c93c36a456aa710d33171453e34e55f4623afe7232b0c9676c",
 }
 
 _PIN_SCRIPT = """
@@ -216,6 +236,10 @@ for tag, argv in [("arc-s1-m5", ["s1", "--r", "0", "--m", "5"]),
                   ("staggered-bd3-r1-m2", ["boundary-delta-3", "--r", "1", "--m", "2"]),
                   ("layered-bd3-m4", ["boundary-delta-3", "--r", "0", "--m", "4"])]:
     run(["cover", "build", "--builtin", *argv, "--out", tag + ".json"])
+    out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
+for x in ("rp2-6", "torus-7"):
+    tag = f"product-{x}-s1"
+    run(["product", "build", "--x", x, "--b", "s1", "--out", tag + ".json"])
     out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
 t = SubdivisionTower(builtin("s2"))
 cert = certify_to_dimension(OpenCellSet(t, 0, [c for c in t.base.cells() if len(c) > 2]), 0)

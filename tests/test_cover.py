@@ -9,7 +9,7 @@ from conftest import CATALOG_NAMES, cover_grid
 from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      OpenCellSet, SimplicialMap, SubdivisionTower, TowerSizeError,
                      VertexStarSet, builtin, build_cover, cover_parameters,
-                     cover_signatures, is_k_cover, ord_profile, pullback_cover,
+                     cover_signatures, is_k_cover, pullback_cover,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, StarSnap, Target
 from kocover.cover import _edge_path_vertices
@@ -24,20 +24,20 @@ def three_point_family():
     return t, [ab, bc, ca]
 
 
-def test_ord_profile_examples():
+def test_signature_examples():
     cx = builtin("delta-2")
     t = SubdivisionTower(cx)
     whole = OpenCellSet(t, 0, cx.cells())
-    prof = ord_profile([whole, whole, whole])
-    assert set(prof.table.values()) == {3}
+    sigs = cover_signatures(t, [whole, whole, whole])
+    assert sigs == {d: {frozenset({0, 1, 2})} for d in range(3)}
 
-    _, fam = three_point_family()
-    prof = ord_profile(fam)
-    assert set(prof.table.values()) == {2}
-    assert prof.min_on_skeleton(0) == 2
+    t, fam = three_point_family()
+    sigs = cover_signatures(t, fam)
+    assert sigs == {0: {frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}}
+    assert min(len(s) for ss in sigs.values() for s in ss) == 2
 
 
-def test_ord_profile_matches_naive_recount():
+def test_signatures_match_naive_recount():
     rng = random.Random(7)
     for _ in range(25):
         cx = random_complex(rng.randrange(1, 3), rng.randrange(4, 7),
@@ -46,21 +46,21 @@ def test_ord_profile_matches_naive_recount():
         cells = list(cx.cells())
         fam = [OpenCellSet(t, 0, rng.sample(cells, rng.randrange(1, len(cells) + 1)))
                for _ in range(rng.randrange(2, 5))]
-        prof = ord_profile(fam)
-        for cell in cells:
-            naive = sum(1 for s in fam if cell in s.cells)
-            assert prof.table[cell] == naive
+        naive = {d: {frozenset(i for i, s in enumerate(fam) if cell in s.cells)
+                     for cell in cx.cells(d)}
+                 for d in range(cx.dim + 1)}
+        assert cover_signatures(t, fam) == naive
 
 
-def test_ord_profile_without_a_streamable_top_level():
-    # the signatures walk level 2; only the per-cell table needs level 3
+def test_signatures_without_a_streamable_top_level():
+    # the signatures walk level 2, although level 3 is over the cell budget
     tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
     fam = [VertexStarSet(tower, w, "old") for w in range(1, 5)]
     with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
         tower.cells(3)
-    prof = ord_profile(fam)
-    assert prof.table is None
-    assert prof.signatures == cover_signatures(tower, fam)
+    free = SubdivisionTower(builtin("delta-2"))
+    assert cover_signatures(tower, fam) == \
+        cover_signatures(free, [VertexStarSet(free, w, "old") for w in range(1, 5)])
 
 
 @pytest.mark.parametrize("name", ["s1", "delta-2", "torus-7", "boundary-delta-3",

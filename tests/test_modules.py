@@ -15,12 +15,9 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not offenders
 
 
-def test_every_definition_is_referenced():
-    src = Path(kocover.__file__).parent
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in (src, Path(__file__).parent) for path in folder.glob("*.py")}
+def used_names(trees) -> set[str]:
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -28,6 +25,14 @@ def test_every_definition_is_referenced():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return used
+
+
+def test_every_definition_is_referenced():
+    src = Path(kocover.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in (src, Path(__file__).parent) for path in folder.glob("*.py")}
+    used = used_names(trees.values())
     dead = [f"{path.name}: {node.name}"
             for path, tree in trees.items() if path.parent == src
             for node in ast.walk(tree)
@@ -35,3 +40,17 @@ def test_every_definition_is_referenced():
             and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in used]
     assert not dead
+
+
+def test_definitions_used_only_by_tests_are_exported():
+    # a module-level function or class that no package module uses is either
+    # package API, re-exported from kocover, or test scaffolding for tests/
+    src = Path(kocover.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py") if path.name != "__init__.py"}
+    used = used_names(trees.values())
+    scaffolding = [f"{path.name}: {node.name}"
+                   for path, tree in trees.items() for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name not in used and node.name not in kocover.__all__]
+    assert not scaffolding

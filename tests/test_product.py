@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from kocover import (CoverError, ProductComplex, ProductCoverBundle,
+from kocover import (CoverError, ProductCoverBundle,
                      assemble_product_cover, builtin, cover_signatures,
                      lemma_bound, product_skeleton, verify_product_cover)
 from kocover.product import coverage_direct, coverage_replay
@@ -23,6 +23,7 @@ def test_product_skeleton_counts():
     verts = product_skeleton(s1, s1, 0)
     assert all(len(a) == 1 and len(b) == 1 for a, b in verts)
     assert len(verts) == 9
+    assert len(product_skeleton(builtin("torus-7"), s1, 0)) == 7 * 3
 
     with pytest.raises(CoverError):
         product_skeleton(s1, s1, 3)
@@ -153,8 +154,3 @@ def test_b_filtration_reported():
     assert any(n.startswith("b-filtration") for n in names)
     assert any(n == "assumption" for n in names)
 
-
-def test_product_complex_dim():
-    pc = ProductComplex(builtin("torus-7"), builtin("s1"))
-    assert pc.dim == 3
-    assert len(pc.skeleton_cells(0)) == 7 * 3

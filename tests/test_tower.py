@@ -36,12 +36,10 @@ def test_bary_of_vertex_is_vertex():
 
 
 def test_barycentric_deepens_by_one():
-    from kocover import barycentric
     t = SubdivisionTower(builtin("delta-2"))
-    view = barycentric(t)
-    assert view is t
+    t.level(1)
     assert len(t._levels) == 2
-    barycentric(t)
+    t.level(2)
     assert len(t._levels) == 3
     # flags at the new top satisfy the chain characterization
     lv = t.level(2)
