@@ -23,10 +23,18 @@ def test_product_skeleton_counts():
     verts = product_skeleton(s1, s1, 0)
     assert all(len(a) == 1 and len(b) == 1 for a, b in verts)
     assert len(verts) == 9
-    assert len(product_skeleton(builtin("torus-7"), s1, 0)) == 7 * 3
 
     with pytest.raises(CoverError):
         product_skeleton(s1, s1, 3)
+
+
+def test_product_complex_dim():
+    x, b = builtin("torus-7"), builtin("s1")
+    # the product has dimension 3: its 3-skeleton is every product cell
+    assert len(product_skeleton(x, b, 3)) == len(x.cells()) * len(b.cells())
+    with pytest.raises(CoverError):
+        product_skeleton(x, b, 4)
+    assert len(product_skeleton(x, b, 0)) == 7 * 3
 
 
 def test_lemma_bound_values():
