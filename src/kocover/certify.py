@@ -14,6 +14,13 @@ All three are monotone: along every track the base-carrier dimension never
 increases (push and snap tracks stay inside the open carrier cell until
 they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
+
+A snap is replayed on the dense CellIndex of its level (tower.index): the
+level's face pairs are masked to the carrier and labelled into components
+with array operations, the min-base-vertex rule intersects the members'
+base carriers per component, and an explicit assignment is checked for one
+target per component lying in every member's base carrier. Every check is
+exact; a failure names the failing component that holds the least cell.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .complexes import components
-from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cell_decoder, cell_encoder, proper_faces,
+import numpy as np
+
+from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
+                    VertexStarSet, cell_decoder, cell_encoder, json_field,
                     vertex_set_from_json, vertex_set_to_json)
 
 
@@ -178,42 +186,61 @@ def _expand_keep(tower: SubdivisionTower, level: int,
 
 def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
                 step: StarSnap, idx: int) -> frozenset[CellT]:
-    # two open cells touch iff one is a face of the other and both are present
-    comp = components(cells, ((c, f) for c in cells for f in proper_faces(c)
-                              if f in cells))
-    if step.assignment == "min-base-vertex":
-        assign: dict[CellT, int] = {}
-        for cls in comp:
-            common = None
-            for c in cls:
-                verts = set(tower.carrier0(level, c))
-                common = verts if common is None else common & verts
-            if not common:
-                raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                                  sorted(cls)[0])
-            target = min(common)
-            for c in cls:
-                assign[c] = target
-    else:
+    if step.assignment != "min-base-vertex":
         assign = dict(step.assignment)  # type: ignore[arg-type]
-        missing = [c for c in cells if c not in assign]
-        if missing:
+        if any(c not in assign for c in cells):
             raise CertificateFormatError("snap assignment does not cover the carrier")
         nbase = len(tower.base.vertices)
         if any(not 0 <= v < nbase for v in assign.values()):
             raise CertificateFormatError("snap assigns a non-vertex of the base complex")
-        for cls in comp:
-            targets = {assign[c] for c in cls}
-            if len(targets) > 1:
-                raise StepFailure(idx, "snap assigns different vertices inside one component",
-                                  sorted(cls)[0])
-            (target,) = targets
-            for c in cls:
-                if target not in tower.carrier0(level, c):
-                    raise StepFailure(
-                        idx, "snap target is not a vertex of a member cell's base carrier", c)
-    return frozenset((tower.lift_base_vertex(assign[next(iter(cls))], level),)
-                     for cls in comp)
+    if not cells:
+        return frozenset()
+    # two open cells touch iff one is a face of the other and both are
+    # present; sorting on the component roots groups each component
+    index = tower.index(level, cells)
+    pos = index.positions(cells)
+    root = index.components(pos)
+    order = np.argsort(root, kind="stable")
+    member, root = pos[order], root[order]
+    first = np.ones(len(root), dtype=bool)  # does a component start here?
+    first[1:] = root[1:] != root[:-1]
+    starts = np.flatnonzero(first)
+    comp = np.cumsum(first) - 1  # the component of each member
+    in_carrier = index.base_verts[index.carrier[member]]  # member x base vertex
+    if step.assignment == "min-base-vertex":
+        common = np.logical_and.reduceat(in_carrier, starts, axis=0)
+        empty = ~common.any(axis=1)
+        if empty.any():
+            raise StepFailure(idx, "snap component has no common base-carrier vertex",
+                              _least_failing(index, member, comp, empty)[1])
+        target = common.argmax(axis=1)  # the least common vertex
+    else:
+        goal = np.fromiter(map(assign.__getitem__, cells), dtype=np.intp,
+                           count=len(cells))[order]
+        split = np.minimum.reduceat(goal, starts) != np.maximum.reduceat(goal, starts)
+        outside = ~in_carrier[np.arange(len(member)), goal]
+        bad = split | np.logical_or.reduceat(outside, starts)
+        if bad.any():
+            k, witness = _least_failing(index, member, comp, bad)
+            if split[k]:
+                raise StepFailure(
+                    idx, "snap assigns different vertices inside one component", witness)
+            raise StepFailure(
+                idx, "snap target is not a vertex of a member cell's base carrier",
+                min(index.cells[p] for p in member[(comp == k) & outside].tolist()))
+        target = goal[starts]
+    return frozenset((tower.lift_base_vertex(v, level),) for v in set(target.tolist()))
+
+
+def _least_failing(index: CellIndex, member: np.ndarray, comp: np.ndarray,
+                   failing: np.ndarray) -> tuple[int, CellT]:
+    """Among the failing components, the one holding the least cell of
+    any of them (tuple order), and that cell: a witness that does not
+    depend on how the cells were numbered."""
+    hit = failing[comp]
+    witness, k = min(zip(map(index.cells.__getitem__, member[hit].tolist()),
+                         comp[hit].tolist()))
+    return k, witness
 
 
 def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
@@ -384,14 +411,14 @@ def certificate_from_json(tower: SubdivisionTower, data: dict) -> Certificate:
     start = cellset_from_json(tower, data["start"])
     dec = cell_decoder(tower)
     steps: list[Step] = []
-    for sd in data["steps"]:
+    for sd in json_field(data, "steps", list, CertificateFormatError):
         if sd["kind"] == "refine":
             steps.append(Refine())
         elif sd["kind"] == "push":
-            level = sd["level"]
+            level = json_field(sd, "level", int, CertificateFormatError)
             steps.append(PartitionPush(level, vertex_set_from_json(tower, level, sd["keep"])))
         elif sd["kind"] == "snap":
-            level = sd["level"]
+            level = json_field(sd, "level", int, CertificateFormatError)
             if sd["assignment"]["kind"] == "min-base-vertex":
                 steps.append(StarSnap(level, "min-base-vertex"))
             else:
@@ -402,16 +429,17 @@ def certificate_from_json(tower: SubdivisionTower, data: dict) -> Certificate:
         else:
             raise CertificateFormatError(f"unknown step kind {sd.get('kind')!r}")
     tgt = data["target"]
-    return Certificate(start, tuple(steps), Target(tgt["kind"], tgt["r"]))
+    return Certificate(start, tuple(steps),
+                       Target(tgt["kind"], json_field(tgt, "r", int, CertificateFormatError)))
 
 
 def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
     dec = cell_decoder(tower)
+    level = json_field(data, "level", int, CertificateFormatError)
     if data["kind"] == "cells":
-        return OpenCellSet(tower, data["level"],
-                           (dec(data["level"], c) for c in data["cells"]))
+        return OpenCellSet(tower, level, (dec(level, c) for c in
+                                          json_field(data, "cells", list,
+                                                     CertificateFormatError)))
     if data["kind"] == "star":
-        level = data["level"]
         return VertexStarSet(tower, level, vertex_set_from_json(tower, level, data["centers"]))
     raise CertificateFormatError(f"unknown cell set kind {data.get('kind')!r}")
-

@@ -25,7 +25,8 @@ from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
-                    TowerSizeError, VertexStarSet, preimage, proper_faces)
+                    TowerSizeError, VertexStarSet, json_field, preimage,
+                    proper_faces)
 
 
 class CoverError(ValueError):
@@ -178,21 +179,15 @@ class CoverBundle:
     def from_json(cls, data: dict) -> "CoverBundle":
         cx = Complex.from_json(data["complex"])
         params = data["params"]
-        r, N, m = (int_param(params, name) for name in ("r", "N", "m"))
+        r, N, m = (json_field(params, name, int, CoverError) for name in ("r", "N", "m"))
         max_level = None if params.get("max_level") is None \
-            else int_param(params, "max_level")
+            else json_field(params, "max_level", int, CoverError)
         tower = SubdivisionTower(cx, max_level=max_level)
-        elements = [cellset_from_json(tower, e) for e in data["elements"]]
-        certs = [certificate_from_json(tower, c) for c in data["certificates"]]
+        elements = [cellset_from_json(tower, e)
+                    for e in json_field(data, "elements", list, CoverError)]
+        certs = [certificate_from_json(tower, c)
+                 for c in json_field(data, "certificates", list, CoverError)]
         return cls(cx, tower, r, N, m, elements, certs, params.get("construction", ""))
-
-
-def int_param(params: dict, name: str) -> int:
-    """A bundle parameter that must be an int (a bool is refused)."""
-    value = params[name]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CoverError(f"bundle parameter {name!r} must be an integer, got {value!r}")
-    return value
 
 
 def cover_parameters(cx: Complex, r: int) -> int:
@@ -426,6 +421,9 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
                     if c not in crack:
                         crack.add(c)
                         counts[c] = counts.get(c, 0) + 1
+    # the search tables are done with; the certificate checks below build
+    # the level's cell index, and the two should not be alive together
+    del cofaces, carrier_dim, circles, counts
 
     elements: list[CellSet] = []
     certs: list[Certificate] = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .complexes import Complex
 from .cover import (CoverBundle, CoverError, CoverReport, build_cover,
-                    check_certificate, cover_signatures, int_param)
-from .tower import CellT
+                    check_certificate, cover_signatures)
+from .tower import CellT, json_field
 
 Signatures = dict[int, set[frozenset[int]]]
 
@@ -56,7 +56,8 @@ class ProductCoverBundle:
     def from_json(cls, data: dict) -> "ProductCoverBundle":
         xb = CoverBundle.from_json(data["x_bundle"])
         bb = CoverBundle.from_json(data["b_bundle"])
-        n, d, m = (int_param(data["params"], name) for name in ("n", "d", "m"))
+        n, d, m = (json_field(data["params"], name, int, CoverError)
+                   for name in ("n", "d", "m"))
         return cls(xb.complex, bb.complex, n, d, m, xb, bb)
 
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Container, Iterable, Iterator
+from array import array
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .complexes import Complex, ComplexError, SimplicialMap
 
@@ -67,7 +70,9 @@ class _Level:
         self.vdim = vdim
         self.vbase = vbase
         self.cells_list: list[CellT] | None = None
-        self.cells_set: frozenset[CellT] | None = None
+        # position of each cell in cells_list, its dense cell number
+        self.cell_index: dict[CellT, int] | None = None
+        self.index: CellIndex | None = None
 
 
 class SubdivisionTower:
@@ -85,7 +90,7 @@ class SubdivisionTower:
             vbase=[(i,) for i in range(len(base.vertices))],
         )
         lvl0.cells_list = list(base.cells())
-        lvl0.cells_set = frozenset(lvl0.cells_list)
+        lvl0.cell_index = dict(zip(lvl0.cells_list, range(len(lvl0.cells_list))))
         self._levels: list[_Level] = [lvl0]
 
     # -- level materialization ------------------------------------------
@@ -116,12 +121,24 @@ class SubdivisionTower:
                     f"level {t} has {n} cells, over the materialization budget "
                     f"{self.max_cells}")
             lv.cells_list = list(self.iter_cells(t))
-            lv.cells_set = frozenset(lv.cells_list)
+            lv.cell_index = dict(zip(lv.cells_list, range(n)))
         return lv.cells_list
 
-    def cell_set(self, t: int) -> frozenset[CellT]:
+    def cell_index(self, t: int) -> dict[CellT, int]:
+        """Dense number of every level-t cell: its position in cells(t)."""
         self.cells(t)
-        return self._levels[t].cells_set  # type: ignore[return-value]
+        return self._levels[t].cell_index  # type: ignore[return-value]
+
+    def index(self, t: int, cells: Collection[CellT]) -> "CellIndex":
+        """A CellIndex holding the given level-t cells: the level's own,
+        built once, when level t is materialized; otherwise one over these
+        cells alone, so that a level that was only streamed stays so."""
+        lv = self.level(t)
+        if lv.cells_list is None:
+            return CellIndex(self, t, list(cells))
+        if lv.index is None:
+            lv.index = CellIndex(self, t, lv.cells_list, lv.cell_index)
+        return lv.index
 
     def iter_cells(self, t: int) -> Iterator[CellT]:
         """Stream the cells of level t, the chains of level t-1 cells,
@@ -223,6 +240,77 @@ class SubdivisionTower:
         return tuple(sorted(olv.vert_id[c] for c in imgs))
 
 
+# -- dense cell index ----------------------------------------------------------
+
+
+class CellIndex:
+    """Dense numbers, face incidence and base carriers of level-t cells.
+
+    Cell i is cells[i]. The face pairs (face_cell[k], face[k]) list every
+    cell with each of its proper faces that is itself in cells. carrier[i]
+    numbers carrier0 of cell i among the base cells, and base_verts is the
+    base cells x base vertices table of "v is a vertex of that cell".
+    """
+
+    def __init__(self, tower: SubdivisionTower, t: int, cells: Sequence[CellT],
+                 position: dict[CellT, int] | None = None):
+        self.t = t
+        self.cells = cells
+        self.position = dict(zip(cells, range(len(cells)))) if position is None \
+            else position
+        cell_ids, face_ids = array("i"), array("i")
+        for i, c in enumerate(cells):
+            for f in proper_faces(c):
+                j = self.position.get(f)
+                if j is not None:
+                    cell_ids.append(i)
+                    face_ids.append(j)
+        self.face_cell = np.array(cell_ids, dtype=np.int32)
+        self.face = np.array(face_ids, dtype=np.int32)
+        base = tower.cell_index(0)
+        self.carrier = np.fromiter((base[tower.carrier0(t, c)] for c in cells),
+                                   dtype=np.int32, count=len(cells))
+        self.base_verts = np.zeros((len(base), len(tower.base.vertices)), dtype=bool)
+        for c, i in base.items():
+            self.base_verts[i, list(c)] = True
+
+    def positions(self, cells: Collection[CellT]) -> np.ndarray:
+        """Dense numbers of the given cells, in their iteration order."""
+        try:
+            return np.fromiter(map(self.position.__getitem__, cells),
+                               dtype=np.int32, count=len(cells))
+        except KeyError as exc:
+            raise TowerError(f"{exc.args[0]} is not a cell of level {self.t}") from None
+
+    def components(self, pos: np.ndarray) -> np.ndarray:
+        """Connected components of the cells numbered pos, two of them
+        joined when one is a face of the other: the least number in each
+        cell's component, aligned with pos.
+
+        Min-label hooking with pointer jumping. parent[x] <= x always holds
+        and jumping runs until every cell points at a root, so each round
+        hooks roots only; the loop ends when every face pair has one root,
+        whatever the number of rounds.
+        """
+        inside = np.zeros(len(self.cells), dtype=bool)
+        inside[pos] = True
+        keep = inside[self.face_cell] & inside[self.face]
+        u, v = self.face_cell[keep], self.face[keep]
+        parent = np.arange(len(self.cells), dtype=np.int32)
+        while True:
+            pu, pv = parent[u], parent[v]
+            split = pu != pv
+            if not split.any():
+                return parent[pos]
+            pu, pv = pu[split], pv[split]
+            np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+
+
 # -- open cell sets ----------------------------------------------------------
 
 
@@ -264,8 +352,7 @@ class OpenCellSet:
 
     def is_open(self) -> bool:
         """Open means coface-closed within the level's cell universe."""
-        universe = self.tower.cell_set(self.level)
-        for c in universe:
+        for c in self.tower.cells(self.level):
             if c in self.cells:
                 continue
             if any(f in self.cells for f in proper_faces(c)):
@@ -372,6 +459,9 @@ def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
 
 def cell_decoder(tower: SubdivisionTower) -> Callable[[int, object], CellT]:
     def dec(t: int, data) -> CellT:
+        if not isinstance(data, list):
+            raise TowerError(f"malformed cell {data!r}: a cell is a list of labels "
+                             f"at level 0 and of cells one level down above it")
         if t == 0:
             idx = tower.base._index
             return tuple(sorted(idx[v] for v in data))
@@ -379,6 +469,16 @@ def cell_decoder(tower: SubdivisionTower) -> Callable[[int, object], CellT]:
         return tuple(sorted(lv.vert_id[dec(t - 1, d)] for d in data))
 
     return dec
+
+
+def json_field(data: dict, name: str, kind: type, error: type[Exception]):
+    """data[name], which must be a list (kind list) or an int that is not a
+    bool (kind int); otherwise error names the field."""
+    value = data[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is int else "a list"
+        raise error(f"bundle field {name!r} must be {what}, got {value!r}")
+    return value
 
 
 def vertex_set_to_json(tower: SubdivisionTower, level: int,
@@ -403,7 +503,8 @@ def vertex_set_from_json(tower: SubdivisionTower, level: int,
         return "old"
     dec = cell_decoder(tower)
     vid = tower.level(level).vert_id
-    return frozenset(vid[dec(level - 1, v)] for v in data["verts"])
+    return frozenset(vid[dec(level - 1, v)]
+                     for v in json_field(data, "verts", list, TowerError))
 
 
 # -- tower operations ----------------------------------------------------------

@@ -10,7 +10,7 @@ from conftest import CATALOG_NAMES, SMALL_NAMES
 from kocover import (Certificate, CertificateFormatError,
                      CertificateGenerationError, OpenCellSet, PartitionPush,
                      Refine, StarSnap, SubdivisionTower, Target, TowerSizeError,
-                     VertexStarSet, builtin, certify_to_dimension,
+                     VertexStarSet, build_cover, builtin, certify_to_dimension,
                      make_dual_push, make_star_snap, verify_certificate)
 from kocover.certify import certificate_from_json, certificate_to_json, run_steps
 from kocover.complexes import components
@@ -190,6 +190,12 @@ def test_lazy_and_explicit_verification_agree():
                 assert v_lazy.passed == (len(steps) == 2 or level == 1)
 
 
+def face_components(cells):
+    """Components of cells joined to their present faces, by union-find."""
+    return components(cells, ((c, f) for c in cells for f in proper_faces(c)
+                              if f in cells))
+
+
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
        density=st.floats(0.05, 0.95), rng=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
@@ -198,12 +204,157 @@ def test_snapped_component_closures_share_no_carrier_cell(small_towers, name, le
     # the reason the cover verifier needs no snap-closure disjointness replay
     tower = small_towers[name]
     cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
-    comps = components(cells, ((c, f) for c in cells for f in proper_faces(c)
-                               if f in cells))
+    comps = face_components(cells)
     assert sum(len(comp) for comp in comps) == len(cells)
     closures = [{f for c in comp for f in (c, *proper_faces(c))} for comp in comps]
     for a, b in itertools.combinations(closures, 2):
         assert not (a & b & cells)
+
+
+def snap_oracle(tower, level, cells, assignment):
+    """Union-find replay of a star snap, kept as the reference for the
+    indexed one: (final carrier, None) or (None, (reason, witness)). The
+    failing component reported is the one holding the least cell of any
+    failing component."""
+    if assignment != "min-base-vertex":
+        assign = dict(assignment)
+        if any(c not in assign for c in cells):
+            raise CertificateFormatError("snap assignment does not cover the carrier")
+        if any(not 0 <= v < len(tower.base.vertices) for v in assign.values()):
+            raise CertificateFormatError("snap assigns a non-vertex of the base complex")
+    failures, targets = [], set()
+    for comp in face_components(cells):
+        least = min(comp)
+        if assignment == "min-base-vertex":
+            common = set.intersection(*(set(tower.carrier0(level, c)) for c in comp))
+            if not common:
+                failures.append((least, "snap component has no common base-carrier vertex",
+                                 least))
+                continue
+            targets.add(min(common))
+            continue
+        goals = {assign[c] for c in comp}
+        if len(goals) > 1:
+            failures.append((least, "snap assigns different vertices inside one component",
+                             least))
+            continue
+        (goal,) = goals
+        outside = [c for c in comp if goal not in tower.carrier0(level, c)]
+        if outside:
+            failures.append((least, "snap target is not a vertex of a member cell's "
+                             "base carrier", min(outside)))
+            continue
+        targets.add(goal)
+    if failures:
+        _, reason, witness = min(failures)
+        return None, (reason, witness)
+    return frozenset((tower.lift_base_vertex(v, level),) for v in targets), None
+
+
+def explicit_assignment(tower, level, cells, rng, kind):
+    """Pairs giving each face component one vertex of its least member's
+    base carrier, then broken as kind says."""
+    assign = {}
+    for comp in face_components(cells):
+        goal = rng.choice(sorted(tower.carrier0(level, min(comp))))
+        assign.update((c, goal) for c in comp)
+    ordered = sorted(assign)
+    nbase = len(tower.base.vertices)
+    if kind == "split" and ordered:
+        c = rng.choice(ordered)
+        assign[c] = (assign[c] + 1) % nbase
+    elif kind == "outside" and ordered:
+        c = rng.choice(ordered)
+        others = [v for v in range(nbase) if v not in tower.carrier0(level, c)]
+        if others:
+            old, goal = assign[c], rng.choice(others)
+            assign.update({d: goal for d, v in assign.items() if v == old})
+    elif kind == "missing" and ordered:
+        del assign[rng.choice(ordered)]
+    elif kind == "non-vertex":
+        assign[rng.choice(ordered) if ordered else (0,)] = nbase
+    return tuple(sorted(assign.items()))
+
+
+def assert_snap_matches_oracle(tower, level, cells, assignment):
+    cert = Certificate(OpenCellSet(tower, level, cells), (StarSnap(level, assignment),),
+                       Target("skeletal", 0))
+    try:
+        carrier, failure = snap_oracle(tower, level, cells, assignment)
+    except CertificateFormatError as exc:
+        with pytest.raises(CertificateFormatError, match=str(exc)):
+            verify_certificate(tower, cert)
+        return
+    verdict = verify_certificate(tower, cert)
+    if failure is not None:
+        assert (verdict.passed, verdict.failing_step, verdict.reason, verdict.witness) \
+            == (False, 0, *failure)
+        return
+    assert (verdict.passed, verdict.failing_step, verdict.reason) == (True, None, "")
+    assert verdict.achieved == ((0, 0) if cells else (-1, -1))
+    assert run_steps(tower, cert.start, cert.steps) == (level, carrier)
+
+
+SNAP_KINDS = ["min-base-vertex", "valid", "split", "outside", "missing", "non-vertex"]
+
+
+def assignment_of(tower, level, cells, rng, kind):
+    if kind == "min-base-vertex":
+        return kind
+    return explicit_assignment(tower, level, cells, rng, kind)
+
+
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
+       density=st.floats(0.05, 0.95), kind=st.sampled_from(SNAP_KINDS),
+       streamed=st.booleans(), rng=st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_indexed_snap_matches_union_find(small_towers, name, level, density, kind,
+                                         streamed, rng):
+    # a streamed level is not materialized: the snap indexes the carrier alone
+    tower = SubdivisionTower(builtin(name)) if streamed else small_towers[name]
+    universe = tower.iter_cells(level) if streamed else tower.cells(level)
+    cells = frozenset(c for c in universe if rng.random() < density)
+    index = tower.index(level, cells)
+    root = index.components(index.positions(cells))
+    parts = {}
+    for c, r in zip(cells, root.tolist()):
+        parts.setdefault(r, set()).add(c)
+    assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
+    assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
+    assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
+                                                                  rng, kind))
+
+
+@pytest.mark.parametrize("kind", SNAP_KINDS)
+def test_indexed_snap_on_arc_phase_carriers(kind):
+    # arc elements on s1 are long paths, the most label rounds per cell
+    bundle = build_cover(builtin("s1"), 0, 8)
+    rng = random.Random(kind)
+    for el in bundle.elements:
+        cells = frozenset(el.cells)
+        assert_snap_matches_oracle(bundle.tower, el.level, cells,
+                                   assignment_of(bundle.tower, el.level, cells, rng, kind))
+
+
+def test_min_base_vertex_snap_takes_the_least_common_vertex():
+    # one component over the open 2-simplex: every vertex is common
+    t = SubdivisionTower(builtin("delta-2"))
+    interior = frozenset(c for c in t.cells(1) if t.carrier0(1, c) == (0, 1, 2))
+    assert len(face_components(interior)) == 1
+    assert snap_oracle(t, 1, interior, "min-base-vertex")[0] \
+        == frozenset({(t.lift_base_vertex(0, 1),)})
+    assert_snap_matches_oracle(t, 1, interior, "min-base-vertex")
+
+
+def test_indexed_snap_on_a_wheel_element():
+    bundle = build_cover(builtin("delta-2"), 0, 5)
+    assert bundle.construction == "wheel-cracks"
+    el = bundle.elements[0]
+    cells = frozenset(el.cells)
+    rng = random.Random(5)
+    for kind in SNAP_KINDS:
+        assert_snap_matches_oracle(bundle.tower, el.level, cells,
+                                   assignment_of(bundle.tower, el.level, cells, rng, kind))
 
 
 def test_certificate_json_round_trip(s2_tower):

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -167,23 +169,38 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
     assert not json.loads(out)["ok"]
 
 
-@pytest.mark.parametrize("command,field,value", [
-    ("cover", "m", "3"),
-    ("cover", "r", None),
-    ("cover", "max_level", "4"),
-    ("product", "m", True),
+@pytest.mark.parametrize("command,where,value,named", [
+    pytest.param("cover", ("params", "m"), "3", "'m'", id="cover-m-3"),
+    pytest.param("cover", ("params", "r"), None, "'r'", id="cover-r-None"),
+    pytest.param("cover", ("params", "max_level"), "4", "'max_level'",
+                 id="cover-max_level-4"),
+    pytest.param("product", ("params", "m"), True, "'m'", id="product-m-True"),
+    # an s1 arc bundle: element 0 is an open cell set, certificate 0 one snap
+    pytest.param("cover", ("elements", 0, "level"), "1", "'level'",
+                 id="cover-element-level-1"),
+    pytest.param("cover", ("certificates", 0, "target", "r"), "0", "'r'",
+                 id="cover-target-r-0"),
+    pytest.param("cover", ("elements",), 5, "'elements'", id="cover-elements-5"),
+    pytest.param("cover", ("elements", 0, "cells", 0), 7, "malformed cell 7",
+                 id="cover-cell-7"),
+    pytest.param("cover", ("certificates", 0, "steps"), None, "'steps'",
+                 id="cover-steps-None"),
+    pytest.param("cover", ("certificates", 0, "steps", 0, "level"), 1.0, "'level'",
+                 id="cover-snap-level-float"),
 ])
-def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, field, value):
+def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, where,
+                                                  value, named):
     if command == "cover":
         data = build_cover(builtin("s1"), 0, 3).to_json()
     else:
         data = assemble_product_cover(builtin("s1"), builtin("point")).to_json()
-    data["params"][field] = value
+    *keys, last = where
+    functools.reduce(operator.getitem, keys, data)[last] = value
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(data))
     code, _, err = invoke(capsys, command, "verify", "--in", str(path))
     assert code == 2
-    assert err.startswith("error:") and repr(field) in err
+    assert err.startswith("error:") and named in err
 
 
 def test_cuplength(capsys):

@@ -68,7 +68,7 @@ def test_signatures_without_a_streamable_top_level():
 def test_edge_paths_run_along_the_subdivided_edge(name):
     tower = SubdivisionTower(builtin(name))
     for t in range(1, 5):
-        cells = tower.cell_set(t)
+        cells = tower.cell_index(t)
         vbase = tower.level(t).vbase
         for edge in tower.base.cells(1):
             path = _edge_path_vertices(tower, t, edge)

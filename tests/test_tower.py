@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SMALL_NAMES
 
+import kocover
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, builtin, dual_complex, preimage,
                      random_complex, star)
@@ -277,3 +282,36 @@ def test_depth_cap(monkeypatch):
     t.cells(2)
     with pytest.raises(TowerDepthError):
         t.cells(3)
+
+
+# sha256 over "name level cells" of every catalog complex at levels 0-3
+# that fit the cell budget. A level's dense cell numbers are positions in
+# cells(t), so this order must follow from the complex alone.
+CELL_ORDER_SHA256 = "779a6b02391cbfaba0d8de9809371cb1a83630f6d58d28cc165cd516624ddb00"
+
+_ORDER_SCRIPT = """
+import hashlib
+from kocover import SubdivisionTower, TowerSizeError, builtin
+from kocover.complexes import CATALOG
+
+digest = hashlib.sha256()
+for name in sorted(CATALOG):
+    tower = SubdivisionTower(builtin(name))
+    for level in range(4):
+        try:
+            cells = tower.cells(level)
+        except TowerSizeError:
+            break
+        digest.update(f"{name} {level} {cells}\\n".encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_cell_order_does_not_depend_on_the_hash_seed(hashseed):
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [CELL_ORDER_SHA256]
