@@ -31,8 +31,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cell_decoder, cell_encoder, json_field,
-                    vertex_set_from_json, vertex_set_to_json)
+                    VertexStarSet, cells_from_json, json_field, vertex_set_from_json,
+                    vertex_set_to_json)
 
 
 class CertificateFormatError(ValueError):
@@ -387,29 +387,36 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
 
 
 def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
-    enc = cell_encoder(tower)
+    """A certificate as JSON: cells and kept vertices as vertex numbers (see
+    tower.cells_from_json), snap pairs as [cell, base vertex label]."""
+    labels = tower.base.vertices
     steps = []
     for step in cert.steps:
         if isinstance(step, Refine):
             steps.append({"kind": "refine"})
         elif isinstance(step, PartitionPush):
             steps.append({"kind": "push", "level": step.level,
-                          "keep": vertex_set_to_json(tower, step.level, step.keep, enc)})
+                          "keep": vertex_set_to_json(step.keep)})
         elif isinstance(step, StarSnap):
             if step.assignment == "min-base-vertex":
                 assignment = {"kind": "min-base-vertex"}
             else:
                 assignment = {"kind": "explicit",
-                              "pairs": sorted([enc(step.level, c), tower.base.vertices[v]]
+                              "pairs": sorted([list(c), labels[v]]
                                               for c, v in step.assignment)}
             steps.append({"kind": "snap", "level": step.level, "assignment": assignment})
     return {"start": cert.start.to_json(), "steps": steps,
             "target": {"kind": cert.target.kind, "r": cert.target.r}}
 
 
-def certificate_from_json(tower: SubdivisionTower, data: dict) -> Certificate:
-    start = cellset_from_json(tower, data["start"])
-    dec = cell_decoder(tower)
+def certificate_from_json(tower: SubdivisionTower, data: dict,
+                          known: tuple[object, CellSet] | None = None) -> Certificate:
+    """Inverse of certificate_to_json. known, when given, is a JSON cell set
+    and its decoding: a start equal to it is not decoded again."""
+    if known is not None and data["start"] == known[0]:
+        start = known[1]
+    else:
+        start = cellset_from_json(tower, data["start"])
     steps: list[Step] = []
     for sd in json_field(data, "steps", list, CertificateFormatError):
         if sd["kind"] == "refine":
@@ -422,10 +429,12 @@ def certificate_from_json(tower: SubdivisionTower, data: dict) -> Certificate:
             if sd["assignment"]["kind"] == "min-base-vertex":
                 steps.append(StarSnap(level, "min-base-vertex"))
             else:
-                idx = tower.base._index
-                pairs = tuple(sorted(
-                    (dec(level, c), idx[v]) for c, v in sd["assignment"]["pairs"]))
-                steps.append(StarSnap(level, pairs))
+                pairs = json_field(sd["assignment"], "pairs", list, CertificateFormatError)
+                if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+                    raise CertificateFormatError("a snap pair is [cell, base vertex label]")
+                cells = cells_from_json(tower, level, [c for c, _ in pairs])
+                targets = [_base_vertex(tower, label) for _, label in pairs]
+                steps.append(StarSnap(level, tuple(sorted(zip(cells, targets)))))
         else:
             raise CertificateFormatError(f"unknown step kind {sd.get('kind')!r}")
     tgt = data["target"]
@@ -433,13 +442,18 @@ def certificate_from_json(tower: SubdivisionTower, data: dict) -> Certificate:
                        Target(tgt["kind"], json_field(tgt, "r", int, CertificateFormatError)))
 
 
+def _base_vertex(tower: SubdivisionTower, label) -> int:
+    index = tower.base._index
+    if not isinstance(label, str) or label not in index:
+        raise CertificateFormatError(f"snap target {label!r} is not a base vertex label")
+    return index[label]
+
+
 def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
-    dec = cell_decoder(tower)
     level = json_field(data, "level", int, CertificateFormatError)
     if data["kind"] == "cells":
-        return OpenCellSet(tower, level, (dec(level, c) for c in
-                                          json_field(data, "cells", list,
-                                                     CertificateFormatError)))
+        return OpenCellSet(tower, level, cells_from_json(
+            tower, level, json_field(data, "cells", list, CertificateFormatError)))
     if data["kind"] == "star":
         return VertexStarSet(tower, level, vertex_set_from_json(tower, level, data["centers"]))
     raise CertificateFormatError(f"unknown cell set kind {data.get('kind')!r}")

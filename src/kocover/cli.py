@@ -120,21 +120,16 @@ def _cmd_cover(args) -> int:
         except ConstructionError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return FAILURE
-        payload = bundle.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-            print(f"wrote bundle ({bundle.construction}, m={bundle.m}) to {args.out}")
-        else:
-            print(json.dumps(payload, sort_keys=True, indent=2))
+        _write_bundle(bundle.to_json(), args.out,
+                      f"bundle ({bundle.construction}, m={bundle.m})")
         return OK
     if args.action == "verify":
-        bundle = _load_bundle(args.infile)
+        bundle = _load_bundle(args.infile, CoverBundle)
         report = verify_cover_bundle(bundle)
         _emit(report.to_json(), args)
         return OK if report.ok else FAILURE
     if args.action == "kcheck":
-        bundle = _load_bundle(args.infile)
+        bundle = _load_bundle(args.infile, CoverBundle)
         region = None
         if args.skeleton is not None:
             cells = [c for c in bundle.complex.cells()
@@ -146,9 +141,21 @@ def _cmd_cover(args) -> int:
     raise CoverError(f"unknown cover action {args.action!r}")
 
 
-def _load_bundle(path: str) -> CoverBundle:
+def _write_bundle(payload: dict, out: str | None, what: str) -> None:
+    """Write a bundle as compact sorted-key JSON to the file out, or to
+    stdout without one; both get the same bytes."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {what} to {out}")
+
+
+def _load_bundle(path: str, cls):
     with open(path, "r", encoding="utf-8") as fh:
-        return CoverBundle.from_json(json.load(fh))
+        return cls.from_json(json.load(fh))
 
 
 def _cmd_product(args) -> int:
@@ -160,18 +167,10 @@ def _cmd_product(args) -> int:
         except ConstructionError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return FAILURE
-        payload = pcb.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-            print(f"wrote product bundle (m={pcb.m}) to {args.out}")
-        else:
-            print(json.dumps(payload, sort_keys=True, indent=2))
+        _write_bundle(pcb.to_json(), args.out, f"product bundle (m={pcb.m})")
         return OK
     if args.action == "verify":
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            pcb = ProductCoverBundle.from_json(json.load(fh))
-        report = verify_product_cover(pcb)
+        report = verify_product_cover(_load_bundle(args.infile, ProductCoverBundle))
         _emit(report.to_json(), args)
         return OK if report.ok else FAILURE
     raise CoverError(f"unknown product action {args.action!r}")

@@ -137,6 +137,22 @@ def _brute_k_cover(sets: list[frozenset[int]], k: int, m: int) -> bool:
 
 # -- bundles ------------------------------------------------------------------
 
+# the bundle layout this module writes and the only one it reads: cells as
+# vertex-number lists (tower.cells_from_json)
+BUNDLE_FORMAT = 2
+
+
+def check_format(data: dict) -> None:
+    """Refuse a bundle whose "format" is not BUNDLE_FORMAT, naming it."""
+    if not isinstance(data, dict) or "format" not in data:
+        raise CoverError(f"bundle has no 'format' field: it predates format "
+                         f"{BUNDLE_FORMAT}, which this kocover reads; rebuild it "
+                         f"with kocover cover build")
+    fmt = data["format"]
+    if type(fmt) is not int or fmt != BUNDLE_FORMAT:
+        raise CoverError(f"bundle 'format' {fmt!r} is not supported: this kocover "
+                         f"reads format {BUNDLE_FORMAT} only")
+
 
 @dataclass
 class ProfileClaim:
@@ -163,6 +179,7 @@ class CoverBundle:
 
     def to_json(self) -> dict:
         return {
+            "format": BUNDLE_FORMAT,
             "complex": self.complex.to_json(),
             "params": {"r": self.r, "N": self.N, "m": self.m,
                        "max_level": self.tower.max_level,
@@ -177,16 +194,20 @@ class CoverBundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverBundle":
+        check_format(data)
         cx = Complex.from_json(data["complex"])
         params = data["params"]
         r, N, m = (json_field(params, name, int, CoverError) for name in ("r", "N", "m"))
         max_level = None if params.get("max_level") is None \
             else json_field(params, "max_level", int, CoverError)
         tower = SubdivisionTower(cx, max_level=max_level)
-        elements = [cellset_from_json(tower, e)
-                    for e in json_field(data, "elements", list, CoverError)]
-        certs = [certificate_from_json(tower, c)
-                 for c in json_field(data, "certificates", list, CoverError)]
+        raw = json_field(data, "elements", list, CoverError)
+        elements = [cellset_from_json(tower, e) for e in raw]
+        # a certificate starts at its own element in every bundle that
+        # build_cover writes; that start is decoded once
+        certs = [certificate_from_json(tower, c, (raw[i], elements[i])
+                                       if i < len(raw) else None)
+                 for i, c in enumerate(json_field(data, "certificates", list, CoverError))]
         return cls(cx, tower, r, N, m, elements, certs, params.get("construction", ""))
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex
-from .cover import (CoverBundle, CoverError, CoverReport, build_cover,
-                    check_certificate, cover_signatures)
+from .cover import (BUNDLE_FORMAT, CoverBundle, CoverError, CoverReport,
+                    build_cover, check_certificate, check_format, cover_signatures)
 from .tower import CellT, json_field
 
 Signatures = dict[int, set[frozenset[int]]]
@@ -47,6 +47,7 @@ class ProductCoverBundle:
 
     def to_json(self) -> dict:
         return {
+            "format": BUNDLE_FORMAT,
             "params": {"n": self.n, "d": self.d, "m": self.m},
             "x_bundle": self.x_bundle.to_json(),
             "b_bundle": self.b_bundle.to_json(),
@@ -54,6 +55,7 @@ class ProductCoverBundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductCoverBundle":
+        check_format(data)
         xb = CoverBundle.from_json(data["x_bundle"])
         bb = CoverBundle.from_json(data["b_bundle"])
         n, d, m = (json_field(data["params"], name, int, CoverError)

@@ -372,9 +372,8 @@ class OpenCellSet:
         return max((len(c) - 1 for c in self.cells), default=-1)
 
     def to_json(self) -> dict:
-        enc = cell_encoder(self.tower)
         return {"kind": "cells", "level": self.level,
-                "cells": sorted(enc(self.level, c) for c in self.cells)}
+                "cells": [list(c) for c in sorted(self.cells)]}
 
     def __repr__(self) -> str:
         return f"OpenCellSet(level={self.level}, cells={len(self.cells)})"
@@ -432,7 +431,7 @@ class VertexStarSet:
 
     def to_json(self) -> dict:
         return {"kind": "star", "level": self.level,
-                "centers": vertex_set_to_json(self.tower, self.level, self.centers)}
+                "centers": vertex_set_to_json(self.centers)}
 
     def __repr__(self) -> str:
         c = "old" if self.centers == "old" else len(self.centers)  # type: ignore[arg-type]
@@ -442,11 +441,16 @@ class VertexStarSet:
 CellSet = OpenCellSet | VertexStarSet
 
 
-# -- cell encoding for stable JSON -------------------------------------------
+# -- JSON forms ----------------------------------------------------------------
+#
+# Bundles store a level-t cell as its sorted level-t vertex numbers: vertex
+# v of level t is cells(t-1)[v], and level 0 numbers the base vertices in
+# the complex's own order, so the numbers follow from the complex alone.
 
 
 def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
-    """Encode a level-t cell as nested label lists, independent of id interning."""
+    """Encode a level-t cell as nested label lists, for human-readable
+    output such as `kocover complex dual`."""
 
     def enc(t: int, cell: CellT):
         if t == 0:
@@ -455,20 +459,6 @@ def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
         return sorted(enc(t - 1, lv.verts[v]) for v in cell)
 
     return enc
-
-
-def cell_decoder(tower: SubdivisionTower) -> Callable[[int, object], CellT]:
-    def dec(t: int, data) -> CellT:
-        if not isinstance(data, list):
-            raise TowerError(f"malformed cell {data!r}: a cell is a list of labels "
-                             f"at level 0 and of cells one level down above it")
-        if t == 0:
-            idx = tower.base._index
-            return tuple(sorted(idx[v] for v in data))
-        lv = tower.level(t)
-        return tuple(sorted(lv.vert_id[dec(t - 1, d)] for d in data))
-
-    return dec
 
 
 def json_field(data: dict, name: str, kind: type, error: type[Exception]):
@@ -481,30 +471,64 @@ def json_field(data: dict, name: str, kind: type, error: type[Exception]):
     return value
 
 
-def vertex_set_to_json(tower: SubdivisionTower, level: int,
-                       verts: frozenset[int] | str,
-                       enc: Callable[[int, CellT], object] | None = None) -> dict:
+def cells_from_json(tower: SubdivisionTower, t: int, items: list) -> list[CellT]:
+    """Level-t cells from their JSON form, each the strictly increasing list
+    of its level-t vertex numbers. Raises TowerError at the first item that
+    is not a cell of level t: on a materialized level it must be one of
+    cells(t); otherwise its vertex numbers, ints that are not bools, must
+    lie in range and their underlying level-(t-1) cells must form a chain,
+    so that a level that was only streamed stays so."""
+    lv = tower.level(t)
+    index, verts = lv.cell_index, lv.verts
+    out: list[CellT] = []
+    for data in items:
+        if type(data) is not list:
+            raise TowerError(f"malformed cell {data!r}: a cell is a list of vertex numbers")
+        cell = tuple(data)
+        for v in cell:
+            if type(v) is not int:
+                break
+        else:
+            if index is not None:
+                if cell in index:
+                    out.append(cell)
+                    continue
+            elif cell and 0 <= cell[0] and cell[-1] < len(verts) and data == sorted(data):
+                # distinct dimensions along the chain make the ids distinct
+                prev: CellT = ()
+                for c in sorted(map(verts.__getitem__, cell), key=len):
+                    if prev and (len(prev) >= len(c) or not set(prev).issubset(c)):
+                        break
+                    prev = c
+                else:
+                    out.append(cell)
+                    continue
+        raise TowerError(f"{data!r} is not a cell of level {t}")
+    return out
+
+
+def vertex_set_to_json(verts: frozenset[int] | str) -> dict:
     """Star centers or a push keep set as JSON: "old" (every vertex that was
-    already a vertex one level down) by its kind, explicit vertex ids as
-    their underlying level-(level-1) cells. A caller that holds a
-    cell_encoder passes it as enc."""
+    already a vertex one level down) by its kind, explicit vertex numbers
+    as a sorted list."""
     if verts == "old":
         return {"kind": "old-vertices"}
-    enc = enc or cell_encoder(tower)
-    lv = tower.level(level)
-    return {"kind": "explicit",
-            "verts": sorted(enc(level - 1, lv.verts[v]) for v in verts)}
+    return {"kind": "explicit", "verts": sorted(verts)}
 
 
 def vertex_set_from_json(tower: SubdivisionTower, level: int,
                          data: dict) -> frozenset[int] | str:
-    """Inverse of vertex_set_to_json."""
+    """Inverse of vertex_set_to_json; TowerError unless the explicit list
+    is strictly increasing vertex numbers of the level."""
     if data["kind"] == "old-vertices":
         return "old"
-    dec = cell_decoder(tower)
-    vid = tower.level(level).vert_id
-    return frozenset(vid[dec(level - 1, v)]
-                     for v in json_field(data, "verts", list, TowerError))
+    verts = json_field(data, "verts", list, TowerError)
+    n = len(tower.level(level).verts)
+    if not all(type(v) is int and 0 <= v < n for v in verts) \
+            or not all(a < b for a, b in zip(verts, verts[1:])):
+        raise TowerError(f"vertex set {verts!r} is not a strictly increasing "
+                         f"list of level-{level} vertex numbers")
+    return frozenset(verts)
 
 
 # -- tower operations ----------------------------------------------------------

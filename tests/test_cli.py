@@ -4,6 +4,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from kocover import (Complex, SubdivisionTower, assemble_product_cover, build_co
                      builtin)
 from kocover.cli import run
 from kocover.complexes import CATALOG
+from kocover.tower import cell_encoder
 
 
 def invoke(capsys, *argv):
@@ -187,6 +189,17 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
                  id="cover-steps-None"),
     pytest.param("cover", ("certificates", 0, "steps", 0, "level"), 1.0, "'level'",
                  id="cover-snap-level-float"),
+    # level-1 vertices of s1: 0, 1, 2 are the base vertices, 3 the edge (0, 1)
+    pytest.param("cover", ("elements", 0, "cells", 0), [0, 1], "not a cell of level 1",
+                 id="cover-cell-not-a-chain"),
+    pytest.param("cover", ("elements", 0, "cells", 0), [True], "not a cell of level 1",
+                 id="cover-cell-bool"),
+    pytest.param("cover", ("elements", 0, "cells", 0), [-1], "not a cell of level 1",
+                 id="cover-cell-negative"),
+    pytest.param("cover", ("elements", 0, "cells", 0), [3, 0], "not a cell of level 1",
+                 id="cover-cell-unsorted"),
+    pytest.param("cover", ("elements", 0, "cells", 0), [], "not a cell of level 1",
+                 id="cover-cell-empty"),
 ])
 def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, where,
                                                   value, named):
@@ -201,6 +214,58 @@ def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, whe
     code, _, err = invoke(capsys, command, "verify", "--in", str(path))
     assert code == 2
     assert err.startswith("error:") and named in err
+
+
+def v1_bundle():
+    """An s1 bundle as written before format 2: no format field, and cells
+    as nested label lists."""
+    bundle = build_cover(builtin("s1"), 0, 3)
+    enc = cell_encoder(bundle.tower)
+    data = bundle.to_json()
+    del data["format"]
+    for cellset in [*data["elements"], *(c["start"] for c in data["certificates"])]:
+        cellset["cells"] = sorted(enc(cellset["level"], tuple(c)) for c in cellset["cells"])
+    return data
+
+
+@pytest.mark.parametrize("command,data,named", [
+    pytest.param("cover", v1_bundle, "no 'format' field", id="cover-v1"),
+    pytest.param("cover", lambda: {**build_cover(builtin("s1"), 0, 3).to_json(), "format": 3},
+                 "'format' 3", id="cover-format-3"),
+    pytest.param("product", lambda: {**assemble_product_cover(
+        builtin("s1"), builtin("point")).to_json(), "format": 3},
+                 "'format' 3", id="product-format-3"),
+])
+def test_other_bundle_formats_are_usage_errors(tmp_path, capsys, command, data, named):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data()))
+    code, _, err = invoke(capsys, command, "verify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("argv,out_note", [
+    (["cover", "build", "--builtin", "s1", "--r", "0", "--m", "3"], "arc-phases, m=3"),
+    (["product", "build", "--x", "boundary-delta-3", "--b", "s1"], "(m=2)"),
+])
+def test_bundle_on_stdout_matches_the_out_file(tmp_path, capsys, argv, out_note):
+    code, stdout, _ = invoke(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "bundle.json"
+    code, note, _ = invoke(capsys, *argv, "--out", str(path))
+    assert code == 0 and out_note in note
+    assert stdout.encode() == path.read_bytes()
+
+
+def test_torus_wheel_bundle_round_trips_within_budget(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "cover", "build", "--builtin", "torus-7",
+                          "--r", "0", "--m", "6", "--out", str(path))
+    assert code == 0 and "(wheel-cracks, m=6)" in out
+    code, out, _ = invoke(capsys, "cover", "verify", "--in", str(path), "--json")
+    assert code == 0 and json.loads(out)["ok"]
+    assert time.perf_counter() - start < 60
 
 
 def test_cuplength(capsys):
@@ -229,17 +294,18 @@ def test_deterministic_output(tmp_path, capsys):
     assert seeds[0] == seeds[1]
 
 
-# sha256 of small CLI cover and product bundles and of a certificate with
-# explicit push verts and snap pairs, as written before canonical cell order
-# became plain list order; the encoding must not drift
+# sha256 of CLI cover and product bundles in format 2 (compact JSON, cells
+# as vertex-number lists) and of a certificate with explicit push verts and
+# snap pairs; the encoding must not drift
 PINNED_SHA256 = {
-    "arc-s1-m5": "5a5fbd84c2674f10a259112e570e900a25b2c552951595ba451816fd172dfe63",
+    "arc-s1-m5": "11b984333f7302101631c14510e9ba30a6aa7605bc3097870678044dfa5aca45",
     "staggered-bd3-r1-m2":
-        "b60c5df87ff4b2308cc242d4757a607e39c1c0328027e4b4ffac7a3f35f1d455",
-    "layered-bd3-m4": "f242b4c87b05d5dfa272bd6c64559caf0292b70cdb86ec4048e9c2df5867219c",
-    "certificate-s2-r0": "66ff21956dec3c4d272c367935509783a44a7f92e28857cd3ceb5d6cc0d7df25",
-    "product-rp2-6-s1": "dae9f94171f8180cfe125e3be97637216aae6302c5cf827ed469dea294149728",
-    "product-torus-7-s1": "ede0f2dcfd38e0c93c36a456aa710d33171453e34e55f4623afe7232b0c9676c",
+        "bd72bc357e709aa2dcc869f7c3f22699ca6a374e929db0c263d2ccaa6a3757e1",
+    "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
+    "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
+    "certificate-s2-r0": "264f77b84ef06d1ab3ca2ddcebd5df7935dabcfbab467a597bb5c50807f09ffa",
+    "product-rp2-6-s1": "a397e4ab484950ea7b80f07b04d52bbb64bb479fa70bcde9836e58110b878536",
+    "product-torus-7-s1": "1862afbdcbb11f3b64619a5968910501757ea15c7aaf6a81f6035b5c5e894602",
 }
 
 _PIN_SCRIPT = """
@@ -251,7 +317,8 @@ from kocover.cli import run
 out = {}
 for tag, argv in [("arc-s1-m5", ["s1", "--r", "0", "--m", "5"]),
                   ("staggered-bd3-r1-m2", ["boundary-delta-3", "--r", "1", "--m", "2"]),
-                  ("layered-bd3-m4", ["boundary-delta-3", "--r", "0", "--m", "4"])]:
+                  ("layered-bd3-m4", ["boundary-delta-3", "--r", "0", "--m", "4"]),
+                  ("wheel-delta-2-m5", ["delta-2", "--r", "0", "--m", "5"])]:
     run(["cover", "build", "--builtin", *argv, "--out", tag + ".json"])
     out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
 for x in ("rp2-6", "torus-7"):

@@ -11,9 +11,9 @@ from conftest import SMALL_NAMES
 
 import kocover
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
-                     TowerDepthError, builtin, dual_complex, preimage,
+                     TowerDepthError, TowerError, builtin, dual_complex, preimage,
                      random_complex, star)
-from kocover.tower import proper_faces
+from kocover.tower import cells_from_json, proper_faces, vertex_set_from_json
 
 
 def chains_of(cells):
@@ -106,6 +106,46 @@ def test_carrier_dim_never_rises_to_a_face(small_towers, name, level, density, r
     for cell in (c for c in t.cells(level) if rng.random() < density):
         d = t.carrier0_dim(level, cell)
         assert all(t.carrier0_dim(level, f) <= d for f in proper_faces(cell))
+
+
+_STREAMED: dict = {}
+
+
+def streamed_level(name, t):
+    """A fresh tower on which level t is only streamed, and its cells."""
+    if (name, t) not in _STREAMED:
+        tower = SubdivisionTower(builtin(name))
+        _STREAMED[name, t] = tower, sorted(tower.iter_cells(t))
+    return _STREAMED[name, t]
+
+
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cells_from_json_accepts_exactly_the_cells(small_towers, name, level, data):
+    streamed, cells = streamed_level(name, level)
+    n = len(streamed.level(level).verts)
+    item = data.draw(st.one_of(
+        st.sampled_from(cells).map(list),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True).map(sorted),
+        st.lists(st.integers(-2, n + 1), max_size=4)))
+    materialized = small_towers[name]
+    materialized.cells(level)
+    is_cell = tuple(item) in set(cells)
+    for tower in (materialized, streamed):
+        if is_cell:
+            assert cells_from_json(tower, level, [item]) == [tuple(item)]
+        else:
+            with pytest.raises(TowerError, match=f"is not a cell of level {level}"):
+                cells_from_json(tower, level, [item])
+    assert level == 0 or streamed.level(level).cells_list is None
+
+
+@pytest.mark.parametrize("verts", [[1, 0], [2, 2], [True], [-1], [7], ["a"]])
+def test_vertex_set_from_json_refuses_non_vertices(verts):
+    t = SubdivisionTower(builtin("delta-2"))  # level 1 has 7 vertices
+    assert vertex_set_from_json(t, 1, {"kind": "explicit", "verts": [0, 6]}) == {0, 6}
+    with pytest.raises(TowerError, match="level-1 vertex numbers"):
+        vertex_set_from_json(t, 1, {"kind": "explicit", "verts": verts})
 
 
 def test_cells_have_distinct_member_dimensions():
