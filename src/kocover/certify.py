@@ -15,12 +15,13 @@ increases (push and snap tracks stay inside the open carrier cell until
 they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
 
-A snap is replayed on the dense CellIndex of its level (tower.index): the
-level's face pairs are masked to the carrier and labelled into components
-with array operations, the min-base-vertex rule intersects the members'
-base carriers per component, and an explicit assignment is checked for one
-target per component lying in every member's base carrier. Every check is
-exact; a failure names the failing component that holds the least cell.
+A snap is replayed on the dense CellIndex of its materialized level
+(tower.index): the level's face pairs are masked to the carrier and
+labelled into components with array operations, the min-base-vertex rule
+intersects the members' base carriers per component, and an explicit
+assignment is checked for one target per component lying in every
+member's base carrier. Every check is exact; a failure names the failing
+component that holds the least cell.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
         return frozenset()
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
-    index = tower.index(level, cells)
+    index = tower.index(level)
     pos = index.positions(cells)
     root = index.components(pos)
     order = np.argsort(root, kind="stable")
@@ -413,37 +414,41 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
                           known: tuple[object, CellSet] | None = None) -> Certificate:
     """Inverse of certificate_to_json. known, when given, is a JSON cell set
     and its decoding: a start equal to it is not decoded again."""
-    if known is not None and data["start"] == known[0]:
+    start_data = json_field(data, "start", dict, CertificateFormatError)
+    if known is not None and start_data == known[0]:
         start = known[1]
     else:
-        start = cellset_from_json(tower, data["start"])
+        start = cellset_from_json(tower, start_data)
     steps: list[Step] = []
     for sd in json_field(data, "steps", list, CertificateFormatError):
-        if sd["kind"] == "refine":
+        kind = json_field(sd, "kind", str, CertificateFormatError)
+        if kind == "refine":
             steps.append(Refine())
-        elif sd["kind"] == "push":
+        elif kind == "push":
             level = json_field(sd, "level", int, CertificateFormatError)
-            steps.append(PartitionPush(level, vertex_set_from_json(tower, level, sd["keep"])))
-        elif sd["kind"] == "snap":
+            keep = json_field(sd, "keep", dict, CertificateFormatError)
+            steps.append(PartitionPush(level, vertex_set_from_json(tower, level, keep)))
+        elif kind == "snap":
             level = json_field(sd, "level", int, CertificateFormatError)
-            if sd["assignment"]["kind"] == "min-base-vertex":
+            assignment = json_field(sd, "assignment", dict, CertificateFormatError)
+            if assignment["kind"] == "min-base-vertex":
                 steps.append(StarSnap(level, "min-base-vertex"))
             else:
-                pairs = json_field(sd["assignment"], "pairs", list, CertificateFormatError)
+                pairs = json_field(assignment, "pairs", list, CertificateFormatError)
                 if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
                     raise CertificateFormatError("a snap pair is [cell, base vertex label]")
                 cells = cells_from_json(tower, level, [c for c, _ in pairs])
                 targets = [_base_vertex(tower, label) for _, label in pairs]
                 steps.append(StarSnap(level, tuple(sorted(zip(cells, targets)))))
         else:
-            raise CertificateFormatError(f"unknown step kind {sd.get('kind')!r}")
-    tgt = data["target"]
+            raise CertificateFormatError(f"unknown step kind {kind!r}")
+    tgt = json_field(data, "target", dict, CertificateFormatError)
     return Certificate(start, tuple(steps),
                        Target(tgt["kind"], json_field(tgt, "r", int, CertificateFormatError)))
 
 
 def _base_vertex(tower: SubdivisionTower, label) -> int:
-    index = tower.base._index
+    index = tower.base.vertex_index
     if not isinstance(label, str) or label not in index:
         raise CertificateFormatError(f"snap target {label!r} is not a base vertex label")
     return index[label]
@@ -455,5 +460,6 @@ def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
         return OpenCellSet(tower, level, cells_from_json(
             tower, level, json_field(data, "cells", list, CertificateFormatError)))
     if data["kind"] == "star":
-        return VertexStarSet(tower, level, vertex_set_from_json(tower, level, data["centers"]))
+        centers = json_field(data, "centers", dict, CertificateFormatError)
+        return VertexStarSet(tower, level, vertex_set_from_json(tower, level, centers))
     raise CertificateFormatError(f"unknown cell set kind {data.get('kind')!r}")

@@ -27,7 +27,8 @@ class Complex:
 
     Vertices are labeled strings; the label order defines the canonical
     vertex order used everywhere (cells are strictly increasing index
-    tuples). Facets must form an antichain.
+    tuples), and vertex_index maps each label to its position in that order.
+    Facets must form an antichain.
     """
 
     def __init__(self, vertices: Sequence[str], facets: Iterable[Sequence[str]],
@@ -55,7 +56,7 @@ class Complex:
         if not fs:
             raise ComplexError("complex needs at least one facet")
         self.facets: tuple[Cell, ...] = tuple(fs)
-        self._index = index
+        self.vertex_index = index
         self._cells_by_dim: dict[int, tuple[Cell, ...]] | None = None
         self._cell_set: frozenset[Cell] = frozenset()
 
@@ -330,10 +331,10 @@ class SimplicialMap:
         missing = [v for v in source.vertices if v not in mapping]
         if missing:
             raise ComplexError(f"map does not cover source vertices {missing}")
-        bad_targets = [w for w in mapping.values() if w not in target._index]
+        bad_targets = [w for w in mapping.values() if w not in target.vertex_index]
         if bad_targets:
             raise ComplexError(f"map hits unknown target vertices {sorted(set(bad_targets))}")
-        self._vmap = tuple(target._index[mapping[v]] for v in source.vertices)
+        self._vmap = tuple(target.vertex_index[mapping[v]] for v in source.vertices)
         for f in source.facets:
             img = self.image_cell(f)
             if not target.has_cell(img):

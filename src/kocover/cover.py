@@ -166,11 +166,14 @@ class CoverBundle:
     complex: Complex
     tower: SubdivisionTower
     r: int
-    N: int
     m: int
     elements: list[CellSet]
     certificates: list[Certificate]
     construction: str = ""
+
+    @property
+    def N(self) -> int:
+        return cover_parameters(self.complex, self.r)
 
     @property
     def profile_claims(self) -> list[ProfileClaim]:
@@ -195,9 +198,13 @@ class CoverBundle:
     @classmethod
     def from_json(cls, data: dict) -> "CoverBundle":
         check_format(data)
-        cx = Complex.from_json(data["complex"])
-        params = data["params"]
+        cx = Complex.from_json(json_field(data, "complex", dict, CoverError))
+        params = json_field(data, "params", dict, CoverError)
         r, N, m = (json_field(params, name, int, CoverError) for name in ("r", "N", "m"))
+        derived = cover_parameters(cx, r)
+        if N != derived:
+            raise CoverError(f"bundle field 'N' is {N}, but a {cx.dim}-complex with "
+                             f"r={r} has N={derived}")
         max_level = None if params.get("max_level") is None \
             else json_field(params, "max_level", int, CoverError)
         tower = SubdivisionTower(cx, max_level=max_level)
@@ -208,7 +215,7 @@ class CoverBundle:
         certs = [certificate_from_json(tower, c, (raw[i], elements[i])
                                        if i < len(raw) else None)
                  for i, c in enumerate(json_field(data, "certificates", list, CoverError))]
-        return cls(cx, tower, r, N, m, elements, certs, params.get("construction", ""))
+        return cls(cx, tower, r, m, elements, certs, params.get("construction", ""))
 
 
 def cover_parameters(cx: Complex, r: int) -> int:
@@ -242,7 +249,7 @@ def build_cover(cx: Complex, r: int, m: int,
         target = Target("skeletal", 0) if r == 0 else Target("dimensional", r)
         elements: list[CellSet] = [whole for _ in range(m)]
         certs = [Certificate(whole, (), target) for _ in range(m)]
-        return CoverBundle(cx, tower, r, N, m, elements, certs, "trivial")
+        return CoverBundle(cx, tower, r, m, elements, certs, "trivial")
 
     if r == 0 and n == 1:
         return _build_arc_cover(cx, tower, m)
@@ -268,7 +275,7 @@ def build_cover(cx: Complex, r: int, m: int,
                               StarSnap(el.level, "min-base-vertex")),
                              Target("skeletal", 0))
                  for el in elements]
-        return CoverBundle(cx, tower, r, N, m, elements, certs, "layered-stars")
+        return CoverBundle(cx, tower, r, m, elements, certs, "layered-stars")
 
     # r >= 1
     if N > 2:
@@ -306,7 +313,7 @@ def _build_arc_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBundl
         elements.append(el)
         certs.append(Certificate(
             el, (StarSnap(depth, "min-base-vertex"),), Target("skeletal", 0)))
-    return CoverBundle(cx, tower, 0, 2, m, elements, certs, "arc-phases")
+    return CoverBundle(cx, tower, 0, m, elements, certs, "arc-phases")
 
 
 def _dyadic_phases(m: int) -> list[tuple[int, int]]:
@@ -458,7 +465,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
                 f"wheel cracks: element {i} does not snap: {verdict.reason}")
         elements.append(el)
         certs.append(cert)
-    return CoverBundle(cx, tower, 0, 3, m, elements, certs, "wheel-cracks")
+    return CoverBundle(cx, tower, 0, m, elements, certs, "wheel-cracks")
 
 
 def _arc_bfs(lv, cofaces, carrier_dim, counts, own_crack,
@@ -529,7 +536,7 @@ def _build_staggered_cover(cx: Complex, tower: SubdivisionTower,
     el2 = VertexStarSet(tower, 2, frozenset(centers2))
     cert2 = Certificate(el2, (PartitionPush(2, frozenset(centers2)),),
                         Target("dimensional", r))
-    return CoverBundle(cx, tower, r, 2, m, [el1, el2], [cert1, cert2],
+    return CoverBundle(cx, tower, r, m, [el1, el2], [cert1, cert2],
                        "staggered-duals")
 
 

@@ -56,10 +56,10 @@ class ProductCoverBundle:
     @classmethod
     def from_json(cls, data: dict) -> "ProductCoverBundle":
         check_format(data)
-        xb = CoverBundle.from_json(data["x_bundle"])
-        bb = CoverBundle.from_json(data["b_bundle"])
-        n, d, m = (json_field(data["params"], name, int, CoverError)
-                   for name in ("n", "d", "m"))
+        xb = CoverBundle.from_json(json_field(data, "x_bundle", dict, CoverError))
+        bb = CoverBundle.from_json(json_field(data, "b_bundle", dict, CoverError))
+        params = json_field(data, "params", dict, CoverError)
+        n, d, m = (json_field(params, name, int, CoverError) for name in ("n", "d", "m"))
         return cls(xb.complex, bb.complex, n, d, m, xb, bb)
 
 

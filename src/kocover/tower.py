@@ -8,7 +8,8 @@ the inclusion order of a chain is recovered by sorting on dimension.
 
 Deep levels explode factorially. Levels are materialized lazily and only
 up to a cell budget; one level beyond the last materialized level can
-still be enumerated by streaming chains of the level below.
+still be enumerated by streaming chains of the level below. Explicit
+cells (decoded, or indexed for a snap) live on a materialized level.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator
 
 import numpy as np
 
@@ -42,10 +43,9 @@ class TowerSizeError(TowerError):
 
 def max_level_from_env() -> int:
     raw = os.environ.get("KO_COVER_MAX_LEVEL", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_LEVEL
-    except ValueError:
-        return DEFAULT_MAX_LEVEL
+    if raw and not raw.isdecimal():
+        raise TowerError(f"KO_COVER_MAX_LEVEL={raw!r} is not a non-negative integer")
+    return int(raw) if raw else DEFAULT_MAX_LEVEL
 
 
 def proper_faces(cell: CellT) -> Iterator[CellT]:
@@ -129,15 +129,11 @@ class SubdivisionTower:
         self.cells(t)
         return self._levels[t].cell_index  # type: ignore[return-value]
 
-    def index(self, t: int, cells: Collection[CellT]) -> "CellIndex":
-        """A CellIndex holding the given level-t cells: the level's own,
-        built once, when level t is materialized; otherwise one over these
-        cells alone, so that a level that was only streamed stays so."""
+    def index(self, t: int) -> "CellIndex":
+        """The CellIndex of level t, built once; materializes the level."""
         lv = self.level(t)
-        if lv.cells_list is None:
-            return CellIndex(self, t, list(cells))
         if lv.index is None:
-            lv.index = CellIndex(self, t, lv.cells_list, lv.cell_index)
+            lv.index = CellIndex(self, t)
         return lv.index
 
     def iter_cells(self, t: int) -> Iterator[CellT]:
@@ -244,27 +240,23 @@ class SubdivisionTower:
 
 
 class CellIndex:
-    """Dense numbers, face incidence and base carriers of level-t cells.
+    """Dense numbers, face incidence and base carriers of the level-t cells.
 
-    Cell i is cells[i]. The face pairs (face_cell[k], face[k]) list every
-    cell with each of its proper faces that is itself in cells. carrier[i]
+    Cell i is cells[i], position its cell_index. The face pairs (face_cell[k],
+    face[k]) list every cell with each of its proper faces. carrier[i]
     numbers carrier0 of cell i among the base cells, and base_verts is the
     base cells x base vertices table of "v is a vertex of that cell".
     """
 
-    def __init__(self, tower: SubdivisionTower, t: int, cells: Sequence[CellT],
-                 position: dict[CellT, int] | None = None):
+    def __init__(self, tower: SubdivisionTower, t: int):
         self.t = t
-        self.cells = cells
-        self.position = dict(zip(cells, range(len(cells)))) if position is None \
-            else position
+        self.cells = cells = tower.cells(t)
+        self.position = position = tower.cell_index(t)
         cell_ids, face_ids = array("i"), array("i")
         for i, c in enumerate(cells):
             for f in proper_faces(c):
-                j = self.position.get(f)
-                if j is not None:
-                    cell_ids.append(i)
-                    face_ids.append(j)
+                cell_ids.append(i)
+                face_ids.append(position[f])
         self.face_cell = np.array(cell_ids, dtype=np.int32)
         self.face = np.array(face_ids, dtype=np.int32)
         base = tower.cell_index(0)
@@ -461,48 +453,41 @@ def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
     return enc
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
+
+
 def json_field(data: dict, name: str, kind: type, error: type[Exception]):
-    """data[name], which must be a list (kind list) or an int that is not a
-    bool (kind int); otherwise error names the field."""
+    """data[name], which must be an int that is not a bool (kind int), a
+    list, an object (kind dict) or a string; otherwise error names the
+    field. data itself must be an object."""
+    if not isinstance(data, dict):
+        raise error(f"expected an object with the field {name!r}, "
+                    f"got {type(data).__name__}")
     value = data[name]
     if not isinstance(value, kind) or isinstance(value, bool):
-        what = "an integer" if kind is int else "a list"
-        raise error(f"bundle field {name!r} must be {what}, got {value!r}")
+        raise error(f"bundle field {name!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def cells_from_json(tower: SubdivisionTower, t: int, items: list) -> list[CellT]:
     """Level-t cells from their JSON form, each the strictly increasing list
-    of its level-t vertex numbers. Raises TowerError at the first item that
-    is not a cell of level t: on a materialized level it must be one of
-    cells(t); otherwise its vertex numbers, ints that are not bools, must
-    lie in range and their underlying level-(t-1) cells must form a chain,
-    so that a level that was only streamed stays so."""
-    lv = tower.level(t)
-    index, verts = lv.cell_index, lv.verts
+    of its level-t vertex numbers, returned as the level's own cell tuples.
+    Materializes level t (TowerSizeError over the cell budget) and raises
+    TowerError at the first item that is not one of cells(t)."""
+    cells, index = tower.cells(t), tower.cell_index(t)
     out: list[CellT] = []
     for data in items:
         if type(data) is not list:
             raise TowerError(f"malformed cell {data!r}: a cell is a list of vertex numbers")
         cell = tuple(data)
         for v in cell:
-            if type(v) is not int:
+            if type(v) is not int:  # True == 1 and 1.0 == 1 would hash alike
                 break
         else:
-            if index is not None:
-                if cell in index:
-                    out.append(cell)
-                    continue
-            elif cell and 0 <= cell[0] and cell[-1] < len(verts) and data == sorted(data):
-                # distinct dimensions along the chain make the ids distinct
-                prev: CellT = ()
-                for c in sorted(map(verts.__getitem__, cell), key=len):
-                    if prev and (len(prev) >= len(c) or not set(prev).issubset(c)):
-                        break
-                    prev = c
-                else:
-                    out.append(cell)
-                    continue
+            i = index.get(cell)
+            if i is not None:
+                out.append(cells[i])
+                continue
         raise TowerError(f"{data!r} is not a cell of level {t}")
     return out
 

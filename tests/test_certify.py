@@ -306,23 +306,30 @@ def assignment_of(tower, level, cells, rng, kind):
 
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
        density=st.floats(0.05, 0.95), kind=st.sampled_from(SNAP_KINDS),
-       streamed=st.booleans(), rng=st.randoms(use_true_random=False))
+       fresh=st.booleans(), rng=st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
 def test_indexed_snap_matches_union_find(small_towers, name, level, density, kind,
-                                         streamed, rng):
-    # a streamed level is not materialized: the snap indexes the carrier alone
-    tower = SubdivisionTower(builtin(name)) if streamed else small_towers[name]
-    universe = tower.iter_cells(level) if streamed else tower.cells(level)
-    cells = frozenset(c for c in universe if rng.random() < density)
-    index = tower.index(level, cells)
+                                         fresh, rng):
+    # on a fresh tower the level is only streamed until the snap
+    # materializes it and builds the level's index
+    tower = SubdivisionTower(builtin(name)) if fresh else small_towers[name]
+    cells = frozenset(c for c in tower.iter_cells(level) if rng.random() < density)
+    lv = tower.level(level)
+    assert not fresh or level == 0 or lv.cells_list is None
+    assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
+                                                                  rng, kind))
+    # a missing or non-vertex assignment is refused before the index is used
+    if cells and kind not in ("missing", "non-vertex"):
+        assert lv.cells_list is not None
+        assert lv.index is not None and lv.index.cells is lv.cells_list
+    index = tower.index(level)
+    assert index is lv.index and index.position is tower.cell_index(level)
     root = index.components(index.positions(cells))
     parts = {}
     for c, r in zip(cells, root.tolist()):
         parts.setdefault(r, set()).add(c)
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
     assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
-    assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
-                                                                  rng, kind))
 
 
 @pytest.mark.parametrize("kind", SNAP_KINDS)

@@ -200,6 +200,18 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
                  id="cover-cell-unsorted"),
     pytest.param("cover", ("elements", 0, "cells", 0), [], "not a cell of level 1",
                  id="cover-cell-empty"),
+    # a non-object where an object belongs
+    pytest.param("cover", ("params",), [], "'params'", id="cover-params-list"),
+    pytest.param("cover", ("complex",), 5, "'complex'", id="cover-complex-5"),
+    pytest.param("cover", ("elements", 0), 5, "'level'", id="cover-element-5"),
+    pytest.param("cover", ("certificates", 0), [], "'start'", id="cover-certificate-list"),
+    pytest.param("cover", ("certificates", 0, "target"), 3, "'target'",
+                 id="cover-target-3"),
+    pytest.param("cover", ("certificates", 0, "steps", 0), 3, "'kind'", id="cover-step-3"),
+    pytest.param("cover", ("certificates", 0, "steps", 0, "assignment"), [],
+                 "'assignment'", id="cover-assignment-list"),
+    pytest.param("cover", ("elements", 0), {"kind": "star", "level": 1, "centers": "old"},
+                 "'centers'", id="cover-centers-old"),
 ])
 def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, where,
                                                   value, named):
@@ -214,6 +226,35 @@ def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, whe
     code, _, err = invoke(capsys, command, "verify", "--in", str(path))
     assert code == 2
     assert err.startswith("error:") and named in err
+
+
+def test_cover_verify_refuses_a_bundle_n_that_differs_from_the_complex(tmp_path, capsys):
+    # two copies of one arc element: no longer a 2-cover of the circle
+    data = build_cover(builtin("s1"), 0, 5).to_json()
+    data["elements"][0] = data["elements"][1]
+    data["certificates"][0] = data["certificates"][1]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, "cover", "verify", "--in", str(path), "--json")
+    assert code == 1
+    assert {c["name"]: c["detail"] for c in json.loads(out)["checks"]
+            if not c["passed"]} == {"profile-k2": "min Ord 3 on skeleton 1, need 4"}
+    # a bundle that claims N = 1 drops the k = 2 claim; N follows from the
+    # complex and r, so the claim is refused, not trusted
+    data["params"]["N"] = 1
+    path.write_text(json.dumps(data))
+    code, _, err = invoke(capsys, "cover", "verify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "'N' is 1" in err and "N=2" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "4.0"])
+def test_malformed_max_level_variable_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("KO_COVER_MAX_LEVEL", value)
+    code, _, err = invoke(capsys, "cover", "build", "--builtin", "s1", "--r", "0",
+                          "--m", "3")
+    assert code == 2
+    assert err.startswith("error:") and f"KO_COVER_MAX_LEVEL={value!r}" in err
 
 
 def v1_bundle():

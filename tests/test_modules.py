@@ -15,6 +15,26 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not offenders
 
 
+def test_no_module_reads_a_private_attribute_of_another():
+    # x._name may be read only in a module that defines _name: as a def or
+    # class, or by assigning to it
+    offenders = []
+    for path in sorted(Path(kocover.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        own |= {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+        own |= {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        offenders += [f"{path.name}:{node.lineno}: .{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and node.attr.startswith("_") and not node.attr.endswith("__")
+                      and node.attr not in own]
+    assert not offenders
+
+
 def used_names(trees) -> set[str]:
     used = set()
     for tree in trees:

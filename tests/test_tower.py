@@ -11,8 +11,8 @@ from conftest import SMALL_NAMES
 
 import kocover
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
-                     TowerDepthError, TowerError, builtin, dual_complex, preimage,
-                     random_complex, star)
+                     TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
+                     preimage, random_complex, star)
 from kocover.tower import cells_from_json, proper_faces, vertex_set_from_json
 
 
@@ -108,22 +108,22 @@ def test_carrier_dim_never_rises_to_a_face(small_towers, name, level, density, r
         assert all(t.carrier0_dim(level, f) <= d for f in proper_faces(cell))
 
 
-_STREAMED: dict = {}
+_LEVEL_CELLS: dict = {}
 
 
-def streamed_level(name, t):
-    """A fresh tower on which level t is only streamed, and its cells."""
-    if (name, t) not in _STREAMED:
-        tower = SubdivisionTower(builtin(name))
-        _STREAMED[name, t] = tower, sorted(tower.iter_cells(t))
-    return _STREAMED[name, t]
+def level_cells(name, t):
+    """The level-t cells of a complex, streamed once on a fresh tower."""
+    if (name, t) not in _LEVEL_CELLS:
+        _LEVEL_CELLS[name, t] = sorted(SubdivisionTower(builtin(name)).iter_cells(t))
+    return _LEVEL_CELLS[name, t]
 
 
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 3), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_cells_from_json_accepts_exactly_the_cells(small_towers, name, level, data):
-    streamed, cells = streamed_level(name, level)
-    n = len(streamed.level(level).verts)
+    cells = level_cells(name, level)
+    fresh = SubdivisionTower(builtin(name))
+    n = len(fresh.level(level).verts)
     item = data.draw(st.one_of(
         st.sampled_from(cells).map(list),
         st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True).map(sorted),
@@ -131,13 +131,24 @@ def test_cells_from_json_accepts_exactly_the_cells(small_towers, name, level, da
     materialized = small_towers[name]
     materialized.cells(level)
     is_cell = tuple(item) in set(cells)
-    for tower in (materialized, streamed):
+    for tower in (materialized, fresh):
         if is_cell:
-            assert cells_from_json(tower, level, [item]) == [tuple(item)]
+            decoded = cells_from_json(tower, level, [item])
+            assert decoded == [tuple(item)]
+            # the level's own tuple, not a copy
+            assert decoded[0] is tower.cells(level)[tower.cell_index(level)[decoded[0]]]
         else:
             with pytest.raises(TowerError, match=f"is not a cell of level {level}"):
                 cells_from_json(tower, level, [item])
-    assert level == 0 or streamed.level(level).cells_list is None
+    # decoding materialized the level
+    assert fresh.level(level).cells_list == materialized.cells(level)
+
+
+def test_cells_from_json_over_the_budget_is_a_size_error():
+    # level 3 of delta-2 has 673 cells
+    tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
+    with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
+        cells_from_json(tower, 3, [[0]])
 
 
 @pytest.mark.parametrize("verts", [[1, 0], [2, 2], [True], [-1], [7], ["a"]])
