@@ -15,12 +15,12 @@ increases (push and snap tracks stay inside the open carrier cell until
 they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
 
-A snap is replayed on the dense CellIndex of its materialized level
-(tower.index): the level's face pairs are masked to the carrier and
-labelled into components with array operations, the min-base-vertex rule
-intersects the members' base carriers per component, and an explicit
-assignment is checked for one target per component lying in every
-member's base carrier. Every check is exact; a failure names the failing
+A snap is replayed on the dense CellIndex of its level (tower.index; on a
+level that was only streamed, one of the carrier alone): the face pairs
+are masked to the carrier and labelled into components with array
+operations, the min-base-vertex rule intersects the members' base
+carriers per component, and an explicit assignment is checked for one
+target per component lying in every member's base carrier. Every check is exact; a failure names the failing
 component that holds the least cell.
 """
 
@@ -198,7 +198,7 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
         return frozenset()
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
-    index = tower.index(level)
+    index = tower.index(level, cells)
     pos = index.positions(cells)
     root = index.components(pos)
     order = np.argsort(root, kind="stable")

@@ -8,8 +8,9 @@ the inclusion order of a chain is recovered by sorting on dimension.
 
 Deep levels explode factorially. Levels are materialized lazily and only
 up to a cell budget; one level beyond the last materialized level can
-still be enumerated by streaming chains of the level below. Explicit
-cells (decoded, or indexed for a snap) live on a materialized level.
+still be enumerated by streaming chains of the level below. Decoded
+cells live on a materialized level; a snap on a level that was only
+streamed indexes its carrier alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from typing import Callable, Collection, Container, Iterable, Iterator
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,11 +130,18 @@ class SubdivisionTower:
         self.cells(t)
         return self._levels[t].cell_index  # type: ignore[return-value]
 
-    def index(self, t: int) -> "CellIndex":
-        """The CellIndex of level t, built once; materializes the level."""
+    def index(self, t: int, cells: Collection[CellT]) -> "CellIndex":
+        """A CellIndex holding the given level-t cells: the level's own,
+        built once, when level t is materialized (as every decoded level
+        is); otherwise one over these cells alone, so that a snap past the
+        last materialized level, as certify_to_dimension makes, does not
+        materialize it."""
         lv = self.level(t)
+        if lv.cells_list is None:
+            cells = list(cells)
+            return CellIndex(self, t, cells, dict(zip(cells, range(len(cells)))))
         if lv.index is None:
-            lv.index = CellIndex(self, t)
+            lv.index = CellIndex(self, t, lv.cells_list, lv.cell_index)
         return lv.index
 
     def iter_cells(self, t: int) -> Iterator[CellT]:
@@ -240,23 +248,27 @@ class SubdivisionTower:
 
 
 class CellIndex:
-    """Dense numbers, face incidence and base carriers of the level-t cells.
+    """Dense numbers, face incidence and base carriers of level-t cells.
 
-    Cell i is cells[i], position its cell_index. The face pairs (face_cell[k],
-    face[k]) list every cell with each of its proper faces. carrier[i]
-    numbers carrier0 of cell i among the base cells, and base_verts is the
-    base cells x base vertices table of "v is a vertex of that cell".
+    Cell i is cells[i], and position maps each cell to its number. The face
+    pairs (face_cell[k], face[k]) list every cell with each of its proper
+    faces that is itself in cells. carrier[i] numbers carrier0 of cell i
+    among the base cells, and base_verts is the base cells x base vertices
+    table of "v is a vertex of that cell".
     """
 
-    def __init__(self, tower: SubdivisionTower, t: int):
+    def __init__(self, tower: SubdivisionTower, t: int, cells: Sequence[CellT],
+                 position: dict[CellT, int]):
         self.t = t
-        self.cells = cells = tower.cells(t)
-        self.position = position = tower.cell_index(t)
+        self.cells = cells
+        self.position = position
         cell_ids, face_ids = array("i"), array("i")
         for i, c in enumerate(cells):
             for f in proper_faces(c):
-                cell_ids.append(i)
-                face_ids.append(position[f])
+                j = position.get(f)
+                if j is not None:
+                    cell_ids.append(i)
+                    face_ids.append(j)
         self.face_cell = np.array(cell_ids, dtype=np.int32)
         self.face = np.array(face_ids, dtype=np.int32)
         base = tower.cell_index(0)

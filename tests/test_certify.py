@@ -117,6 +117,17 @@ def test_certify_to_dimension_cases(s2_tower):
     assert verify_certificate(t1, cert).passed
 
 
+def test_certify_to_dimension_snaps_past_the_cell_budget():
+    # level 1 of s3 has 540 cells and level 2 has 12,600: the dual push
+    # refines onto level 2 and the snap there indexes its carrier alone
+    tower = SubdivisionTower(builtin("s3"), max_cells=1000)
+    pts = [c for c in tower.cells(1) if len(c) == 1 and tower.carrier0_dim(1, c) == 3]
+    cert = certify_to_dimension(OpenCellSet(tower, 1, pts[:3]), 0)
+    assert isinstance(cert.steps[-1], StarSnap) and cert.steps[-1].level == 2
+    assert verify_certificate(tower, cert).passed
+    assert tower.level(2).cells_list is None
+
+
 def test_dual_push_requires_disjointness(s2_tower):
     whole = OpenCellSet(s2_tower, 0, s2_tower.base.cells())
     with pytest.raises(CertificateGenerationError):
@@ -306,30 +317,30 @@ def assignment_of(tower, level, cells, rng, kind):
 
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
        density=st.floats(0.05, 0.95), kind=st.sampled_from(SNAP_KINDS),
-       fresh=st.booleans(), rng=st.randoms(use_true_random=False))
+       streamed=st.booleans(), rng=st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
 def test_indexed_snap_matches_union_find(small_towers, name, level, density, kind,
-                                         fresh, rng):
-    # on a fresh tower the level is only streamed until the snap
-    # materializes it and builds the level's index
-    tower = SubdivisionTower(builtin(name)) if fresh else small_towers[name]
-    cells = frozenset(c for c in tower.iter_cells(level) if rng.random() < density)
+                                         streamed, rng):
+    # a streamed level is not materialized: the snap indexes the carrier
+    # alone; a materialized level has its one index
+    tower = SubdivisionTower(builtin(name)) if streamed else small_towers[name]
+    universe = tower.iter_cells(level) if streamed else tower.cells(level)
+    cells = frozenset(c for c in universe if rng.random() < density)
+    index = tower.index(level, cells)
     lv = tower.level(level)
-    assert not fresh or level == 0 or lv.cells_list is None
-    assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
-                                                                  rng, kind))
-    # a missing or non-vertex assignment is refused before the index is used
-    if cells and kind not in ("missing", "non-vertex"):
-        assert lv.cells_list is not None
-        assert lv.index is not None and lv.index.cells is lv.cells_list
-    index = tower.index(level)
-    assert index is lv.index and index.position is tower.cell_index(level)
+    if lv.cells_list is None:
+        assert streamed and lv.index is None and sorted(index.cells) == sorted(cells)
+    else:
+        assert index is lv.index and index.position is lv.cell_index
     root = index.components(index.positions(cells))
     parts = {}
     for c, r in zip(cells, root.tolist()):
         parts.setdefault(r, set()).add(c)
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
     assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
+    assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
+                                                                  rng, kind))
+    assert not streamed or level == 0 or tower.level(level).cells_list is None
 
 
 @pytest.mark.parametrize("kind", SNAP_KINDS)

@@ -12,7 +12,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      cover_signatures, is_k_cover, pullback_cover,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, StarSnap, Target
-from kocover.cover import _edge_path_vertices, check_certificate
+from kocover.cover import _edge_path_vertices
 from kocover.tower import CellIndex
 
 
@@ -188,17 +188,6 @@ def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch):
     monkeypatch.setattr(CellIndex, "__init__", counting_init)
     assert verify_cover_bundle(bundle).ok
     assert built == [4]
-
-
-def test_snap_on_a_level_over_the_budget_is_a_structural_error():
-    # the snap indexes the whole level, so it must fit the budget; level 3
-    # of delta-2 has 673 cells
-    tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
-    el = OpenCellSet(tower, 3, [c for c in tower.iter_cells(3) if len(c) == 1])
-    cert = Certificate(el, (StarSnap(3, "min-base-vertex"),), Target("skeletal", 0))
-    passed, detail = check_certificate(tower, el, cert, 0)
-    assert not passed
-    assert detail.startswith("structural error: level 3 has 673 cells")
 
 
 def test_single_vertex_cover():
