@@ -5,13 +5,14 @@ All bounds use the reduced convention (a contractible space has category
 0) and floor their half-integer values, category being an integer. The
 integer inputs cat_u (category of a classifying map) and cd_pi (the
 cohomological dimension of the fundamental group) are supplied by the
-caller, never computed.
+caller, never computed. Inputs no space can have (negative, or a cat_u
+above the dimension or cd_pi) raise BoundsError instead of giving a bound.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -30,14 +31,19 @@ INF = "inf"
 UNKNOWN = "unknown"
 
 
+def _nonnegative(**inputs: int) -> None:
+    for name, value in inputs.items():
+        if value < 0:
+            raise BoundsError(f"{name} must be nonnegative, got {value}")
+
+
 def main_bound(dim: int, cat_u) -> int:
     """Average of the classifying-map category with the dimension."""
     if not isinstance(cat_u, int):
         raise NotApplicable("cat_u is unknown")
-    if dim < 0 or cat_u < 0:
-        raise BoundsError("inputs must be nonnegative")
+    _nonnegative(dim=dim, cat_u=cat_u)
     if cat_u > dim:
-        raise BoundsError("cat_u cannot exceed the dimension")
+        raise BoundsError(f"cat_u {cat_u} cannot exceed the dimension {dim}")
     return (cat_u + dim) // 2
 
 
@@ -48,8 +54,7 @@ def corollary_bound(dim: int, cd_pi) -> int:
     unchanged."""
     if not isinstance(cd_pi, int):
         raise NotApplicable("cd is infinite or unknown")
-    if dim < 0 or cd_pi < 0:
-        raise BoundsError("inputs must be nonnegative")
+    _nonnegative(dim=dim, cd_pi=cd_pi)
     return (cd_pi + dim) // 2
 
 
@@ -57,12 +62,10 @@ def rconn_bound(dim: int, cat_u, r: int) -> int:
     """Weighted average for an r-connected universal cover, r >= 1."""
     if r == 0:
         return main_bound(dim, cat_u)
-    if r < 0:
-        raise BoundsError("connectivity must be nonnegative")
+    _nonnegative(r=r)
     if not isinstance(cat_u, int):
         raise NotApplicable("cat_u is unknown")
-    if dim < 0 or cat_u < 0:
-        raise BoundsError("inputs must be nonnegative")
+    _nonnegative(dim=dim, cat_u=cat_u)
     return (r * cat_u + dim) // (r + 1)
 
 
@@ -70,11 +73,10 @@ def fibration_bound(dim_base: int, dim_fiber: int,
                     fiber_simply_connected: bool = True,
                     base_aspherical: bool = True) -> int:
     """Bundle bound: base dimension plus half the fiber dimension."""
+    _nonnegative(dim_base=dim_base, dim_fiber=dim_fiber)
     if not (fiber_simply_connected and base_aspherical):
         raise NotApplicable(
             "needs a simply connected fiber over an aspherical base")
-    if dim_base < 0 or dim_fiber < 0:
-        raise BoundsError("inputs must be nonnegative")
     return dim_base + dim_fiber // 2
 
 
@@ -87,6 +89,10 @@ class FibrationProfile:
     cat_base: int | None = None
     cat_fiber: int | None = None
 
+    def __post_init__(self):
+        # the bundle rules have no rule function to refuse these
+        _nonnegative(cat_base=self.cat_base or 0, cat_fiber=self.cat_fiber or 0)
+
 
 @dataclass(frozen=True)
 class BoundProfile:
@@ -98,8 +104,7 @@ class BoundProfile:
     fibration: FibrationProfile | None = None
 
     def __post_init__(self):
-        if self.dim < 0 or self.r < 0:
-            raise BoundsError("dimension and connectivity must be nonnegative")
+        _nonnegative(dim=self.dim, r=self.r)
         if isinstance(self.cat_u, int) and isinstance(self.cd_pi, int) \
                 and self.cat_u > self.cd_pi:
             raise BoundsError(
@@ -128,145 +133,145 @@ class BoundResult:
 
 
 def best_upper(profile: BoundProfile) -> BoundResult:
-    """Minimum over every applicable rule, with one trace entry per rule."""
-    trace: list[TraceEntry] = []
-    n = profile.dim
+    """Minimum over every applicable rule, with one trace entry per rule.
+    Each value comes from the rule's function; a NotApplicable rule is left
+    out, and a BoundsError (inputs no space can have) reaches the caller."""
+    n, r, cat_u, fib = profile.dim, profile.r, profile.cat_u, profile.fibration
+    trace = [TraceEntry("dimension", "upper.dim", {"dim": n}, n)]
 
-    trace.append(TraceEntry("dimension", "upper.dim", {"dim": n}, n))
+    def rule(name: str, anchor: str, inputs: dict, bound, *args) -> None:
+        try:
+            trace.append(TraceEntry(name, anchor, inputs, bound(*args)))
+        except NotApplicable:
+            pass
 
-    simply = profile.simply_connected or profile.r >= 1
-    if simply:
-        trace.append(TraceEntry("halved-dimension", "upper.dim-half",
-                                {"dim": n}, n // 2))
-    if profile.r >= 1:
-        trace.append(TraceEntry("connectivity-fraction", "upper.dim-over-r",
-                                {"dim": n, "r": profile.r},
-                                n // (profile.r + 1)))
-    if isinstance(profile.cat_u, int) and profile.cat_u <= n:
-        trace.append(TraceEntry("classifying-average", "upper.cat-u-average",
-                                {"dim": n, "cat_u": profile.cat_u},
-                                (profile.cat_u + n) // 2))
-        if profile.r >= 1:
-            trace.append(TraceEntry(
-                "weighted-classifying-average", "upper.cat-u-weighted",
-                {"dim": n, "cat_u": profile.cat_u, "r": profile.r},
-                (profile.r * profile.cat_u + n) // (profile.r + 1)))
-    if isinstance(profile.cd_pi, int):
-        trace.append(TraceEntry("group-dimension-average", "upper.cd-average",
-                                {"dim": n, "cd_pi": profile.cd_pi},
-                                (profile.cd_pi + n) // 2))
-    fib = profile.fibration
+    if profile.simply_connected or r >= 1:
+        rule("halved-dimension", "upper.dim-half", {"dim": n}, main_bound, n, 0)
+    if r >= 1:
+        rule("connectivity-fraction", "upper.dim-over-r", {"dim": n, "r": r},
+             rconn_bound, n, 0, r)
+    rule("classifying-average", "upper.cat-u-average", {"dim": n, "cat_u": cat_u},
+         main_bound, n, cat_u)
+    if r >= 1:
+        rule("weighted-classifying-average", "upper.cat-u-weighted",
+             {"dim": n, "cat_u": cat_u, "r": r}, rconn_bound, n, cat_u, r)
+    rule("group-dimension-average", "upper.cd-average",
+         {"dim": n, "cd_pi": profile.cd_pi}, corollary_bound, n, profile.cd_pi)
     if fib is not None:
-        if fib.fiber_simply_connected and fib.base_aspherical:
-            trace.append(TraceEntry(
-                "fibration", "upper.fibration",
-                {"dim_base": fib.dim_base, "dim_fiber": fib.dim_fiber},
-                fib.dim_base + fib.dim_fiber // 2))
+        rule("fibration", "upper.fibration",
+             {"dim_base": fib.dim_base, "dim_fiber": fib.dim_fiber},
+             fibration_bound, fib.dim_base, fib.dim_fiber,
+             fib.fiber_simply_connected, fib.base_aspherical)
         if fib.cat_base is not None and fib.cat_fiber is not None:
+            cats = {"cat_base": fib.cat_base, "cat_fiber": fib.cat_fiber}
             trace.append(TraceEntry(
-                "bundle-product-comparison", "upper.bundle-product",
-                {"cat_base": fib.cat_base, "cat_fiber": fib.cat_fiber},
+                "bundle-product-comparison", "upper.bundle-product", cats,
                 (fib.cat_base + 1) * (fib.cat_fiber + 1) - 1))
             if fib.fiber_simply_connected and fib.cat_fiber == fib.dim_fiber // 2:
-                trace.append(TraceEntry(
-                    "bundle-sum", "upper.bundle-sum",
-                    {"cat_base": fib.cat_base, "cat_fiber": fib.cat_fiber},
-                    fib.cat_base + fib.cat_fiber))
-    value = min(t.value for t in trace)
-    return BoundResult(value, trace)
+                trace.append(TraceEntry("bundle-sum", "upper.bundle-sum", cats,
+                                        fib.cat_base + fib.cat_fiber))
+    return BoundResult(min(t.value for t in trace), trace)
+
+
+_REQUIRED = object()
+_INT = ("an integer", lambda v: type(v) is int)
+_BOOL = ("true or false", lambda v: type(v) is bool)
+_COUNT = (f'an integer, "{INF}" or "{UNKNOWN}"',
+          lambda v: type(v) is int or v in (INF, UNKNOWN))
+
+
+def _profile_field(data, name: str, kind: tuple, default=_REQUIRED):
+    """data[name] when kind accepts it, default when it is absent (or null,
+    for a field whose default is None); anything else raises BoundsError
+    naming the field."""
+    if not isinstance(data, dict):
+        raise BoundsError(f"expected an object with the profile field {name!r}, "
+                          f"got {type(data).__name__}")
+    if name not in data or (data[name] is None and default is None):
+        if default is _REQUIRED:
+            raise BoundsError(f"profile field {name!r} is required")
+        return default
+    what, accepts = kind
+    if not accepts(data[name]):
+        raise BoundsError(f"profile field {name!r} must be {what}, got {data[name]!r}")
+    return data[name]
 
 
 def profile_from_json(data: dict) -> BoundProfile:
+    """The profile a JSON object describes. Every field is type-checked
+    (integers are never bools); a mistyped, missing or out-of-range field
+    raises BoundsError naming it. An absent, null or empty "fibration"
+    means none."""
     fib = None
-    if data.get("fibration"):
-        f = data["fibration"]
+    f = _profile_field(data, "fibration", ("an object", lambda v: type(v) is dict), None)
+    if f:
         fib = FibrationProfile(
-            f["dim_base"], f["dim_fiber"],
-            f.get("fiber_simply_connected", False),
-            f.get("base_aspherical", False),
-            f.get("cat_base"), f.get("cat_fiber"))
+            _profile_field(f, "dim_base", _INT), _profile_field(f, "dim_fiber", _INT),
+            _profile_field(f, "fiber_simply_connected", _BOOL, False),
+            _profile_field(f, "base_aspherical", _BOOL, False),
+            _profile_field(f, "cat_base", _INT, None),
+            _profile_field(f, "cat_fiber", _INT, None))
     return BoundProfile(
-        dim=data["dim"], r=data.get("r", 0),
-        cd_pi=data.get("cd_pi", UNKNOWN), cat_u=data.get("cat_u", UNKNOWN),
-        simply_connected=data.get("simply_connected", False), fibration=fib)
+        dim=_profile_field(data, "dim", _INT), r=_profile_field(data, "r", _INT, 0),
+        cd_pi=_profile_field(data, "cd_pi", _COUNT, UNKNOWN),
+        cat_u=_profile_field(data, "cat_u", _COUNT, UNKNOWN),
+        simply_connected=_profile_field(data, "simply_connected", _BOOL, False),
+        fibration=fib)
 
 
 # -- mod-2 simplicial cohomology and cup length --------------------------------
 
 
-def gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over the two-element field (XOR elimination)."""
-    m = (mat.astype(np.uint8) & 1).copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + hits[0]
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        for other in range(rows):
-            if other != r and m[other, c]:
-                m[other] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+class Gf2Span:
+    """Span of the vectors added so far over the two-element field, kept in
+    echelon form. Each row remembers which added vectors sum to it, so an
+    added vector that reduces to zero records a relation among them: adding
+    the columns of a matrix gives its rank and a basis of its kernel."""
 
+    def __init__(self):
+        # (pivot, row, bitmask of the added vectors that sum to the row),
+        # in pivot order; relations are bitmasks of sums that vanish
+        self.rows: list[tuple[int, np.ndarray, int]] = []
+        self.relations: list[int] = []
+        self.added = 0
 
-def gf2_rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    return len(gf2_rref(mat)[1])
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
-
-def gf2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of the kernel (column vectors) over the two-element field."""
-    rows, cols = mat.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [np.eye(cols, dtype=np.uint8)[i] for i in range(cols)]
-    red, pivots = gf2_rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            if red[i, f]:
-                v[p] = 1
-        basis.append(v)
-    return basis
-
-
-class _Gf2Incremental:
-    """Growing span in echelon form: an independence test, and reduction to
-    the coset representative that vanishes on the pivot columns."""
-
-    def __init__(self, vectors: Iterable[np.ndarray] = ()):
-        self.rows: list[tuple[int, np.ndarray]] = []
-        for v in vectors:
-            self.add_if_independent(v)
+    def _eliminate(self, v: np.ndarray) -> tuple[np.ndarray, int]:
+        # rows in pivot order, each zero before its pivot: one pass clears
+        # every pivot position of v
+        red, combo = v.astype(np.uint8), 0
+        for pivot, row, row_combo in self.rows:
+            if red[pivot]:
+                red ^= row
+                combo ^= row_combo
+        return red, combo
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        red = v.copy()
-        for p, row in self.rows:
-            if red[p]:
-                red ^= row
-        return red
+        """The member of v's coset that vanishes on every pivot: linear, the
+        same for all of v plus the span, and zero exactly on the span."""
+        return self._eliminate(v)[0]
 
-    def add_if_independent(self, v: np.ndarray) -> bool:
-        red = self.reduce(v)
+    def add(self, v: np.ndarray) -> bool:
+        """Add v; True when it enlarges the span."""
+        red, combo = self._eliminate(v)
+        combo ^= 1 << self.added
+        self.added += 1
         if not red.any():
+            self.relations.append(combo)
             return False
-        pivot = int(np.nonzero(red)[0][0])
-        self.rows.append((pivot, red))
-        self.rows.sort(key=lambda pr: pr[0])
+        bisect.insort(self.rows, (int(red.argmax()), red, combo), key=lambda row: row[0])
         return True
+
+    def kernel(self) -> list[np.ndarray]:
+        """Basis of the combinations of the added vectors that sum to zero,
+        as 0/1 vectors indexed by order of addition."""
+        size = (self.added + 7) // 8
+        return [np.unpackbits(np.frombuffer(c.to_bytes(size, "little"), np.uint8),
+                              bitorder="little")[:self.added]
+                for c in self.relations]
 
 
 def coboundary_matrices(cx: Complex) -> list[np.ndarray]:
@@ -277,55 +282,46 @@ def coboundary_matrices(cx: Complex) -> list[np.ndarray]:
     """
     mats = []
     for p in range(cx.dim + 1):
-        low = cx.cells(p)
+        idx = {c: i for i, c in enumerate(cx.cells(p))}
         high = cx.cells(p + 1)
-        idx = {c: i for i, c in enumerate(low)}
-        m = np.zeros((len(high), len(low)), dtype=np.uint8)
+        m = np.zeros((len(high), len(idx)), dtype=np.uint8)
         for ti, t in enumerate(high):
             for k in range(len(t)):
-                face = t[:k] + t[k + 1:]
-                m[ti, idx[face]] = 1
+                m[ti, idx[t[:k] + t[k + 1:]]] = 1
         mats.append(m)
     return mats
 
 
+@dataclass
+class Cohomology:
+    """Mod-2 cohomology in degrees 0..dim: per degree p, the span of the
+    coboundaries in C^p and cocycles whose classes are a basis of H^p."""
+    images: list[Gf2Span]
+    representatives: list[list[np.ndarray]]
+
+
+def cohomology(cx: Complex) -> Cohomology:
+    # adding the columns of the degree-p coboundary gives the p-cocycles
+    # (its kernel) and the span of the (p+1)-coboundaries at once
+    spans = []
+    for m in coboundary_matrices(cx):
+        span = Gf2Span()
+        for column in m.T:
+            span.add(column)
+        spans.append(span)
+    images = [Gf2Span()] + spans[:-1]
+    reps = []
+    for image, span in zip(images, spans):
+        # reduction is linear with kernel the image, so independent
+        # reductions are independent classes
+        classes = Gf2Span()
+        reps.append([v for v in span.kernel() if classes.add(image.reduce(v))])
+    return Cohomology(images, reps)
+
+
 def betti_mod2(cx: Complex) -> list[int]:
     """Mod-2 Betti numbers in degrees 0..dim."""
-    mats = coboundary_matrices(cx)
-    out = []
-    for p in range(cx.dim + 1):
-        n_p = len(cx.cells(p))
-        rank_up = gf2_rank(mats[p]) if p < len(mats) else 0
-        rank_down = gf2_rank(mats[p - 1]) if p >= 1 else 0
-        out.append(n_p - rank_up - rank_down)
-    return out
-
-
-def cohomology_representatives(cx: Complex, p: int) -> list[np.ndarray]:
-    """Cocycle vectors representing a basis of degree-p cohomology."""
-    mats = coboundary_matrices(cx)
-    n_p = len(cx.cells(p))
-    if n_p == 0:
-        return []
-    if p < len(mats) and mats[p].shape[0] > 0:
-        kernel = gf2_nullspace(mats[p])
-    else:
-        kernel = [np.eye(n_p, dtype=np.uint8)[i] for i in range(n_p)]
-    span = _Gf2Incremental(_image_vectors(mats, p, n_p))
-    reps = []
-    for v in kernel:
-        if span.add_if_independent(v):
-            reps.append(v)
-    return reps
-
-
-def _image_vectors(mats: list[np.ndarray], p: int, n_p: int) -> list[np.ndarray]:
-    # the degree-(p-1) coboundary maps C^(p-1) into C^p; its columns span
-    # the coboundary image in degree p
-    if p == 0 or n_p == 0:
-        return []
-    m = mats[p - 1]
-    return [m[:, j].copy() for j in range(m.shape[1])]
+    return [len(reps) for reps in cohomology(cx).representatives]
 
 
 def cup_product(cx: Complex, p: int, q: int,
@@ -336,47 +332,28 @@ def cup_product(cx: Complex, p: int, q: int,
     high = cx.cells(p + q)
     out = np.zeros(len(high), dtype=np.uint8)
     for ti, t in enumerate(high):
-        front = t[:p + 1]
-        back = t[p:]
-        out[ti] = a[low_p[front]] & b[low_q[back]]
+        out[ti] = a[low_p[t[:p + 1]]] & b[low_q[t[p:]]]  # front and back faces
     return out
 
 
 def cuplength_mod2(cx: Complex) -> int:
     """Largest k with a nonzero k-fold product of positive-degree classes."""
-    n = cx.dim
-    mats = coboundary_matrices(cx)
-    reps: dict[int, list[np.ndarray]] = {}
-    for p in range(1, n + 1):
-        rs = cohomology_representatives(cx, p)
-        if rs:
-            reps[p] = rs
-    if not reps:
-        return 0
-    image_spans = {p: _Gf2Incremental(_image_vectors(mats, p, len(cx.cells(p))))
-                   for p in range(1, n + 1)}
+    co = cohomology(cx)
+    classes = [(p, v) for p, reps in enumerate(co.representatives) if p >= 1
+               for v in reps]
     # k-fold products, deduplicated per length by their canonical coset
     # form; degrees grow strictly, so at most dim rounds happen
-    frontier: dict[tuple[int, bytes], np.ndarray] = {}
-    for p, rs in reps.items():
-        for v in rs:
-            red = image_spans[p].reduce(v)
-            if red.any():
-                frontier[(p, red.tobytes())] = v
-    best = 1 if frontier else 0
+    frontier = {(p, co.images[p].reduce(v).tobytes()): v for p, v in classes}
+    best = 0
     while frontier:
-        new_frontier: dict[tuple[int, bytes], np.ndarray] = {}
-        for (deg, _), vec in frontier.items():
-            for q, rs in reps.items():
-                if deg + q > n:
-                    continue
-                for w in rs:
-                    prod = cup_product(cx, deg, q, vec, w)
-                    red = image_spans[deg + q].reduce(prod)
-                    if red.any():
-                        new_frontier[(deg + q, red.tobytes())] = prod
-        if not new_frontier:
-            break
         best += 1
-        frontier = new_frontier
+        products: dict[tuple[int, bytes], np.ndarray] = {}
+        for (deg, _), vec in frontier.items():
+            for q, w in classes:
+                if deg + q <= cx.dim:
+                    prod = cup_product(cx, deg, q, vec, w)
+                    red = co.images[deg + q].reduce(prod)
+                    if red.any():
+                        products[(deg + q, red.tobytes())] = prod
+        frontier = products
     return best

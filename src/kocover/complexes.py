@@ -129,7 +129,23 @@ class Complex:
 
     @classmethod
     def from_json(cls, data: dict) -> "Complex":
-        return cls(data["vertices"], data["facets"], name=data.get("name") or None)
+        """Inverse of to_json. A non-object, "vertices" that are not a list
+        of strings, "facets" that are not a list of such lists, or a
+        "name" that is not a string raise ComplexError naming the field."""
+        if not isinstance(data, dict):
+            raise ComplexError(f"a complex must be an object, got {type(data).__name__}")
+        vertices, facets, name = data.get("vertices"), data.get("facets"), data.get("name", "")
+        if not _is_strings(vertices):
+            raise ComplexError(f"complex field 'vertices' must be a list of strings, "
+                               f"got {vertices!r}")
+        bad = [facets] if type(facets) is not list else \
+            [f for f in facets if not _is_strings(f)]
+        if bad:
+            raise ComplexError(f"complex field 'facets' must be a list of lists of "
+                               f"strings, got {bad[0]!r}")
+        if type(name) is not str:
+            raise ComplexError(f"complex field 'name' must be a string, got {name!r}")
+        return cls(vertices, facets, name=name or None)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Complex) and self.vertices == other.vertices
@@ -141,6 +157,10 @@ class Complex:
     def __repr__(self) -> str:
         return (f"Complex({self.name or 'unnamed'}: {len(self.vertices)} vertices, "
                 f"{len(self.facets)} facets, dim {self.dim})")
+
+
+def _is_strings(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
 
 
 # -- built-in catalog --------------------------------------------------------

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kocover import (BoundProfile, BoundsError, FibrationProfile, NotApplicable,
                      best_upper, betti_mod2, builtin, corollary_bound,
                      cuplength_mod2, fibration_bound, main_bound, rconn_bound)
-from kocover.bounds import (_Gf2Incremental, coboundary_matrices,
-                            cohomology_representatives, cup_product, gf2_rank)
+from kocover.bounds import Gf2Span, coboundary_matrices, cohomology, cup_product
 
 
 def test_main_bound_examples():
@@ -73,6 +72,44 @@ def test_profile_validation():
         BoundProfile(dim=3, cat_u=2, cd_pi=1)
 
 
+# each rule's value from the rule function that owns its formula; the two
+# bundle comparisons have no function of their own
+_RULE_VALUES = {
+    "dimension": lambda i: i["dim"],
+    "halved-dimension": lambda i: main_bound(i["dim"], 0),
+    "connectivity-fraction": lambda i: rconn_bound(i["dim"], 0, i["r"]),
+    "classifying-average": lambda i: main_bound(i["dim"], i["cat_u"]),
+    "weighted-classifying-average": lambda i: rconn_bound(i["dim"], i["cat_u"], i["r"]),
+    "group-dimension-average": lambda i: corollary_bound(i["dim"], i["cd_pi"]),
+    "fibration": lambda i: fibration_bound(i["dim_base"], i["dim_fiber"]),
+    "bundle-product-comparison": lambda i: (i["cat_base"] + 1) * (i["cat_fiber"] + 1) - 1,
+    "bundle-sum": lambda i: i["cat_base"] + i["cat_fiber"],
+}
+
+
+def test_best_upper_values_come_from_the_rule_functions():
+    fibrations = [None, FibrationProfile(2, 3, True, True),
+                  FibrationProfile(2, 2, True, True, cat_base=2, cat_fiber=1),
+                  FibrationProfile(1, 4, False, True, cat_base=1, cat_fiber=2)]
+    for dim in range(7):
+        for r in range(3):
+            for cd in ["unknown", "inf", *range(7)]:
+                top = min(dim, cd) if isinstance(cd, int) else dim
+                for cat_u in ["unknown", *range(top + 1)]:
+                    for simply in (False, True):
+                        for fib in fibrations:
+                            prof = BoundProfile(dim=dim, r=r, cd_pi=cd, cat_u=cat_u,
+                                                simply_connected=simply, fibration=fib)
+                            res = best_upper(prof)
+                            for t in res.trace:
+                                assert t.value == _RULE_VALUES[t.rule](t.inputs), (prof, t)
+                            rules = {t.rule for t in res.trace}
+                            assert ("classifying-average" in rules) == isinstance(cat_u, int)
+                            assert ("group-dimension-average" in rules) == isinstance(cd, int)
+                            assert ("connectivity-fraction" in rules) == (r >= 1)
+                            assert res.value == min(t.value for t in res.trace)
+
+
 def test_best_upper_examples():
     res = best_upper(BoundProfile(dim=2, cd_pi=2))
     assert res.value == 2
@@ -134,23 +171,44 @@ def _oracle_rank_gf2(mat):
 def test_betti_numbers_with_oracle(name, betti):
     cx = builtin(name)
     assert betti_mod2(cx) == betti
-    # dual-route check: every coboundary rank agrees with the oracle
+    # dual-route check: the span's rank of every coboundary matrix agrees
+    # with the oracle
     for m in coboundary_matrices(cx):
-        assert gf2_rank(m) == _oracle_rank_gf2(m)
+        assert _span_of_columns(m).rank == _oracle_rank_gf2(m)
+
+
+def _span_of_columns(mat):
+    span = Gf2Span()
+    for j in range(mat.shape[1]):
+        span.add(mat[:, j])
+    return span
+
+
+@given(data=st.data(), rows=st.integers(0, 12), cols=st.integers(0, 20))
+@settings(max_examples=150, deadline=None)
+def test_span_kernel_is_a_null_space_basis(data, rows, cols):
+    bits = st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols)
+    mat = np.array(data.draw(bits), dtype=np.uint8).reshape(rows, cols)
+    kernel = _span_of_columns(mat).kernel()
+    assert len(kernel) == cols - _oracle_rank_gf2(mat)
+    for v in kernel:
+        assert v.shape == (cols,) and not (mat.astype(int) @ v % 2).any()
+    # independent: the kernel vectors, stacked, have full rank
+    assert _oracle_rank_gf2(np.array(kernel).reshape(len(kernel), cols)) == len(kernel)
 
 
 def test_cocycle_conditions():
     cx = builtin("torus-7")
     mats = coboundary_matrices(cx)
+    reps = cohomology(cx).representatives
     for p in (1, 2):
-        for v in cohomology_representatives(cx, p):
-            if p < cx.dim:
-                assert not (mats[p] @ v % 2).any()
+        for v in reps[p]:
+            assert not (mats[p] @ v % 2).any()
 
 
 def test_cup_product_bilinear_and_graded():
     cx = builtin("torus-7")
-    reps = cohomology_representatives(cx, 1)
+    reps = cohomology(cx).representatives[1]
     a, b = reps
     ab = cup_product(cx, 1, 1, a, b)
     ba = cup_product(cx, 1, 1, b, a)
@@ -168,7 +226,7 @@ def test_span_reduction_is_constant_on_cosets(name, p, data):
     # cup-length dedup keys products by this reduction, so it must not see
     # which coset representative it was given
     mat = coboundary_matrices(builtin(name))[p - 1]
-    span = _Gf2Incremental(mat[:, j] for j in range(mat.shape[1]))
+    span = _span_of_columns(mat)
     bits = st.lists(st.integers(0, 1), min_size=mat.shape[0], max_size=mat.shape[0])
     v = np.array(data.draw(bits), dtype=np.uint8)
     x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=mat.shape[1],

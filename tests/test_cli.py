@@ -38,6 +38,65 @@ def test_bounds_fibration(capsys):
     assert json.loads(out)["value"] == 5
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--dim", "2", "--cd", "-4"], "cd_pi must be nonnegative"),
+    (["--dim", "2", "--cat-u", "-1"], "cat_u must be nonnegative"),
+    (["--dim", "2", "--cat-u", "3"], "cannot exceed the dimension"),
+    (["--dim", "2", "--r", "1", "--cat-u", "-3"], "cat_u must be nonnegative"),
+    (["--dim", "2", "--base-dim", "1", "--fiber-dim", "-4"], "dim_fiber must be nonnegative"),
+])
+def test_bounds_refuses_impossible_inputs(capsys, argv, named):
+    # each once exited 0 with a bound of -1 or 0, or silently dropped a rule
+    code, out, err = invoke(capsys, "bounds", *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("profile,named", [
+    pytest.param([1, 2], "got list", id="list"),
+    pytest.param({}, "'dim' is required", id="no-dim"),
+    pytest.param({"dim": "3"}, "'dim'", id="dim-str"),
+    pytest.param({"dim": True}, "'dim'", id="dim-bool"),
+    pytest.param({"dim": 3, "r": 1.0}, "'r'", id="r-float"),
+    pytest.param({"dim": 3, "cd_pi": "infinite"}, "'cd_pi'", id="cd-word"),
+    pytest.param({"dim": 3, "cat_u": 2.5}, "'cat_u'", id="cat_u-float"),
+    pytest.param({"dim": 3, "cat_u": None}, "'cat_u'", id="cat_u-null"),
+    pytest.param({"dim": 3, "simply_connected": 1}, "'simply_connected'",
+                 id="simply-connected-1"),
+    pytest.param({"dim": 3, "fibration": 5}, "'fibration'", id="fibration-5"),
+    pytest.param({"dim": 3, "fibration": {"dim_base": "x", "dim_fiber": 2}},
+                 "'dim_base'", id="dim_base-str"),
+    pytest.param({"dim": 3, "fibration": {"dim_base": 1}}, "'dim_fiber' is required",
+                 id="no-dim_fiber"),
+    pytest.param({"dim": 3, "fibration": {"dim_base": 1, "dim_fiber": 2,
+                                          "cat_base": True, "cat_fiber": 1}},
+                 "'cat_base'", id="cat_base-bool"),
+    pytest.param({"dim": 3, "fibration": {"dim_base": 1, "dim_fiber": 2,
+                                          "cat_base": 1, "cat_fiber": -1}},
+                 "cat_fiber must be nonnegative", id="cat_fiber-negative"),
+    pytest.param({"dim": 3, "fibration": {"dim_base": 1, "dim_fiber": 2, "cat_base": -1}},
+                 "cat_base must be nonnegative", id="cat_base-negative-alone"),
+    # refused even where the fibration rule does not apply
+    pytest.param({"dim": 3, "fibration": {"dim_base": -1, "dim_fiber": 4}},
+                 "dim_base must be nonnegative", id="dim_base-negative"),
+    pytest.param({"dim": -1}, "dim must be nonnegative", id="dim-negative"),
+])
+def test_bounds_mistyped_profile_is_usage_error(tmp_path, capsys, profile, named):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    code, out, err = invoke(capsys, "bounds", "--profile", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and named in err
+
+
+def test_bounds_profile_file(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"dim": 4, "cd_pi": "inf", "cat_u": 1, "fibration": None}))
+    code, out, _ = invoke(capsys, "bounds", "--profile", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == 2
+
+
 def test_complex_info_and_dual(capsys):
     code, out, _ = invoke(capsys, "complex", "info", "--builtin", "torus-7", "--json")
     assert code == 0
@@ -212,6 +271,11 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
                  "'assignment'", id="cover-assignment-list"),
     pytest.param("cover", ("elements", 0), {"kind": "star", "level": 1, "centers": "old"},
                  "'centers'", id="cover-centers-old"),
+    pytest.param("cover", ("complex", "vertices"), 5, "'vertices'",
+                 id="cover-complex-vertices-5"),
+    pytest.param("cover", ("complex", "facets"), 5, "'facets'", id="cover-complex-facets-5"),
+    pytest.param("cover", ("complex", "facets", 0), 5, "'facets'",
+                 id="cover-complex-facet-5"),
 ])
 def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, where,
                                                   value, named):
@@ -391,3 +455,13 @@ def test_complex_from_file(tmp_path, capsys):
     code, out, _ = invoke(capsys, "complex", "info", "--in", str(path), "--json")
     assert code == 0
     assert json.loads(out)["dim"] == 1
+
+
+@pytest.mark.parametrize("action", ["info", "bary"])
+def test_complex_with_integer_labels_is_usage_error(tmp_path, capsys, action):
+    # integer labels once crashed `complex bary` with a TypeError traceback
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"vertices": [0, 1], "facets": [[0, 1]]}))
+    code, out, err = invoke(capsys, "complex", action, "--in", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'vertices'" in err
