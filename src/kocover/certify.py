@@ -433,6 +433,9 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
             assignment = json_field(sd, "assignment", dict, CertificateFormatError)
             if assignment["kind"] == "min-base-vertex":
                 steps.append(StarSnap(level, "min-base-vertex"))
+            elif assignment["kind"] != "explicit":
+                raise CertificateFormatError(
+                    f"unknown snap assignment kind {assignment['kind']!r}")
             else:
                 pairs = json_field(assignment, "pairs", list, CertificateFormatError)
                 if not all(isinstance(p, list) and len(p) == 2 for p in pairs):

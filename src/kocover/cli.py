@@ -184,7 +184,10 @@ def _cmd_bounds(args) -> int:
         if args.dim is None:
             raise BoundsError("either --profile or --dim is required")
         fib = None
-        if args.base_dim is not None and args.fiber_dim is not None:
+        if (args.base_dim is None) != (args.fiber_dim is None):
+            missing = "--base-dim" if args.base_dim is None else "--fiber-dim"
+            raise BoundsError(f"the fibration rule needs {missing} as well")
+        if args.base_dim is not None:
             fib = FibrationProfile(args.base_dim, args.fiber_dim,
                                    fiber_simply_connected=True,
                                    base_aspherical=True)

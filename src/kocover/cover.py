@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .complexes import Complex, SimplicialMap
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
@@ -362,6 +365,9 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     contained in the star of a base vertex (the central disks and the
     corner regions), so a single vertex snap certifies every element; the
     certificate verifier re-checks that claim from scratch.
+
+    The search runs on the level's CellIndex, the one the snaps replay on:
+    regions, rings, cracks and miss counts are arrays over cell numbers.
     """
     level = 4
     if tower.max_level < level:
@@ -372,141 +378,115 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
         cells = tower.cells(level)
     except TowerSizeError as exc:
         raise ConstructionError(f"wheel cracks: {exc}") from None
-    lv = tower.level(level)
-    carrier_dim = {c: tower.carrier0_dim(level, c) for c in cells}
-
-    cofaces: dict[CellT, list[CellT]] = {c: [] for c in cells}
-    for c in cells:
-        for f in proper_faces(c):
-            cofaces[f].append(c)
-
+    index = tower.index(level, cells)
+    n = len(cells)
+    base = tower.cell_index(0)
+    carrier_dim = np.array([len(c) - 1 for c in base])[index.carrier]
+    dim = np.fromiter(map(len, cells), dtype=np.int8, count=n) - 1
     two_cells = [c for c in cx.cells() if len(c) == 3]
     base_edges = [c for c in cx.cells() if len(c) == 2]
-    edge_of_tri = {t: list(itertools.combinations(t, 2)) for t in two_cells}
 
-    def lift_barycenter(t: CellT) -> CellT:
-        v = tower.level(1).vert_id[t]
-        for s in range(2, level + 1):
-            v = tower.level(s).vert_id[(v,)]
-        return (v,)
-
-    # nested neighborhood circles around every 2-cell barycenter
-    circles: dict[tuple[int, CellT], set[CellT]] = {}
-    for t in two_cells:
-        seed = lift_barycenter(t)
-        region: set[CellT] = {seed}
-        for k in range(1, m + 1):
-            verts_in = {v for c in region for v in c}
-            grown = set(region)
-            for v in verts_in:
-                grown.update(cofaces[(v,)])
-                grown.add((v,))
-            closed = set(grown)
-            for c in grown:
-                closed.update(proper_faces(c))
-            bd = {c for c in closed
-                  if any(cf not in closed for cf in cofaces[c])}
-            if any(tower.carrier0(level, c) != t for c in bd):
-                raise ConstructionError(
-                    f"wheel cracks: m={m} neighborhood rings around a 2-cell "
-                    f"barycenter reach its boundary at level {level}")
-            circles[(k, t)] = bd
-            region = closed
+    # nested neighborhood rings around the 2-cell barycenters, grown for
+    # all 2-cells at once. While every region stays inside its 2-cell, no
+    # two meet. The first round in which one does not fails the check that
+    # growing it alone would fail: its ring holds a cell over a base edge
+    # or vertex, or the region holds a cell over a base face of two
+    # 2-cells, whose cofaces in the other one it lacks
+    shared = np.zeros(len(base), dtype=bool)
+    for f, k in Counter(f for t in two_cells for f in proper_faces(t)).items():
+        shared[base[f]] = k > 1
+    region = np.zeros(n, dtype=bool)
+    region[[index.position[(tower.barycenter(t, level),)] for t in two_cells]] = True
+    cracks = np.zeros((m, n), dtype=bool)  # element i misses ring i+1
+    for ring in cracks:
+        # the region is closed, so the cells with a face in it are the
+        # stars of its vertices; then their faces
+        closed = region.copy()
+        closed[index.face_cell[region[index.face]]] = True
+        closed[index.face[closed[index.face_cell]]] = True
+        ring[index.face[closed[index.face] & ~closed[index.face_cell]]] = True
+        if (carrier_dim[ring] != 2).any() or shared[index.carrier[closed]].any():
+            raise ConstructionError(
+                f"wheel cracks: m={m} neighborhood rings around a 2-cell "
+                f"barycenter reach its boundary at level {level}")
+        region = closed
     # one fresh interior edge vertex per element and edge, spread dyadically
     positions = [num * 2 ** (level - depth) for depth, num in _dyadic_phases(m)]
-    edge_vert: dict[tuple[int, CellT], CellT] = {}
+    edge_vert: dict[CellT, list[int]] = {}  # base edge -> cell number per element
     for e in base_edges:
         path = _edge_path_vertices(tower, level, e)
-        for i in range(m):
-            edge_vert[(i, e)] = (path[positions[i]],)
-
-    counts: dict[CellT, int] = {}
-    cracks: list[set[CellT]] = [set() for _ in range(m)]
-    for i in range(m):
-        for t in two_cells:
-            cracks[i].update(circles[(i + 1, t)])
-        for e in base_edges:
-            cracks[i].add(edge_vert[(i, e)])
-    for crack in cracks:
-        for c in crack:
-            counts[c] = counts.get(c, 0) + 1
-    if any(counts[c] > carrier_dim[c] for crack in cracks for c in crack):
+        edge_vert[e] = [index.position[(path[p],)] for p in positions]
+        cracks[np.arange(m), edge_vert[e]] = True
+    counts = cracks.sum(axis=0)
+    if (counts > carrier_dim).any():
         raise ConstructionError("wheel cracks: ring reservation exceeds a budget")
 
+    # vertex -> edge adjacency (CSR over cell numbers) from the face pairs
+    # of the edges; a stable sort keeps each vertex's edges ascending.
+    # Memoryviews read Python ints from the arrays without a list of them
+    pair = np.flatnonzero(dim[index.face_cell] == 1)
+    ends = index.face[pair].reshape(-1, 2)
+    order = np.argsort(ends.ravel(), kind="stable")
+    adjacency = (memoryview(np.searchsorted(ends.ravel()[order], np.arange(n + 1))),
+                 memoryview(ends[:, ::-1].ravel()[order]),
+                 memoryview(np.repeat(index.face_cell[pair[::2]], 2)[order]))
     for i in range(m):
         crack = cracks[i]
         for t in two_cells:
-            starts = {v for c in circles[(i + 1, t)] for v in c}
-            for e in edge_of_tri[t]:
-                target = edge_vert[(i, e)][0]
-                path = _arc_bfs(lv, cofaces, carrier_dim, counts, crack,
-                                starts, target, t)
+            # the crack's vertices over t are still those of its ring
+            inside = index.carrier == base[t]
+            starts = np.flatnonzero(crack & inside & (dim == 0)).tolist()
+            for e in itertools.combinations(t, 2):
+                free = inside & ~crack & (counts < carrier_dim)
+                path = _arc_bfs(adjacency, free, starts, edge_vert[e][i])
                 if path is None:
                     raise ConstructionError(
                         f"wheel cracks: no room for an arc of element {i} "
                         f"in 2-cell {cx.label_cell(t)}")
-                for c in path:
-                    if c not in crack:
-                        crack.add(c)
-                        counts[c] = counts.get(c, 0) + 1
-    # the search tables are done with; the certificate checks below build
-    # the level's cell index, and the two should not be alive together
-    del cofaces, carrier_dim, circles, counts
+                new = path[~crack[path]]
+                crack[new] = True
+                counts[new] += 1
 
-    elements: list[CellSet] = []
-    certs: list[Certificate] = []
-    for i in range(m):
-        el = OpenCellSet(tower, level, (c for c in cells if c not in cracks[i]))
-        cert = Certificate(el, (StarSnap(level, "min-base-vertex"),),
-                           Target("skeletal", 0))
+    elements: list[CellSet] = [
+        OpenCellSet(tower, level, map(cells.__getitem__, np.flatnonzero(~crack).tolist()))
+        for crack in cracks]
+    certs = [Certificate(el, (StarSnap(level, "min-base-vertex"),), Target("skeletal", 0))
+             for el in elements]
+    for i, cert in enumerate(certs):
         verdict = verify_certificate(tower, cert)
         if not verdict.passed:
             raise ConstructionError(
                 f"wheel cracks: element {i} does not snap: {verdict.reason}")
-        elements.append(el)
-        certs.append(cert)
     return CoverBundle(cx, tower, 0, m, elements, certs, "wheel-cracks")
 
 
-def _arc_bfs(lv, cofaces, carrier_dim, counts, own_crack,
-             starts: set[int], target: int, tri: CellT):
-    """Shortest vertex path from a circle to an edge vertex, through cells
-    strictly interior to the 2-cell whose remaining miss budget allows one
-    more crack; returns the new crack cells or None."""
+def _arc_bfs(adjacency: tuple[memoryview, memoryview, memoryview], free: np.ndarray,
+             starts: list[int], target: int) -> np.ndarray | None:
+    """Shortest vertex path from a ring to an edge vertex through free
+    cells, by cell number; returns its cells apart from the start, or None.
 
-    def vert_ok(v: int) -> bool:
-        c = (v,)
-        if v == target:
-            return counts.get(c, 0) <= carrier_dim[c]  # already reserved
-        return lv.vbase[v] == tri and c not in own_crack \
-            and counts.get(c, 0) + 1 <= carrier_dim[c]
-
-    def edge_ok(u: int, w: int) -> bool:
-        c = (u, w) if u < w else (w, u)
-        return c in cofaces and c not in own_crack \
-            and counts.get(c, 0) + 1 <= carrier_dim[c]
-
-    prev: dict[int, int | None] = {v: None for v in starts}
-    queue = sorted(starts)
+    adjacency holds, per vertex cell u, the slots offsets[u]:offsets[u+1]
+    of its other ends and edges, edges ascending; starts ascend. The
+    target, already in the crack, needs no room.
+    """
+    offsets, other, edge = adjacency
+    prev: dict[int, tuple[int, int] | None] = dict.fromkeys(starts)
+    queue = starts
     while queue:
         nxt = []
         for u in queue:
-            for c in cofaces[(u,)]:
-                if len(c) != 2:
+            for j in range(offsets[u], offsets[u + 1]):
+                w, e = other[j], edge[j]
+                if w in prev or not free[e] or not (w == target or free[w]):
                     continue
-                w = c[0] if c[1] == u else c[1]
-                if w in prev or not edge_ok(u, w) or not vert_ok(w):
-                    continue
-                prev[w] = u
+                prev[w] = (u, e)
                 if w == target:
-                    out: set[CellT] = set()
-                    cur: int | None = w
-                    while cur is not None and prev[cur] is not None:
-                        p = prev[cur]
-                        out.add((cur,))
-                        out.add((p, cur) if p < cur else (cur, p))  # type: ignore[operator]
-                        cur = p
-                    return out
+                    path = []
+                    while prev[w] is not None:
+                        u, e = prev[w]  # type: ignore[misc]
+                        path += [w, e]
+                        w = u
+                    return np.array(path)
                 nxt.append(w)
         queue = sorted(nxt)
     return None

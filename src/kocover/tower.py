@@ -59,15 +59,17 @@ class _Level:
     """Vertex tables for one tower level.
 
     verts[i] is the underlying object of vertex i: the base vertex index at
-    level 0, and the level-(t-1) cell at level t. vdim is the dimension of
-    that underlying cell; vbase is the base cell whose open cell contains
-    the vertex point.
+    level 0, and the level-(t-1) cell at level t, so that verts and its
+    inverse vert_id are the lower level's cells_list and cell_index. vdim
+    is the dimension of that underlying cell; vbase is the base cell whose
+    open cell contains the vertex point.
     """
 
-    def __init__(self, t: int, verts: list, vdim: list[int], vbase: list[CellT]):
+    def __init__(self, t: int, verts: list, vert_id: dict, vdim: list[int],
+                 vbase: list[CellT]):
         self.t = t
         self.verts = verts
-        self.vert_id: dict = {v: i for i, v in enumerate(verts)}
+        self.vert_id = vert_id
         self.vdim = vdim
         self.vbase = vbase
         self.cells_list: list[CellT] | None = None
@@ -84,12 +86,9 @@ class SubdivisionTower:
         self.base = base
         self.max_level = max_level_from_env() if max_level is None else max_level
         self.max_cells = max_cells
-        lvl0 = _Level(
-            0,
-            verts=list(range(len(base.vertices))),
-            vdim=[0] * len(base.vertices),
-            vbase=[(i,) for i in range(len(base.vertices))],
-        )
+        verts = range(len(base.vertices))
+        lvl0 = _Level(0, list(verts), dict(zip(verts, verts)), [0] * len(verts),
+                      [(i,) for i in verts])
         lvl0.cells_list = list(base.cells())
         lvl0.cell_index = dict(zip(lvl0.cells_list, range(len(lvl0.cells_list))))
         self._levels: list[_Level] = [lvl0]
@@ -109,7 +108,8 @@ class SubdivisionTower:
             lower_cells = self.cells(s)
             vdim = [len(c) - 1 for c in lower_cells]
             vbase = [self.carrier0(s, c) for c in lower_cells]
-            self._levels.append(_Level(s + 1, list(lower_cells), vdim, vbase))
+            self._levels.append(_Level(s + 1, lower_cells, self.cell_index(s),
+                                       vdim, vbase))
         return self._levels[t]
 
     def cells(self, t: int) -> list[CellT]:
@@ -223,10 +223,14 @@ class SubdivisionTower:
 
     def lift_base_vertex(self, v: int, t: int) -> int:
         """Vertex id at level t of a base vertex (iterated singleton cell)."""
-        cur = v
+        return self.barycenter((v,), t)
+
+    def barycenter(self, cell: CellT, t: int) -> int:
+        """Vertex id at level t of a base cell's barycenter (at level 0 the
+        cell must be a vertex): the cell, then its iterated singleton."""
         for s in range(1, t + 1):
-            cur = self.level(s).vert_id[(cur,)]
-        return cur
+            cell = (self.level(s).vert_id[cell],)
+        return cell[0]
 
     def euler_characteristic(self, t: int) -> int:
         return sum((-1) ** (len(c) - 1) for c in self.iter_cells(t))
@@ -515,10 +519,13 @@ def vertex_set_to_json(verts: frozenset[int] | str) -> dict:
 
 def vertex_set_from_json(tower: SubdivisionTower, level: int,
                          data: dict) -> frozenset[int] | str:
-    """Inverse of vertex_set_to_json; TowerError unless the explicit list
-    is strictly increasing vertex numbers of the level."""
+    """Inverse of vertex_set_to_json; TowerError on an unknown kind, or
+    unless the explicit list is strictly increasing vertex numbers of the
+    level."""
     if data["kind"] == "old-vertices":
         return "old"
+    if data["kind"] != "explicit":
+        raise TowerError(f"unknown vertex set kind {data['kind']!r}")
     verts = json_field(data, "verts", list, TowerError)
     n = len(tower.level(level).verts)
     if not all(type(v) is int and 0 <= v < n for v in verts) \

@@ -44,6 +44,8 @@ def test_bounds_fibration(capsys):
     (["--dim", "2", "--cat-u", "3"], "cannot exceed the dimension"),
     (["--dim", "2", "--r", "1", "--cat-u", "-3"], "cat_u must be nonnegative"),
     (["--dim", "2", "--base-dim", "1", "--fiber-dim", "-4"], "dim_fiber must be nonnegative"),
+    (["--dim", "7", "--fiber-dim", "3"], "--base-dim"),
+    (["--dim", "7", "--base-dim", "4"], "--fiber-dim"),
 ])
 def test_bounds_refuses_impossible_inputs(capsys, argv, named):
     # each once exited 0 with a bound of -1 or 0, or silently dropped a rule
@@ -201,18 +203,28 @@ def test_product_verify_fails_on_stripped_certificates(tmp_path, capsys, factor)
 
 
 @pytest.mark.parametrize("command", ["cover", "product"])
-@pytest.mark.parametrize("field", ["step", "target"])
+@pytest.mark.parametrize("field", ["step", "target", "keep", "centers", "assignment"])
 def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, field):
+    # an unknown vertex set or snap assignment kind was once read as explicit
     if command == "cover":
-        data = build_cover(builtin("s1"), 0, 3).to_json()
+        # layered stars: a star start, a push and a snap
+        data = build_cover(builtin("delta-2"), 0, 3).to_json()
         cert = data["certificates"][0]
     else:
-        data = assemble_product_cover(builtin("s1"), builtin("point")).to_json()
-        cert = data["b_bundle"]["certificates"][0]
+        # the staggered factor's stars push; the s1 arcs snap
+        data = assemble_product_cover(builtin("boundary-delta-3"), builtin("s1")).to_json()
+        cert = data["b_bundle" if field == "assignment" else "x_bundle"]["certificates"][0]
+    step = {s["kind"]: s for s in cert["steps"]}
     if field == "step":
         cert["steps"] = [{"kind": "twist"}]
-    else:
+    elif field == "target":
         cert["target"]["kind"] = "twisted"
+    elif field == "keep":
+        step["push"]["keep"] = {"kind": "bogus", "verts": [0]}
+    elif field == "centers":
+        cert["start"]["centers"] = {"kind": "bogus", "verts": [0]}
+    else:
+        step["snap"]["assignment"] = {"kind": "bogus", "pairs": []}
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(data))
     code, _, err = invoke(capsys, command, "verify", "--in", str(path))
@@ -408,6 +420,7 @@ PINNED_SHA256 = {
         "bd72bc357e709aa2dcc869f7c3f22699ca6a374e929db0c263d2ccaa6a3757e1",
     "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
     "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
+    "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
     "certificate-s2-r0": "264f77b84ef06d1ab3ca2ddcebd5df7935dabcfbab467a597bb5c50807f09ffa",
     "product-rp2-6-s1": "a397e4ab484950ea7b80f07b04d52bbb64bb479fa70bcde9836e58110b878536",
     "product-torus-7-s1": "1862afbdcbb11f3b64619a5968910501757ea15c7aaf6a81f6035b5c5e894602",
@@ -423,7 +436,8 @@ out = {}
 for tag, argv in [("arc-s1-m5", ["s1", "--r", "0", "--m", "5"]),
                   ("staggered-bd3-r1-m2", ["boundary-delta-3", "--r", "1", "--m", "2"]),
                   ("layered-bd3-m4", ["boundary-delta-3", "--r", "0", "--m", "4"]),
-                  ("wheel-delta-2-m5", ["delta-2", "--r", "0", "--m", "5"])]:
+                  ("wheel-delta-2-m5", ["delta-2", "--r", "0", "--m", "5"]),
+                  ("wheel-bd3-m6", ["boundary-delta-3", "--r", "0", "--m", "6"])]:
     run(["cover", "build", "--builtin", *argv, "--out", tag + ".json"])
     out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
 for x in ("rp2-6", "torus-7"):

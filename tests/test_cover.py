@@ -174,10 +174,10 @@ def test_wheel_cover_structure():
         assert not (a & b)
 
 
-def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch):
-    # decoding materializes level 4, so the five snaps share its one index
-    data = json.loads(json.dumps(build_cover(builtin("delta-2"), 0, 5).to_json()))
-    bundle = CoverBundle.from_json(data)
+@pytest.mark.parametrize("decoded", [False, True], ids=["built", "decoded"])
+def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch, decoded):
+    # the builder searches on level 4's one index and its snaps replay on
+    # it; decoding materializes level 4, so the five snaps share its index
     built = []
     init = CellIndex.__init__
 
@@ -186,8 +186,25 @@ def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch):
         init(self, tower, t, *rest)
 
     monkeypatch.setattr(CellIndex, "__init__", counting_init)
+    bundle = build_cover(builtin("delta-2"), 0, 5)
+    if decoded:
+        bundle = CoverBundle.from_json(json.loads(json.dumps(bundle.to_json())))
+        built.clear()
     assert verify_cover_bundle(bundle).ok
     assert built == [4]
+
+
+def test_wheel_cracks_stop_at_m7():
+    # seven nested rings fit in a 2-cell at level 4. The eighth region
+    # fills delta-2's one 2-cell, so its ring is empty and the last
+    # element has no arcs; on a closed surface it reaches the 2-cells
+    # across the edges
+    bundle = build_cover(builtin("delta-2"), 0, 7)
+    assert bundle.construction == "wheel-cracks" and verify_cover_bundle(bundle).ok
+    with pytest.raises(ConstructionError, match="no room for an arc of element 7"):
+        build_cover(builtin("delta-2"), 0, 8)
+    with pytest.raises(ConstructionError, match="rings .* reach its boundary"):
+        build_cover(builtin("boundary-delta-3"), 0, 8)
 
 
 def test_single_vertex_cover():

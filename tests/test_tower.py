@@ -48,6 +48,8 @@ def test_barycentric_deepens_by_one():
     assert len(t._levels) == 3
     # flags at the new top satisfy the chain characterization
     lv = t.level(2)
+    # its vertices are the level-1 cells, numbered by the same table
+    assert lv.verts is t.cells(1) and lv.vert_id is t.cell_index(1)
     for cell in t.cells(2):
         members = sorted((lv.verts[v] for v in cell), key=len)
         for a, b in zip(members, members[1:]):
