@@ -1,22 +1,41 @@
 """Multiple covers of simplicial complexes with deformation certificates,
-and the category bounds they support."""
+and the category bounds they support.
 
-from .complexes import (Complex, ComplexError, SimplicialMap, builtin,
-                        product_complex, random_complex)
-from .tower import (OpenCellSet, SubdivisionTower, TowerDepthError, TowerError,
-                    TowerSizeError, VertexStarSet, dual_complex, preimage,
-                    star)
-from .certify import (Certificate, CertificateFormatError,
-                      CertificateGenerationError, PartitionPush, Refine,
-                      StarSnap, Target, Verdict, certify_to_dimension,
-                      make_dual_push, make_star_snap, verify_certificate)
-from .cover import (ConstructionError, CoverBundle, CoverError, CoverReport,
-                    build_cover, cover_parameters, cover_signatures, is_k_cover,
-                    pullback_cover, verify_cover_bundle)
-from .product import (ProductCoverBundle, assemble_product_cover, lemma_bound,
-                      product_skeleton, verify_product_cover)
-from .bounds import (BoundProfile, BoundResult, BoundsError, FibrationProfile,
-                     NotApplicable, best_upper, betti_mod2, corollary_bound,
-                     cuplength_mod2, fibration_bound, main_bound, rconn_bound)
+Names are imported from their module on first use (PEP 562), so that
+`import kocover` loads neither numpy nor the cover stack until a name from
+it is asked for."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+# the public names, by the module that defines them
+_EXPORTS = {
+    "complexes": ("Complex", "ComplexError", "SimplicialMap", "builtin",
+                  "product_complex", "random_complex"),
+    "tower": ("OpenCellSet", "SubdivisionTower", "TowerDepthError", "TowerError",
+              "TowerSizeError", "VertexStarSet", "dual_complex", "preimage", "star"),
+    "certify": ("Certificate", "CertificateFormatError", "CertificateGenerationError",
+                "PartitionPush", "Refine", "StarSnap", "Target", "Verdict",
+                "certify_to_dimension", "make_dual_push", "make_star_snap",
+                "verify_certificate"),
+    "cover": ("ConstructionError", "CoverBundle", "CoverError", "CoverReport",
+              "build_cover", "cover_parameters", "cover_signatures", "is_k_cover",
+              "pullback_cover", "verify_cover_bundle"),
+    "product": ("ProductCoverBundle", "assemble_product_cover", "lemma_bound",
+                "product_skeleton", "verify_product_cover"),
+    "bounds": ("BoundProfile", "BoundResult", "BoundsError", "FibrationProfile",
+               "NotApplicable", "best_upper", "betti_mod2", "corollary_bound",
+               "cuplength_mod2", "fibration_bound", "main_bound", "rconn_bound"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_ORIGIN])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -14,8 +14,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .complexes import Complex
 
 
@@ -224,14 +222,16 @@ def profile_from_json(data: dict) -> BoundProfile:
 
 class Gf2Span:
     """Span of the vectors added so far over the two-element field, kept in
-    echelon form. Each row remembers which added vectors sum to it, so an
-    added vector that reduces to zero records a relation among them: adding
-    the columns of a matrix gives its rank and a basis of its kernel."""
+    echelon form. A vector is an int whose bit i is its entry i. Each row
+    remembers which added vectors sum to it, so an added vector that reduces
+    to zero records a relation among them: adding the columns of a matrix
+    gives its rank and a basis of its kernel."""
 
     def __init__(self):
-        # (pivot, row, bitmask of the added vectors that sum to the row),
-        # in pivot order; relations are bitmasks of sums that vanish
-        self.rows: list[tuple[int, np.ndarray, int]] = []
+        # (pivot, row, bitmask of the added vectors that sum to the row), in
+        # pivot order, the pivot being the row's lowest set bit; relations
+        # are bitmasks of sums that vanish
+        self.rows: list[tuple[int, int, int]] = []
         self.relations: list[int] = []
         self.added = 0
 
@@ -239,74 +239,72 @@ class Gf2Span:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, v: np.ndarray) -> tuple[np.ndarray, int]:
-        # rows in pivot order, each zero before its pivot: one pass clears
+    def _eliminate(self, v: int) -> tuple[int, int]:
+        # rows in pivot order, each zero below its pivot: one pass clears
         # every pivot position of v
-        red, combo = v.astype(np.uint8), 0
+        combo = 0
         for pivot, row, row_combo in self.rows:
-            if red[pivot]:
-                red ^= row
+            if v >> pivot & 1:
+                v ^= row
                 combo ^= row_combo
-        return red, combo
+        return v, combo
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
+    def reduce(self, v: int) -> int:
         """The member of v's coset that vanishes on every pivot: linear, the
         same for all of v plus the span, and zero exactly on the span."""
         return self._eliminate(v)[0]
 
-    def add(self, v: np.ndarray) -> bool:
+    def add(self, v: int) -> bool:
         """Add v; True when it enlarges the span."""
         red, combo = self._eliminate(v)
         combo ^= 1 << self.added
         self.added += 1
-        if not red.any():
+        if not red:
             self.relations.append(combo)
             return False
-        bisect.insort(self.rows, (int(red.argmax()), red, combo), key=lambda row: row[0])
+        bisect.insort(self.rows, ((red & -red).bit_length() - 1, red, combo),
+                      key=lambda row: row[0])
         return True
 
-    def kernel(self) -> list[np.ndarray]:
+    def kernel(self) -> list[int]:
         """Basis of the combinations of the added vectors that sum to zero,
-        as 0/1 vectors indexed by order of addition."""
-        size = (self.added + 7) // 8
-        return [np.unpackbits(np.frombuffer(c.to_bytes(size, "little"), np.uint8),
-                              bitorder="little")[:self.added]
-                for c in self.relations]
+        as bitmasks whose bit i stands for the i-th vector added."""
+        return list(self.relations)
 
 
-def coboundary_matrices(cx: Complex) -> list[np.ndarray]:
-    """Matrix of the coboundary in each degree, mod 2.
+def coboundary_columns(cx: Complex) -> list[list[int]]:
+    """Columns of the coboundary matrix in each degree, mod 2.
 
-    Entry (t, s) of the degree-p matrix is 1 when the p-cell s is a face of
-    the (p+1)-cell t.
+    Bit t of column s in degree p is set when the p-cell s is a face of the
+    (p+1)-cell t, cells numbered in the order of cx.cells.
     """
-    mats = []
+    degrees = []
     for p in range(cx.dim + 1):
         idx = {c: i for i, c in enumerate(cx.cells(p))}
-        high = cx.cells(p + 1)
-        m = np.zeros((len(high), len(idx)), dtype=np.uint8)
-        for ti, t in enumerate(high):
+        columns = [0] * len(idx)
+        for ti, t in enumerate(cx.cells(p + 1)):
             for k in range(len(t)):
-                m[ti, idx[t[:k] + t[k + 1:]]] = 1
-        mats.append(m)
-    return mats
+                columns[idx[t[:k] + t[k + 1:]]] |= 1 << ti
+        degrees.append(columns)
+    return degrees
 
 
 @dataclass
 class Cohomology:
     """Mod-2 cohomology in degrees 0..dim: per degree p, the span of the
-    coboundaries in C^p and cocycles whose classes are a basis of H^p."""
+    coboundaries in C^p and cocycles whose classes are a basis of H^p, as
+    bitmasks over the p-cells."""
     images: list[Gf2Span]
-    representatives: list[list[np.ndarray]]
+    representatives: list[list[int]]
 
 
 def cohomology(cx: Complex) -> Cohomology:
     # adding the columns of the degree-p coboundary gives the p-cocycles
     # (its kernel) and the span of the (p+1)-coboundaries at once
     spans = []
-    for m in coboundary_matrices(cx):
+    for columns in coboundary_columns(cx):
         span = Gf2Span()
-        for column in m.T:
+        for column in columns:
             span.add(column)
         spans.append(span)
     images = [Gf2Span()] + spans[:-1]
@@ -324,15 +322,14 @@ def betti_mod2(cx: Complex) -> list[int]:
     return [len(reps) for reps in cohomology(cx).representatives]
 
 
-def cup_product(cx: Complex, p: int, q: int,
-                a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cup_product(cx: Complex, p: int, q: int, a: int, b: int) -> int:
     """Front-face back-face cup product of cochains, mod 2."""
     low_p = {c: i for i, c in enumerate(cx.cells(p))}
     low_q = {c: i for i, c in enumerate(cx.cells(q))}
-    high = cx.cells(p + q)
-    out = np.zeros(len(high), dtype=np.uint8)
-    for ti, t in enumerate(high):
-        out[ti] = a[low_p[t[:p + 1]]] & b[low_q[t[p:]]]  # front and back faces
+    out = 0
+    for ti, t in enumerate(cx.cells(p + q)):
+        if a >> low_p[t[:p + 1]] & b >> low_q[t[p:]] & 1:  # front and back faces
+            out |= 1 << ti
     return out
 
 
@@ -343,17 +340,17 @@ def cuplength_mod2(cx: Complex) -> int:
                for v in reps]
     # k-fold products, deduplicated per length by their canonical coset
     # form; degrees grow strictly, so at most dim rounds happen
-    frontier = {(p, co.images[p].reduce(v).tobytes()): v for p, v in classes}
+    frontier = {(p, co.images[p].reduce(v)): v for p, v in classes}
     best = 0
     while frontier:
         best += 1
-        products: dict[tuple[int, bytes], np.ndarray] = {}
+        products: dict[tuple[int, int], int] = {}
         for (deg, _), vec in frontier.items():
             for q, w in classes:
                 if deg + q <= cx.dim:
                     prod = cup_product(cx, deg, q, vec, w)
                     red = co.images[deg + q].reduce(prod)
-                    if red.any():
-                        products[(deg + q, red.tobytes())] = prod
+                    if red:
+                        products[(deg + q, red)] = prod
         frontier = products
     return best

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success or verified, 1 verification or construction failure,
 2 usage error (the message names the violated precondition).
+
+A command imports only what it runs. `bounds`, `cuplength` and `complex
+info|skeleton` never load the cover stack (tower, certify, cover, product)
+or numpy; `complex bary|dual`, `cover` and `product` import it when they
+start.
 """
 
 from __future__ import annotations
@@ -12,14 +17,7 @@ import sys
 
 from .bounds import (BoundsError, BoundProfile, FibrationProfile, best_upper,
                      cuplength_mod2, profile_from_json)
-from .certify import CertificateFormatError
 from .complexes import Complex, ComplexError, builtin, load_complex
-from .cover import (ConstructionError, CoverBundle, CoverError, build_cover,
-                    cover_parameters, is_k_cover, verify_cover_bundle)
-from .product import (ProductCoverBundle, assemble_product_cover,
-                      verify_product_cover)
-from .tower import (OpenCellSet, SubdivisionTower, TowerError, cell_encoder,
-                    dual_complex)
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -79,6 +77,7 @@ def _cmd_complex(args) -> int:
             raise ComplexError("skeleton requires --m")
         _emit(cx.skeleton(args.m).to_json(), args)
         return OK
+    from .tower import SubdivisionTower, cell_encoder, dual_complex
     if args.action == "bary":
         tower = SubdivisionTower(cx)
         lv = tower.level(1)
@@ -112,6 +111,9 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    from .cover import (ConstructionError, CoverBundle, CoverError, build_cover,
+                        cover_parameters, is_k_cover, verify_cover_bundle)
+    from .tower import OpenCellSet
     if args.action == "build":
         cx = _load_target(args)
         m = args.m if args.m is not None else cover_parameters(cx, args.r)
@@ -159,6 +161,9 @@ def _load_bundle(path: str, cls):
 
 
 def _cmd_product(args) -> int:
+    from .cover import ConstructionError, CoverError
+    from .product import (ProductCoverBundle, assemble_product_cover,
+                          verify_product_cover)
     if args.action == "build":
         x = builtin(args.x)
         b = builtin(args.b)
@@ -262,6 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that mean bad input. Python evaluates a handler's
+    tuple only when an exception reaches it, so the cover stack is imported
+    here only when a command has failed."""
+    from .certify import CertificateFormatError
+    from .cover import CoverError
+    from .tower import TowerError
+    return ComplexError, CoverError, BoundsError, TowerError, CertificateFormatError
+
+
 def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
@@ -270,8 +285,7 @@ def run(argv: list[str]) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (ComplexError, CoverError, BoundsError, TowerError,
-            CertificateFormatError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:

@@ -146,8 +146,11 @@ BUNDLE_FORMAT = 2
 
 
 def check_format(data: dict) -> None:
-    """Refuse a bundle whose "format" is not BUNDLE_FORMAT, naming it."""
-    if not isinstance(data, dict) or "format" not in data:
+    """Refuse a bundle that is not an object or whose "format" is not
+    BUNDLE_FORMAT, naming what it is."""
+    if not isinstance(data, dict):
+        raise CoverError(f"a bundle must be an object, got {type(data).__name__}")
+    if "format" not in data:
         raise CoverError(f"bundle has no 'format' field: it predates format "
                          f"{BUNDLE_FORMAT}, which this kocover reads; rebuild it "
                          f"with kocover cover build")

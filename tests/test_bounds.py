@@ -1,11 +1,11 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kocover import (BoundProfile, BoundsError, FibrationProfile, NotApplicable,
                      best_upper, betti_mod2, builtin, corollary_bound,
-                     cuplength_mod2, fibration_bound, main_bound, rconn_bound)
-from kocover.bounds import Gf2Span, coboundary_matrices, cohomology, cup_product
+                     cuplength_mod2, fibration_bound, main_bound, random_complex,
+                     rconn_bound)
+from kocover.bounds import Gf2Span, coboundary_columns, cohomology, cup_product
 
 
 def test_main_bound_examples():
@@ -159,6 +159,30 @@ def _oracle_rank_gf2(mat):
     return rank
 
 
+def _bitmask(bits):
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
+def _apply(mat, v):
+    """The product of a 0/1 matrix with the vector whose entry j is bit j of
+    the int v, mod 2, as a 0/1 list."""
+    return [sum(entry & v >> j for j, entry in enumerate(row)) % 2 for row in mat]
+
+
+def _coboundary_matrices(cx):
+    """The degree-p coboundary, rows the (p+1)-cells, columns the p-cells,
+    as dense 0/1 matrices whose column j has the bits of int column j."""
+    return [[[c >> i & 1 for c in columns] for i in range(len(cx.cells(p + 1)))]
+            for p, columns in enumerate(coboundary_columns(cx))]
+
+
+def _span_of_columns(columns):
+    span = Gf2Span()
+    for column in columns:
+        span.add(column)
+    return span
+
+
 @pytest.mark.parametrize("name,betti", [
     ("boundary-delta-3", [1, 0, 1]),
     ("torus-7", [1, 2, 1]),
@@ -173,50 +197,57 @@ def test_betti_numbers_with_oracle(name, betti):
     assert betti_mod2(cx) == betti
     # dual-route check: the span's rank of every coboundary matrix agrees
     # with the oracle
-    for m in coboundary_matrices(cx):
-        assert _span_of_columns(m).rank == _oracle_rank_gf2(m)
+    for columns, mat in zip(coboundary_columns(cx), _coboundary_matrices(cx)):
+        assert _span_of_columns(columns).rank == _oracle_rank_gf2(mat)
 
 
-def _span_of_columns(mat):
-    span = Gf2Span()
-    for j in range(mat.shape[1]):
-        span.add(mat[:, j])
-    return span
+@given(dim=st.integers(1, 3), extra=st.integers(0, 5), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_betti_numbers_are_rank_nullity_of_the_oracle(dim, extra, seed):
+    cx = random_complex(dim, dim + 1 + extra, seed)
+    ranks = [_oracle_rank_gf2(mat) for mat in _coboundary_matrices(cx)]
+    # dim H^p = dim C^p - rank of the coboundary out of C^p - rank into it
+    assert betti_mod2(cx) == [len(cx.cells(p)) - ranks[p] - (ranks[p - 1] if p else 0)
+                              for p in range(cx.dim + 1)]
 
 
 @given(data=st.data(), rows=st.integers(0, 12), cols=st.integers(0, 20))
 @settings(max_examples=150, deadline=None)
 def test_span_kernel_is_a_null_space_basis(data, rows, cols):
     bits = st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols)
-    mat = np.array(data.draw(bits), dtype=np.uint8).reshape(rows, cols)
-    kernel = _span_of_columns(mat).kernel()
+    flat = data.draw(bits)
+    mat = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    columns = [_bitmask(row[j] for row in mat) for j in range(cols)]
+    kernel = _span_of_columns(columns).kernel()
     assert len(kernel) == cols - _oracle_rank_gf2(mat)
     for v in kernel:
-        assert v.shape == (cols,) and not (mat.astype(int) @ v % 2).any()
+        assert 0 <= v < 1 << cols and not any(_apply(mat, v))
     # independent: the kernel vectors, stacked, have full rank
-    assert _oracle_rank_gf2(np.array(kernel).reshape(len(kernel), cols)) == len(kernel)
+    assert _oracle_rank_gf2([[v >> j & 1 for j in range(cols)] for v in kernel]) \
+        == len(kernel)
 
 
 def test_cocycle_conditions():
     cx = builtin("torus-7")
-    mats = coboundary_matrices(cx)
+    mats = _coboundary_matrices(cx)
     reps = cohomology(cx).representatives
     for p in (1, 2):
         for v in reps[p]:
-            assert not (mats[p] @ v % 2).any()
+            assert not any(_apply(mats[p], v))
 
 
 def test_cup_product_bilinear_and_graded():
     cx = builtin("torus-7")
-    reps = cohomology(cx).representatives[1]
-    a, b = reps
+    co = cohomology(cx)
+    a, b = co.representatives[1]
     ab = cup_product(cx, 1, 1, a, b)
     ba = cup_product(cx, 1, 1, b, a)
     # mod-2 classes commute in cohomology: both products are nonzero here
-    mats = coboundary_matrices(cx)
-    assert not (mats[2] @ ab % 2).any() if cx.dim > 2 else True
-    s = cup_product(cx, 1, 1, (a + b) % 2, b)
-    assert ((s - (ab + cup_product(cx, 1, 1, b, b)) % 2) % 2 == 0).all()
+    assert co.images[2].reduce(ab) == co.images[2].reduce(ba) != 0
+    mats = _coboundary_matrices(cx)
+    assert not any(_apply(mats[2], ab)) if cx.dim > 2 else True
+    s = cup_product(cx, 1, 1, a ^ b, b)
+    assert s == ab ^ cup_product(cx, 1, 1, b, b)
 
 
 @given(name=st.sampled_from(["torus-7", "rp2-6", "s1-x-s1", "boundary-delta-3"]),
@@ -225,14 +256,14 @@ def test_cup_product_bilinear_and_graded():
 def test_span_reduction_is_constant_on_cosets(name, p, data):
     # cup-length dedup keys products by this reduction, so it must not see
     # which coset representative it was given
-    mat = coboundary_matrices(builtin(name))[p - 1]
-    span = _span_of_columns(mat)
-    bits = st.lists(st.integers(0, 1), min_size=mat.shape[0], max_size=mat.shape[0])
-    v = np.array(data.draw(bits), dtype=np.uint8)
-    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=mat.shape[1],
-                                    max_size=mat.shape[1])), dtype=np.uint8)
-    w = mat @ x % 2  # a coboundary
-    assert (span.reduce(v) == span.reduce(v ^ w)).all()
+    cx = builtin(name)
+    mat = _coboundary_matrices(cx)[p - 1]
+    span = _span_of_columns(coboundary_columns(cx)[p - 1])
+    rows, cols = len(cx.cells(p)), len(cx.cells(p - 1))
+    v = _bitmask(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    x = _bitmask(data.draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols)))
+    w = _bitmask(_apply(mat, x))  # a coboundary
+    assert span.reduce(v) == span.reduce(v ^ w)
 
 
 @pytest.mark.parametrize("name,length", [

@@ -361,6 +361,17 @@ def test_other_bundle_formats_are_usage_errors(tmp_path, capsys, command, data, 
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize("argv", [["cover", "verify"], ["cover", "kcheck"],
+                                  ["product", "verify"]])
+def test_bundle_that_is_not_an_object_is_usage_error(tmp_path, capsys, argv):
+    # once blamed a missing 'format' field, as if the list were an old bundle
+    path = tmp_path / "bundle.json"
+    path.write_text("[1, 2]")
+    code, out, err = invoke(capsys, *argv, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "a bundle must be an object, got list" in err
+
+
 @pytest.mark.parametrize("argv,out_note", [
     (["cover", "build", "--builtin", "s1", "--r", "0", "--m", "3"], "arc-phases, m=3"),
     (["product", "build", "--x", "boundary-delta-3", "--b", "s1"], "(m=2)"),
@@ -479,3 +490,68 @@ def test_complex_with_integer_labels_is_usage_error(tmp_path, capsys, action):
     code, out, err = invoke(capsys, "complex", action, "--in", str(path), "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "'vertices'" in err
+
+
+# the package's public names; a lazy export must not drop or add one
+EXPORTS = {
+    "BoundProfile", "BoundResult", "BoundsError", "Certificate", "CertificateFormatError",
+    "CertificateGenerationError", "Complex", "ComplexError", "ConstructionError",
+    "CoverBundle", "CoverError", "CoverReport", "FibrationProfile", "NotApplicable",
+    "OpenCellSet", "PartitionPush", "ProductCoverBundle", "Refine", "SimplicialMap",
+    "StarSnap", "SubdivisionTower", "Target", "TowerDepthError", "TowerError",
+    "TowerSizeError", "Verdict", "VertexStarSet", "assemble_product_cover", "best_upper",
+    "betti_mod2", "bounds", "build_cover", "builtin", "certify", "certify_to_dimension",
+    "complexes", "corollary_bound", "cover", "cover_parameters", "cover_signatures",
+    "cuplength_mod2", "dual_complex", "fibration_bound", "is_k_cover", "lemma_bound",
+    "main_bound", "make_dual_push", "make_star_snap", "preimage", "product",
+    "product_complex", "product_skeleton", "pullback_cover", "random_complex",
+    "rconn_bound", "star", "tower", "verify_certificate", "verify_cover_bundle",
+    "verify_product_cover",
+}
+
+
+def test_package_exports_every_public_name():
+    assert len(kocover.__all__) == len(EXPORTS) and set(kocover.__all__) == EXPORTS
+    namespace = {}
+    exec("from kocover import *", namespace)
+    assert EXPORTS <= namespace.keys()
+    assert namespace["cuplength_mod2"] is kocover.bounds.cuplength_mod2
+    with pytest.raises(AttributeError):
+        kocover.no_such_name
+
+
+COVER_STACK = {"numpy", "kocover.tower", "kocover.certify", "kocover.cover",
+               "kocover.product"}
+
+
+def imported_modules(cwd, *argv) -> set[str]:
+    """The modules a fresh `python -m kocover.cli` process imports, as
+    -X importtime reports them."""
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kocover.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--dim", "3", "--cat-u", "1"],
+    ["cuplength", "--builtin", "s1-x-s2"],
+    ["complex", "info", "--builtin", "torus-7"],
+])
+def test_light_commands_leave_out_numpy_and_the_cover_stack(tmp_path, argv):
+    loaded = imported_modules(tmp_path, *argv)
+    assert "kocover.complexes" in loaded
+    assert not loaded & COVER_STACK
+
+
+def test_cover_verify_loads_numpy(tmp_path):
+    bundle = build_cover(builtin("delta-2"), 0, 5)
+    assert bundle.construction == "wheel-cracks"
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle.to_json()))
+    assert COVER_STACK - {"kocover.product"} <= imported_modules(
+        tmp_path, "cover", "verify", "--in", str(path))
