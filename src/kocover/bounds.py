@@ -14,10 +14,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .complexes import Complex
+from .complexes import Complex, UsageError
 
 
-class BoundsError(ValueError):
+class BoundsError(UsageError):
     """Invalid bound inputs."""
 
 

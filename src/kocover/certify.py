@@ -20,23 +20,26 @@ level that was only streamed, one of the carrier alone): the face pairs
 are masked to the carrier and labelled into components with array
 operations, the min-base-vertex rule intersects the members' base
 carriers per component, and an explicit assignment is checked for one
-target per component lying in every member's base carrier. Every check is exact; a failure names the failing
-component that holds the least cell.
+target per component lying in every member's base carrier. Every check is
+exact; a failure names the failing component that holds the least cell.
+The snap imports numpy when it runs, so loading this module does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
+from .complexes import UsageError
 from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
                     VertexStarSet, cells_from_json, json_field, vertex_set_from_json,
                     vertex_set_to_json)
 
+if TYPE_CHECKING:
+    import numpy as np
 
-class CertificateFormatError(ValueError):
+
+class CertificateFormatError(UsageError):
     """Structurally malformed certificate (distinct from a failing verdict)."""
 
 
@@ -196,6 +199,7 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
             raise CertificateFormatError("snap assigns a non-vertex of the base complex")
     if not cells:
         return frozenset()
+    import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
     index = tower.index(level, cells)

@@ -3,10 +3,13 @@
 Exit codes: 0 success or verified, 1 verification or construction failure,
 2 usage error (the message names the violated precondition).
 
-A command imports only what it runs. `bounds`, `cuplength` and `complex
-info|skeleton` never load the cover stack (tower, certify, cover, product)
-or numpy; `complex bary|dual`, `cover` and `product` import it when they
-start.
+A command imports only what it runs. `bounds` and `cuplength` import
+`bounds.py`; `complex bary|dual`, `cover` and `product` import the cover
+stack (tower, certify, cover, product). No command loads numpy when it
+starts: numpy comes with the first CellIndex, which a certificate snap,
+the wheel builder and a signature walk over a materialized level read.
+Every exit-2 exception derives from complexes.UsageError, so a failing
+command loads nothing more to report it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import argparse
 import json
 import sys
 
-from .bounds import (BoundsError, BoundProfile, FibrationProfile, best_upper,
-                     cuplength_mod2, profile_from_json)
-from .complexes import Complex, ComplexError, builtin, load_complex
+from .complexes import Complex, ComplexError, UsageError, builtin, load_complex
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -182,6 +183,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import (BoundsError, BoundProfile, FibrationProfile, best_upper,
+                         profile_from_json)
     if args.profile:
         with open(args.profile, "r", encoding="utf-8") as fh:
             profile = profile_from_json(json.load(fh))
@@ -207,6 +210,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_cuplength(args) -> int:
+    from .bounds import cuplength_mod2
     cx = _load_target(args)
     value = cuplength_mod2(cx)
     _emit({"complex": cx.name or "", "cuplength_mod2": value}, args)
@@ -267,16 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that mean bad input. Python evaluates a handler's
-    tuple only when an exception reaches it, so the cover stack is imported
-    here only when a command has failed."""
-    from .certify import CertificateFormatError
-    from .cover import CoverError
-    from .tower import TowerError
-    return ComplexError, CoverError, BoundsError, TowerError, CertificateFormatError
-
-
 def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
@@ -285,7 +279,7 @@ def run(argv: list[str]) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except _usage_errors() as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:

@@ -14,7 +14,13 @@ import random as _random
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 
-class ComplexError(ValueError):
+class UsageError(ValueError):
+    """Bad input: a malformed complex, bundle, certificate or bound profile,
+    or arguments no operation accepts. The CLI exits 2 on any of these and
+    prints the message."""
+
+
+class ComplexError(UsageError):
     """Raised for malformed complexes or invalid arguments."""
 
 

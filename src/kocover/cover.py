@@ -11,7 +11,11 @@ finest element level, per base-carrier dimension. A cell there is a chain
 of cells one level down and inherits its coarser memberships from the
 chain maximum, so "old" stars on the top level become a per-chain flag,
 the stars of the level below become a DP over the face poset, and only
-the remaining elements are read cell by cell, two levels further down.
+the remaining elements are read at the walk level below those. On a
+materialized level they are boolean rows over the level's CellIndex, with
+identical columns grouped by a sort; a level that is only streamed is read
+cell by cell. That indexed walk and the wheel builder import numpy when they
+run, so loading this module does not.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .complexes import Complex, SimplicialMap
+from .complexes import Complex, SimplicialMap, UsageError
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
@@ -31,8 +34,11 @@ from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
                     TowerSizeError, VertexStarSet, json_field, preimage,
                     proper_faces)
 
+if TYPE_CHECKING:
+    import numpy as np
 
-class CoverError(ValueError):
+
+class CoverError(UsageError):
     """Invalid arguments to a cover operation."""
 
 
@@ -61,8 +67,11 @@ def cover_signatures(tower: SubdivisionTower,
       R(c) = {s(c)} | {s(c)|y : y in R(f), f a proper face of c},
       each R(c) a small-int bitset over the distinct star masks met.
 
-    Every other element is read by the per-cell contains_at loop at the
-    walk level below those.
+    Every other element is read at the walk level below those. When no
+    star DP applies and that level is materialized, as every bundle's
+    explicit cells are, the walk reads the level's CellIndex
+    (_indexed_signatures); otherwise a per-cell contains_at loop streams
+    the level.
     """
     if not elements:
         raise CoverError("empty family")
@@ -79,6 +88,8 @@ def cover_signatures(tower: SubdivisionTower,
     else:
         stars = []
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
+    if not dp and tower.is_materialized(level):
+        return _indexed_signatures(tower, level, low, flag)
     cells = sorted(tower.cells(level), key=len) if dp else tower.iter_cells(level)
     masks: dict[int, set[int]] = {}
     reach: dict[CellT, int] = {}  # R(c): bit j stands for the star mask seen[j]
@@ -103,6 +114,57 @@ def cover_signatures(tower: SubdivisionTower,
     n = len(elements)
     return {d: {frozenset(i for i in range(n) if mask >> i & 1) for mask in ms}
             for d, ms in masks.items()}
+
+
+def _indexed_signatures(tower: SubdivisionTower, level: int,
+                        low: list[tuple[int, CellSet]],
+                        flag: int) -> dict[int, set[frozenset[int]]]:
+    """cover_signatures' walk over a materialized level, on its CellIndex.
+
+    Each cell is a column: one membership row per element of low (the
+    positions of an explicit element of this level, contains_at for any
+    other), its base-carrier dimension and whether its chain is longer
+    than a singleton, which under a flag also gives the set without the
+    flagged elements. A lexicographic sort and an adjacent difference
+    group identical columns, and index sets are built from one column per
+    group, so no column is packed into a machine-word bitmask. An explicit
+    element holding a cell that is not on the level raises TowerError.
+    """
+    import numpy as np
+    cells = tower.cells(level)
+    index = tower.index(level, cells)
+    n = len(cells)
+    rows = []
+    for _, el in low:
+        if isinstance(el, OpenCellSet) and el.level == level:
+            row = np.zeros(n, dtype=bool)
+            row[index.positions(el.cells)] = True
+        else:
+            row = np.fromiter((el.contains_at(level, c) for c in cells),
+                              dtype=bool, count=n)
+        rows.append(row)
+    base_dim = np.array([len(c) - 1 for c in tower.cells(0)], dtype=np.int8)
+    dims = base_dim[index.carrier]
+    longer = np.fromiter(map(len, cells), dtype=np.int32, count=n) > 1
+    keys = [*rows, dims, longer]
+    order = np.lexsort(keys)
+    first = np.zeros(n, dtype=bool)  # does a group of equal columns start here?
+    first[:1] = True
+    for key in keys:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    reps = order[first]
+    flagged = frozenset(i for i in range(flag.bit_length()) if flag >> i & 1)
+    members = [i for i, _ in low]
+    out: dict[int, set[frozenset[int]]] = {}
+    for column, d, chain in zip(np.stack([row[reps] for row in rows], axis=1).tolist(),
+                                dims[reps].tolist(), longer[reps].tolist()):
+        lo = frozenset(itertools.compress(members, column))
+        sigs = out.setdefault(d, set())
+        sigs.add(lo | flagged)
+        if chain:
+            sigs.add(lo)
+    return out
 
 
 def is_k_cover(elements: list[CellSet], k: int, region: CellSet | None = None) -> bool:
@@ -372,6 +434,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     The search runs on the level's CellIndex, the one the snaps replay on:
     regions, rings, cracks and miss counts are arrays over cell numbers.
     """
+    import numpy as np
     level = 4
     if tower.max_level < level:
         raise ConstructionError(
@@ -472,6 +535,7 @@ def _arc_bfs(adjacency: tuple[memoryview, memoryview, memoryview], free: np.ndar
     of its other ends and edges, edges ascending; starts ascend. The
     target, already in the crack, needs no room.
     """
+    import numpy as np
     offsets, other, edge = adjacency
     prev: dict[int, tuple[int, int] | None] = dict.fromkeys(starts)
     queue = starts

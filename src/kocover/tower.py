@@ -11,6 +11,9 @@ up to a cell budget; one level beyond the last materialized level can
 still be enumerated by streaming chains of the level below. Decoded
 cells live on a materialized level; a snap on a level that was only
 streamed indexes its carrier alone.
+
+CellIndex is where kocover starts using arrays: numpy is imported when one
+is built, not when this module loads.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
+from typing import (TYPE_CHECKING, Callable, Collection, Container, Iterable,
+                    Iterator, Sequence)
 
-import numpy as np
+from .complexes import Complex, ComplexError, SimplicialMap, UsageError
 
-from .complexes import Complex, ComplexError, SimplicialMap
+if TYPE_CHECKING:
+    import numpy as np
 
 CellT = tuple[int, ...]
 
@@ -30,7 +35,7 @@ DEFAULT_MAX_LEVEL = 4
 DEFAULT_MAX_CELLS = 600_000
 
 
-class TowerError(ValueError):
+class TowerError(UsageError):
     """Invalid tower operation."""
 
 
@@ -124,6 +129,11 @@ class SubdivisionTower:
             lv.cells_list = list(self.iter_cells(t))
             lv.cell_index = dict(zip(lv.cells_list, range(n)))
         return lv.cells_list
+
+    def is_materialized(self, t: int) -> bool:
+        """Is level t materialized: its cells listed and numbered, so that
+        index(t, ...) is the level's own CellIndex?"""
+        return self.level(t).cells_list is not None
 
     def cell_index(self, t: int) -> dict[CellT, int]:
         """Dense number of every level-t cell: its position in cells(t)."""
@@ -263,6 +273,7 @@ class CellIndex:
 
     def __init__(self, tower: SubdivisionTower, t: int, cells: Sequence[CellT],
                  position: dict[CellT, int]):
+        import numpy as np
         self.t = t
         self.cells = cells
         self.position = position
@@ -284,6 +295,7 @@ class CellIndex:
 
     def positions(self, cells: Collection[CellT]) -> np.ndarray:
         """Dense numbers of the given cells, in their iteration order."""
+        import numpy as np
         try:
             return np.fromiter(map(self.position.__getitem__, cells),
                                dtype=np.int32, count=len(cells))
@@ -300,6 +312,7 @@ class CellIndex:
         hooks roots only; the loop ends when every face pair has one root,
         whatever the number of rounds.
         """
+        import numpy as np
         inside = np.zeros(len(self.cells), dtype=bool)
         inside[pos] = True
         keep = inside[self.face_cell] & inside[self.face]

@@ -524,15 +524,15 @@ COVER_STACK = {"numpy", "kocover.tower", "kocover.certify", "kocover.cover",
                "kocover.product"}
 
 
-def imported_modules(cwd, *argv) -> set[str]:
+def imported_modules(cwd, *argv, code=0) -> set[str]:
     """The modules a fresh `python -m kocover.cli` process imports, as
-    -X importtime reports them."""
+    -X importtime reports them; the process must exit with code."""
     src = str(Path(kocover.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kocover.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
@@ -546,6 +546,40 @@ def test_light_commands_leave_out_numpy_and_the_cover_stack(tmp_path, argv):
     loaded = imported_modules(tmp_path, *argv)
     assert "kocover.complexes" in loaded
     assert not loaded & COVER_STACK
+
+
+def test_the_exit_2_exceptions_share_one_base_class():
+    from kocover.certify import StepFailure
+    from kocover.complexes import UsageError
+    bad_input = (kocover.ComplexError, kocover.BoundsError, kocover.CoverError,
+                 kocover.TowerError, kocover.CertificateFormatError)
+    assert all(issubclass(cls, UsageError) for cls in bad_input)
+    # a failed step, generation or construction is not bad input (exit 1)
+    assert not any(issubclass(cls, UsageError) for cls in (
+        StepFailure, kocover.CertificateGenerationError, kocover.ConstructionError))
+
+
+def test_failing_light_command_leaves_out_the_cover_stack(tmp_path):
+    loaded = imported_modules(tmp_path, "bounds", "--dim", "-1", code=2)
+    assert "kocover.bounds" in loaded
+    assert not loaded & COVER_STACK
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "build", "--builtin", "s1", "--m", "5", "--out", "arc.json"],
+    ["cover", "verify", "--in", "layered.json"],
+    ["cover", "kcheck", "--in", "layered.json", "--k", "2", "--skeleton", "1"],
+    ["product", "build", "--x", "torus-7", "--b", "s1", "--out", "product.json"],
+])
+def test_cover_commands_without_arrays_leave_out_numpy_and_bounds(tmp_path, argv):
+    # the arc builder, the layered walk (a DP over the face poset), the lazy
+    # star certificates and the product builders build no CellIndex
+    bundle = build_cover(builtin("boundary-delta-3"), 0, 4)
+    assert bundle.construction == "layered-stars"
+    (tmp_path / "layered.json").write_text(json.dumps(bundle.to_json()))
+    loaded = imported_modules(tmp_path, *argv)
+    assert COVER_STACK - {"numpy", "kocover.product"} <= loaded
+    assert not loaded & {"numpy", "kocover.bounds"}
 
 
 def test_cover_verify_loads_numpy(tmp_path):

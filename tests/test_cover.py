@@ -3,8 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_NAMES, cover_grid
+from conftest import CATALOG_NAMES, SMALL_NAMES, cover_grid
 
 from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      OpenCellSet, SimplicialMap, SubdivisionTower, TowerSizeError,
@@ -370,6 +371,54 @@ def test_signatures_equal_chain_enumeration_on_mixed_families(family):
     else:
         tower, fam = _special_family(family)
     assert cover_signatures(tower, fam) == chain_enumeration(tower, fam)
+
+
+def _walk_three_ways(tower, fam, level):
+    """Signatures of one family whose walk reads level: with that level
+    materialized (the walk reads its CellIndex), on a fresh tower where it
+    is only streamed (the per-cell loop), and by chain enumeration; asserts
+    that the three agree and returns them."""
+    assert tower.is_materialized(level)
+    indexed = cover_signatures(tower, fam)
+    fresh = SubdivisionTower(tower.base)
+    again = [OpenCellSet(fresh, el.level, el.cells) if isinstance(el, OpenCellSet)
+             else VertexStarSet(fresh, el.level, el.centers) for el in fam]
+    streamed = cover_signatures(fresh, again)
+    assert not fresh.is_materialized(level)
+    assert indexed == streamed == chain_enumeration(tower, fam)
+    return indexed
+
+
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
+       flag=st.booleans(), rng=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_indexed_walk_equals_the_streamed_walk_and_chain_enumeration(
+        small_towers, name, level, flag, rng):
+    """Explicit sets on the walk level (so no star DP applies), beside
+    explicit sets and stars below it and, with flag, an "old" star one
+    level up."""
+    tower = small_towers[name]
+    tower.cells(level)
+    fam = [_random_element(rng, tower, "cells", level)
+           for _ in range(rng.randrange(1, 4))]
+    for _ in range(rng.randrange(4)):
+        kind = rng.choice(["cells", "old", "explicit"])
+        low = rng.randrange(level + 1) if kind == "cells" else rng.randrange(1, level + 1)
+        fam.append(_random_element(rng, tower, kind, low))
+    if flag:
+        fam.append(VertexStarSet(tower, level + 1, "old"))
+    rng.shuffle(fam)
+    _walk_three_ways(tower, fam, level)
+
+
+def test_indexed_walk_of_seventy_explicit_sets():
+    # more elements than a machine word has bits
+    rng = random.Random(70)
+    tower = SubdivisionTower(builtin("delta-2"))
+    fam = [_random_element(rng, tower, "cells", 2) for _ in range(70)]
+    fam += [_random_element(rng, tower, "cells", 1), VertexStarSet(tower, 3, "old")]
+    sigs = _walk_three_ways(tower, fam, 2)
+    assert any(69 in s and 71 in s for ss in sigs.values() for s in ss)
 
 
 def test_is_k_cover_with_a_region_on_mixed_families():
