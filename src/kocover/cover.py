@@ -11,11 +11,10 @@ finest element level, per base-carrier dimension. A cell there is a chain
 of cells one level down and inherits its coarser memberships from the
 chain maximum, so "old" stars on the top level become a per-chain flag,
 the stars of the level below become a DP over the face poset, and only
-the remaining elements are read at the walk level below those. On a
-materialized level they are boolean rows over the level's CellIndex, with
-identical columns grouped by a sort; a level that is only streamed is read
-cell by cell. That indexed walk and the wheel builder import numpy when they
-run, so loading this module does not.
+the remaining elements are read at the walk level below those. Without a
+star DP they are boolean rows over the walk level's CellIndex, with
+identical columns grouped by a sort. That indexed walk and the wheel
+builder import numpy when they run, so loading this module does not.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ def cover_signatures(tower: SubdivisionTower,
       R(c) = {s(c)} | {s(c)|y : y in R(f), f a proper face of c},
       each R(c) a small-int bitset over the distinct star masks met.
 
-    Every other element is read at the walk level below those. When no
-    star DP applies and that level is materialized, as every bundle's
-    explicit cells are, the walk reads the level's CellIndex
-    (_indexed_signatures); otherwise a per-cell contains_at loop streams
-    the level.
+    Every other element is read at the walk level below those: in the DP
+    cell by cell, and otherwise on the level's CellIndex
+    (_indexed_signatures), which materializes the level (TowerSizeError
+    over the cell budget; every bundle's explicit cells lie on a
+    materialized level).
     """
     if not elements:
         raise CoverError("empty family")
@@ -85,23 +84,15 @@ def cover_signatures(tower: SubdivisionTower,
     dp = level >= 1 and all(isinstance(el, VertexStarSet) for _, el in stars)
     if dp:
         level -= 1
-    else:
-        stars = []
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
-    if not dp and tower.is_materialized(level):
+    if not dp:
         return _indexed_signatures(tower, level, low, flag)
-    cells = sorted(tower.cells(level), key=len) if dp else tower.iter_cells(level)
     masks: dict[int, set[int]] = {}
     reach: dict[CellT, int] = {}  # R(c): bit j stands for the star mask seen[j]
     seen: list[int] = []
-    for cell in cells:
+    for cell in sorted(tower.cells(level), key=len):
         lo = sum(1 << i for i, el in low if el.contains_at(level, cell))
         out = masks.setdefault(tower.carrier0_dim(level, cell), set())
-        if not dp:
-            out.add(lo | flag)
-            if len(cell) > 1:
-                out.add(lo)
-            continue
         s = sum(1 << i for i, el in stars if el.center_over_lower_cell(cell))
         below = 0
         for f in proper_faces(cell):
@@ -119,7 +110,7 @@ def cover_signatures(tower: SubdivisionTower,
 def _indexed_signatures(tower: SubdivisionTower, level: int,
                         low: list[tuple[int, CellSet]],
                         flag: int) -> dict[int, set[frozenset[int]]]:
-    """cover_signatures' walk over a materialized level, on its CellIndex.
+    """cover_signatures' walk without a star DP, on the level's CellIndex.
 
     Each cell is a column: one membership row per element of low (the
     positions of an explicit element of this level, contains_at for any
@@ -134,15 +125,13 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     cells = tower.cells(level)
     index = tower.index(level, cells)
     n = len(cells)
-    rows = []
-    for _, el in low:
+    rows = np.zeros((len(low), n), dtype=bool)  # no rows under a lone flag
+    for row, (_, el) in zip(rows, low):
         if isinstance(el, OpenCellSet) and el.level == level:
-            row = np.zeros(n, dtype=bool)
             row[index.positions(el.cells)] = True
         else:
-            row = np.fromiter((el.contains_at(level, c) for c in cells),
-                              dtype=bool, count=n)
-        rows.append(row)
+            row[:] = np.fromiter((el.contains_at(level, c) for c in cells),
+                                 dtype=bool, count=n)
     base_dim = np.array([len(c) - 1 for c in tower.cells(0)], dtype=np.int8)
     dims = base_dim[index.carrier]
     longer = np.fromiter(map(len, cells), dtype=np.int32, count=n) > 1
@@ -157,8 +146,8 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     flagged = frozenset(i for i in range(flag.bit_length()) if flag >> i & 1)
     members = [i for i, _ in low]
     out: dict[int, set[frozenset[int]]] = {}
-    for column, d, chain in zip(np.stack([row[reps] for row in rows], axis=1).tolist(),
-                                dims[reps].tolist(), longer[reps].tolist()):
+    for column, d, chain in zip(rows[:, reps].T.tolist(), dims[reps].tolist(),
+                                longer[reps].tolist()):
         lo = frozenset(itertools.compress(members, column))
         sigs = out.setdefault(d, set())
         sigs.add(lo | flagged)

@@ -130,11 +130,6 @@ class SubdivisionTower:
             lv.cell_index = dict(zip(lv.cells_list, range(n)))
         return lv.cells_list
 
-    def is_materialized(self, t: int) -> bool:
-        """Is level t materialized: its cells listed and numbered, so that
-        index(t, ...) is the level's own CellIndex?"""
-        return self.level(t).cells_list is not None
-
     def cell_index(self, t: int) -> dict[CellT, int]:
         """Dense number of every level-t cell: its position in cells(t)."""
         self.cells(t)

@@ -348,8 +348,12 @@ def _special_family(which):
     top level (no flag). explicit-below-old-top: an explicit set one level
     below an "old" top (no DP). chain-skipping-faces: on the triangle T, the
     chain {v, T} skips both edges through v, and only it has the star mask
-    {0}, so the DP must reach v from T directly, not through facets."""
+    {0}, so the DP must reach v from T directly, not through facets.
+    old-level-1-stars-n: n "old" stars at level 1 and nothing else."""
     tower = SubdivisionTower(builtin("delta-2"))
+    if which.startswith("old-level-1-stars-"):
+        # the flag alone: the walk reads level 0 with no membership rows
+        return tower, [VertexStarSet(tower, 1, "old")] * int(which[-1])
     if which == "chain-skipping-faces":
         vid = tower.level(1).vert_id
         return tower, [VertexStarSet(tower, 1, frozenset({vid[(0,)]})),
@@ -364,7 +368,8 @@ def _special_family(which):
 
 
 @pytest.mark.parametrize("family", [f"seed-{seed}" for seed in range(40)] + [
-    "explicit-beside-old-top", "explicit-below-old-top", "chain-skipping-faces"])
+    "explicit-beside-old-top", "explicit-below-old-top", "chain-skipping-faces",
+    "old-level-1-stars-1", "old-level-1-stars-3"])
 def test_signatures_equal_chain_enumeration_on_mixed_families(family):
     if family.startswith("seed-"):
         tower, fam = _random_family(int(family[5:]))
@@ -373,32 +378,14 @@ def test_signatures_equal_chain_enumeration_on_mixed_families(family):
     assert cover_signatures(tower, fam) == chain_enumeration(tower, fam)
 
 
-def _walk_three_ways(tower, fam, level):
-    """Signatures of one family whose walk reads level: with that level
-    materialized (the walk reads its CellIndex), on a fresh tower where it
-    is only streamed (the per-cell loop), and by chain enumeration; asserts
-    that the three agree and returns them."""
-    assert tower.is_materialized(level)
-    indexed = cover_signatures(tower, fam)
-    fresh = SubdivisionTower(tower.base)
-    again = [OpenCellSet(fresh, el.level, el.cells) if isinstance(el, OpenCellSet)
-             else VertexStarSet(fresh, el.level, el.centers) for el in fam]
-    streamed = cover_signatures(fresh, again)
-    assert not fresh.is_materialized(level)
-    assert indexed == streamed == chain_enumeration(tower, fam)
-    return indexed
-
-
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
        flag=st.booleans(), rng=st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_indexed_walk_equals_the_streamed_walk_and_chain_enumeration(
-        small_towers, name, level, flag, rng):
+def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, rng):
     """Explicit sets on the walk level (so no star DP applies), beside
     explicit sets and stars below it and, with flag, an "old" star one
     level up."""
     tower = small_towers[name]
-    tower.cells(level)
     fam = [_random_element(rng, tower, "cells", level)
            for _ in range(rng.randrange(1, 4))]
     for _ in range(rng.randrange(4)):
@@ -408,7 +395,7 @@ def test_indexed_walk_equals_the_streamed_walk_and_chain_enumeration(
     if flag:
         fam.append(VertexStarSet(tower, level + 1, "old"))
     rng.shuffle(fam)
-    _walk_three_ways(tower, fam, level)
+    assert cover_signatures(tower, fam) == chain_enumeration(tower, fam)
 
 
 def test_indexed_walk_of_seventy_explicit_sets():
@@ -417,7 +404,8 @@ def test_indexed_walk_of_seventy_explicit_sets():
     tower = SubdivisionTower(builtin("delta-2"))
     fam = [_random_element(rng, tower, "cells", 2) for _ in range(70)]
     fam += [_random_element(rng, tower, "cells", 1), VertexStarSet(tower, 3, "old")]
-    sigs = _walk_three_ways(tower, fam, 2)
+    sigs = cover_signatures(tower, fam)
+    assert sigs == chain_enumeration(tower, fam)
     assert any(69 in s and 71 in s for ss in sigs.values() for s in ss)
 
 
