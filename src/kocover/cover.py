@@ -10,11 +10,13 @@ cover_signatures: the exact set of cover index sets of the cells at the
 finest element level, per base-carrier dimension. A cell there is a chain
 of cells one level down and inherits its coarser memberships from the
 chain maximum, so "old" stars on the top level become a per-chain flag,
-the stars of the level below become a DP over the face poset, and only
-the remaining elements are read at the walk level below those. Without a
-star DP they are boolean rows over the walk level's CellIndex, with
-identical columns grouped by a sort. That indexed walk and the wheel
-builder import numpy when they run, so loading this module does not.
+the stars of the level below become a DP over the face poset, and the
+remaining elements are read from membership tables built once per level
+up to the walk level below those. The DP runs on plain Python ints.
+Without a star DP the walk is boolean rows over the walk level's
+CellIndex, with identical columns grouped by a sort. That indexed walk
+and the wheel builder import numpy when they run, so loading this module
+does not.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .complexes import Complex, SimplicialMap, UsageError
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
@@ -63,14 +65,25 @@ def cover_signatures(tower: SubdivisionTower,
     * when every element at the next level t is a star, membership is an
       OR over the chain's vertices, so a DP over level t-1, faces first,
       gives every star mask of a chain with maximum c:
-      R(c) = {s(c)} | {s(c)|y : y in R(f), f a proper face of c},
-      each R(c) a small-int bitset over the distinct star masks met.
+      R(c) = {s(c)} | {s(c)|y : y in R(f), f a proper face of c}.
 
-    Every other element is read at the walk level below those: in the DP
-    cell by cell, and otherwise on the level's CellIndex
+    The DP stores the down-closed reach D(c), the union of R(f) over c and
+    its proper faces, as a small-int bitset over the distinct star masks
+    met. Every proper face lies in a facet, so the OR of D over the facets
+    of c is the union over its proper faces, and R(c) depends only on s(c)
+    and that OR; it is memoized on the pair. The set of a chain with
+    maximum c then depends only on the base-carrier dimension of c, its
+    mask of the elements below the DP, s(c) and the star masks of the
+    chains longer than {c}, so each distinct tuple of those is expanded
+    into index sets once.
+
+    Every other element is read from the per-level membership tables of
+    _membership: in the DP at the walk level below the stars, otherwise
+    beside the explicit sets of the walk level on its CellIndex
     (_indexed_signatures), which materializes the level (TowerSizeError
     over the cell budget; every bundle's explicit cells lie on a
-    materialized level).
+    materialized level). The tables and the DP are plain Python, so a
+    walk with a star DP loads no numpy.
     """
     if not elements:
         raise CoverError("empty family")
@@ -87,24 +100,92 @@ def cover_signatures(tower: SubdivisionTower,
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
     if not dp:
         return _indexed_signatures(tower, level, low, flag)
-    masks: dict[int, set[int]] = {}
-    reach: dict[CellT, int] = {}  # R(c): bit j stands for the star mask seen[j]
-    seen: list[int] = []
-    for cell in sorted(tower.cells(level), key=len):
-        lo = sum(1 << i for i, el in low if el.contains_at(level, cell))
-        out = masks.setdefault(tower.carrier0_dim(level, cell), set())
-        s = sum(1 << i for i, el in stars if el.center_over_lower_cell(cell))
+    cells = tower.cells(level)
+    masks, dims = _membership(tower, level, low)
+    # s(c): the stars centered at the barycenter of c, which is vertex i
+    # of the star level when c is cells[i]
+    old = sum(1 << i for i, el in stars if el.centers == "old")
+    star = [old if len(c) == 1 else 0 for c in cells]
+    for i, el in stars:
+        if el.centers != "old":
+            star = [s | 1 << i if j in el.centers else s for j, s in enumerate(star)]
+    seen: list[int] = []  # bit j of a reach stands for the star mask seen[j]
+    bit: dict[int, int] = {}
+
+    def reach(y: int) -> int:
+        if y not in bit:
+            bit[y] = len(seen)
+            seen.append(y)
+        return 1 << bit[y]
+
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    down: dict[CellT, int] = {(): 0}  # D(c); a vertex's one facet is empty
+    groups = set()
+    for i in sorted(range(len(cells)), key=lambda i: len(cells[i])):
+        c, s = cells[i], star[i]
         below = 0
-        for f in proper_faces(cell):
-            below |= reach[f]
-        longer = {s | y for j, y in enumerate(seen) if below >> j & 1}
-        out.add(s | lo | flag)
-        out.update(y | lo | f for y in longer for f in (0, flag))
-        seen.extend(y for y in longer | {s} if y not in seen)
-        reach[cell] = sum(1 << seen.index(y) for y in longer | {s})
+        for f in itertools.combinations(c, len(c) - 1):
+            below |= down[f]
+        hit = memo.get((s, below))
+        if hit is None:
+            longer = 0  # the star masks of the chains longer than {c}
+            for j in _bits(below):
+                longer |= reach(s | seen[j])
+            hit = memo[s, below] = longer, longer | reach(s) | below
+        longer, down[c] = hit
+        groups.add((dims[i], masks[i], s, longer))
+    out: dict[int, set[int]] = {}
+    for d, lo, s, longer in groups:
+        sigs = out.setdefault(d, set())
+        sigs.add(s | lo | flag)
+        for j in _bits(longer):
+            sigs.update((seen[j] | lo, seen[j] | lo | flag))
     n = len(elements)
     return {d: {frozenset(i for i in range(n) if mask >> i & 1) for mask in ms}
-            for d, ms in masks.items()}
+            for d, ms in out.items()}
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _membership(tower: SubdivisionTower, level: int,
+                low: list[tuple[int, CellSet]]) -> tuple[list[int], list[int]]:
+    """Element masks and base-carrier dimensions of the cells of a level,
+    aligned with cells(level): bit i of a mask is set when the element
+    (i, el) of low, none of them finer than the level, holds the cell.
+
+    One table per level, from the lowest element level up: a level-t
+    cell's mask is that of its chain maximum one level down, ORed with the
+    level-t elements that hold the cell: an explicit set that lists it, an
+    "old" star when it has a vertex over a level-(t-1) vertex, an explicit
+    star when it has a center. The base carrier is the maximum's too.
+    """
+    masks: list[int] | None = None
+    for t in range(min((el.level for _, el in low), default=level), level + 1):
+        cells = tower.cells(t)
+        if t:
+            vdim = tower.level(t).vdim
+            tops = [max(c, key=vdim.__getitem__) for c in cells]
+        masks = [0] * len(cells) if masks is None else [masks[v] for v in tops]
+        for i, el in low:
+            if el.level != t:
+                continue
+            if isinstance(el, OpenCellSet):
+                hits: Iterable[bool] = map(el.cells.__contains__, cells)
+            elif el.centers == "old":
+                hits = (0 in map(vdim.__getitem__, c) for c in cells)
+            else:
+                hits = (not el.centers.isdisjoint(c) for c in cells)  # type: ignore[union-attr]
+            masks = [m | 1 << i if h else m for m, h in zip(masks, hits)]
+    if level == 0:
+        return masks, [len(c) - 1 for c in cells]
+    vbase = tower.level(level).vbase
+    return masks, [len(vbase[v]) - 1 for v in tops]
 
 
 def _indexed_signatures(tower: SubdivisionTower, level: int,
@@ -113,10 +194,10 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     """cover_signatures' walk without a star DP, on the level's CellIndex.
 
     Each cell is a column: one membership row per element of low (the
-    positions of an explicit element of this level, contains_at for any
-    other), its base-carrier dimension and whether its chain is longer
-    than a singleton, which under a flag also gives the set without the
-    flagged elements. A lexicographic sort and an adjacent difference
+    positions of an explicit element of this level, the _membership
+    table for every other), its base-carrier dimension and whether its
+    chain is longer than a singleton, which under a flag also gives the
+    set without the flagged elements. A lexicographic sort and an adjacent difference
     group identical columns, and index sets are built from one column per
     group, so no column is packed into a machine-word bitmask. An explicit
     element holding a cell that is not on the level raises TowerError.
@@ -125,13 +206,15 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     cells = tower.cells(level)
     index = tower.index(level, cells)
     n = len(cells)
+    listed = [isinstance(el, OpenCellSet) and el.level == level for _, el in low]
+    if not all(listed):
+        masks, _ = _membership(tower, level, [e for e, x in zip(low, listed) if not x])
     rows = np.zeros((len(low), n), dtype=bool)  # no rows under a lone flag
-    for row, (_, el) in zip(rows, low):
-        if isinstance(el, OpenCellSet) and el.level == level:
+    for row, (i, el), x in zip(rows, low, listed):
+        if x:
             row[index.positions(el.cells)] = True
         else:
-            row[:] = np.fromiter((el.contains_at(level, c) for c in cells),
-                                 dtype=bool, count=n)
+            row[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
     base_dim = np.array([len(c) - 1 for c in tower.cells(0)], dtype=np.int8)
     dims = base_dim[index.carrier]
     longer = np.fromiter(map(len, cells), dtype=np.int32, count=n) > 1
@@ -446,7 +529,8 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     # two meet. The first round in which one does not fails the check that
     # growing it alone would fail: its ring holds a cell over a base edge
     # or vertex, or the region holds a cell over a base face of two
-    # 2-cells, whose cofaces in the other one it lacks
+    # 2-cells, whose cofaces in the other one it lacks. A region that
+    # fills its 2-cell has an empty ring, which is refused the same way
     shared = np.zeros(len(base), dtype=bool)
     for f, k in Counter(f for t in two_cells for f in proper_faces(t)).items():
         shared[base[f]] = k > 1
@@ -460,7 +544,8 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
         closed[index.face_cell[region[index.face]]] = True
         closed[index.face[closed[index.face_cell]]] = True
         ring[index.face[closed[index.face] & ~closed[index.face_cell]]] = True
-        if (carrier_dim[ring] != 2).any() or shared[index.carrier[closed]].any():
+        if not ring.any() or (carrier_dim[ring] != 2).any() \
+                or shared[index.carrier[closed]].any():
             raise ConstructionError(
                 f"wheel cracks: m={m} neighborhood rings around a 2-cell "
                 f"barycenter reach its boundary at level {level}")

@@ -419,15 +419,6 @@ class VertexStarSet:
             return self.tower.level(self.level).vdim[v] == 0
         return v in self.centers  # type: ignore[operator]
 
-    def center_over_lower_cell(self, lower: CellT) -> bool:
-        """Is the barycenter vertex of a level-(level-1) cell a center?
-
-        Usable without the vertex table of this level when centers == "old".
-        """
-        if self.centers == "old":
-            return len(lower) == 1
-        return self.tower.level(self.level).vert_id[lower] in self.centers  # type: ignore[operator]
-
     def contains(self, cell: CellT) -> bool:
         return any(self.center_has_vert(v) for v in cell)
 

@@ -197,12 +197,12 @@ def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch, dec
 
 def test_wheel_cracks_stop_at_m7():
     # seven nested rings fit in a 2-cell at level 4. The eighth region
-    # fills delta-2's one 2-cell, so its ring is empty and the last
-    # element has no arcs; on a closed surface it reaches the 2-cells
-    # across the edges
+    # fills delta-2's one 2-cell, so its ring is empty; on a closed
+    # surface it reaches the 2-cells across the edges. Both are the rings'
+    # limit
     bundle = build_cover(builtin("delta-2"), 0, 7)
     assert bundle.construction == "wheel-cracks" and verify_cover_bundle(bundle).ok
-    with pytest.raises(ConstructionError, match="no room for an arc of element 7"):
+    with pytest.raises(ConstructionError, match="rings .* reach its boundary"):
         build_cover(builtin("delta-2"), 0, 8)
     with pytest.raises(ConstructionError, match="rings .* reach its boundary"):
         build_cover(builtin("boundary-delta-3"), 0, 8)
@@ -349,16 +349,30 @@ def _special_family(which):
     below an "old" top (no DP). chain-skipping-faces: on the triangle T, the
     chain {v, T} skips both edges through v, and only it has the star mask
     {0}, so the DP must reach v from T directly, not through facets.
-    old-level-1-stars-n: n "old" stars at level 1 and nothing else."""
+    old-level-1-stars-n: n "old" stars at level 1 and nothing else.
+    seventy-stars: 70 explicit stars on the DP level, so its masks are
+    wider than a machine word. explicit-centers-two-levels: explicit stars
+    on the DP level and one level below it, an "old" flag above and a
+    level-0 region."""
     tower = SubdivisionTower(builtin("delta-2"))
     if which.startswith("old-level-1-stars-"):
         # the flag alone: the walk reads level 0 with no membership rows
         return tower, [VertexStarSet(tower, 1, "old")] * int(which[-1])
+    rng = random.Random(which)
+    if which == "seventy-stars":
+        fam = [_random_element(rng, tower, "explicit", 2) for _ in range(70)]
+        return tower, fam + [_random_element(rng, tower, "cells", 1),
+                             VertexStarSet(tower, 3, "old")]
+    if which == "explicit-centers-two-levels":
+        region = OpenCellSet(tower, 0, [c for c in tower.base.cells() if len(c) < 3])
+        return tower, [_random_element(rng, tower, "explicit", 2),
+                       _random_element(rng, tower, "explicit", 2),
+                       _random_element(rng, tower, "explicit", 1),
+                       VertexStarSet(tower, 3, "old"), region]
     if which == "chain-skipping-faces":
         vid = tower.level(1).vert_id
         return tower, [VertexStarSet(tower, 1, frozenset({vid[(0,)]})),
                        VertexStarSet(tower, 1, frozenset({vid[(0, 1)], vid[(0, 2)]}))]
-    rng = random.Random(which)
     top = 3 if which == "explicit-beside-old-top" else 2
     fam = [_random_element(rng, tower, "old", 3),
            _random_element(rng, tower, "cells", top),
@@ -369,7 +383,8 @@ def _special_family(which):
 
 @pytest.mark.parametrize("family", [f"seed-{seed}" for seed in range(40)] + [
     "explicit-beside-old-top", "explicit-below-old-top", "chain-skipping-faces",
-    "old-level-1-stars-1", "old-level-1-stars-3"])
+    "old-level-1-stars-1", "old-level-1-stars-3", "seventy-stars",
+    "explicit-centers-two-levels"])
 def test_signatures_equal_chain_enumeration_on_mixed_families(family):
     if family.startswith("seed-"):
         tower, fam = _random_family(int(family[5:]))
