@@ -160,17 +160,19 @@ def _membership(tower: SubdivisionTower, level: int,
     (i, el) of low, none of them finer than the level, holds the cell.
 
     One table per level, from the lowest element level up: a level-t
-    cell's mask is that of its chain maximum one level down, ORed with the
-    level-t elements that hold the cell: an explicit set that lists it, an
-    "old" star when it has a vertex over a level-(t-1) vertex, an explicit
-    star when it has a center. The base carrier is the maximum's too.
+    cell's mask is that of its chain maximum one level down, gathered
+    through the level's tops table, ORed with the level-t elements that
+    hold the cell: an explicit set that lists it, an "old" star when it
+    has a vertex over a level-(t-1) vertex, an explicit star when it has a
+    center. The base carrier is the maximum's too. No maximum is computed
+    per cell, and no numpy is loaded.
     """
     masks: list[int] | None = None
     for t in range(min((el.level for _, el in low), default=level), level + 1):
         cells = tower.cells(t)
         if t:
             vdim = tower.level(t).vdim
-            tops = [max(c, key=vdim.__getitem__) for c in cells]
+            tops = tower.level(t).tops
         masks = [0] * len(cells) if masks is None else [masks[v] for v in tops]
         for i, el in low:
             if el.level != t:

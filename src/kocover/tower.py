@@ -12,8 +12,21 @@ still be enumerated by streaming chains of the level below. Decoded
 cells live on a materialized level; a snap on a level that was only
 streamed indexes its carrier alone.
 
+Each level is built from the tables of the level below, faces first. The
+chains with one maximum c, the block of c, are c alone and then the
+blocks of c's faces with c added, so every block is computed once from
+the memoized blocks of its faces, and a level lists the blocks of the
+lower cells in order. A count DP over the faces sizes the level before it
+is built. The chains of one maximum are contiguous, so the level's tops
+table, the chain-maximum vertex of every cell, is each lower cell's number
+repeated by its count. Through tops, the base carriers of the next level's
+vertices, the membership tables of the signature walk and the base
+carriers of a CellIndex are gathers, not a maximum per cell.
+
 CellIndex is where kocover starts using arrays: numpy is imported when one
-is built, not when this module loads.
+is built, not when this module loads, so materializing levels, their tops
+and the count DP never load it. Its face pairs are matched as rows of
+vertex numbers, with exact int64 keys, for every index the tower builds.
 """
 
 from __future__ import annotations
@@ -67,7 +80,9 @@ class _Level:
     level 0, and the level-(t-1) cell at level t, so that verts and its
     inverse vert_id are the lower level's cells_list and cell_index. vdim
     is the dimension of that underlying cell; vbase is the base cell whose
-    open cell contains the vertex point.
+    open cell contains the vertex point. Once the level's cells are
+    materialized, tops[i] is the vertex of cells_list[i] of largest
+    dimension, its chain maximum (levels 1 and up).
     """
 
     def __init__(self, t: int, verts: list, vert_id: dict, vdim: list[int],
@@ -78,6 +93,7 @@ class _Level:
         self.vdim = vdim
         self.vbase = vbase
         self.cells_list: list[CellT] | None = None
+        self.tops: array | None = None
         # position of each cell in cells_list, its dense cell number
         self.cell_index: dict[CellT, int] | None = None
         self.index: CellIndex | None = None
@@ -111,23 +127,31 @@ class SubdivisionTower:
         while len(self._levels) <= t:
             s = len(self._levels) - 1
             lower_cells = self.cells(s)
-            vdim = [len(c) - 1 for c in lower_cells]
-            vbase = [self.carrier0(s, c) for c in lower_cells]
+            low = self._levels[s]
+            # a vertex's base carrier is that of its cell's chain maximum
+            vbase = (list(lower_cells) if s == 0
+                     else list(map(low.vbase.__getitem__, low.tops)))
             self._levels.append(_Level(s + 1, lower_cells, self.cell_index(s),
-                                       vdim, vbase))
+                                       [len(c) - 1 for c in lower_cells], vbase))
         return self._levels[t]
 
     def cells(self, t: int) -> list[CellT]:
-        """All cells of level t, materialized (guarded by the cell budget)."""
+        """All cells of level t, materialized (guarded by the cell budget).
+
+        The chains with one maximum are contiguous, so the level's tops
+        table is each lower cell's number repeated by its chain count."""
         lv = self.level(t)
         if lv.cells_list is None:
-            n = self.count_cells(t)
+            counts = self._chain_counts(t)
+            n = sum(counts)
             if n > self.max_cells:
                 raise TowerSizeError(
                     f"level {t} has {n} cells, over the materialization budget "
                     f"{self.max_cells}")
             lv.cells_list = list(self.iter_cells(t))
             lv.cell_index = dict(zip(lv.cells_list, range(n)))
+            lv.tops = array("i", itertools.chain.from_iterable(
+                map(itertools.repeat, range(len(counts)), counts)))
         return lv.cells_list
 
     def cell_index(self, t: int) -> dict[CellT, int]:
@@ -166,36 +190,56 @@ class SubdivisionTower:
         """Level-t cells whose chain maximum is in tops (level t-1 cells)
         and, when within is given, whose members all lie in within.
 
-        Each chain is produced once, by descending from its maximum through
-        faces of the current minimum.
+        The chains with maximum c, its block, are the singleton (c,)
+        followed, for each face f of c from the smallest up, by every chain
+        of f's block with c added: the order of a descent from each top
+        through faces of the current minimum. Each block is computed once
+        and kept for the rest of the walk, unless its cell has as many
+        vertices as the largest base facet and so is no proper face.
         """
         vid = self.level(t).vert_id
-        if within is None:
-            faces = proper_faces
-        else:
+        if within is not None:
             tops = [c for c in tops if c in within]
-
-            def faces(c: CellT) -> Iterator[CellT]:
-                return (f for f in proper_faces(c) if f in within)
-        stack: list[tuple[list[int], CellT]] = []
+        longest = self.base.dim + 1
+        blocks: dict[CellT, list[CellT]] = {}
         for top in tops:
-            stack.append(([vid[top]], top))
-            while stack:
-                ids, mn = stack.pop()
-                yield tuple(sorted(ids))
-                for f in faces(mn):
-                    stack.append((ids + [vid[f]], f))
+            block = blocks.get(top)
+            if block is None:
+                block = self._chain_block(top, vid, within, blocks)
+                if len(top) < longest:
+                    blocks[top] = block
+            yield from block
+
+    def _chain_block(self, c: CellT, vid: dict[CellT, int],
+                     within: Container[CellT] | None,
+                     blocks: dict[CellT, list[CellT]]) -> list[CellT]:
+        """The block of c, from the blocks of its faces, memoized in blocks
+        (a method, not a closure, so that no reference cycle keeps the
+        blocks alive after the walk)."""
+        v = (vid[c],)
+        block = [v]
+        for f in reversed(list(proper_faces(c))):
+            if within is None or f in within:
+                face_block = blocks.get(f)
+                if face_block is None:
+                    face_block = blocks[f] = self._chain_block(f, vid, within, blocks)
+                block += [tuple(sorted(ch + v)) for ch in face_block]
+        return block
+
+    def _chain_counts(self, t: int) -> list[int]:
+        """Number of level-t chains with each level-(t-1) cell as maximum,
+        aligned with cells(t-1): the count DP over faces."""
+        lower = self.cells(t - 1)
+        memo: dict[CellT, int] = {}
+        for c in sorted(lower, key=len):
+            memo[c] = 1 + sum(map(memo.__getitem__, proper_faces(c)))
+        return list(map(memo.__getitem__, lower))
 
     def count_cells(self, t: int) -> int:
         """Exact cell count of level t (chain-count DP over level t-1)."""
         if t == 0:
             return len(self.cells(0))
-        lower = self.cells(t - 1)
-        order = sorted(lower, key=len)
-        memo: dict[CellT, int] = {}
-        for c in order:
-            memo[c] = 1 + sum(memo[f] for f in proper_faces(c))
-        return sum(memo.values())
+        return sum(self._chain_counts(t))
 
     # -- carriers ----------------------------------------------------------
 
@@ -261,9 +305,12 @@ class CellIndex:
 
     Cell i is cells[i], and position maps each cell to its number. The face
     pairs (face_cell[k], face[k]) list every cell with each of its proper
-    faces that is itself in cells. carrier[i] numbers carrier0 of cell i
-    among the base cells, and base_verts is the base cells x base vertices
-    table of "v is a vertex of that cell".
+    faces that is itself in cells, cell-major and each cell's faces in
+    proper_faces order. carrier[i] numbers carrier0 of cell i among the
+    base cells, and base_verts is the base cells x base vertices table of
+    "v is a vertex of that cell". The face pairs and the carriers are
+    array operations over the cells' vertex rows, the same for the level's
+    own index and for one over some of its cells.
     """
 
     def __init__(self, tower: SubdivisionTower, t: int, cells: Sequence[CellT],
@@ -272,18 +319,28 @@ class CellIndex:
         self.t = t
         self.cells = cells
         self.position = position
-        cell_ids, face_ids = array("i"), array("i")
-        for i, c in enumerate(cells):
-            for f in proper_faces(c):
-                j = position.get(f)
-                if j is not None:
-                    cell_ids.append(i)
-                    face_ids.append(j)
-        self.face_cell = np.array(cell_ids, dtype=np.int32)
-        self.face = np.array(face_ids, dtype=np.int32)
+        n = len(cells)
+        size = np.fromiter(map(len, cells), dtype=np.int32, count=n)
+        flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int32,
+                           count=int(size.sum()))
+        # the numbers and the vertex rows of the cells with k vertices
+        groups = {k: (np.flatnonzero(size == k),
+                      flat[np.repeat(size == k, size)].reshape(-1, k))
+                  for k in np.flatnonzero(np.bincount(size)).tolist()}
+        self.face_cell, self.face = _face_pairs(groups, n, int(flat.max(initial=0)) + 1)
         base = tower.cell_index(0)
-        self.carrier = np.fromiter((base[tower.carrier0(t, c)] for c in cells),
-                                   dtype=np.int32, count=len(cells))
+        if t == 0:
+            self.carrier = np.fromiter(map(base.__getitem__, cells), dtype=np.int32,
+                                       count=n)
+        else:
+            # a cell's base carrier is that of its chain maximum, the vertex
+            # of largest dimension, a cell of level t-1
+            vdim = np.array(tower.level(t).vdim, dtype=np.int32)
+            lower = _carrier_numbers(tower, t - 1)
+            self.carrier = np.empty(n, dtype=np.int32)
+            for nums, rows in groups.values():
+                top = rows[np.arange(len(rows)), vdim[rows].argmax(axis=1)]
+                self.carrier[nums] = lower[top]
         self.base_verts = np.zeros((len(base), len(tower.base.vertices)), dtype=bool)
         for c, i in base.items():
             self.base_verts[i, list(c)] = True
@@ -325,6 +382,76 @@ class CellIndex:
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
+
+
+def _carrier_numbers(tower: SubdivisionTower, t: int) -> np.ndarray:
+    """Number among the base cells of the base carrier of every level-t
+    cell, levels 0 to t materialized: the base cells' own numbers, gathered
+    through the tops table of each level from 1 to t."""
+    import numpy as np
+    out = np.arange(len(tower.cells(0)), dtype=np.int32)
+    for s in range(1, t + 1):
+        out = out[np.frombuffer(tower.level(s).tops, dtype=np.int32)]
+    return out
+
+
+def _face_pairs(groups: dict[int, tuple[np.ndarray, np.ndarray]], n: int,
+                radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (cell, face) pair of the n cells with the face among them,
+    cell-major and each cell's faces in proper_faces order.
+
+    groups maps k to the numbers and vertex rows of the cells with k
+    vertices, whose entries lie below radix. Row i of an n x (2^K - 2)
+    table, K the most vertices of a cell, lists the numbers of cell i's
+    faces, or -1 where a face is not among the cells, so that a scan of
+    the table in row-major order meets the pairs in order.
+    """
+    import numpy as np
+    width = 2 ** max(groups, default=1) - 2
+    table = np.full((n, width), -1, dtype=np.int32)
+    filled = dict.fromkeys(groups, 0)
+    for j in sorted(groups, reverse=True):
+        nums, rows = groups[j]
+        for k in groups:
+            if k > j:
+                combos = np.array(list(itertools.combinations(range(k), j)))
+                faces = groups[k][1]
+                at = _match_rows(rows, radix, [faces[:, c] for c in combos.T])
+                table[groups[k][0], filled[k]:filled[k] + len(combos)] = \
+                    np.where(at >= 0, nums[at], -1)
+                filled[k] += len(combos)
+    table = table.reshape(-1)
+    at = np.flatnonzero(table >= 0)
+    return (at // width).astype(np.int32), table[at]
+
+
+def _match_rows(rows: np.ndarray, radix: int, columns: list[np.ndarray]) -> np.ndarray:
+    """For the queries whose j entries are columns[0..j-1], elementwise, the
+    index of the equal row of rows (distinct rows of j entries), or -1.
+
+    Entries lie below radix. A row is keyed by the rank of its prefix among
+    the distinct prefixes of rows, times radix, plus its next entry, one
+    column at a time, so keys stay below len(rows) * radix and are exact in
+    int64 whatever the number of columns. A query whose prefix is no row's
+    prefix drops out as -1.
+    """
+    import numpy as np
+    key = rows[:, 0].astype(np.int64)
+    query = columns[0].astype(np.int64)
+    for col, qcol in zip(rows.T[1:], columns[1:]):
+        prefixes, rank = np.unique(key, return_inverse=True)
+        at = np.searchsorted(prefixes, query)
+        np.minimum(at, len(prefixes) - 1, out=at)
+        miss = prefixes[at] != query
+        query = at
+        query *= radix
+        query += qcol
+        query[miss] = -1
+        key = rank.reshape(-1) * radix + col
+    order = np.argsort(key)
+    key = key[order]
+    at = np.searchsorted(key, query).clip(max=len(key) - 1)
+    return np.where(key[at] == query, order[at], -1)
 
 
 # -- open cell sets ----------------------------------------------------------

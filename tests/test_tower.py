@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import subprocess
@@ -13,7 +14,8 @@ import kocover
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
-from kocover.tower import cells_from_json, proper_faces, vertex_set_from_json
+from kocover.complexes import CATALOG
+from kocover.tower import _match_rows, cells_from_json, proper_faces, vertex_set_from_json
 
 
 def chains_of(cells):
@@ -173,6 +175,22 @@ def test_cells_have_distinct_member_dimensions():
                 assert len(set(dims)) == len(dims)
 
 
+def stack_descent(tower, t, tops, within=None):
+    """The chains of tops as a stack descent from each top through faces of
+    the current minimum, pushed largest first: an oracle independent of
+    the memoized blocks of SubdivisionTower.chains."""
+    vid = tower.level(t).vert_id
+    for top in tops:
+        if within is not None and top not in within:
+            continue
+        stack = [([vid[top]], top)]
+        while stack:
+            ids, mn = stack.pop()
+            yield tuple(sorted(ids))
+            stack.extend((ids + [vid[f]], f) for f in proper_faces(mn)
+                         if within is None or f in within)
+
+
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
        top_density=st.floats(0.0, 1.0), within=st.one_of(st.none(), st.floats(0.0, 1.0)),
        rng=st.randoms(use_true_random=False))
@@ -181,13 +199,120 @@ def test_chains_are_the_filtered_level_cells(small_towers, name, level, top_dens
                                              within, rng):
     t = small_towers[name]
     lower = t.cells(level - 1)
-    tops = {c for c in lower if rng.random() < top_density}
+    tops = [c for c in lower if rng.random() < top_density]
+    rng.shuffle(tops)
     keep = None if within is None else {c for c in lower if rng.random() < within}
+    assert list(t.chains(level, tops, keep)) == list(stack_descent(t, level, tops, keep))
     lv = t.level(level)
     expected = [cell for cell in t.iter_cells(level)
                 if t.carrier_down(level, cell) in tops
                 and (keep is None or all(lv.verts[v] in keep for v in cell))]
-    assert list(t.chains(level, [c for c in lower if c in tops], keep)) == expected
+    assert sorted(t.chains(level, tops, keep)) == sorted(expected)
+
+
+def test_streamed_cells_follow_the_stack_descent():
+    # level 3 is streamed, not materialized, on a fresh tower
+    for name in SMALL_NAMES:
+        t = SubdivisionTower(builtin(name))
+        assert list(t.iter_cells(3)) == list(stack_descent(t, 3, t.cells(2)))
+        assert t.level(3).cells_list is None
+
+
+@pytest.mark.parametrize("name, t", [("boundary-delta-4", 2), ("torus-7", 4)])
+def test_materializing_a_level_leaves_no_garbage(name, t):
+    # a block memo held in a recursive closure is a reference cycle that
+    # keeps every block alive until the cycle collector runs
+    tower = SubdivisionTower(builtin(name), max_level=t + 1)
+    gc.collect()
+    gc.disable()
+    try:
+        tower.cells(t)
+        tower.level(t + 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# levels of at most this many cells are checked cell by cell
+ORACLE_CELLS = 100_000
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_tops_and_vbase_are_the_chain_maxima(name):
+    tower = SubdivisionTower(builtin(name), max_cells=ORACLE_CELLS)
+    assert tower.level(1).vbase == tower.cells(0)
+    for t in range(1, tower.max_level + 1):
+        try:
+            cells = tower.cells(t)
+        except TowerSizeError:
+            break
+        lv = tower.level(t)
+        assert list(lv.tops) == [max(c, key=lv.vdim.__getitem__) for c in cells]
+        if t < tower.max_level:
+            assert tower.level(t + 1).vbase == [tower.carrier(t, c, 0) for c in cells]
+
+
+def python_loop_index(tower, t, cells):
+    """Face pairs and base-carrier numbers of the given level-t cells, by a
+    loop over each cell's proper faces and a walk down its carriers."""
+    position = {c: i for i, c in enumerate(cells)}
+    pairs = [(i, position[f]) for i, c in enumerate(cells) for f in proper_faces(c)
+             if f in position]
+    base = tower.cell_index(0)
+    return pairs, [base[tower.carrier(t, c, 0)] for c in cells]
+
+
+def assert_index_matches_the_loop(tower, t, cells):
+    index = tower.index(t, cells)
+    pairs, carrier = python_loop_index(tower, t, index.cells)
+    assert list(zip(index.face_cell.tolist(), index.face.tolist())) == pairs
+    assert index.carrier.tolist() == carrier
+    assert index.face_cell.dtype == index.face.dtype == index.carrier.dtype == "int32"
+
+
+@pytest.mark.parametrize("name, t", [("point", 2), ("s1", 3), ("delta-2", 4),
+                                     ("boundary-delta-3", 3), ("torus-7", 3),
+                                     ("rp2-6", 3), ("s1-x-s1", 3), ("delta-3", 2),
+                                     ("boundary-delta-4", 2), ("delta-4", 1)])
+def test_cell_index_matches_the_python_loop(name, t):
+    tower = SubdivisionTower(builtin(name))
+    assert_index_matches_the_loop(tower, t, tower.cells(t))
+    for s in range(t + 1):
+        assert_index_matches_the_loop(tower, s, tower.cells(s))
+
+
+@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
+       density=st.floats(0.0, 1.0), rng=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_carrier_only_index_matches_the_python_loop(name, level, density, rng):
+    # the level is only streamed on a fresh tower, so the index holds the
+    # given cells alone, and only faces among them pair up
+    tower = SubdivisionTower(builtin(name))
+    cells = [c for c in tower.iter_cells(level) if rng.random() < density]
+    rng.shuffle(cells)
+    assert_index_matches_the_loop(tower, level, cells)
+    assert tower.level(level).cells_list is None
+
+
+def test_carrier_only_index_is_exact_past_int64_keys():
+    # level 3 of delta-4 has 97,561 vertices and 5-vertex cells: a key of
+    # five vertex digits in that radix would not fit in 63 bits
+    tower = SubdivisionTower(builtin("delta-4"))
+    tops = [c for c in tower.cells(2) if len(c) == 5][::400]
+    cells = list(tower.chains(3, tops))
+    assert len(tower.level(3).verts) ** 5 > 2 ** 63 and max(map(len, cells)) == 5
+    assert tower.level(3).cells_list is None
+    assert_index_matches_the_loop(tower, 3, cells)
+
+
+def test_row_matching_is_exact_where_a_radix_key_would_wrap():
+    import numpy as np
+    # entries below 2**16 in five columns: a radix key is 2**64 times the
+    # first entry plus the rest, so in int64 the first entry would vanish
+    rows = np.array([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [2 ** 16 - 1, 0, 0, 0, 7]])
+    queries = np.array([[1, 0, 0, 0, 0], [2 ** 16 - 1, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                        [2 ** 16 - 1, 0, 0, 0, 7], [0, 0, 0, 0, 7]])
+    assert _match_rows(rows, 2 ** 16, list(queries.T)).tolist() == [1, -1, 0, 2, -1]
 
 
 def test_dual_complex_examples():
