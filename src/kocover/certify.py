@@ -16,12 +16,16 @@ they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
 
 A snap is replayed on the dense CellIndex of its level (tower.index; on a
-level that was only streamed, one of the carrier alone): the face pairs
-are masked to the carrier and labelled into components with array
-operations, the min-base-vertex rule intersects the members' base
-carriers per component, and an explicit assignment is checked for one
-target per component lying in every member's base carrier. Every check is
-exact; a failure names the failing component that holds the least cell.
+level that was only streamed, one of the carrier alone), at the cell
+numbers the carrier set carries (OpenCellSet.indexed): replay hands each
+step the carrier as a set, so a first-step snap reads the numbers its
+start was decoded or built with, and an explicit assignment is read in
+the order of those numbers. The face pairs are masked to the carrier and
+labelled into components with array operations, the min-base-vertex rule
+intersects the members' base carriers per component, and an explicit
+assignment is checked for one target per component lying in every
+member's base carrier. Every check is exact; a failure names the failing
+component that holds the least cell.
 The snap imports numpy when it runs, so loading this module does not.
 """
 
@@ -32,8 +36,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .complexes import UsageError
 from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cells_from_json, json_field, vertex_set_from_json,
-                    vertex_set_to_json)
+                    VertexStarSet, cell_numbers_from_json, json_field,
+                    vertex_set_from_json, vertex_set_to_json)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,48 +138,50 @@ def verify_certificate(tower: SubdivisionTower, cert: Certificate) -> Verdict:
 
 
 def _verify_explicit(tower: SubdivisionTower, cert: Certificate) -> Verdict:
-    start = cert.start.materialize()
-    level, cells = start.level, start.cells
+    carrier = cert.start.materialize()
     try:
-        for _, level, cells in replay(tower, level, cells, cert.steps):
+        for _, carrier in replay(tower, carrier, cert.steps):
             pass
     except StepFailure as exc:
         return _fail(exc.step, exc.reason, exc.witness)
-    return _final_verdict(tower, cert.target, level, cells)
+    return _final_verdict(tower, cert.target, carrier.level, carrier.cells)
 
 
-def replay(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
-           steps: Sequence[Step]) -> Iterator[tuple[int, int, frozenset[CellT]]]:
+def replay(tower: SubdivisionTower, carrier: OpenCellSet,
+           steps: Sequence[Step]) -> Iterator[tuple[int, OpenCellSet]]:
     """Apply certificate steps to a materialized carrier, one at a time.
 
-    Yields (step index, level, carrier) after each step. Raises StepFailure
-    when a step's precondition fails on the carrier, and
-    CertificateFormatError when a step does not fit the carrier's level or
-    names something outside the tower.
+    Yields (step index, carrier) after each step; a snap reads the cell
+    numbers of the carrier it is handed, so a first-step snap reuses the
+    start's. Raises StepFailure when a step's precondition fails on the
+    carrier, and CertificateFormatError when a step does not fit the
+    carrier's level or names something outside the tower.
     """
+    if carrier.tower is not tower:  # the steps read this tower's tables
+        carrier = OpenCellSet(tower, carrier.level, carrier.cells)
     for idx, step in enumerate(steps):
+        level = carrier.level
         if isinstance(step, Refine):
-            level += 1
-            cells = frozenset(tower.chains(level, cells))
+            carrier = OpenCellSet(tower, level + 1, tower.chains(level + 1, carrier.cells))
         elif isinstance(step, (PartitionPush, StarSnap)):
             if step.level != level:
                 raise CertificateFormatError(
                     f"{step.kind} at level {step.level} applied to a level-{level} carrier")
             if isinstance(step, StarSnap):
-                cells = _apply_snap(tower, level, cells, step, idx)
+                carrier = _apply_snap(tower, carrier, step, idx)
             else:
                 keep = _expand_keep(tower, level, step.keep)
                 pushed = set()
-                for c in cells:
+                for c in carrier.cells:
                     kept = tuple(v for v in c if v in keep)
                     if not kept:
                         raise StepFailure(
                             idx, "push leaves a carrier cell with no kept vertex", c)
                     pushed.add(kept)
-                cells = frozenset(pushed)
+                carrier = OpenCellSet(tower, level, pushed)
         else:
             raise CertificateFormatError(f"unknown step {step!r}")
-        yield idx, level, cells
+        yield idx, carrier
 
 
 def _expand_keep(tower: SubdivisionTower, level: int,
@@ -188,8 +194,9 @@ def _expand_keep(tower: SubdivisionTower, level: int,
     return keep  # type: ignore[return-value]
 
 
-def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
-                step: StarSnap, idx: int) -> frozenset[CellT]:
+def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
+                idx: int) -> OpenCellSet:
+    level, cells = carrier.level, carrier.cells
     if step.assignment != "min-base-vertex":
         assign = dict(step.assignment)  # type: ignore[arg-type]
         if any(c not in assign for c in cells):
@@ -198,12 +205,11 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
         if any(not 0 <= v < nbase for v in assign.values()):
             raise CertificateFormatError("snap assigns a non-vertex of the base complex")
     if not cells:
-        return frozenset()
+        return carrier
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
-    index = tower.index(level, cells)
-    pos = index.positions(cells)
+    index, pos = carrier.indexed()
     root = index.components(pos)
     order = np.argsort(root, kind="stable")
     member, root = pos[order], root[order]
@@ -220,8 +226,9 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
                               _least_failing(index, member, comp, empty)[1])
         target = common.argmax(axis=1)  # the least common vertex
     else:
-        goal = np.fromiter(map(assign.__getitem__, cells), dtype=np.intp,
-                           count=len(cells))[order]
+        # each member's target, in the order of the numbers
+        goal = np.fromiter(map(assign.__getitem__, map(index.cells.__getitem__, pos.tolist())),
+                           dtype=np.intp, count=len(pos))[order]
         split = np.minimum.reduceat(goal, starts) != np.maximum.reduceat(goal, starts)
         outside = ~in_carrier[np.arange(len(member)), goal]
         bad = split | np.logical_or.reduceat(outside, starts)
@@ -234,7 +241,8 @@ def _apply_snap(tower: SubdivisionTower, level: int, cells: frozenset[CellT],
                 idx, "snap target is not a vertex of a member cell's base carrier",
                 min(index.cells[p] for p in member[(comp == k) & outside].tolist()))
         target = goal[starts]
-    return frozenset((tower.lift_base_vertex(v, level),) for v in set(target.tolist()))
+    return OpenCellSet(tower, level, ((tower.lift_base_vertex(v, level),)
+                                      for v in set(target.tolist())))
 
 
 def _least_failing(index: CellIndex, member: np.ndarray, comp: np.ndarray,
@@ -312,14 +320,13 @@ def run_steps(tower: SubdivisionTower, start: CellSet,
               steps: Sequence[Step]) -> tuple[int, frozenset[CellT]]:
     """Apply steps to a set, returning the final carrier; raises
     CertificateGenerationError when a step precondition fails."""
-    start = start.materialize()
-    level, cells = start.level, start.cells
+    carrier = start.materialize()
     try:
-        for _, level, cells in replay(tower, level, cells, steps):
+        for _, carrier in replay(tower, carrier, steps):
             pass
     except StepFailure as exc:
         raise CertificateGenerationError(exc.reason) from exc
-    return level, cells
+    return carrier.level, carrier.cells
 
 
 def make_dual_push(s: CellSet, avoid_cells: set[CellT]) -> list[Step]:
@@ -393,7 +400,7 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
 
 def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
     """A certificate as JSON: cells and kept vertices as vertex numbers (see
-    tower.cells_from_json), snap pairs as [cell, base vertex label]."""
+    tower.cell_numbers_from_json), snap pairs as [cell, base vertex label]."""
     labels = tower.base.vertices
     steps = []
     for step in cert.steps:
@@ -444,7 +451,8 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
                 pairs = json_field(assignment, "pairs", list, CertificateFormatError)
                 if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
                     raise CertificateFormatError("a snap pair is [cell, base vertex label]")
-                cells = cells_from_json(tower, level, [c for c, _ in pairs])
+                cells = map(tower.cells(level).__getitem__,
+                            cell_numbers_from_json(tower, level, [c for c, _ in pairs]))
                 targets = [_base_vertex(tower, label) for _, label in pairs]
                 steps.append(StarSnap(level, tuple(sorted(zip(cells, targets)))))
         else:
@@ -464,7 +472,7 @@ def _base_vertex(tower: SubdivisionTower, label) -> int:
 def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
     level = json_field(data, "level", int, CertificateFormatError)
     if data["kind"] == "cells":
-        return OpenCellSet(tower, level, cells_from_json(
+        return OpenCellSet.from_numbers(tower, level, cell_numbers_from_json(
             tower, level, json_field(data, "cells", list, CertificateFormatError)))
     if data["kind"] == "star":
         centers = json_field(data, "centers", dict, CertificateFormatError)

@@ -12,11 +12,12 @@ of cells one level down and inherits its coarser memberships from the
 chain maximum, so "old" stars on the top level become a per-chain flag,
 the stars of the level below become a DP over the face poset, and the
 remaining elements are read from membership tables built once per level
-up to the walk level below those. The DP runs on plain Python ints.
-Without a star DP the walk is boolean rows over the walk level's
-CellIndex, with identical columns grouped by a sort. That indexed walk
-and the wheel builder import numpy when they run, so loading this module
-does not.
+up to the walk level below those; an explicit set sets its bit at its
+cell numbers. The DP runs on plain Python ints. Without a star DP the
+walk is boolean rows over the walk level's CellIndex, an explicit set's
+row set at its cell numbers, with identical columns grouped by a sort.
+That indexed walk and the wheel builder import numpy when they run, so
+loading this module does not.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .complexes import Complex, SimplicialMap, UsageError
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
@@ -162,10 +163,12 @@ def _membership(tower: SubdivisionTower, level: int,
     One table per level, from the lowest element level up: a level-t
     cell's mask is that of its chain maximum one level down, gathered
     through the level's tops table, ORed with the level-t elements that
-    hold the cell: an explicit set that lists it, an "old" star when it
-    has a vertex over a level-(t-1) vertex, an explicit star when it has a
-    center. The base carrier is the maximum's too. No maximum is computed
-    per cell, and no numpy is loaded.
+    hold the cell: an explicit set sets its bit at its cell numbers, an
+    "old" star when the cell has a vertex over a level-(t-1) vertex, an
+    explicit star when it has a center. The base carrier is the maximum's
+    too. No maximum is computed per cell, and no numpy is loaded. An
+    explicit set holding a cell that is not on its level raises
+    TowerError.
     """
     masks: list[int] | None = None
     for t in range(min((el.level for _, el in low), default=level), level + 1):
@@ -178,8 +181,11 @@ def _membership(tower: SubdivisionTower, level: int,
             if el.level != t:
                 continue
             if isinstance(el, OpenCellSet):
-                hits: Iterable[bool] = map(el.cells.__contains__, cells)
-            elif el.centers == "old":
+                bit = 1 << i
+                for j in el.numbers():
+                    masks[j] |= bit
+                continue
+            if el.centers == "old":
                 hits = (0 in map(vdim.__getitem__, c) for c in cells)
             else:
                 hits = (not el.centers.isdisjoint(c) for c in cells)  # type: ignore[union-attr]
@@ -196,7 +202,7 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     """cover_signatures' walk without a star DP, on the level's CellIndex.
 
     Each cell is a column: one membership row per element of low (the
-    positions of an explicit element of this level, the _membership
+    cell numbers of an explicit element of this level, the _membership
     table for every other), its base-carrier dimension and whether its
     chain is longer than a singleton, which under a flag also gives the
     set without the flagged elements. A lexicographic sort and an adjacent difference
@@ -214,7 +220,7 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     rows = np.zeros((len(low), n), dtype=bool)  # no rows under a lone flag
     for row, (i, el), x in zip(rows, low, listed):
         if x:
-            row[index.positions(el.cells)] = True
+            row[np.frombuffer(el.numbers(), dtype=np.int32)] = True
         else:
             row[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
     base_dim = np.array([len(c) - 1 for c in tower.cells(0)], dtype=np.int8)
@@ -277,7 +283,7 @@ def _brute_k_cover(sets: list[frozenset[int]], k: int, m: int) -> bool:
 # -- bundles ------------------------------------------------------------------
 
 # the bundle layout this module writes and the only one it reads: cells as
-# vertex-number lists (tower.cells_from_json)
+# vertex-number lists (tower.cell_numbers_from_json)
 BUNDLE_FORMAT = 2
 
 
@@ -450,8 +456,8 @@ def _build_arc_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBundl
         for e in base_edges:
             path = _edge_path_vertices(tower, depth, e)
             miss.add((path[num],))
-        cells = [c for c in tower.cells(depth) if c not in miss]
-        el = OpenCellSet(tower, depth, cells)
+        el = OpenCellSet.from_numbers(tower, depth, (
+            j for j, c in enumerate(tower.cells(depth)) if c not in miss))
         elements.append(el)
         certs.append(Certificate(
             el, (StarSnap(depth, "min-base-vertex"),), Target("skeletal", 0)))
@@ -579,7 +585,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
             inside = index.carrier == base[t]
             starts = np.flatnonzero(crack & inside & (dim == 0)).tolist()
             for e in itertools.combinations(t, 2):
-                free = inside & ~crack & (counts < carrier_dim)
+                free = memoryview(inside & ~crack & (counts < carrier_dim))
                 path = _arc_bfs(adjacency, free, starts, edge_vert[e][i])
                 if path is None:
                     raise ConstructionError(
@@ -590,7 +596,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
                 counts[new] += 1
 
     elements: list[CellSet] = [
-        OpenCellSet(tower, level, map(cells.__getitem__, np.flatnonzero(~crack).tolist()))
+        OpenCellSet.from_numbers(tower, level, np.flatnonzero(~crack).tolist())
         for crack in cracks]
     certs = [Certificate(el, (StarSnap(level, "min-base-vertex"),), Target("skeletal", 0))
              for el in elements]
@@ -602,10 +608,11 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     return CoverBundle(cx, tower, 0, m, elements, certs, "wheel-cracks")
 
 
-def _arc_bfs(adjacency: tuple[memoryview, memoryview, memoryview], free: np.ndarray,
+def _arc_bfs(adjacency: tuple[memoryview, memoryview, memoryview], free: memoryview,
              starts: list[int], target: int) -> np.ndarray | None:
     """Shortest vertex path from a ring to an edge vertex through free
-    cells, by cell number; returns its cells apart from the start, or None.
+    cells (a memoryview of booleans over cell numbers, read as Python
+    bools), by cell number; returns its cells apart from the start, or None.
 
     adjacency holds, per vertex cell u, the slots offsets[u]:offsets[u+1]
     of its other ends and edges, edges ascending; starts ascend. The

@@ -12,6 +12,13 @@ still be enumerated by streaming chains of the level below. Decoded
 cells live on a materialized level; a snap on a level that was only
 streamed indexes its carrier alone.
 
+An OpenCellSet on a materialized level carries its cell numbers, their
+positions in cells(t), as an array('i'). A set made from numbers (the
+decoder's, the wheel builder's, a materialized star's) gathers its cells
+from them; any other set looks its numbers up once, on first use. The
+snap and the signature walk read these numbers, so neither looks a cell
+tuple up again.
+
 Each level is built from the tables of the level below, faces first. The
 chains with one maximum c, the block of c, are c alone and then the
 blocks of c's faces with c added, so every block is computed once from
@@ -24,9 +31,10 @@ vertices, the membership tables of the signature walk and the base
 carriers of a CellIndex are gathers, not a maximum per cell.
 
 CellIndex is where kocover starts using arrays: numpy is imported when one
-is built, not when this module loads, so materializing levels, their tops
-and the count DP never load it. Its face pairs are matched as rows of
-vertex numbers, with exact int64 keys, for every index the tower builds.
+is built, not when this module loads, so materializing levels, their tops,
+the count DP and the cell numbers of a set never load it. Its face pairs
+are matched as rows of vertex numbers, with exact int64 keys, for every
+index the tower builds.
 """
 
 from __future__ import annotations
@@ -345,15 +353,6 @@ class CellIndex:
         for c, i in base.items():
             self.base_verts[i, list(c)] = True
 
-    def positions(self, cells: Collection[CellT]) -> np.ndarray:
-        """Dense numbers of the given cells, in their iteration order."""
-        import numpy as np
-        try:
-            return np.fromiter(map(self.position.__getitem__, cells),
-                               dtype=np.int32, count=len(cells))
-        except KeyError as exc:
-            raise TowerError(f"{exc.args[0]} is not a cell of level {self.t}") from None
-
     def components(self, pos: np.ndarray) -> np.ndarray:
         """Connected components of the cells numbered pos, two of them
         joined when one is a face of the other: the least number in each
@@ -458,7 +457,13 @@ def _match_rows(rows: np.ndarray, radix: int, columns: list[np.ndarray]) -> np.n
 
 
 class OpenCellSet:
-    """A union of open cells at one tower level, stored explicitly."""
+    """A union of open cells at one tower level, stored explicitly.
+
+    Beside its cells, a set keeps their numbers, their positions in
+    cells(level). A set made from numbers (from_numbers) gathers its cells
+    from them; any other set looks its numbers up once, on first use. The
+    two come from one source either way, so they cannot disagree.
+    """
 
     kind = "cells"
 
@@ -466,6 +471,42 @@ class OpenCellSet:
         self.tower = tower
         self.level = level
         self.cells = frozenset(cells)
+        self._numbers: array | None = None
+
+    @classmethod
+    def from_numbers(cls, tower: SubdivisionTower, level: int,
+                     numbers: Iterable[int]) -> "OpenCellSet":
+        """The set of the level cells numbered by numbers, nonnegative
+        positions in cells(level), which this materializes."""
+        numbers = array("i", numbers)
+        out = cls(tower, level, map(tower.cells(level).__getitem__, numbers))
+        if len(out.cells) != len(numbers):  # a number given twice
+            numbers = array("i", sorted(set(numbers)))
+        out._numbers = numbers
+        return out
+
+    def numbers(self) -> array:
+        """The numbers of the cells, in no set order. Materializes the level;
+        TowerError names a cell that is not one of cells(level)."""
+        if self._numbers is None:
+            position = self.tower.cell_index(self.level)
+            try:
+                self._numbers = array("i", map(position.__getitem__, self.cells))
+            except KeyError as exc:
+                raise TowerError(
+                    f"{exc.args[0]} is not a cell of level {self.level}") from None
+        return self._numbers
+
+    def indexed(self) -> tuple[CellIndex, np.ndarray]:
+        """A CellIndex holding the cells and their numbers in it: the
+        level's own index and numbers() on a materialized level, otherwise
+        an index of the cells alone, numbered in iteration order, so that
+        the level stays unmaterialized."""
+        import numpy as np
+        index = self.tower.index(self.level, self.cells)
+        if self.tower.level(self.level).cells_list is None:
+            return index, np.arange(len(self.cells), dtype=np.int32)
+        return index, np.frombuffer(self.numbers(), dtype=np.int32)
 
     # point membership works per cell: a finer cell lies in the set iff its
     # carrier at this level does
@@ -560,8 +601,9 @@ class VertexStarSet:
         return not self.centers
 
     def materialize(self) -> OpenCellSet:
-        return OpenCellSet(self.tower, self.level,
-                           (c for c in self.tower.cells(self.level) if self.contains(c)))
+        cells = self.tower.cells(self.level)
+        return OpenCellSet.from_numbers(self.tower, self.level, itertools.compress(
+            range(len(cells)), map(self.contains, cells)))
 
     def to_json(self) -> dict:
         return {"kind": "star", "level": self.level,
@@ -611,13 +653,13 @@ def json_field(data: dict, name: str, kind: type, error: type[Exception]):
     return value
 
 
-def cells_from_json(tower: SubdivisionTower, t: int, items: list) -> list[CellT]:
-    """Level-t cells from their JSON form, each the strictly increasing list
-    of its level-t vertex numbers, returned as the level's own cell tuples.
+def cell_numbers_from_json(tower: SubdivisionTower, t: int, items: list) -> array:
+    """The numbers, positions in cells(t), of level-t cells in their JSON
+    form, each the strictly increasing list of its level-t vertex numbers.
     Materializes level t (TowerSizeError over the cell budget) and raises
     TowerError at the first item that is not one of cells(t)."""
-    cells, index = tower.cells(t), tower.cell_index(t)
-    out: list[CellT] = []
+    index = tower.cell_index(t)
+    out = array("i")
     for data in items:
         if type(data) is not list:
             raise TowerError(f"malformed cell {data!r}: a cell is a list of vertex numbers")
@@ -628,7 +670,7 @@ def cells_from_json(tower: SubdivisionTower, t: int, items: list) -> list[CellT]
         else:
             i = index.get(cell)
             if i is not None:
-                out.append(cells[i])
+                out.append(i)
                 continue
         raise TowerError(f"{data!r} is not a cell of level {t}")
     return out

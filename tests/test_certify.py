@@ -12,7 +12,8 @@ from kocover import (Certificate, CertificateFormatError,
                      Refine, StarSnap, SubdivisionTower, Target, TowerSizeError,
                      VertexStarSet, build_cover, builtin, certify_to_dimension,
                      make_dual_push, make_star_snap, verify_certificate)
-from kocover.certify import certificate_from_json, certificate_to_json, run_steps
+from kocover.certify import (cellset_from_json, certificate_from_json, certificate_to_json,
+                             run_steps)
 from kocover.complexes import components
 from kocover.tower import proper_faces
 
@@ -326,16 +327,17 @@ def test_indexed_snap_matches_union_find(small_towers, name, level, density, kin
     tower = SubdivisionTower(builtin(name)) if streamed else small_towers[name]
     universe = tower.iter_cells(level) if streamed else tower.cells(level)
     cells = frozenset(c for c in universe if rng.random() < density)
-    index = tower.index(level, cells)
+    index, pos = OpenCellSet(tower, level, cells).indexed()
     lv = tower.level(level)
     if lv.cells_list is None:
         assert streamed and lv.index is None and sorted(index.cells) == sorted(cells)
     else:
         assert index is lv.index and index.position is lv.cell_index
-    root = index.components(index.positions(cells))
+    assert sorted(index.cells[p] for p in pos.tolist()) == sorted(cells)
+    root = index.components(pos)
     parts = {}
-    for c, r in zip(cells, root.tolist()):
-        parts.setdefault(r, set()).add(c)
+    for p, r in zip(pos.tolist(), root.tolist()):
+        parts.setdefault(r, set()).add(index.cells[p])
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
     assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
     assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
@@ -373,6 +375,89 @@ def test_indexed_snap_on_a_wheel_element():
     for kind in SNAP_KINDS:
         assert_snap_matches_oracle(bundle.tower, el.level, cells,
                                    assignment_of(bundle.tower, el.level, cells, rng, kind))
+
+
+def snap_verdicts(tower, start, assignment):
+    """(passed, reason, failing_step, witness) of a one-snap certificate
+    on the start set."""
+    v = verify_certificate(tower, Certificate(start, (StarSnap(start.level, assignment),),
+                                              Target("skeletal", 0)))
+    return v.passed, v.reason, v.failing_step, v.witness
+
+
+def renumbered(tower, level, cells, rng):
+    """The set of cells built from their numbers in a shuffled order, one
+    unlike the iteration order of the cells themselves."""
+    position = tower.cell_index(level)
+    numbers = [position[c] for c in cells]
+    rng.shuffle(numbers)
+    out = OpenCellSet.from_numbers(tower, level, numbers)
+    assert list(out.numbers()) == numbers
+    assert numbers != [position[c] for c in out.cells]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["valid", "split", "outside"])
+def test_explicit_snap_reads_targets_in_the_order_of_the_numbers(kind):
+    # a set built from numbers and one that looks them up get the same
+    # verdict, passing or failing, as the union-find oracle. The carrier
+    # keeps the face components with a common base-carrier vertex, each
+    # sent to its least one, before the assignment is broken as kind says
+    tower = SubdivisionTower(builtin("delta-2"))
+    rng = random.Random(kind)
+    assign = {}
+    for comp in face_components([c for c in tower.cells(2) if rng.random() < 0.3]):
+        common = set.intersection(*(set(tower.carrier0(2, c)) for c in comp))
+        if common:
+            assign.update(dict.fromkeys(comp, min(common)))
+    cells = frozenset(assign)
+    if kind == "split":
+        c = min(c for c in cells if any(f in cells for f in proper_faces(c)))
+        assign[c] = (assign[c] + 1) % 3
+    elif kind == "outside":
+        c = min(c for c in cells if len(tower.carrier0(2, c)) < 3)
+        old = assign[c]
+        goal = min(set(range(3)) - set(tower.carrier0(2, c)))
+        assign.update((d, goal) for d, v in assign.items() if v == old)
+    assignment = tuple(sorted(assign.items()))
+    shuffled = renumbered(tower, 2, cells, rng)
+    verdict = snap_verdicts(tower, shuffled, assignment)
+    assert verdict == snap_verdicts(tower, OpenCellSet(tower, 2, cells), assignment)
+    _, failure = snap_oracle(tower, 2, cells, assignment)
+    assert verdict == ((True, "", None, None) if failure is None
+                       else (False, failure[0], 0, failure[1]))
+    assert verdict[1] == {
+        "valid": "", "split": "snap assigns different vertices inside one component",
+        "outside": "snap target is not a vertex of a member cell's base carrier"}[kind]
+
+
+def test_generated_snap_reads_targets_in_the_order_of_the_numbers(s2_tower):
+    # the explicit snap that certify_to_dimension ends with, replayed alone
+    # on its carrier renumbered, as it is and with one target moved out of
+    # its cell's base carrier
+    cert = certify_to_dimension(one_skeleton_complement(s2_tower), 0)
+    snap = cert.steps[-1]
+    level, cells = run_steps(s2_tower, cert.start, cert.steps[:-1])
+    assert snap == make_star_snap(OpenCellSet(s2_tower, level, cells))
+    shuffled = renumbered(s2_tower, level, cells, random.Random(3))
+    (cell, _), *rest = snap.assignment
+    outside = set(range(len(s2_tower.base.vertices))) - set(s2_tower.carrier0(level, cell))
+    moved = ((cell, min(outside)), *rest)
+    for assignment, passed in ((snap.assignment, True), (moved, False)):
+        verdict = snap_verdicts(s2_tower, shuffled, assignment)
+        assert verdict == snap_verdicts(s2_tower, OpenCellSet(s2_tower, level, cells),
+                                        assignment)
+        assert verdict[0] is passed
+    assert verdict[1:] == ("snap target is not a vertex of a member cell's base carrier",
+                           0, cell)
+
+
+def test_a_decoded_set_numbers_each_cell_once(s2_tower):
+    # a cell listed twice decodes to one cell with one number
+    cells = [list(c) for c in s2_tower.cells(1)[:3]]
+    el = cellset_from_json(s2_tower, {"kind": "cells", "level": 1,
+                                      "cells": [*cells, cells[1]]})
+    assert sorted(el.numbers()) == [0, 1, 2] and len(el.cells) == 3
 
 
 def test_certificate_json_round_trip(s2_tower):

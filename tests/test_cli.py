@@ -570,13 +570,18 @@ def test_failing_light_command_leaves_out_the_cover_stack(tmp_path):
     ["cover", "verify", "--in", "layered.json"],
     ["cover", "kcheck", "--in", "layered.json", "--k", "2", "--skeleton", "1"],
     ["product", "build", "--x", "torus-7", "--b", "s1", "--out", "product.json"],
+    ["cover", "verify", "--in", "staggered.json"],
 ])
 def test_cover_commands_without_arrays_leave_out_numpy_and_bounds(tmp_path, argv):
     # the arc builder, the layered walk (a DP over the face poset), the lazy
-    # star certificates and the product builders build no CellIndex
-    bundle = build_cover(builtin("boundary-delta-3"), 0, 4)
-    assert bundle.construction == "layered-stars"
-    (tmp_path / "layered.json").write_text(json.dumps(bundle.to_json()))
+    # star certificates, the staggered stars' pushes and the product
+    # builders build no CellIndex
+    for path, spec, r, m, construction in [
+            ("layered.json", "boundary-delta-3", 0, 4, "layered-stars"),
+            ("staggered.json", "random:2:8:11", 1, 2, "staggered-duals")]:
+        bundle = build_cover(builtin(spec), r, m)
+        assert bundle.construction == construction
+        (tmp_path / path).write_text(json.dumps(bundle.to_json()))
     loaded = imported_modules(tmp_path, *argv)
     assert COVER_STACK - {"numpy", "kocover.product"} <= loaded
     assert not loaded & {"numpy", "kocover.bounds"}

@@ -13,7 +13,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      cover_signatures, is_k_cover, pullback_cover,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, StarSnap, Target
-from kocover.cover import _edge_path_vertices
+from kocover.cover import _edge_path_vertices, check_certificate
 from kocover.tower import CellIndex
 
 
@@ -193,6 +193,53 @@ def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch, dec
         built.clear()
     assert verify_cover_bundle(bundle).ok
     assert built == [4]
+
+
+class CountingPositions(dict):
+    """A level's cell numbers, counting every lookup of a cell."""
+
+    lookups = 0
+
+    def __getitem__(self, cell):
+        self.lookups += 1
+        return super().__getitem__(cell)
+
+    def get(self, cell, default=None):
+        self.lookups += 1
+        return super().get(cell, default)
+
+    def __contains__(self, cell):
+        self.lookups += 1
+        return super().__contains__(cell)
+
+
+def test_verifying_a_decoded_wheel_bundle_looks_up_no_cell():
+    # the decoder keeps the numbers it looks up, and the walk rows and the
+    # snaps read them: after decoding, no level-4 cell is looked up again
+    bundle = build_cover(builtin("delta-2"), 0, 5)
+    bundle = CoverBundle.from_json(json.loads(json.dumps(bundle.to_json())))
+    lv = bundle.tower.level(4)
+    lv.cell_index = counting = CountingPositions(lv.cell_index)
+    assert verify_cover_bundle(bundle).ok
+    assert bundle.tower.cell_index(4) is counting and lv.index.position is counting
+    assert counting.lookups == 0
+
+
+@pytest.mark.parametrize("i", [0, 1], ids=["membership-table", "walk-level"])
+def test_an_element_with_a_foreign_cell_is_refused(i):
+    # s1 arcs: element 0 lies on level 1, below the level-2 walk, element 1
+    # on the walk level; a cell that is not on its level is a structural
+    # error, in the signature walk and in the element's snap
+    bundle = build_cover(builtin("s1"), 0, 3)
+    el, tower = bundle.elements[i], bundle.tower
+    foreign = (len(tower.level(el.level).verts),)
+    bad = OpenCellSet(tower, el.level, el.cells | {foreign})
+    error = f"{foreign} is not a cell of level {el.level}"
+    bundle.elements[i] = bad
+    assert [(c.name, c.passed, c.detail) for c in verify_cover_bundle(bundle).checks] \
+        == [("multiplicity", False, f"enumeration failed: {error}")]
+    cert = Certificate(bad, bundle.certificates[i].steps, Target("skeletal", 0))
+    assert check_certificate(tower, bad, cert, 0) == (False, f"structural error: {error}")
 
 
 def test_wheel_cracks_stop_at_m7():

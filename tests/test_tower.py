@@ -15,7 +15,8 @@ from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
 from kocover.complexes import CATALOG
-from kocover.tower import _match_rows, cells_from_json, proper_faces, vertex_set_from_json
+from kocover.tower import (_match_rows, cell_numbers_from_json, proper_faces,
+                           vertex_set_from_json)
 
 
 def chains_of(cells):
@@ -137,13 +138,11 @@ def test_cells_from_json_accepts_exactly_the_cells(small_towers, name, level, da
     is_cell = tuple(item) in set(cells)
     for tower in (materialized, fresh):
         if is_cell:
-            decoded = cells_from_json(tower, level, [item])
-            assert decoded == [tuple(item)]
-            # the level's own tuple, not a copy
-            assert decoded[0] is tower.cells(level)[tower.cell_index(level)[decoded[0]]]
+            (i,) = cell_numbers_from_json(tower, level, [item])
+            assert tower.cells(level)[i] == tuple(item)
         else:
             with pytest.raises(TowerError, match=f"is not a cell of level {level}"):
-                cells_from_json(tower, level, [item])
+                cell_numbers_from_json(tower, level, [item])
     # decoding materialized the level
     assert fresh.level(level).cells_list == materialized.cells(level)
 
@@ -152,7 +151,7 @@ def test_cells_from_json_over_the_budget_is_a_size_error():
     # level 3 of delta-2 has 673 cells
     tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
     with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
-        cells_from_json(tower, 3, [[0]])
+        cell_numbers_from_json(tower, 3, [[0]])
 
 
 @pytest.mark.parametrize("verts", [[1, 0], [2, 2], [True], [-1], [7], ["a"]])
