@@ -15,18 +15,23 @@ increases (push and snap tracks stay inside the open carrier cell until
 they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
 
-A snap is replayed on the dense CellIndex of its level (tower.index; on a
-level that was only streamed, one of the carrier alone), at the cell
-numbers the carrier set carries (OpenCellSet.indexed): replay hands each
+A snap reads the cell numbers the carrier set carries: replay hands each
 step the carrier as a set, so a first-step snap reads the numbers its
-start was decoded or built with, and an explicit assignment is read in
-the order of those numbers. The face pairs are masked to the carrier and
-labelled into components with array operations, the min-base-vertex rule
-intersects the members' base carriers per component, and an explicit
-assignment is checked for one target per component lying in every
-member's base carrier. Every check is exact; a failure names the failing
-component that holds the least cell.
-The snap imports numpy when it runs, so loading this module does not.
+start was decoded or built with. Its components join each present cell
+to its present faces; the min-base-vertex rule intersects the members'
+base carriers per component, and an explicit assignment is checked for
+one target per component lying in every member's base carrier. Every
+check is exact; a failure names the failing component that holds the
+least cell, and for a target outside a member's base carrier, the least
+such member. On a materialized level of at most tower.ARRAY_MIN_CELLS
+cells the snap is plain Python: union-find over the numbers, base
+carriers gathered through the tops and vbase tables. On a larger level,
+or one that was only streamed, it is replayed on the level's dense
+CellIndex (tower.index; on a streamed level, one of the carrier alone,
+OpenCellSet.indexed): the face pairs are masked to the carrier and
+labelled with array operations, and an explicit assignment is read in
+the order of the numbers. Only that indexed snap imports numpy, so
+loading this module does not.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .complexes import UsageError
+from .complexes import UsageError, components
 from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cell_numbers_from_json, json_field,
+                    VertexStarSet, cells_from_json, json_field, proper_faces,
                     vertex_set_from_json, vertex_set_to_json)
 
 if TYPE_CHECKING:
@@ -197,6 +202,7 @@ def _expand_keep(tower: SubdivisionTower, level: int,
 def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
                 idx: int) -> OpenCellSet:
     level, cells = carrier.level, carrier.cells
+    assign = None
     if step.assignment != "min-base-vertex":
         assign = dict(step.assignment)  # type: ignore[arg-type]
         if any(c not in assign for c in cells):
@@ -206,6 +212,64 @@ def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
             raise CertificateFormatError("snap assigns a non-vertex of the base complex")
     if not cells:
         return carrier
+    snap = _snap_targets if tower.is_small(level) else _indexed_snap_targets
+    return OpenCellSet(tower, level, ((tower.lift_base_vertex(v, level),)
+                                      for v in snap(tower, carrier, assign, idx)))
+
+
+def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
+                  assign: dict[CellT, int] | None, idx: int) -> set[int]:
+    """The base vertices a snap sends the components of a nonempty carrier
+    to, in plain Python: union-find joins the carrier's numbers to those of
+    its present faces, and each member's base carrier is gathered through
+    the level's tops and vbase tables. assign is the explicit assignment,
+    or None for the min-base-vertex rule. Raises the StepFailure of
+    _indexed_snap_targets."""
+    level = carrier.level
+    cells = tower.cells(level)
+    position = tower.cell_index(level)
+    numbers = carrier.numbers()
+    present = set(numbers)
+    if level:
+        lv = tower.level(level)
+        base = dict(zip(numbers, map(lv.vbase.__getitem__, map(lv.tops.__getitem__, numbers))))
+    else:
+        base = dict(zip(numbers, map(cells.__getitem__, numbers)))
+    links = ((p, q) for p in numbers
+             for q in map(position.__getitem__, proper_faces(cells[p])) if q in present)
+    targets: set[int] = set()
+    failures = []  # (least cell, reason, witness) of each failing component
+    for comp in components(numbers, links):
+        least = min(map(cells.__getitem__, comp))
+        if assign is None:
+            common = set.intersection(*(set(c) for c in {base[p] for p in comp}))
+            if common:
+                targets.add(min(common))
+            else:
+                failures.append((least, "snap component has no common base-carrier vertex",
+                                 least))
+            continue
+        goals = {assign[cells[p]] for p in comp}
+        if len(goals) > 1:
+            failures.append((least, "snap assigns different vertices inside one component",
+                             least))
+            continue
+        (goal,) = goals
+        outside = [cells[p] for p in comp if goal not in base[p]]
+        if outside:
+            failures.append((least, "snap target is not a vertex of a member cell's base "
+                             "carrier", min(outside)))
+        else:
+            targets.add(goal)
+    if failures:
+        _, reason, witness = min(failures)
+        raise StepFailure(idx, reason, witness)
+    return targets
+
+
+def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
+                          assign: dict[CellT, int] | None, idx: int) -> set[int]:
+    """_snap_targets on the level's CellIndex (OpenCellSet.indexed)."""
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
@@ -218,7 +282,7 @@ def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
     starts = np.flatnonzero(first)
     comp = np.cumsum(first) - 1  # the component of each member
     in_carrier = index.base_verts[index.carrier[member]]  # member x base vertex
-    if step.assignment == "min-base-vertex":
+    if assign is None:
         common = np.logical_and.reduceat(in_carrier, starts, axis=0)
         empty = ~common.any(axis=1)
         if empty.any():
@@ -241,8 +305,7 @@ def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
                 idx, "snap target is not a vertex of a member cell's base carrier",
                 min(index.cells[p] for p in member[(comp == k) & outside].tolist()))
         target = goal[starts]
-    return OpenCellSet(tower, level, ((tower.lift_base_vertex(v, level),)
-                                      for v in set(target.tolist())))
+    return set(target.tolist())
 
 
 def _least_failing(index: CellIndex, member: np.ndarray, comp: np.ndarray,
@@ -400,7 +463,7 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
 
 def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
     """A certificate as JSON: cells and kept vertices as vertex numbers (see
-    tower.cell_numbers_from_json), snap pairs as [cell, base vertex label]."""
+    tower.cells_from_json), snap pairs as [cell, base vertex label]."""
     labels = tower.base.vertices
     steps = []
     for step in cert.steps:
@@ -451,8 +514,7 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
                 pairs = json_field(assignment, "pairs", list, CertificateFormatError)
                 if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
                     raise CertificateFormatError("a snap pair is [cell, base vertex label]")
-                cells = map(tower.cells(level).__getitem__,
-                            cell_numbers_from_json(tower, level, [c for c, _ in pairs]))
+                cells, _ = cells_from_json(tower, level, [c for c, _ in pairs])
                 targets = [_base_vertex(tower, label) for _, label in pairs]
                 steps.append(StarSnap(level, tuple(sorted(zip(cells, targets)))))
         else:
@@ -472,8 +534,8 @@ def _base_vertex(tower: SubdivisionTower, label) -> int:
 def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
     level = json_field(data, "level", int, CertificateFormatError)
     if data["kind"] == "cells":
-        return OpenCellSet.from_numbers(tower, level, cell_numbers_from_json(
-            tower, level, json_field(data, "cells", list, CertificateFormatError)))
+        return OpenCellSet.from_json_cells(
+            tower, level, json_field(data, "cells", list, CertificateFormatError))
     if data["kind"] == "star":
         centers = json_field(data, "centers", dict, CertificateFormatError)
         return VertexStarSet(tower, level, vertex_set_from_json(tower, level, centers))

@@ -6,8 +6,12 @@ Exit codes: 0 success or verified, 1 verification or construction failure,
 A command imports only what it runs. `bounds` and `cuplength` import
 `bounds.py`; `complex bary|dual`, `cover` and `product` import the cover
 stack (tower, certify, cover, product). No command loads numpy when it
-starts: numpy comes with the first CellIndex, which a certificate snap,
-the wheel builder and a signature walk over a materialized level read.
+starts: numpy comes with the first CellIndex, which the wheel builder
+reads, and a certificate snap or a signature walk without a star DP on
+a level of more than tower.ARRAY_MIN_CELLS (1,000) cells. So `cover
+verify` of an arc, trivial, layered or staggered bundle on a catalog
+complex and `product verify` of torus-7 x s1 run without it, as every
+build but the wheel's does; `cover verify` of a wheel bundle loads it.
 Every exit-2 exception derives from complexes.UsageError, so a failing
 command loads nothing more to report it.
 """

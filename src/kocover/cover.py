@@ -13,11 +13,13 @@ chain maximum, so "old" stars on the top level become a per-chain flag,
 the stars of the level below become a DP over the face poset, and the
 remaining elements are read from membership tables built once per level
 up to the walk level below those; an explicit set sets its bit at its
-cell numbers. The DP runs on plain Python ints. Without a star DP the
-walk is boolean rows over the walk level's CellIndex, an explicit set's
-row set at its cell numbers, with identical columns grouped by a sort.
-That indexed walk and the wheel builder import numpy when they run, so
-loading this module does not.
+cell numbers. The DP runs on plain Python ints. Without a star DP a walk
+level of at most tower.ARRAY_MIN_CELLS cells groups the same tables' cell
+masks in plain Python; a larger one is boolean rows over the level's
+CellIndex, an explicit set's row set at its cell numbers, with identical
+columns grouped by a sort. That indexed walk and the wheel builder import
+numpy when they run, so loading this module, building an arc, layered,
+staggered or trivial cover and verifying one do not.
 """
 
 from __future__ import annotations
@@ -79,12 +81,14 @@ def cover_signatures(tower: SubdivisionTower,
     into index sets once.
 
     Every other element is read from the per-level membership tables of
-    _membership: in the DP at the walk level below the stars, otherwise
-    beside the explicit sets of the walk level on its CellIndex
-    (_indexed_signatures), which materializes the level (TowerSizeError
-    over the cell budget; every bundle's explicit cells lie on a
-    materialized level). The tables and the DP are plain Python, so a
-    walk with a star DP loads no numpy.
+    _membership, at the walk level below the stars in the DP. Without a DP
+    the walk level is materialized (TowerSizeError over the cell budget;
+    every bundle's explicit cells lie on a materialized level). On a level
+    of at most tower.ARRAY_MIN_CELLS cells its table is grouped in plain
+    Python, one (base-carrier dimension, mask, more than a vertex) triple
+    per cell; on a larger one the walk reads the level's CellIndex
+    (_indexed_signatures). The tables and the DP are plain Python, so a
+    walk with a star DP or on a small level loads no numpy.
     """
     if not elements:
         raise CoverError("empty family")
@@ -99,10 +103,17 @@ def cover_signatures(tower: SubdivisionTower,
     if dp:
         level -= 1
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
-    if not dp:
-        return _indexed_signatures(tower, level, low, flag)
     cells = tower.cells(level)
+    if not dp and not tower.is_small(level):
+        return _indexed_signatures(tower, level, low, flag)
     masks, dims = _membership(tower, level, low)
+    out: dict[int, set[int]] = {}
+    if not dp:
+        # the flagged stars hold the chains over c that have a vertex: all
+        # of them when c is a vertex, all but {c} otherwise
+        for d, lo, longer in set(zip(dims, masks, (len(c) > 1 for c in cells))):
+            out.setdefault(d, set()).update((lo | flag, lo) if longer else (lo | flag,))
+        return _index_sets(out, len(elements))
     # s(c): the stars centered at the barycenter of c, which is vertex i
     # of the star level when c is cells[i]
     old = sum(1 << i for i, el in stars if el.centers == "old")
@@ -135,15 +146,18 @@ def cover_signatures(tower: SubdivisionTower,
             hit = memo[s, below] = longer, longer | reach(s) | below
         longer, down[c] = hit
         groups.add((dims[i], masks[i], s, longer))
-    out: dict[int, set[int]] = {}
     for d, lo, s, longer in groups:
         sigs = out.setdefault(d, set())
         sigs.add(s | lo | flag)
         for j in _bits(longer):
             sigs.update((seen[j] | lo, seen[j] | lo | flag))
-    n = len(elements)
+    return _index_sets(out, len(elements))
+
+
+def _index_sets(masks: dict[int, set[int]], n: int) -> dict[int, set[frozenset[int]]]:
+    """The element masks of each base-carrier dimension as index sets."""
     return {d: {frozenset(i for i in range(n) if mask >> i & 1) for mask in ms}
-            for d, ms in out.items()}
+            for d, ms in masks.items()}
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -199,7 +213,8 @@ def _membership(tower: SubdivisionTower, level: int,
 def _indexed_signatures(tower: SubdivisionTower, level: int,
                         low: list[tuple[int, CellSet]],
                         flag: int) -> dict[int, set[frozenset[int]]]:
-    """cover_signatures' walk without a star DP, on the level's CellIndex.
+    """cover_signatures' walk without a star DP on a level of more than
+    tower.ARRAY_MIN_CELLS cells, on the level's CellIndex.
 
     Each cell is a column: one membership row per element of low (the
     cell numbers of an explicit element of this level, the _membership
@@ -283,7 +298,7 @@ def _brute_k_cover(sets: list[frozenset[int]], k: int, m: int) -> bool:
 # -- bundles ------------------------------------------------------------------
 
 # the bundle layout this module writes and the only one it reads: cells as
-# vertex-number lists (tower.cell_numbers_from_json)
+# vertex-number lists (tower.cells_from_json)
 BUNDLE_FORMAT = 2
 
 
@@ -709,6 +724,7 @@ def verify_cover_bundle(bundle: CoverBundle) -> CoverReport:
         report.add("multiplicity", False, f"enumeration failed: {exc}")
         return report
 
+    counted = False
     if len(bundle.elements) != m:
         report.add("element-count", False,
                    f"bundle claims m={m} but has {len(bundle.elements)} elements")
@@ -717,12 +733,19 @@ def verify_cover_bundle(bundle: CoverBundle) -> CoverReport:
                    f"bundle claims m={m} but has {len(bundle.certificates)} certificates")
     else:
         report.add("element-count", True)
+        counted = True
 
     min_all = min((len(s) for ss in sigs.values() for s in ss), default=0)
     report.add("coverage", min_all >= 1,
                "" if min_all >= 1 else "some open cell lies in no element")
 
     for claim in bundle.profile_claims:
+        if not counted:
+            # a claimed m that the elements do not bear out may be huge,
+            # and the brute force walks the k-subsets of range(m)
+            report.add(f"profile-k{claim.k}", False,
+                       "not checked: the element count does not match m")
+            continue
         sets = [s for d, ss in sigs.items() if d <= claim.skeleton for s in ss]
         min_ord = min(map(len, sets), default=m)
         formula_ok = min_ord >= claim.min_multiplicity

@@ -14,10 +14,10 @@ streamed indexes its carrier alone.
 
 An OpenCellSet on a materialized level carries its cell numbers, their
 positions in cells(t), as an array('i'). A set made from numbers (the
-decoder's, the wheel builder's, a materialized star's) gathers its cells
-from them; any other set looks its numbers up once, on first use. The
-snap and the signature walk read these numbers, so neither looks a cell
-tuple up again.
+wheel builder's, a materialized star's) gathers its cells from them, the
+decoder gathers each cell with its number in one loop, and any other set
+looks its numbers up once, on first use. The snap and the signature walk
+read these numbers, so neither looks a cell tuple up again.
 
 Each level is built from the tables of the level below, faces first. The
 chains with one maximum c, the block of c, are c alone and then the
@@ -34,7 +34,13 @@ CellIndex is where kocover starts using arrays: numpy is imported when one
 is built, not when this module loads, so materializing levels, their tops,
 the count DP and the cell numbers of a set never load it. Its face pairs
 are matched as rows of vertex numbers, with exact int64 keys, for every
-index the tower builds.
+index the tower builds. A signature walk or a snap builds one only past
+one size rule, ARRAY_MIN_CELLS: on a materialized level of at most 1,000
+cells (is_small) it runs in plain Python over the numbers, tops and vbase
+tables. A plain snap costs 3-6 us a cell against 0.5-0.7 us on an index
+that exists, which takes 1-2 ms to build, so at most about 5 ms at the
+rule, well under the 100-120 ms that importing numpy adds to a fresh
+process; every wheel level has 3,937 cells or more.
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ CellT = tuple[int, ...]
 
 DEFAULT_MAX_LEVEL = 4
 DEFAULT_MAX_CELLS = 600_000
+# a signature walk or a snap on a materialized level of at most this many
+# cells runs in plain Python (a few ms at most, well under the numpy
+# import it saves a fresh process); larger or only-streamed levels use a
+# CellIndex
+ARRAY_MIN_CELLS = 1_000
 
 
 class TowerError(UsageError):
@@ -161,6 +172,13 @@ class SubdivisionTower:
             lv.tops = array("i", itertools.chain.from_iterable(
                 map(itertools.repeat, range(len(counts)), counts)))
         return lv.cells_list
+
+    def is_small(self, t: int) -> bool:
+        """Is level t materialized with at most ARRAY_MIN_CELLS cells? A
+        walk or a snap on such a level runs in plain Python, on any other
+        on a CellIndex."""
+        cells = self.level(t).cells_list
+        return cells is not None and len(cells) <= ARRAY_MIN_CELLS
 
     def cell_index(self, t: int) -> dict[CellT, int]:
         """Dense number of every level-t cell: its position in cells(t)."""
@@ -479,8 +497,22 @@ class OpenCellSet:
         """The set of the level cells numbered by numbers, nonnegative
         positions in cells(level), which this materializes."""
         numbers = array("i", numbers)
-        out = cls(tower, level, map(tower.cells(level).__getitem__, numbers))
-        if len(out.cells) != len(numbers):  # a number given twice
+        return cls._numbered(tower, level, map(tower.cells(level).__getitem__, numbers),
+                             numbers)
+
+    @classmethod
+    def from_json_cells(cls, tower: SubdivisionTower, level: int,
+                        items: list) -> "OpenCellSet":
+        """The set of the level cells listed in their JSON form, each cell
+        gathered with its number in the one loop of cells_from_json."""
+        return cls._numbered(tower, level, *cells_from_json(tower, level, items))
+
+    @classmethod
+    def _numbered(cls, tower: SubdivisionTower, level: int, cells: Iterable[CellT],
+                  numbers: array) -> "OpenCellSet":
+        """The set of the given level cells, numbered by numbers in order."""
+        out = cls(tower, level, cells)
+        if len(out.cells) != len(numbers):  # a cell given twice
             numbers = array("i", sorted(set(numbers)))
         out._numbers = numbers
         return out
@@ -653,13 +685,17 @@ def json_field(data: dict, name: str, kind: type, error: type[Exception]):
     return value
 
 
-def cell_numbers_from_json(tower: SubdivisionTower, t: int, items: list) -> array:
-    """The numbers, positions in cells(t), of level-t cells in their JSON
-    form, each the strictly increasing list of its level-t vertex numbers.
-    Materializes level t (TowerSizeError over the cell budget) and raises
-    TowerError at the first item that is not one of cells(t)."""
+def cells_from_json(tower: SubdivisionTower, t: int,
+                    items: list) -> tuple[list[CellT], array]:
+    """Level-t cells in their JSON form, each the strictly increasing list
+    of its level-t vertex numbers, as the level's own cell tuples and their
+    numbers, positions in cells(t), gathered in one loop. Materializes
+    level t (TowerSizeError over the cell budget) and raises TowerError at
+    the first item that is not one of cells(t)."""
     index = tower.cell_index(t)
-    out = array("i")
+    level_cells = tower.cells(t)
+    cells: list[CellT] = []
+    numbers = array("i")
     for data in items:
         if type(data) is not list:
             raise TowerError(f"malformed cell {data!r}: a cell is a list of vertex numbers")
@@ -670,10 +706,11 @@ def cell_numbers_from_json(tower: SubdivisionTower, t: int, items: list) -> arra
         else:
             i = index.get(cell)
             if i is not None:
-                out.append(i)
+                numbers.append(i)
+                cells.append(level_cells[i])
                 continue
         raise TowerError(f"{data!r} is not a cell of level {t}")
-    return out
+    return cells, numbers
 
 
 def vertex_set_to_json(verts: frozenset[int] | str) -> dict:

@@ -1,7 +1,11 @@
 import collections
+import contextlib
+import sys
+from unittest import mock
 
 import pytest
 
+import kocover.tower
 from kocover import SubdivisionTower, builtin, cover_parameters
 
 CATALOG_NAMES = [
@@ -25,6 +29,19 @@ def cover_grid():
 
 
 SMALL_NAMES = ["s1", "delta-2", "boundary-delta-3", "torus-7", "rp2-6"]
+
+PATHS = ("arrays", "plain")
+
+
+@contextlib.contextmanager
+def on_path(path):
+    """Run every signature walk and snap without a star DP on a CellIndex
+    ("arrays") or in plain Python ("plain"), whatever the size of its
+    level: the one size rule, tower.ARRAY_MIN_CELLS, moved to either end.
+    The plain path needs a materialized level."""
+    size = {"arrays": -1, "plain": sys.maxsize}[path]
+    with mock.patch.object(kocover.tower, "ARRAY_MIN_CELLS", size):
+        yield
 
 # acceptance results: criterion id -> list of (label, passed, detail)
 ACCEPTANCE = collections.defaultdict(list)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_NAMES, SMALL_NAMES
+from conftest import CATALOG_NAMES, PATHS, SMALL_NAMES, on_path
 
 from kocover import (Certificate, CertificateFormatError,
                      CertificateGenerationError, OpenCellSet, PartitionPush,
@@ -288,23 +288,36 @@ def explicit_assignment(tower, level, cells, rng, kind):
     return tuple(sorted(assign.items()))
 
 
-def assert_snap_matches_oracle(tower, level, cells, assignment):
+def assert_snap_matches_oracle(tower, level, cells, assignment, materialized=None):
+    """Replay a one-snap certificate on arrays on tower and in plain Python
+    on materialized (tower by default), whose level is materialized; each
+    verdict, passing or failing, must be the oracle's, so the two are
+    equal."""
+    verdicts = [snap_on_path(path, on, level, cells, assignment)
+                for path, on in zip(PATHS, (tower, materialized or tower))]
+    assert verdicts[0] == verdicts[1]
+
+
+def snap_on_path(path, tower, level, cells, assignment):
     cert = Certificate(OpenCellSet(tower, level, cells), (StarSnap(level, assignment),),
                        Target("skeletal", 0))
-    try:
-        carrier, failure = snap_oracle(tower, level, cells, assignment)
-    except CertificateFormatError as exc:
-        with pytest.raises(CertificateFormatError, match=str(exc)):
-            verify_certificate(tower, cert)
-        return
-    verdict = verify_certificate(tower, cert)
-    if failure is not None:
-        assert (verdict.passed, verdict.failing_step, verdict.reason, verdict.witness) \
-            == (False, 0, *failure)
-        return
-    assert (verdict.passed, verdict.failing_step, verdict.reason) == (True, None, "")
-    assert verdict.achieved == ((0, 0) if cells else (-1, -1))
-    assert run_steps(tower, cert.start, cert.steps) == (level, carrier)
+    with on_path(path):
+        assert tower.is_small(level) == (path == "plain")
+        try:
+            carrier, failure = snap_oracle(tower, level, cells, assignment)
+        except CertificateFormatError as exc:
+            with pytest.raises(CertificateFormatError, match=str(exc)):
+                verify_certificate(tower, cert)
+            return str(exc)
+        verdict = verify_certificate(tower, cert)
+        if failure is not None:
+            assert (verdict.passed, verdict.failing_step, verdict.reason, verdict.witness) \
+                == (False, 0, *failure)
+            return verdict
+        assert (verdict.passed, verdict.failing_step, verdict.reason) == (True, None, "")
+        assert verdict.achieved == ((0, 0) if cells else (-1, -1))
+        assert run_steps(tower, cert.start, cert.steps) == (level, carrier)
+    return verdict
 
 
 SNAP_KINDS = ["min-base-vertex", "valid", "split", "outside", "missing", "non-vertex"]
@@ -340,8 +353,11 @@ def test_indexed_snap_matches_union_find(small_towers, name, level, density, kin
         parts.setdefault(r, set()).add(index.cells[p])
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
     assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
-    assert_snap_matches_oracle(tower, level, cells, assignment_of(tower, level, cells,
-                                                                  rng, kind))
+    # the plain path reads a materialized level
+    materialized = small_towers[name]
+    materialized.cells(level)
+    assert_snap_matches_oracle(tower, level, cells,
+                               assignment_of(tower, level, cells, rng, kind), materialized)
     assert not streamed or level == 0 or tower.level(level).cells_list is None
 
 
@@ -379,9 +395,14 @@ def test_indexed_snap_on_a_wheel_element():
 
 def snap_verdicts(tower, start, assignment):
     """(passed, reason, failing_step, witness) of a one-snap certificate
-    on the start set."""
-    v = verify_certificate(tower, Certificate(start, (StarSnap(start.level, assignment),),
-                                              Target("skeletal", 0)))
+    on the start set, the same on arrays and in plain Python."""
+    cert = Certificate(start, (StarSnap(start.level, assignment),), Target("skeletal", 0))
+    verdicts = []
+    for path in PATHS:
+        with on_path(path):
+            verdicts.append(verify_certificate(tower, cert))
+    assert verdicts[0] == verdicts[1]
+    v = verdicts[0]
     return v.passed, v.reason, v.failing_step, v.witness
 
 

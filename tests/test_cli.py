@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -571,20 +572,62 @@ def test_failing_light_command_leaves_out_the_cover_stack(tmp_path):
     ["cover", "kcheck", "--in", "layered.json", "--k", "2", "--skeleton", "1"],
     ["product", "build", "--x", "torus-7", "--b", "s1", "--out", "product.json"],
     ["cover", "verify", "--in", "staggered.json"],
+    ["cover", "verify", "--in", "arc.json"],
+    ["cover", "verify", "--in", "trivial.json"],
+    ["product", "verify", "--in", "product.json"],
+    ["cover", "verify", "--in", "dropped.json"],
 ])
 def test_cover_commands_without_arrays_leave_out_numpy_and_bounds(tmp_path, argv):
     # the arc builder, the layered walk (a DP over the face poset), the lazy
     # star certificates, the staggered stars' pushes and the product
-    # builders build no CellIndex
+    # builders build no CellIndex; the walks and snaps of the arc and
+    # trivial bundles, the product's factors among them, run on levels of
+    # at most ARRAY_MIN_CELLS cells, in plain Python
+    bundles = {}
     for path, spec, r, m, construction in [
             ("layered.json", "boundary-delta-3", 0, 4, "layered-stars"),
-            ("staggered.json", "random:2:8:11", 1, 2, "staggered-duals")]:
+            ("staggered.json", "random:2:8:11", 1, 2, "staggered-duals"),
+            ("arc.json", "s1", 0, 5, "arc-phases"),
+            ("trivial.json", "torus-7", 2, 3, "trivial")]:
         bundle = build_cover(builtin(spec), r, m)
         assert bundle.construction == construction
-        (tmp_path / path).write_text(json.dumps(bundle.to_json()))
-    loaded = imported_modules(tmp_path, *argv)
+        bundles[path] = bundle.to_json()
+    # the arc bundle with an element and its certificate dropped, still
+    # claiming m=5
+    bundles["dropped.json"] = dict(bundles["arc.json"], elements=bundles["arc.json"][
+        "elements"][1:], certificates=bundles["arc.json"]["certificates"][1:])
+    bundles["product.json"] = assemble_product_cover(builtin("torus-7"),
+                                                     builtin("s1")).to_json()
+    for path, data in bundles.items():
+        (tmp_path / path).write_text(json.dumps(data))
+    loaded = imported_modules(tmp_path, *argv, code=1 if "dropped.json" in argv else 0)
     assert COVER_STACK - {"numpy", "kocover.product"} <= loaded
     assert not loaded & {"numpy", "kocover.bounds"}
+
+
+def test_a_bundle_claiming_a_huge_m_fails_its_count_fast(tmp_path):
+    # the profile's brute force walks the k-subsets of range(m), so it runs
+    # only when the elements bear the claimed m out
+    data = build_cover(builtin("torus-7"), 2, 3).to_json()
+    data["params"]["m"] = 10 ** 9
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    limit = (2 << 30, 2 << 30)  # a failing verifier runs out of 2 GB, not the host's
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kocover.cli", "cover", "verify", "--in",
+                           str(path), "--json"], env=env, capture_output=True, text=True,
+                          timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (1, "")
+    checks = {c["name"]: (c["passed"], c["detail"])
+              for c in json.loads(proc.stdout)["checks"]}
+    assert checks["element-count"] == (False, "bundle claims m=1000000000 but has 3 elements")
+    assert checks["profile-k1"] == (False, "not checked: the element count does not match m")
+    assert checks["coverage"] == (True, "")
 
 
 def test_cover_verify_loads_numpy(tmp_path):

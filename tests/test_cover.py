@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_NAMES, SMALL_NAMES, cover_grid
+from conftest import CATALOG_NAMES, PATHS, SMALL_NAMES, cover_grid, on_path
 
 from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      OpenCellSet, SimplicialMap, SubdivisionTower, TowerSizeError,
@@ -457,7 +457,19 @@ def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, 
     if flag:
         fam.append(VertexStarSet(tower, level + 1, "old"))
     rng.shuffle(fam)
-    assert cover_signatures(tower, fam) == chain_enumeration(tower, fam)
+    assert walks_on_both_paths(tower, level, fam) == chain_enumeration(tower, fam)
+
+
+def walks_on_both_paths(tower, level, fam):
+    """The signatures of a family whose walk, at level, has no star DP,
+    the same on arrays and in plain Python."""
+    sigs = []
+    for path in PATHS:
+        with on_path(path):
+            sigs.append(cover_signatures(tower, fam))
+            assert tower.is_small(level) == (path == "plain")
+    assert sigs[0] == sigs[1]
+    return sigs[0]
 
 
 def test_indexed_walk_of_seventy_explicit_sets():
@@ -466,7 +478,7 @@ def test_indexed_walk_of_seventy_explicit_sets():
     tower = SubdivisionTower(builtin("delta-2"))
     fam = [_random_element(rng, tower, "cells", 2) for _ in range(70)]
     fam += [_random_element(rng, tower, "cells", 1), VertexStarSet(tower, 3, "old")]
-    sigs = cover_signatures(tower, fam)
+    sigs = walks_on_both_paths(tower, 2, fam)
     assert sigs == chain_enumeration(tower, fam)
     assert any(69 in s and 71 in s for ss in sigs.values() for s in ss)
 

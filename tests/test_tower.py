@@ -15,7 +15,7 @@ from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
 from kocover.complexes import CATALOG
-from kocover.tower import (_match_rows, cell_numbers_from_json, proper_faces,
+from kocover.tower import (_match_rows, cells_from_json, proper_faces,
                            vertex_set_from_json)
 
 
@@ -138,11 +138,12 @@ def test_cells_from_json_accepts_exactly_the_cells(small_towers, name, level, da
     is_cell = tuple(item) in set(cells)
     for tower in (materialized, fresh):
         if is_cell:
-            (i,) = cell_numbers_from_json(tower, level, [item])
-            assert tower.cells(level)[i] == tuple(item)
+            # the level's own tuple, not a copy of the item
+            (cell,), (i,) = cells_from_json(tower, level, [item])
+            assert cell is tower.cells(level)[i] and cell == tuple(item)
         else:
             with pytest.raises(TowerError, match=f"is not a cell of level {level}"):
-                cell_numbers_from_json(tower, level, [item])
+                cells_from_json(tower, level, [item])
     # decoding materialized the level
     assert fresh.level(level).cells_list == materialized.cells(level)
 
@@ -151,7 +152,7 @@ def test_cells_from_json_over_the_budget_is_a_size_error():
     # level 3 of delta-2 has 673 cells
     tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
     with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
-        cell_numbers_from_json(tower, 3, [[0]])
+        cells_from_json(tower, 3, [[0]])
 
 
 @pytest.mark.parametrize("verts", [[1, 0], [2, 2], [True], [-1], [7], ["a"]])
