@@ -37,7 +37,7 @@ loading this module does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .complexes import UsageError, components
 from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
@@ -143,24 +143,23 @@ def verify_certificate(tower: SubdivisionTower, cert: Certificate) -> Verdict:
 
 
 def _verify_explicit(tower: SubdivisionTower, cert: Certificate) -> Verdict:
-    carrier = cert.start.materialize()
     try:
-        for _, carrier in replay(tower, carrier, cert.steps):
-            pass
+        carrier = replay(tower, cert.start.materialize(), cert.steps)
     except StepFailure as exc:
         return _fail(exc.step, exc.reason, exc.witness)
     return _final_verdict(tower, cert.target, carrier.level, carrier.cells)
 
 
 def replay(tower: SubdivisionTower, carrier: OpenCellSet,
-           steps: Sequence[Step]) -> Iterator[tuple[int, OpenCellSet]]:
-    """Apply certificate steps to a materialized carrier, one at a time.
+           steps: Sequence[Step]) -> OpenCellSet:
+    """Apply certificate steps to a materialized carrier, one at a time,
+    and return the final carrier.
 
-    Yields (step index, carrier) after each step; a snap reads the cell
-    numbers of the carrier it is handed, so a first-step snap reuses the
-    start's. Raises StepFailure when a step's precondition fails on the
-    carrier, and CertificateFormatError when a step does not fit the
-    carrier's level or names something outside the tower.
+    A snap reads the cell numbers of the carrier it is handed, so a
+    first-step snap reuses the start's. Raises StepFailure when a step's
+    precondition fails on the carrier, and CertificateFormatError when a
+    step does not fit the carrier's level or names something outside the
+    tower.
     """
     if carrier.tower is not tower:  # the steps read this tower's tables
         carrier = OpenCellSet(tower, carrier.level, carrier.cells)
@@ -186,7 +185,7 @@ def replay(tower: SubdivisionTower, carrier: OpenCellSet,
                 carrier = OpenCellSet(tower, level, pushed)
         else:
             raise CertificateFormatError(f"unknown step {step!r}")
-        yield idx, carrier
+    return carrier
 
 
 def _expand_keep(tower: SubdivisionTower, level: int,
@@ -383,10 +382,8 @@ def run_steps(tower: SubdivisionTower, start: CellSet,
               steps: Sequence[Step]) -> tuple[int, frozenset[CellT]]:
     """Apply steps to a set, returning the final carrier; raises
     CertificateGenerationError when a step precondition fails."""
-    carrier = start.materialize()
     try:
-        for _, carrier in replay(tower, carrier, steps):
-            pass
+        carrier = replay(tower, start.materialize(), steps)
     except StepFailure as exc:
         raise CertificateGenerationError(exc.reason) from exc
     return carrier.level, carrier.cells

@@ -118,7 +118,6 @@ def _cmd_complex(args) -> int:
 def _cmd_cover(args) -> int:
     from .cover import (ConstructionError, CoverBundle, CoverError, build_cover,
                         cover_parameters, is_k_cover, verify_cover_bundle)
-    from .tower import OpenCellSet
     if args.action == "build":
         cx = _load_target(args)
         m = args.m if args.m is not None else cover_parameters(cx, args.r)
@@ -137,12 +136,7 @@ def _cmd_cover(args) -> int:
         return OK if report.ok else FAILURE
     if args.action == "kcheck":
         bundle = _load_bundle(args.infile, CoverBundle)
-        region = None
-        if args.skeleton is not None:
-            cells = [c for c in bundle.complex.cells()
-                     if len(c) - 1 <= args.skeleton]
-            region = OpenCellSet(bundle.tower, 0, cells)
-        ok = is_k_cover(bundle.elements, args.k, region)
+        ok = is_k_cover(bundle.elements, args.k, args.skeleton)
         _emit({"k": args.k, "skeleton": args.skeleton, "is_k_cover": ok}, args)
         return OK if ok else FAILURE
     raise CoverError(f"unknown cover action {args.action!r}")

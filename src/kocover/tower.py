@@ -764,9 +764,8 @@ def star(tower: SubdivisionTower, core: CellSet, kind: str = "open") -> OpenCell
     t = core.level
     closure_cells = core.materialize().closure().cells
     nxt = tower.level(t + 1)
-    marked = {nxt.vert_id[c] for c in closure_cells}
-    cells = [c for c in tower.cells(t + 1) if any(v in marked for v in c)]
-    out = OpenCellSet(tower, t + 1, cells)
+    marked = frozenset(nxt.vert_id[c] for c in closure_cells)
+    out = VertexStarSet(tower, t + 1, marked).materialize()
     if kind == "closed":
         out = out.closure()
     return out

@@ -165,6 +165,16 @@ def test_cover_round_trip(tmp_path, capsys):
     assert json.loads(out)["is_k_cover"]
 
 
+def test_kcheck_refuses_a_negative_skeleton(tmp_path, capsys):
+    # it once covered the empty region and exited 0
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps(build_cover(builtin("s1"), 0, 3).to_json()))
+    code, out, err = invoke(capsys, "cover", "kcheck", "--in", str(path),
+                            "--k", "1", "--skeleton", "-1", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "skeleton dimension must be nonnegative" in err
+
+
 def test_cover_build_infeasible_fails(capsys, tmp_path):
     code, _, err = invoke(capsys, "cover", "build", "--builtin", "delta-2",
                           "--r", "1", "--m", "4",
@@ -606,8 +616,8 @@ def test_cover_commands_without_arrays_leave_out_numpy_and_bounds(tmp_path, argv
 
 
 def test_a_bundle_claiming_a_huge_m_fails_its_count_fast(tmp_path):
-    # the profile's brute force walks the k-subsets of range(m), so it runs
-    # only when the elements bear the claimed m out
+    # the index sets number the elements there are, not range(m), so the
+    # profile is checked only when the elements bear the claimed m out
     data = build_cover(builtin("torus-7"), 2, 3).to_json()
     data["params"]["m"] = 10 ** 9
     path = tmp_path / "bundle.json"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      cover_signatures, is_k_cover, pullback_cover,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, StarSnap, Target
-from kocover.cover import _edge_path_vertices, check_certificate
+from kocover.cover import _edge_path_vertices, _k_cover, check_certificate
 from kocover.tower import CellIndex
 
 
@@ -485,12 +486,55 @@ def test_indexed_walk_of_seventy_explicit_sets():
 
 def test_is_k_cover_with_a_region_on_mixed_families():
     """Brute force and the criterion agree (asserted inside is_k_cover)
-    with the region as one more element of the walk."""
+    on the cells over the base 0-skeleton."""
     for seed in range(20):
         tower, fam = _random_family(seed)
-        region = OpenCellSet(tower, 0, [c for c in tower.base.cells() if len(c) == 1])
         for k in range(1, len(fam) + 1):
-            is_k_cover(fam, k, region)
+            is_k_cover(fam, k, skeleton=0)
+
+
+def k_cover_oracle(sets, k, m):
+    """Does every k-subset of range(m) meet every index set? The exhaustive
+    walk over subfamilies."""
+    return all(all(set(sub) & s for s in sets)
+               for sub in itertools.combinations(range(m), k))
+
+
+@st.composite
+def index_set_families(draw):
+    m = draw(st.integers(1, 8))
+    sets = st.sets(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=6)
+    return m, draw(st.dictionaries(st.integers(0, 3), sets, min_size=1, max_size=4))
+
+
+@given(family=index_set_families(), skeleton=st.none() | st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_k_cover_search_and_criterion_match_the_subfamily_walk(family, skeleton):
+    m, sigs = family
+    in_range = [s for d, ss in sigs.items() if skeleton is None or d <= skeleton for s in ss]
+    for k in range(1, m + 2):  # a profile's k may exceed m
+        criterion, brute, min_ord = _k_cover(sigs, k, m, skeleton)
+        expected = k_cover_oracle(in_range, k, m)
+        assert (brute, criterion) == (expected, expected)
+        assert min_ord == min(map(len, in_range), default=m)
+
+
+def test_verify_finishes_on_four_hundred_copies_of_the_base():
+    # a profile check that walks every k-subset of range(m) takes over 20 s
+    # on this bundle
+    cx = builtin("torus-7")
+    tower = SubdivisionTower(cx)
+    whole = OpenCellSet(tower, 0, cx.cells())
+    cert = Certificate(whole, (), Target("skeletal", 0))
+    bundle = CoverBundle(cx, tower, 0, 400, [whole] * 400, [cert] * 400)
+    start = time.perf_counter()
+    report = verify_cover_bundle(bundle)
+    assert time.perf_counter() - start < 2
+    profile = {c.name: (c.passed, c.detail) for c in report.checks
+               if c.name.startswith("profile-k")}
+    assert profile == {f"profile-k{k}": (True, f"min Ord 400 on skeleton {k - 1}, "
+                                               f"need {401 - k}")
+                       for k in (1, 2, 3)}
 
 
 def test_emptied_certificate_list_fails():
