@@ -15,23 +15,23 @@ increases (push and snap tracks stay inside the open carrier cell until
 they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
 
-A snap reads the cell numbers the carrier set carries: replay hands each
-step the carrier as a set, so a first-step snap reads the numbers its
-start was decoded or built with. Its components join each present cell
-to its present faces; the min-base-vertex rule intersects the members'
-base carriers per component, and an explicit assignment is checked for
-one target per component lying in every member's base carrier. Every
-check is exact; a failure names the failing component that holds the
-least cell, and for a target outside a member's base carrier, the least
-such member. On a materialized level of at most tower.ARRAY_MIN_CELLS
-cells the snap is plain Python: union-find over the numbers, base
-carriers gathered through the tops and vbase tables. On a larger level,
-or one that was only streamed, it is replayed on the level's dense
-CellIndex (tower.index; on a streamed level, one of the carrier alone,
-OpenCellSet.indexed): the face pairs are masked to the carrier and
-labelled with array operations, and an explicit assignment is read in
-the order of the numbers. Only that indexed snap imports numpy, so
-loading this module does not.
+A snap's components join each carrier cell to its faces in the carrier;
+the min-base-vertex rule intersects the members' base carriers per
+component, and an explicit assignment is checked for one target per
+component lying in every member's base carrier. Every check is exact; a
+failure names the failing component that holds the least cell, and for a
+target outside a member's base carrier, the least such member. Arrays are
+used only on a materialized level of more than tower.ARRAY_MIN_CELLS
+(1,000) cells: there the snap reads the cell numbers the carrier set
+carries (replay hands each step the carrier as a set, so a first-step
+snap reads the numbers its start was decoded or built with) and is
+replayed on the level's one CellIndex (tower.index), the face pairs
+masked to the carrier and labelled with array operations, and an
+explicit assignment read in the order of the numbers. On any other
+level, a small one or one that was only streamed, it is plain Python:
+union-find over the carrier's own cells, base carriers from
+tower.carrier0. Only the indexed snap imports numpy, so loading this
+module does not.
 """
 
 from __future__ import annotations
@@ -219,42 +219,35 @@ def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
 def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
                   assign: dict[CellT, int] | None, idx: int) -> set[int]:
     """The base vertices a snap sends the components of a nonempty carrier
-    to, in plain Python: union-find joins the carrier's numbers to those of
-    its present faces, and each member's base carrier is gathered through
-    the level's tops and vbase tables. assign is the explicit assignment,
-    or None for the min-base-vertex rule. Raises the StepFailure of
-    _indexed_snap_targets."""
-    level = carrier.level
-    cells = tower.cells(level)
-    position = tower.cell_index(level)
-    numbers = carrier.numbers()
-    present = set(numbers)
-    if level:
-        lv = tower.level(level)
-        base = dict(zip(numbers, map(lv.vbase.__getitem__, map(lv.tops.__getitem__, numbers))))
-    else:
-        base = dict(zip(numbers, map(cells.__getitem__, numbers)))
-    links = ((p, q) for p in numbers
-             for q in map(position.__getitem__, proper_faces(cells[p])) if q in present)
+    to, in plain Python: union-find joins each carrier cell to its faces in
+    the carrier, and base carriers come from tower.carrier0. assign is the
+    explicit assignment, or None for the min-base-vertex rule. Raises the
+    StepFailure of _indexed_snap_targets, and on a materialized level the
+    TowerError of OpenCellSet.numbers for a cell that is not on it."""
+    level, cells = carrier.level, carrier.cells
+    if tower.level(level).cells_list is not None:
+        carrier.numbers()  # refuses a cell that is not on the level
+    links = ((c, f) for c in cells for f in proper_faces(c) if f in cells)
     targets: set[int] = set()
     failures = []  # (least cell, reason, witness) of each failing component
-    for comp in components(numbers, links):
-        least = min(map(cells.__getitem__, comp))
+    for comp in components(cells, links):
+        least = min(comp)
+        base = {c: tower.carrier0(level, c) for c in comp}
         if assign is None:
-            common = set.intersection(*(set(c) for c in {base[p] for p in comp}))
+            common = set.intersection(*map(set, set(base.values())))
             if common:
                 targets.add(min(common))
             else:
                 failures.append((least, "snap component has no common base-carrier vertex",
                                  least))
             continue
-        goals = {assign[cells[p]] for p in comp}
+        goals = {assign[c] for c in comp}
         if len(goals) > 1:
             failures.append((least, "snap assigns different vertices inside one component",
                              least))
             continue
         (goal,) = goals
-        outside = [cells[p] for p in comp if goal not in base[p]]
+        outside = [c for c in comp if goal not in base[c]]
         if outside:
             failures.append((least, "snap target is not a vertex of a member cell's base "
                              "carrier", min(outside)))
@@ -268,11 +261,13 @@ def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
 
 def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
                           assign: dict[CellT, int] | None, idx: int) -> set[int]:
-    """_snap_targets on the level's CellIndex (OpenCellSet.indexed)."""
+    """_snap_targets on the CellIndex of the carrier's materialized level,
+    over the carrier's cell numbers."""
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
-    index, pos = carrier.indexed()
+    pos = np.frombuffer(carrier.numbers(), dtype=np.int32)
+    index = tower.index(carrier.level)
     root = index.components(pos)
     order = np.argsort(root, kind="stable")
     member, root = pos[order], root[order]

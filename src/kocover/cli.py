@@ -1,17 +1,19 @@
 """Command-line front end: catalog, constructions, verification, bounds.
 
 Exit codes: 0 success or verified, 1 verification or construction failure,
-2 usage error (the message names the violated precondition).
+2 usage error (the message names the violated precondition), a missing
+input flag and an input file that cannot be read as UTF-8 text included.
 
 A command imports only what it runs. `bounds` and `cuplength` import
 `bounds.py`; `complex bary|dual`, `cover` and `product` import the cover
 stack (tower, certify, cover, product). No command loads numpy when it
 starts: numpy comes with the first CellIndex, which the wheel builder
 reads, and a certificate snap or a signature walk without a star DP on
-a level of more than tower.ARRAY_MIN_CELLS (1,000) cells. So `cover
-verify` of an arc, trivial, layered or staggered bundle on a catalog
-complex and `product verify` of torus-7 x s1 run without it, as every
-build but the wheel's does; `cover verify` of a wheel bundle loads it.
+a materialized level of more than tower.ARRAY_MIN_CELLS (1,000) cells.
+So `cover verify` of an arc, trivial, layered or staggered bundle on a
+catalog complex and `product verify` of torus-7 x s1 run without it, as
+every build but the wheel's does; `cover verify` of a wheel bundle loads
+it.
 Every exit-2 exception derives from complexes.UsageError, so a failing
 command loads nothing more to report it.
 """
@@ -53,6 +55,14 @@ def _print_human(data, indent: str = "") -> None:
                 print(f"{indent}- {v}")
     else:
         print(f"{indent}{data}")
+
+
+def _required(args, dest: str, flag: str):
+    """The value of a flag that this action cannot run without."""
+    value = getattr(args, dest)
+    if value is None:
+        raise UsageError(f"{args.command} {args.action} requires {flag}")
+    return value
 
 
 def _load_target(args) -> Complex:
@@ -130,12 +140,12 @@ def _cmd_cover(args) -> int:
                       f"bundle ({bundle.construction}, m={bundle.m})")
         return OK
     if args.action == "verify":
-        bundle = _load_bundle(args.infile, CoverBundle)
+        bundle = _load_bundle(args, CoverBundle)
         report = verify_cover_bundle(bundle)
         _emit(report.to_json(), args)
         return OK if report.ok else FAILURE
     if args.action == "kcheck":
-        bundle = _load_bundle(args.infile, CoverBundle)
+        bundle = _load_bundle(args, CoverBundle)
         ok = is_k_cover(bundle.elements, args.k, args.skeleton)
         _emit({"k": args.k, "skeleton": args.skeleton, "is_k_cover": ok}, args)
         return OK if ok else FAILURE
@@ -154,8 +164,8 @@ def _write_bundle(payload: dict, out: str | None, what: str) -> None:
     print(f"wrote {what} to {out}")
 
 
-def _load_bundle(path: str, cls):
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_bundle(args, cls):
+    with open(_required(args, "infile", "--in"), "r", encoding="utf-8") as fh:
         return cls.from_json(json.load(fh))
 
 
@@ -164,8 +174,8 @@ def _cmd_product(args) -> int:
     from .product import (ProductCoverBundle, assemble_product_cover,
                           verify_product_cover)
     if args.action == "build":
-        x = builtin(args.x)
-        b = builtin(args.b)
+        x = builtin(_required(args, "x", "--x"))
+        b = builtin(_required(args, "b", "--b"))
         try:
             pcb = assemble_product_cover(x, b)
         except ConstructionError as exc:
@@ -174,7 +184,7 @@ def _cmd_product(args) -> int:
         _write_bundle(pcb.to_json(), args.out, f"product bundle (m={pcb.m})")
         return OK
     if args.action == "verify":
-        report = verify_product_cover(_load_bundle(args.infile, ProductCoverBundle))
+        report = verify_product_cover(_load_bundle(args, ProductCoverBundle))
         _emit(report.to_json(), args)
         return OK if report.ok else FAILURE
     raise CoverError(f"unknown product action {args.action!r}")
@@ -280,7 +290,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (json.JSONDecodeError, OSError, UnicodeDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -227,7 +227,7 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     """
     import numpy as np
     cells = tower.cells(level)
-    index = tower.index(level, cells)
+    index = tower.index(level)
     n = len(cells)
     listed = [isinstance(el, OpenCellSet) and el.level == level for _, el in low]
     if not all(listed):
@@ -549,7 +549,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
         cells = tower.cells(level)
     except TowerSizeError as exc:
         raise ConstructionError(f"wheel cracks: {exc}") from None
-    index = tower.index(level, cells)
+    index = tower.index(level)
     n = len(cells)
     base = tower.cell_index(0)
     carrier_dim = np.array([len(c) - 1 for c in base])[index.carrier]
@@ -766,12 +766,6 @@ def verify_cover_bundle(bundle: CoverBundle) -> CoverReport:
 
     for i, (el, cert) in enumerate(zip(bundle.elements, bundle.certificates)):
         report.add(f"certificate-{i}", *check_certificate(tower, el, cert, bundle.r))
-
-    # A carrier cell in the closures of two snapped components would be a
-    # face of a member of each (or a member itself), and components are
-    # built by joining every present cell to its present faces, so the two
-    # would be one component. Nothing is left to check.
-    report.add("snap-closure-disjointness", True, "implied by component construction")
     return report
 
 
@@ -809,11 +803,9 @@ def _same_set(a: CellSet, b: CellSet) -> bool:
 # -- pullback -----------------------------------------------------------------
 
 
-def pullback_cover(fmap: SimplicialMap, bundle: CoverBundle,
-                   source_tower: SubdivisionTower | None = None) -> list[OpenCellSet]:
-    """Preimages of the bundle elements under a simplicial map; coverage is
+def pullback_cover(fmap: SimplicialMap, bundle: CoverBundle) -> list[OpenCellSet]:
+    """Preimages of the bundle elements under a simplicial map, on a tower
+    of the map's source with the bundle tower's depth cap; coverage is
     preserved and multiplicity only grows pointwise."""
-    if source_tower is None:
-        source_tower = SubdivisionTower(fmap.source,
-                                        max_level=bundle.tower.max_level)
+    source_tower = SubdivisionTower(fmap.source, max_level=bundle.tower.max_level)
     return [preimage(fmap, source_tower, bundle.tower, el) for el in bundle.elements]

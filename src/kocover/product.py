@@ -63,8 +63,7 @@ class ProductCoverBundle:
         return cls(xb.complex, bb.complex, n, d, m, xb, bb)
 
 
-def assemble_product_cover(x: Complex, b: Complex,
-                           max_level: int | None = None) -> ProductCoverBundle:
+def assemble_product_cover(x: Complex, b: Complex) -> ProductCoverBundle:
     """Build the paired covers behind the halved-dimension bound.
 
     Requires dim b <= dim x. The number of elements is (d+n)//2 + 1; the
@@ -74,8 +73,8 @@ def assemble_product_cover(x: Complex, b: Complex,
     if d > n:
         raise CoverError("the second factor must not exceed the first in dimension")
     m = (d + n) // 2 + 1
-    b_bundle = build_cover(b, 0, m, max_level=max_level)
-    x_bundle = build_cover(x, 1, m, max_level=max_level)
+    b_bundle = build_cover(b, 0, m)
+    x_bundle = build_cover(x, 1, m)
     return ProductCoverBundle(x, b, n, d, m, x_bundle, b_bundle)
 
 

@@ -9,15 +9,14 @@ the inclusion order of a chain is recovered by sorting on dimension.
 Deep levels explode factorially. Levels are materialized lazily and only
 up to a cell budget; one level beyond the last materialized level can
 still be enumerated by streaming chains of the level below. Decoded
-cells live on a materialized level; a snap on a level that was only
-streamed indexes its carrier alone.
+cells live on a materialized level.
 
 An OpenCellSet on a materialized level carries its cell numbers, their
 positions in cells(t), as an array('i'). A set made from numbers (the
 wheel builder's, a materialized star's) gathers its cells from them, the
 decoder gathers each cell with its number in one loop, and any other set
-looks its numbers up once, on first use. The snap and the signature walk
-read these numbers, so neither looks a cell tuple up again.
+looks its numbers up once, on first use. The signature walk and a snap on
+a CellIndex read these numbers, so neither looks a cell tuple up again.
 
 Each level is built from the tables of the level below, faces first. The
 chains with one maximum c, the block of c, are c alone and then the
@@ -32,15 +31,16 @@ carriers of a CellIndex are gathers, not a maximum per cell.
 
 CellIndex is where kocover starts using arrays: numpy is imported when one
 is built, not when this module loads, so materializing levels, their tops,
-the count DP and the cell numbers of a set never load it. Its face pairs
-are matched as rows of vertex numbers, with exact int64 keys, for every
-index the tower builds. A signature walk or a snap builds one only past
-one size rule, ARRAY_MIN_CELLS: on a materialized level of at most 1,000
-cells (is_small) it runs in plain Python over the numbers, tops and vbase
-tables. A plain snap costs 3-6 us a cell against 0.5-0.7 us on an index
-that exists, which takes 1-2 ms to build, so at most about 5 ms at the
-rule, well under the 100-120 ms that importing numpy adds to a fresh
-process; every wheel level has 3,937 cells or more.
+the count DP and the cell numbers of a set never load it. A CellIndex
+indexes one whole materialized level, built once (tower.index), and its
+face pairs are matched as rows of vertex numbers, with exact int64 keys.
+One size rule, ARRAY_MIN_CELLS, decides where arrays are used: only on a
+materialized level of more than 1,000 cells. A signature walk or a snap
+on any other level (is_small) runs in plain Python, on a level that was
+only streamed too. A plain snap costs 4-5 us a cell against 0.5-0.7 us on
+an index that exists, which takes 1-2 ms to build, so at most about 5 ms
+at the rule, well under the 100-120 ms that importing numpy adds to a
+fresh process; every wheel level has 3,937 cells or more.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from typing import (TYPE_CHECKING, Callable, Collection, Container, Iterable,
-                    Iterator, Sequence)
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator
 
 from .complexes import Complex, ComplexError, SimplicialMap, UsageError
 
@@ -60,10 +59,10 @@ CellT = tuple[int, ...]
 
 DEFAULT_MAX_LEVEL = 4
 DEFAULT_MAX_CELLS = 600_000
-# a signature walk or a snap on a materialized level of at most this many
-# cells runs in plain Python (a few ms at most, well under the numpy
-# import it saves a fresh process); larger or only-streamed levels use a
-# CellIndex
+# a signature walk or a snap runs on a CellIndex only on a materialized
+# level of more than this many cells; on any other level it runs in plain
+# Python (a few ms at most, well under the numpy import it saves a fresh
+# process)
 ARRAY_MIN_CELLS = 1_000
 
 
@@ -174,29 +173,24 @@ class SubdivisionTower:
         return lv.cells_list
 
     def is_small(self, t: int) -> bool:
-        """Is level t materialized with at most ARRAY_MIN_CELLS cells? A
-        walk or a snap on such a level runs in plain Python, on any other
-        on a CellIndex."""
+        """Is level t not materialized, or materialized with at most
+        ARRAY_MIN_CELLS cells? A walk or a snap on such a level runs in
+        plain Python, on any other on the level's CellIndex."""
         cells = self.level(t).cells_list
-        return cells is not None and len(cells) <= ARRAY_MIN_CELLS
+        return cells is None or len(cells) <= ARRAY_MIN_CELLS
 
     def cell_index(self, t: int) -> dict[CellT, int]:
         """Dense number of every level-t cell: its position in cells(t)."""
         self.cells(t)
         return self._levels[t].cell_index  # type: ignore[return-value]
 
-    def index(self, t: int, cells: Collection[CellT]) -> "CellIndex":
-        """A CellIndex holding the given level-t cells: the level's own,
-        built once, when level t is materialized (as every decoded level
-        is); otherwise one over these cells alone, so that a snap past the
-        last materialized level, as certify_to_dimension makes, does not
-        materialize it."""
-        lv = self.level(t)
-        if lv.cells_list is None:
-            cells = list(cells)
-            return CellIndex(self, t, cells, dict(zip(cells, range(len(cells)))))
+    def index(self, t: int) -> "CellIndex":
+        """The CellIndex of level t, built the first time it is asked for;
+        materializes the level (guarded by the cell budget)."""
+        self.cells(t)
+        lv = self._levels[t]
         if lv.index is None:
-            lv.index = CellIndex(self, t, lv.cells_list, lv.cell_index)
+            lv.index = CellIndex(self, t)
         return lv.index
 
     def iter_cells(self, t: int) -> Iterator[CellT]:
@@ -327,24 +321,23 @@ class SubdivisionTower:
 
 
 class CellIndex:
-    """Dense numbers, face incidence and base carriers of level-t cells.
+    """Dense numbers, face incidence and base carriers of the cells of one
+    materialized level t.
 
-    Cell i is cells[i], and position maps each cell to its number. The face
-    pairs (face_cell[k], face[k]) list every cell with each of its proper
-    faces that is itself in cells, cell-major and each cell's faces in
-    proper_faces order. carrier[i] numbers carrier0 of cell i among the
-    base cells, and base_verts is the base cells x base vertices table of
-    "v is a vertex of that cell". The face pairs and the carriers are
-    array operations over the cells' vertex rows, the same for the level's
-    own index and for one over some of its cells.
+    Cell i is cells[i], the level's cells_list, and position, the level's
+    cell_index, maps each cell to its number. The face pairs (face_cell[k],
+    face[k]) list every cell with each of its proper faces, cell-major and
+    each cell's faces in proper_faces order. carrier[i] numbers carrier0
+    of cell i among the base cells, and base_verts is the base cells x
+    base vertices table of "v is a vertex of that cell".
     """
 
-    def __init__(self, tower: SubdivisionTower, t: int, cells: Sequence[CellT],
-                 position: dict[CellT, int]):
+    def __init__(self, tower: SubdivisionTower, t: int):
         import numpy as np
+        lv = tower.level(t)
         self.t = t
-        self.cells = cells
-        self.position = position
+        self.cells = cells = lv.cells_list
+        self.position = lv.cell_index
         n = len(cells)
         size = np.fromiter(map(len, cells), dtype=np.int32, count=n)
         flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int32,
@@ -354,19 +347,12 @@ class CellIndex:
                       flat[np.repeat(size == k, size)].reshape(-1, k))
                   for k in np.flatnonzero(np.bincount(size)).tolist()}
         self.face_cell, self.face = _face_pairs(groups, n, int(flat.max(initial=0)) + 1)
+        # the base cells' own numbers, gathered through the tops table of
+        # each level from 1 to t
+        self.carrier = np.arange(len(tower.cells(0)), dtype=np.int32)
+        for s in range(1, t + 1):
+            self.carrier = self.carrier[np.frombuffer(tower.level(s).tops, dtype=np.int32)]
         base = tower.cell_index(0)
-        if t == 0:
-            self.carrier = np.fromiter(map(base.__getitem__, cells), dtype=np.int32,
-                                       count=n)
-        else:
-            # a cell's base carrier is that of its chain maximum, the vertex
-            # of largest dimension, a cell of level t-1
-            vdim = np.array(tower.level(t).vdim, dtype=np.int32)
-            lower = _carrier_numbers(tower, t - 1)
-            self.carrier = np.empty(n, dtype=np.int32)
-            for nums, rows in groups.values():
-                top = rows[np.arange(len(rows)), vdim[rows].argmax(axis=1)]
-                self.carrier[nums] = lower[top]
         self.base_verts = np.zeros((len(base), len(tower.base.vertices)), dtype=bool)
         for c, i in base.items():
             self.base_verts[i, list(c)] = True
@@ -399,17 +385,6 @@ class CellIndex:
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
-
-
-def _carrier_numbers(tower: SubdivisionTower, t: int) -> np.ndarray:
-    """Number among the base cells of the base carrier of every level-t
-    cell, levels 0 to t materialized: the base cells' own numbers, gathered
-    through the tops table of each level from 1 to t."""
-    import numpy as np
-    out = np.arange(len(tower.cells(0)), dtype=np.int32)
-    for s in range(1, t + 1):
-        out = out[np.frombuffer(tower.level(s).tops, dtype=np.int32)]
-    return out
 
 
 def _face_pairs(groups: dict[int, tuple[np.ndarray, np.ndarray]], n: int,
@@ -528,17 +503,6 @@ class OpenCellSet:
                 raise TowerError(
                     f"{exc.args[0]} is not a cell of level {self.level}") from None
         return self._numbers
-
-    def indexed(self) -> tuple[CellIndex, np.ndarray]:
-        """A CellIndex holding the cells and their numbers in it: the
-        level's own index and numbers() on a materialized level, otherwise
-        an index of the cells alone, numbered in iteration order, so that
-        the level stays unmaterialized."""
-        import numpy as np
-        index = self.tower.index(self.level, self.cells)
-        if self.tower.level(self.level).cells_list is None:
-            return index, np.arange(len(self.cells), dtype=np.int32)
-        return index, np.frombuffer(self.numbers(), dtype=np.int32)
 
     # point membership works per cell: a finer cell lies in the set iff its
     # carrier at this level does

@@ -38,7 +38,8 @@ def on_path(path):
     """Run every signature walk and snap without a star DP on a CellIndex
     ("arrays") or in plain Python ("plain"), whatever the size of its
     level: the one size rule, tower.ARRAY_MIN_CELLS, moved to either end.
-    The plain path needs a materialized level."""
+    The arrays path needs a materialized level; a snap on a level that was
+    only streamed runs in plain Python on either path."""
     size = {"arrays": -1, "plain": sys.maxsize}[path]
     with mock.patch.object(kocover.tower, "ARRAY_MIN_CELLS", size):
         yield

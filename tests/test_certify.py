@@ -1,12 +1,17 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CATALOG_NAMES, PATHS, SMALL_NAMES, on_path
 
+import kocover
 from kocover import (Certificate, CertificateFormatError,
                      CertificateGenerationError, OpenCellSet, PartitionPush,
                      Refine, StarSnap, SubdivisionTower, Target, TowerSizeError,
@@ -116,6 +121,29 @@ def test_certify_to_dimension_cases(s2_tower):
     cert = certify_to_dimension(whole1, 1)
     assert cert.steps == ()
     assert verify_certificate(t1, cert).passed
+
+
+def test_a_snap_past_the_materialized_levels_imports_no_numpy():
+    # on s2 the dual push refines onto level 1, which is only streamed: the
+    # snap there runs in plain Python, so the process never loads numpy
+    code = """if True:
+        import sys
+        from kocover import (OpenCellSet, SubdivisionTower, builtin,
+                             certify_to_dimension, verify_certificate)
+        tower = SubdivisionTower(builtin("s2"))
+        start = OpenCellSet(tower, 0, [c for c in tower.cells(0) if len(c) == 3])
+        cert = certify_to_dimension(start, 0)
+        assert cert.steps[-1].kind == "snap" and cert.steps[-1].level == 1
+        assert verify_certificate(tower, cert).passed
+        assert tower.level(1).cells_list is None
+        assert "numpy" not in sys.modules
+    """
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_to_dimension_snaps_past_the_cell_budget():
@@ -288,13 +316,11 @@ def explicit_assignment(tower, level, cells, rng, kind):
     return tuple(sorted(assign.items()))
 
 
-def assert_snap_matches_oracle(tower, level, cells, assignment, materialized=None):
-    """Replay a one-snap certificate on arrays on tower and in plain Python
-    on materialized (tower by default), whose level is materialized; each
-    verdict, passing or failing, must be the oracle's, so the two are
-    equal."""
-    verdicts = [snap_on_path(path, on, level, cells, assignment)
-                for path, on in zip(PATHS, (tower, materialized or tower))]
+def assert_snap_matches_oracle(tower, level, cells, assignment):
+    """Replay a one-snap certificate on arrays and in plain Python on
+    tower, whose level is materialized; each verdict, passing or failing,
+    must be the oracle's, so the two are equal."""
+    verdicts = [snap_on_path(path, tower, level, cells, assignment) for path in PATHS]
     assert verdicts[0] == verdicts[1]
 
 
@@ -335,17 +361,23 @@ def assignment_of(tower, level, cells, rng, kind):
 @settings(max_examples=120, deadline=None)
 def test_indexed_snap_matches_union_find(small_towers, name, level, density, kind,
                                          streamed, rng):
-    # a streamed level is not materialized: the snap indexes the carrier
-    # alone; a materialized level has its one index
-    tower = SubdivisionTower(builtin(name)) if streamed else small_towers[name]
-    universe = tower.iter_cells(level) if streamed else tower.cells(level)
-    cells = frozenset(c for c in universe if rng.random() < density)
-    index, pos = OpenCellSet(tower, level, cells).indexed()
+    # a materialized level has its one index; on a level that was only
+    # streamed the snap runs in plain Python over the carrier alone and
+    # leaves the level unmaterialized
+    if streamed:
+        tower = SubdivisionTower(builtin(name))
+        cells = frozenset(c for c in tower.iter_cells(level) if rng.random() < density)
+        snap_on_path("plain", tower, level, cells,
+                     assignment_of(tower, level, cells, rng, kind))
+        assert level == 0 or tower.level(level).cells_list is None
+        return
+    import numpy as np
+    tower = small_towers[name]
+    cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
+    index = tower.index(level)
     lv = tower.level(level)
-    if lv.cells_list is None:
-        assert streamed and lv.index is None and sorted(index.cells) == sorted(cells)
-    else:
-        assert index is lv.index and index.position is lv.cell_index
+    assert index is lv.index and index.position is lv.cell_index
+    pos = np.frombuffer(OpenCellSet(tower, level, cells).numbers(), dtype=np.int32)
     assert sorted(index.cells[p] for p in pos.tolist()) == sorted(cells)
     root = index.components(pos)
     parts = {}
@@ -353,12 +385,8 @@ def test_indexed_snap_matches_union_find(small_towers, name, level, density, kin
         parts.setdefault(r, set()).add(index.cells[p])
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
     assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
-    # the plain path reads a materialized level
-    materialized = small_towers[name]
-    materialized.cells(level)
     assert_snap_matches_oracle(tower, level, cells,
-                               assignment_of(tower, level, cells, rng, kind), materialized)
-    assert not streamed or level == 0 or tower.level(level).cells_list is None
+                               assignment_of(tower, level, cells, rng, kind))
 
 
 @pytest.mark.parametrize("kind", SNAP_KINDS)

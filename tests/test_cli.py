@@ -150,6 +150,38 @@ def test_unknown_builtin_is_usage_error(capsys):
     assert "unknown builtin" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["cover", "verify"], "--in"),
+    (["cover", "kcheck"], "--in"),
+    (["product", "verify"], "--in"),
+    (["product", "build", "--b", "s1"], "--x"),
+    (["product", "build", "--x", "torus-7"], "--b"),
+])
+def test_a_missing_input_flag_is_usage_error(capsys, argv, flag):
+    # each once crashed with a TypeError or AttributeError traceback and
+    # exit 1, the code for a failed verification
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} {argv[1]} requires {flag}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "verify", "--in"], ["cover", "kcheck", "--in"],
+    ["product", "verify", "--in"], ["bounds", "--profile"], ["complex", "info", "--in"],
+])
+@pytest.mark.parametrize("what", ["directory", "non-utf-8"])
+def test_an_unreadable_input_file_is_usage_error(tmp_path, capsys, argv, what):
+    # each once crashed with an IsADirectoryError or UnicodeDecodeError
+    # traceback and exit 1
+    path = tmp_path
+    if what == "non-utf-8":
+        path = tmp_path / "latin-1.json"
+        path.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+
+
 def test_cover_round_trip(tmp_path, capsys):
     out_file = tmp_path / "bundle.json"
     code, _, _ = invoke(capsys, "cover", "build", "--builtin", "boundary-delta-3",

@@ -252,19 +252,22 @@ def test_tops_and_vbase_are_the_chain_maxima(name):
             assert tower.level(t + 1).vbase == [tower.carrier(t, c, 0) for c in cells]
 
 
-def python_loop_index(tower, t, cells):
-    """Face pairs and base-carrier numbers of the given level-t cells, by a
-    loop over each cell's proper faces and a walk down its carriers."""
+def python_loop_index(tower, t):
+    """Face pairs and base-carrier numbers of the level-t cells, by a loop
+    over each cell's proper faces and a walk down its carriers."""
+    cells = tower.cells(t)
     position = {c: i for i, c in enumerate(cells)}
-    pairs = [(i, position[f]) for i, c in enumerate(cells) for f in proper_faces(c)
-             if f in position]
+    pairs = [(i, position[f]) for i, c in enumerate(cells) for f in proper_faces(c)]
     base = tower.cell_index(0)
     return pairs, [base[tower.carrier(t, c, 0)] for c in cells]
 
 
-def assert_index_matches_the_loop(tower, t, cells):
-    index = tower.index(t, cells)
-    pairs, carrier = python_loop_index(tower, t, index.cells)
+def assert_index_matches_the_loop(tower, t):
+    index = tower.index(t)
+    lv = tower.level(t)
+    assert index is lv.index and index.cells is lv.cells_list
+    assert index.position is lv.cell_index
+    pairs, carrier = python_loop_index(tower, t)
     assert list(zip(index.face_cell.tolist(), index.face.tolist())) == pairs
     assert index.carrier.tolist() == carrier
     assert index.face_cell.dtype == index.face.dtype == index.carrier.dtype == "int32"
@@ -276,33 +279,9 @@ def assert_index_matches_the_loop(tower, t, cells):
                                      ("boundary-delta-4", 2), ("delta-4", 1)])
 def test_cell_index_matches_the_python_loop(name, t):
     tower = SubdivisionTower(builtin(name))
-    assert_index_matches_the_loop(tower, t, tower.cells(t))
+    assert_index_matches_the_loop(tower, t)
     for s in range(t + 1):
-        assert_index_matches_the_loop(tower, s, tower.cells(s))
-
-
-@given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
-       density=st.floats(0.0, 1.0), rng=st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_carrier_only_index_matches_the_python_loop(name, level, density, rng):
-    # the level is only streamed on a fresh tower, so the index holds the
-    # given cells alone, and only faces among them pair up
-    tower = SubdivisionTower(builtin(name))
-    cells = [c for c in tower.iter_cells(level) if rng.random() < density]
-    rng.shuffle(cells)
-    assert_index_matches_the_loop(tower, level, cells)
-    assert tower.level(level).cells_list is None
-
-
-def test_carrier_only_index_is_exact_past_int64_keys():
-    # level 3 of delta-4 has 97,561 vertices and 5-vertex cells: a key of
-    # five vertex digits in that radix would not fit in 63 bits
-    tower = SubdivisionTower(builtin("delta-4"))
-    tops = [c for c in tower.cells(2) if len(c) == 5][::400]
-    cells = list(tower.chains(3, tops))
-    assert len(tower.level(3).verts) ** 5 > 2 ** 63 and max(map(len, cells)) == 5
-    assert tower.level(3).cells_list is None
-    assert_index_matches_the_loop(tower, 3, cells)
+        assert_index_matches_the_loop(tower, s)
 
 
 def test_row_matching_is_exact_where_a_radix_key_would_wrap():
