@@ -442,12 +442,15 @@ def test_signatures_equal_chain_enumeration_on_mixed_families(family):
 
 
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
-       flag=st.booleans(), rng=st.randoms(use_true_random=False))
+       flag=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, rng):
+def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, seed):
     """Explicit sets on the walk level (so no star DP applies), beside
     explicit sets and stars below it and, with flag, an "old" star one
     level up."""
+    # a seeded Random, not a Hypothesis one: torus-7 level 3 has 9,072
+    # cells and Hypothesis refuses a sample of more than 8,192
+    rng = random.Random(seed)
     tower = small_towers[name]
     fam = [_random_element(rng, tower, "cells", level)
            for _ in range(rng.randrange(1, 4))]
