@@ -7,45 +7,38 @@ A certificate deforms an open cell set by three step kinds:
   the vertices outside a kept set T, landing on the face spanned by T; the
   cell effect is sigma -> sigma intersect T;
 * star snap: contract each connected component of the carrier along
-  straight lines to a base vertex lying in every member cell's base
-  carrier.
+  straight lines to the least base vertex lying in every member cell's
+  base carrier.
 
 All three are monotone: along every track the base-carrier dimension never
 increases (push and snap tracks stay inside the open carrier cell until
 they land in a face, refine is the identity). Verification is independent
 of how a certificate was produced.
 
-A snap's components join each carrier cell to its faces in the carrier;
-the min-base-vertex rule intersects the members' base carriers per
-component, and an explicit assignment is checked for one target per
-component lying in every member's base carrier. Every check is exact; a
-failure names the failing component that holds the least cell, and for a
-target outside a member's base carrier, the least such member. Arrays are
-used only on a materialized level of more than tower.ARRAY_MIN_CELLS
-(1,000) cells: there the snap reads the cell numbers the carrier set
-carries (replay hands each step the carrier as a set, so a first-step
-snap reads the numbers its start was decoded or built with) and is
-replayed on the level's one CellIndex (tower.index), the face pairs
-masked to the carrier and labelled with array operations, and an
-explicit assignment read in the order of the numbers. On any other
-level, a small one or one that was only streamed, it is plain Python:
-union-find over the carrier's own cells, base carriers from
-tower.carrier0. Only the indexed snap imports numpy, so loading this
-module does not.
+A snap has one rule, min-base-vertex: its components join each carrier
+cell to its faces in the carrier, and the members' base carriers are
+intersected per component. Every check is exact; a failure names the
+failing component that holds the least cell. Arrays are used only on a
+materialized level of more than tower.ARRAY_MIN_CELLS (1,000) cells:
+there the snap reads the cell numbers the carrier set carries (replay
+hands each step the carrier as a set, so a first-step snap reads the
+numbers its start was decoded or built with) and is replayed on the
+level's one CellIndex (tower.index), the face pairs masked to the carrier
+and labelled with array operations. On any other level, a small one or
+one that was only streamed, it is plain Python: union-find over the
+carrier's own cells, base carriers from tower.carrier0. Only the indexed
+snap imports numpy, so loading this module does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .complexes import UsageError, components
-from .tower import (CellIndex, CellSet, CellT, OpenCellSet, SubdivisionTower,
-                    VertexStarSet, cells_from_json, json_field, proper_faces,
-                    vertex_set_from_json, vertex_set_to_json)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
+                    VertexStarSet, json_field, proper_faces, vertex_set_from_json,
+                    vertex_set_to_json)
 
 
 class CertificateFormatError(UsageError):
@@ -81,8 +74,6 @@ class PartitionPush:
 @dataclass(frozen=True)
 class StarSnap:
     level: int
-    # cell -> base vertex id, or the rule "min-base-vertex"
-    assignment: tuple[tuple[CellT, int], ...] | str
     kind: str = field(default="snap", init=False)
 
 
@@ -156,13 +147,22 @@ def replay(tower: SubdivisionTower, carrier: OpenCellSet,
     and return the final carrier.
 
     A snap reads the cell numbers of the carrier it is handed, so a
-    first-step snap reuses the start's. Raises StepFailure when a step's
+    first-step snap reuses the start's. Raises TowerError when the start
+    holds a cell that is not on its level, StepFailure when a step's
     precondition fails on the carrier, and CertificateFormatError when a
     step does not fit the carrier's level or names something outside the
     tower.
     """
     if carrier.tower is not tower:  # the steps read this tower's tables
         carrier = OpenCellSet(tower, carrier.level, carrier.cells)
+    # refine and push send cells of a level to cells of a level, so only
+    # the start can hold a cell that is not on its level
+    if tower.level(carrier.level).cells_list is not None:
+        carrier.numbers()  # refuses a cell that is not on the level
+    else:
+        for c in carrier.cells:
+            if not tower.is_chain(carrier.level, c):
+                raise TowerError(f"{c} is not a chain of level-{carrier.level - 1} cells")
     for idx, step in enumerate(steps):
         level = carrier.level
         if isinstance(step, Refine):
@@ -172,7 +172,7 @@ def replay(tower: SubdivisionTower, carrier: OpenCellSet,
                 raise CertificateFormatError(
                     f"{step.kind} at level {step.level} applied to a level-{level} carrier")
             if isinstance(step, StarSnap):
-                carrier = _apply_snap(tower, carrier, step, idx)
+                carrier = _apply_snap(tower, carrier, idx)
             else:
                 keep = _expand_keep(tower, level, step.keep)
                 pushed = set()
@@ -198,69 +198,38 @@ def _expand_keep(tower: SubdivisionTower, level: int,
     return keep  # type: ignore[return-value]
 
 
-def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, step: StarSnap,
-                idx: int) -> OpenCellSet:
-    level, cells = carrier.level, carrier.cells
-    assign = None
-    if step.assignment != "min-base-vertex":
-        assign = dict(step.assignment)  # type: ignore[arg-type]
-        if any(c not in assign for c in cells):
-            raise CertificateFormatError("snap assignment does not cover the carrier")
-        nbase = len(tower.base.vertices)
-        if any(not 0 <= v < nbase for v in assign.values()):
-            raise CertificateFormatError("snap assigns a non-vertex of the base complex")
-    if not cells:
+def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> OpenCellSet:
+    level = carrier.level
+    if not carrier.cells:
         return carrier
     snap = _snap_targets if tower.is_small(level) else _indexed_snap_targets
     return OpenCellSet(tower, level, ((tower.lift_base_vertex(v, level),)
-                                      for v in snap(tower, carrier, assign, idx)))
+                                      for v in snap(tower, carrier, idx)))
 
 
-def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
-                  assign: dict[CellT, int] | None, idx: int) -> set[int]:
+def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> set[int]:
     """The base vertices a snap sends the components of a nonempty carrier
     to, in plain Python: union-find joins each carrier cell to its faces in
-    the carrier, and base carriers come from tower.carrier0. assign is the
-    explicit assignment, or None for the min-base-vertex rule. Raises the
-    StepFailure of _indexed_snap_targets, and on a materialized level the
-    TowerError of OpenCellSet.numbers for a cell that is not on it."""
+    the carrier, and base carriers come from tower.carrier0. Raises the
+    StepFailure of _indexed_snap_targets."""
     level, cells = carrier.level, carrier.cells
-    if tower.level(level).cells_list is not None:
-        carrier.numbers()  # refuses a cell that is not on the level
     links = ((c, f) for c in cells for f in proper_faces(c) if f in cells)
     targets: set[int] = set()
-    failures = []  # (least cell, reason, witness) of each failing component
+    failures = []  # the least cell of each failing component
     for comp in components(cells, links):
-        least = min(comp)
-        base = {c: tower.carrier0(level, c) for c in comp}
-        if assign is None:
-            common = set.intersection(*map(set, set(base.values())))
-            if common:
-                targets.add(min(common))
-            else:
-                failures.append((least, "snap component has no common base-carrier vertex",
-                                 least))
-            continue
-        goals = {assign[c] for c in comp}
-        if len(goals) > 1:
-            failures.append((least, "snap assigns different vertices inside one component",
-                             least))
-            continue
-        (goal,) = goals
-        outside = [c for c in comp if goal not in base[c]]
-        if outside:
-            failures.append((least, "snap target is not a vertex of a member cell's base "
-                             "carrier", min(outside)))
+        common = set.intersection(*map(set, {tower.carrier0(level, c) for c in comp}))
+        if common:
+            targets.add(min(common))
         else:
-            targets.add(goal)
+            failures.append(min(comp))
     if failures:
-        _, reason, witness = min(failures)
-        raise StepFailure(idx, reason, witness)
+        raise StepFailure(idx, "snap component has no common base-carrier vertex",
+                          min(failures))
     return targets
 
 
 def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
-                          assign: dict[CellT, int] | None, idx: int) -> set[int]:
+                          idx: int) -> set[int]:
     """_snap_targets on the CellIndex of the carrier's materialized level,
     over the carrier's cell numbers."""
     import numpy as np
@@ -273,44 +242,16 @@ def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
     member, root = pos[order], root[order]
     first = np.ones(len(root), dtype=bool)  # does a component start here?
     first[1:] = root[1:] != root[:-1]
-    starts = np.flatnonzero(first)
-    comp = np.cumsum(first) - 1  # the component of each member
     in_carrier = index.base_verts[index.carrier[member]]  # member x base vertex
-    if assign is None:
-        common = np.logical_and.reduceat(in_carrier, starts, axis=0)
-        empty = ~common.any(axis=1)
-        if empty.any():
-            raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                              _least_failing(index, member, comp, empty)[1])
-        target = common.argmax(axis=1)  # the least common vertex
-    else:
-        # each member's target, in the order of the numbers
-        goal = np.fromiter(map(assign.__getitem__, map(index.cells.__getitem__, pos.tolist())),
-                           dtype=np.intp, count=len(pos))[order]
-        split = np.minimum.reduceat(goal, starts) != np.maximum.reduceat(goal, starts)
-        outside = ~in_carrier[np.arange(len(member)), goal]
-        bad = split | np.logical_or.reduceat(outside, starts)
-        if bad.any():
-            k, witness = _least_failing(index, member, comp, bad)
-            if split[k]:
-                raise StepFailure(
-                    idx, "snap assigns different vertices inside one component", witness)
-            raise StepFailure(
-                idx, "snap target is not a vertex of a member cell's base carrier",
-                min(index.cells[p] for p in member[(comp == k) & outside].tolist()))
-        target = goal[starts]
-    return set(target.tolist())
-
-
-def _least_failing(index: CellIndex, member: np.ndarray, comp: np.ndarray,
-                   failing: np.ndarray) -> tuple[int, CellT]:
-    """Among the failing components, the one holding the least cell of
-    any of them (tuple order), and that cell: a witness that does not
-    depend on how the cells were numbered."""
-    hit = failing[comp]
-    witness, k = min(zip(map(index.cells.__getitem__, member[hit].tolist()),
-                         comp[hit].tolist()))
-    return k, witness
+    common = np.logical_and.reduceat(in_carrier, np.flatnonzero(first), axis=0)
+    empty = ~common.any(axis=1)
+    if empty.any():
+        # the least cell (tuple order) of any failing component: a witness
+        # that does not depend on how the cells were numbered
+        failing = member[empty[np.cumsum(first) - 1]]
+        raise StepFailure(idx, "snap component has no common base-carrier vertex",
+                          min(map(index.cells.__getitem__, failing.tolist())))
+    return set(common.argmax(axis=1).tolist())  # the least common vertex
 
 
 def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
@@ -352,10 +293,9 @@ def _verify_star_old(tower: SubdivisionTower, cert: Certificate) -> Verdict:
         # bare push: final carrier is the old vertex cells
         max_base = max((len(lowlv.vbase[w]) - 1 for w in old_verts), default=-1)
         return _target_verdict(cert.target, 0, max_base)
-    if len(rest) == 1 and isinstance(rest[0], StarSnap) \
-            and rest[0].assignment == "min-base-vertex" and rest[0].level == level:
-        # isolated vertex cells are their own components; the rule picks the
-        # least vertex of each base carrier, which is a valid assignment
+    if len(rest) == 1 and isinstance(rest[0], StarSnap) and rest[0].level == level:
+        # isolated vertex cells are their own components; the rule sends
+        # each to the least vertex of its base carrier
         return _target_verdict(cert.target, 0, 0)
     return _fail(1, "unsupported step after a lazy star push", witness=None)
 
@@ -405,13 +345,12 @@ def make_dual_push(s: CellSet, avoid_cells: set[CellT]) -> list[Step]:
 
 
 def make_star_snap(s: CellSet) -> StarSnap:
-    """Snap a set of isolated points to base vertices (least vertex id wins)."""
+    """Snap a set of isolated points to base vertices, each point being
+    its own component: the least vertex of its base carrier."""
     s = s.materialize()
-    tower = s.tower
     if any(len(c) != 1 for c in s.cells):
         raise CertificateGenerationError("star snap needs a zero-dimensional carrier")
-    assign = tuple(sorted((c, min(tower.carrier0(s.level, c))) for c in s.cells))
-    return StarSnap(s.level, assign)
+    return StarSnap(s.level)
 
 
 def certify_to_dimension(s: CellSet, r: int) -> Certificate:
@@ -453,10 +392,9 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
 # -- serialization ------------------------------------------------------------
 
 
-def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
+def certificate_to_json(cert: Certificate) -> dict:
     """A certificate as JSON: cells and kept vertices as vertex numbers (see
-    tower.cells_from_json), snap pairs as [cell, base vertex label]."""
-    labels = tower.base.vertices
+    tower.cells_from_json), a snap as its level and its rule."""
     steps = []
     for step in cert.steps:
         if isinstance(step, Refine):
@@ -465,13 +403,8 @@ def certificate_to_json(tower: SubdivisionTower, cert: Certificate) -> dict:
             steps.append({"kind": "push", "level": step.level,
                           "keep": vertex_set_to_json(step.keep)})
         elif isinstance(step, StarSnap):
-            if step.assignment == "min-base-vertex":
-                assignment = {"kind": "min-base-vertex"}
-            else:
-                assignment = {"kind": "explicit",
-                              "pairs": sorted([list(c), labels[v]]
-                                              for c, v in step.assignment)}
-            steps.append({"kind": "snap", "level": step.level, "assignment": assignment})
+            steps.append({"kind": "snap", "level": step.level,
+                          "assignment": {"kind": "min-base-vertex"}})
     return {"start": cert.start.to_json(), "steps": steps,
             "target": {"kind": cert.target.kind, "r": cert.target.r}}
 
@@ -497,30 +430,15 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
         elif kind == "snap":
             level = json_field(sd, "level", int, CertificateFormatError)
             assignment = json_field(sd, "assignment", dict, CertificateFormatError)
-            if assignment["kind"] == "min-base-vertex":
-                steps.append(StarSnap(level, "min-base-vertex"))
-            elif assignment["kind"] != "explicit":
+            if assignment["kind"] != "min-base-vertex":
                 raise CertificateFormatError(
                     f"unknown snap assignment kind {assignment['kind']!r}")
-            else:
-                pairs = json_field(assignment, "pairs", list, CertificateFormatError)
-                if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-                    raise CertificateFormatError("a snap pair is [cell, base vertex label]")
-                cells, _ = cells_from_json(tower, level, [c for c, _ in pairs])
-                targets = [_base_vertex(tower, label) for _, label in pairs]
-                steps.append(StarSnap(level, tuple(sorted(zip(cells, targets)))))
+            steps.append(StarSnap(level))
         else:
             raise CertificateFormatError(f"unknown step kind {kind!r}")
     tgt = json_field(data, "target", dict, CertificateFormatError)
     return Certificate(start, tuple(steps),
                        Target(tgt["kind"], json_field(tgt, "r", int, CertificateFormatError)))
-
-
-def _base_vertex(tower: SubdivisionTower, label) -> int:
-    index = tower.base.vertex_index
-    if not isinstance(label, str) or label not in index:
-        raise CertificateFormatError(f"snap target {label!r} is not a base vertex label")
-    return index[label]
 
 
 def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:

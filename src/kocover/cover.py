@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from .complexes import Complex, SimplicialMap, UsageError
@@ -350,8 +350,7 @@ class CoverBundle:
 
     @property
     def profile_claims(self) -> list[ProfileClaim]:
-        return [ProfileClaim(k, k * (self.r + 1) - 1, self.m - k + 1)
-                for k in range(1, self.N + 1)]
+        return _profile_claims(self.r, self.m, self.N)
 
     def to_json(self) -> dict:
         return {
@@ -361,11 +360,8 @@ class CoverBundle:
                        "max_level": self.tower.max_level,
                        "construction": self.construction},
             "elements": [el.to_json() for el in self.elements],
-            "certificates": [certificate_to_json(self.tower, c)
-                             for c in self.certificates],
-            "profile": [{"k": p.k, "skeleton": p.skeleton,
-                         "min_multiplicity": p.min_multiplicity}
-                        for p in self.profile_claims],
+            "certificates": [certificate_to_json(c) for c in self.certificates],
+            "profile": [asdict(p) for p in self.profile_claims],
         }
 
     @classmethod
@@ -378,6 +374,10 @@ class CoverBundle:
         if N != derived:
             raise CoverError(f"bundle field 'N' is {N}, but a {cx.dim}-complex with "
                              f"r={r} has N={derived}")
+        profile = [asdict(p) for p in _profile_claims(r, m, N)]
+        if json_field(data, "profile", list, CoverError) != profile:
+            raise CoverError(f"bundle field 'profile' is {data['profile']!r}, but r={r} "
+                             f"and m={m} give {profile!r}")
         max_level = None if params.get("max_level") is None \
             else json_field(params, "max_level", int, CoverError)
         tower = SubdivisionTower(cx, max_level=max_level)
@@ -391,6 +391,12 @@ class CoverBundle:
         return cls(cx, tower, r, m, elements, certs, params.get("construction", ""))
 
 
+def _profile_claims(r: int, m: int, N: int) -> list[ProfileClaim]:
+    """The graded profile: on the base skeleton of dimension k(r+1)-1 every
+    point lies in at least m-k+1 elements, for k = 1..N."""
+    return [ProfileClaim(k, k * (r + 1) - 1, m - k + 1) for k in range(1, N + 1)]
+
+
 def cover_parameters(cx: Complex, r: int) -> int:
     """Minimal admissible N for the profile on this complex."""
     if r < 0:
@@ -400,8 +406,7 @@ def cover_parameters(cx: Complex, r: int) -> int:
 
 # -- construction -------------------------------------------------------------
 
-def build_cover(cx: Complex, r: int, m: int,
-                max_level: int | None = None) -> CoverBundle:
+def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
     """Construct an m-element cover with the graded multiplicity profile.
 
     Elements are unions of open vertex stars (or arc complements on graphs)
@@ -414,7 +419,7 @@ def build_cover(cx: Complex, r: int, m: int,
         raise CoverError(f"m={m} is below the minimal admissible N={N}")
     if not cx.is_connected():
         raise CoverError("the complex must be connected")
-    tower = SubdivisionTower(cx, max_level=max_level)
+    tower = SubdivisionTower(cx)
     n = cx.dim
 
     if N == 1:
@@ -445,7 +450,7 @@ def build_cover(cx: Complex, r: int, m: int,
         elements = [VertexStarSet(tower, w, "old") for w in range(1, m + 1)]
         certs = [Certificate(el,
                              (PartitionPush(el.level, "old"),
-                              StarSnap(el.level, "min-base-vertex")),
+                              StarSnap(el.level)),
                              Target("skeletal", 0))
                  for el in elements]
         return CoverBundle(cx, tower, r, m, elements, certs, "layered-stars")
@@ -485,7 +490,7 @@ def _build_arc_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBundl
             j for j, c in enumerate(tower.cells(depth)) if c not in miss))
         elements.append(el)
         certs.append(Certificate(
-            el, (StarSnap(depth, "min-base-vertex"),), Target("skeletal", 0)))
+            el, (StarSnap(depth),), Target("skeletal", 0)))
     return CoverBundle(cx, tower, 0, m, elements, certs, "arc-phases")
 
 
@@ -623,7 +628,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     elements: list[CellSet] = [
         OpenCellSet.from_numbers(tower, level, np.flatnonzero(~crack).tolist())
         for crack in cracks]
-    certs = [Certificate(el, (StarSnap(level, "min-base-vertex"),), Target("skeletal", 0))
+    certs = [Certificate(el, (StarSnap(level),), Target("skeletal", 0))
              for el in elements]
     for i, cert in enumerate(certs):
         verdict = verify_certificate(tower, cert)

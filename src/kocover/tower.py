@@ -179,6 +179,18 @@ class SubdivisionTower:
         cells = self.level(t).cells_list
         return cells is None or len(cells) <= ARRAY_MIN_CELLS
 
+    def is_chain(self, t: int, cell: CellT) -> bool:
+        """Is cell one of the cells of level t >= 1, a strictly increasing
+        tuple of level-t vertex numbers whose level-(t-1) cells, ordered
+        by dimension, are each a proper face of the next? Reads only the
+        vertex tables, so level t stays unmaterialized."""
+        verts = self.level(t).verts
+        if not cell or not all(0 <= v < len(verts) for v in cell) \
+                or not all(a < b for a, b in zip(cell, cell[1:])):
+            return False
+        chain = sorted((set(verts[v]) for v in cell), key=len)
+        return all(a < b for a, b in zip(chain, chain[1:]))
+
     def cell_index(self, t: int) -> dict[CellT, int]:
         """Dense number of every level-t cell: its position in cells(t)."""
         self.cells(t)
@@ -346,7 +358,7 @@ class CellIndex:
         groups = {k: (np.flatnonzero(size == k),
                       flat[np.repeat(size == k, size)].reshape(-1, k))
                   for k in np.flatnonzero(np.bincount(size)).tolist()}
-        self.face_cell, self.face = _face_pairs(groups, n, int(flat.max(initial=0)) + 1)
+        self.face_cell, self.face = _face_pairs(groups, size, int(flat.max(initial=0)) + 1)
         # the base cells' own numbers, gathered through the tops table of
         # each level from 1 to t
         self.carrier = np.arange(len(tower.cells(0)), dtype=np.int32)
@@ -387,63 +399,55 @@ class CellIndex:
                 parent = jumped
 
 
-def _face_pairs(groups: dict[int, tuple[np.ndarray, np.ndarray]], n: int,
+def _face_pairs(groups: dict[int, tuple[np.ndarray, np.ndarray]], size: np.ndarray,
                 radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (cell, face) pair of the n cells with the face among them,
-    cell-major and each cell's faces in proper_faces order.
+    """Every (cell, face) pair of the cells of a level, cell-major and each
+    cell's faces in proper_faces order.
 
-    groups maps k to the numbers and vertex rows of the cells with k
-    vertices, whose entries lie below radix. Row i of an n x (2^K - 2)
-    table, K the most vertices of a cell, lists the numbers of cell i's
-    faces, or -1 where a face is not among the cells, so that a scan of
-    the table in row-major order meets the pairs in order.
+    size holds the number of vertices of each cell, and groups maps k to
+    the numbers and vertex rows of the cells with k vertices, whose entries
+    lie below radix. A level is a complex, so each cell with k vertices has
+    all its 2^k - 2 proper faces on it, and they fill its 2^k - 2 slots:
+    those with k - 1 vertices first, each size in combinations order. The
+    slots of the cells with k vertices are filled as one block, placed by
+    a mask.
     """
     import numpy as np
-    width = 2 ** max(groups, default=1) - 2
-    table = np.full((n, width), -1, dtype=np.int32)
-    filled = dict.fromkeys(groups, 0)
-    for j in sorted(groups, reverse=True):
-        nums, rows = groups[j]
-        for k in groups:
-            if k > j:
-                combos = np.array(list(itertools.combinations(range(k), j)))
-                faces = groups[k][1]
-                at = _match_rows(rows, radix, [faces[:, c] for c in combos.T])
-                table[groups[k][0], filled[k]:filled[k] + len(combos)] = \
-                    np.where(at >= 0, nums[at], -1)
-                filled[k] += len(combos)
-    table = table.reshape(-1)
-    at = np.flatnonzero(table >= 0)
-    return (at // width).astype(np.int32), table[at]
+    width = 2 ** size - 2
+    face_cell = np.repeat(np.arange(len(size), dtype=np.int32), width)
+    face = np.empty(len(face_cell), dtype=np.int32)
+    for k, (cells, rows) in groups.items():
+        block = np.empty((len(cells), 2 ** k - 2), dtype=np.int32)
+        filled = 0
+        for j in range(k - 1, 0, -1):
+            combos = np.array(list(itertools.combinations(range(k), j)))
+            nums, faces = groups[j]
+            block[:, filled:filled + len(combos)] = \
+                nums[_match_rows(faces, radix, [rows[:, c] for c in combos.T])]
+            filled += len(combos)
+        face[np.repeat(size == k, width)] = block.ravel()
+    return face_cell, face
 
 
 def _match_rows(rows: np.ndarray, radix: int, columns: list[np.ndarray]) -> np.ndarray:
     """For the queries whose j entries are columns[0..j-1], elementwise, the
-    index of the equal row of rows (distinct rows of j entries), or -1.
+    index of the equal row of rows (distinct rows of j entries); each query
+    must equal one of them.
 
     Entries lie below radix. A row is keyed by the rank of its prefix among
     the distinct prefixes of rows, times radix, plus its next entry, one
     column at a time, so keys stay below len(rows) * radix and are exact in
-    int64 whatever the number of columns. A query whose prefix is no row's
-    prefix drops out as -1.
+    int64 whatever the number of columns.
     """
     import numpy as np
     key = rows[:, 0].astype(np.int64)
     query = columns[0].astype(np.int64)
     for col, qcol in zip(rows.T[1:], columns[1:]):
         prefixes, rank = np.unique(key, return_inverse=True)
-        at = np.searchsorted(prefixes, query)
-        np.minimum(at, len(prefixes) - 1, out=at)
-        miss = prefixes[at] != query
-        query = at
-        query *= radix
-        query += qcol
-        query[miss] = -1
+        query = np.searchsorted(prefixes, query) * radix + qcol
         key = rank.reshape(-1) * radix + col
     order = np.argsort(key)
-    key = key[order]
-    at = np.searchsorted(key, query).clip(max=len(key) - 1)
-    return np.where(key[at] == query, order[at], -1)
+    return order[np.searchsorted(key[order], query)]
 
 
 # -- open cell sets ----------------------------------------------------------

@@ -222,7 +222,7 @@ def test_criterion_6c_disjoint_stars_exhaustive():
 
 
 def _corrupt_certificate(rng, tower, cert):
-    kind = rng.choice(["drop-step", "shrink-keep", "bad-snap", "tighten"])
+    kind = rng.choice(["drop-step", "shrink-keep", "early-snap", "tighten"])
     steps = list(cert.steps)
     if kind == "drop-step" and steps:
         steps.pop(rng.randrange(len(steps)))
@@ -233,19 +233,12 @@ def _corrupt_certificate(rng, tower, cert):
                 steps[i] = PartitionPush(s.level,
                                          frozenset(sorted(s.keep)[:len(s.keep) // 2]))
                 return Certificate(cert.start, tuple(steps), cert.target)
-    if kind == "bad-snap":
-        for i, s in enumerate(steps):
-            if isinstance(s, StarSnap) and s.assignment != "min-base-vertex":
-                pairs = list(s.assignment)
-                cell, _ = pairs[rng.randrange(len(pairs))]
-                carrier = set(tower.carrier0(s.level, cell))
-                outside = [w for w in range(len(tower.base.vertices))
-                           if w not in carrier]
-                if outside:
-                    new = [(c, (rng.choice(outside) if c == cell else w))
-                           for c, w in pairs]
-                    steps[i] = StarSnap(s.level, tuple(sorted(new)))
-                    return Certificate(cert.start, tuple(steps), cert.target)
+    if kind == "early-snap":
+        # the snap moved before the push it follows
+        for i, s in enumerate(steps[1:], 1):
+            if isinstance(s, StarSnap) and isinstance(steps[i - 1], PartitionPush):
+                steps[i - 1:i + 1] = [s, steps[i - 1]]
+                return Certificate(cert.start, tuple(steps), cert.target)
     if cert.target.kind == "dimensional" and cert.target.r > 0:
         return Certificate(cert.start, cert.steps,
                            Target("dimensional", cert.target.r - 1))

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,14 @@ from conftest import CATALOG_NAMES, PATHS, SMALL_NAMES, on_path
 import kocover
 from kocover import (Certificate, CertificateFormatError,
                      CertificateGenerationError, OpenCellSet, PartitionPush,
-                     Refine, StarSnap, SubdivisionTower, Target, TowerSizeError,
-                     VertexStarSet, build_cover, builtin, certify_to_dimension,
-                     make_dual_push, make_star_snap, verify_certificate)
+                     Refine, StarSnap, SubdivisionTower, Target, TowerError,
+                     TowerSizeError, VertexStarSet, build_cover, builtin,
+                     certify_to_dimension, make_dual_push, make_star_snap,
+                     verify_certificate)
 from kocover.certify import (cellset_from_json, certificate_from_json, certificate_to_json,
                              run_steps)
 from kocover.complexes import components
+from kocover.cover import check_certificate
 from kocover.tower import proper_faces
 
 
@@ -88,15 +91,17 @@ def test_star_snap_generator(s2_tower):
     cert = Certificate(pts, (snap,), Target("skeletal", 0))
     verdict = verify_certificate(s2_tower, cert)
     assert verdict.passed and verdict.monotone
+    assert snap == StarSnap(level)
     # each barycenter snapped to the least vertex of its carrier cell
-    for cell, v in snap.assignment:
-        assert v == min(s2_tower.carrier0(level, cell))
+    assert run_steps(s2_tower, pts, (snap,)) == (level, frozenset(
+        (s2_tower.lift_base_vertex(min(s2_tower.carrier0(level, c)), level),)
+        for c in carrier))
 
 
 def test_star_snap_identity_on_base_vertices(s2_tower):
     verts = OpenCellSet(s2_tower, 0, [c for c in s2_tower.base.cells() if len(c) == 1])
     snap = make_star_snap(verts)
-    assert all(cell == (v,) for cell, v in snap.assignment)
+    assert run_steps(s2_tower, verts, (snap,)) == (0, verts.cells)
 
 
 def test_star_snap_rejects_edges(s2_tower):
@@ -201,8 +206,8 @@ def test_monotone_along_every_step(s2_tower):
                 new.add(img)
             cells = frozenset(new)
         elif isinstance(step, StarSnap):
-            for cell, v in step.assignment:
-                assert 0 <= s2_tower.carrier0_dim(level, cell)
+            # each point goes to a vertex of its base carrier
+            assert all(len(c) == 1 and s2_tower.carrier0_dim(level, c) >= 0 for c in cells)
             cells = frozenset()
 
 
@@ -219,7 +224,7 @@ def test_lazy_and_explicit_verification_agree():
                 break
             lazy = VertexStarSet(t, level, "old")
             explicit = lazy.materialize()
-            push, snap = PartitionPush(level, "old"), StarSnap(level, "min-base-vertex")
+            push, snap = PartitionPush(level, "old"), StarSnap(level)
             for steps in ((push,), (push, snap)):
                 v_lazy = verify_certificate(t, Certificate(lazy, steps, Target("skeletal", 0)))
                 v_exp = verify_certificate(t, Certificate(explicit, steps,
@@ -251,90 +256,37 @@ def test_snapped_component_closures_share_no_carrier_cell(small_towers, name, le
         assert not (a & b & cells)
 
 
-def snap_oracle(tower, level, cells, assignment):
+def snap_oracle(tower, level, cells):
     """Union-find replay of a star snap, kept as the reference for the
     indexed one: (final carrier, None) or (None, (reason, witness)). The
     failing component reported is the one holding the least cell of any
     failing component."""
-    if assignment != "min-base-vertex":
-        assign = dict(assignment)
-        if any(c not in assign for c in cells):
-            raise CertificateFormatError("snap assignment does not cover the carrier")
-        if any(not 0 <= v < len(tower.base.vertices) for v in assign.values()):
-            raise CertificateFormatError("snap assigns a non-vertex of the base complex")
     failures, targets = [], set()
     for comp in face_components(cells):
-        least = min(comp)
-        if assignment == "min-base-vertex":
-            common = set.intersection(*(set(tower.carrier0(level, c)) for c in comp))
-            if not common:
-                failures.append((least, "snap component has no common base-carrier vertex",
-                                 least))
-                continue
+        common = set.intersection(*(set(tower.carrier0(level, c)) for c in comp))
+        if common:
             targets.add(min(common))
-            continue
-        goals = {assign[c] for c in comp}
-        if len(goals) > 1:
-            failures.append((least, "snap assigns different vertices inside one component",
-                             least))
-            continue
-        (goal,) = goals
-        outside = [c for c in comp if goal not in tower.carrier0(level, c)]
-        if outside:
-            failures.append((least, "snap target is not a vertex of a member cell's "
-                             "base carrier", min(outside)))
-            continue
-        targets.add(goal)
+        else:
+            failures.append(min(comp))
     if failures:
-        _, reason, witness = min(failures)
-        return None, (reason, witness)
+        return None, ("snap component has no common base-carrier vertex", min(failures))
     return frozenset((tower.lift_base_vertex(v, level),) for v in targets), None
 
 
-def explicit_assignment(tower, level, cells, rng, kind):
-    """Pairs giving each face component one vertex of its least member's
-    base carrier, then broken as kind says."""
-    assign = {}
-    for comp in face_components(cells):
-        goal = rng.choice(sorted(tower.carrier0(level, min(comp))))
-        assign.update((c, goal) for c in comp)
-    ordered = sorted(assign)
-    nbase = len(tower.base.vertices)
-    if kind == "split" and ordered:
-        c = rng.choice(ordered)
-        assign[c] = (assign[c] + 1) % nbase
-    elif kind == "outside" and ordered:
-        c = rng.choice(ordered)
-        others = [v for v in range(nbase) if v not in tower.carrier0(level, c)]
-        if others:
-            old, goal = assign[c], rng.choice(others)
-            assign.update({d: goal for d, v in assign.items() if v == old})
-    elif kind == "missing" and ordered:
-        del assign[rng.choice(ordered)]
-    elif kind == "non-vertex":
-        assign[rng.choice(ordered) if ordered else (0,)] = nbase
-    return tuple(sorted(assign.items()))
-
-
-def assert_snap_matches_oracle(tower, level, cells, assignment):
+def assert_snap_matches_oracle(tower, level, cells):
     """Replay a one-snap certificate on arrays and in plain Python on
     tower, whose level is materialized; each verdict, passing or failing,
     must be the oracle's, so the two are equal."""
-    verdicts = [snap_on_path(path, tower, level, cells, assignment) for path in PATHS]
+    verdicts = [snap_on_path(path, tower, level, cells) for path in PATHS]
     assert verdicts[0] == verdicts[1]
 
 
-def snap_on_path(path, tower, level, cells, assignment):
-    cert = Certificate(OpenCellSet(tower, level, cells), (StarSnap(level, assignment),),
+def snap_on_path(path, tower, level, cells):
+    cert = Certificate(OpenCellSet(tower, level, cells), (StarSnap(level),),
                        Target("skeletal", 0))
     with on_path(path):
         assert tower.is_small(level) == (path == "plain")
-        try:
-            carrier, failure = snap_oracle(tower, level, cells, assignment)
-        except CertificateFormatError as exc:
-            with pytest.raises(CertificateFormatError, match=str(exc)):
-                verify_certificate(tower, cert)
-            return str(exc)
+        carrier, failure = snap_oracle(tower, level, cells)
         verdict = verify_certificate(tower, cert)
         if failure is not None:
             assert (verdict.passed, verdict.failing_step, verdict.reason, verdict.witness) \
@@ -346,29 +298,18 @@ def snap_on_path(path, tower, level, cells, assignment):
     return verdict
 
 
-SNAP_KINDS = ["min-base-vertex", "valid", "split", "outside", "missing", "non-vertex"]
-
-
-def assignment_of(tower, level, cells, rng, kind):
-    if kind == "min-base-vertex":
-        return kind
-    return explicit_assignment(tower, level, cells, rng, kind)
-
-
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(0, 2),
-       density=st.floats(0.05, 0.95), kind=st.sampled_from(SNAP_KINDS),
-       streamed=st.booleans(), rng=st.randoms(use_true_random=False))
+       density=st.floats(0.05, 0.95), streamed=st.booleans(),
+       rng=st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
-def test_indexed_snap_matches_union_find(small_towers, name, level, density, kind,
-                                         streamed, rng):
+def test_indexed_snap_matches_union_find(small_towers, name, level, density, streamed, rng):
     # a materialized level has its one index; on a level that was only
     # streamed the snap runs in plain Python over the carrier alone and
     # leaves the level unmaterialized
     if streamed:
         tower = SubdivisionTower(builtin(name))
         cells = frozenset(c for c in tower.iter_cells(level) if rng.random() < density)
-        snap_on_path("plain", tower, level, cells,
-                     assignment_of(tower, level, cells, rng, kind))
+        snap_on_path("plain", tower, level, cells)
         assert level == 0 or tower.level(level).cells_list is None
         return
     import numpy as np
@@ -385,19 +326,14 @@ def test_indexed_snap_matches_union_find(small_towers, name, level, density, kin
         parts.setdefault(r, set()).add(index.cells[p])
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
     assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
-    assert_snap_matches_oracle(tower, level, cells,
-                               assignment_of(tower, level, cells, rng, kind))
+    assert_snap_matches_oracle(tower, level, cells)
 
 
-@pytest.mark.parametrize("kind", SNAP_KINDS)
-def test_indexed_snap_on_arc_phase_carriers(kind):
+def test_indexed_snap_on_arc_phase_carriers():
     # arc elements on s1 are long paths, the most label rounds per cell
     bundle = build_cover(builtin("s1"), 0, 8)
-    rng = random.Random(kind)
     for el in bundle.elements:
-        cells = frozenset(el.cells)
-        assert_snap_matches_oracle(bundle.tower, el.level, cells,
-                                   assignment_of(bundle.tower, el.level, cells, rng, kind))
+        assert_snap_matches_oracle(bundle.tower, el.level, frozenset(el.cells))
 
 
 def test_min_base_vertex_snap_takes_the_least_common_vertex():
@@ -405,26 +341,21 @@ def test_min_base_vertex_snap_takes_the_least_common_vertex():
     t = SubdivisionTower(builtin("delta-2"))
     interior = frozenset(c for c in t.cells(1) if t.carrier0(1, c) == (0, 1, 2))
     assert len(face_components(interior)) == 1
-    assert snap_oracle(t, 1, interior, "min-base-vertex")[0] \
-        == frozenset({(t.lift_base_vertex(0, 1),)})
-    assert_snap_matches_oracle(t, 1, interior, "min-base-vertex")
+    assert snap_oracle(t, 1, interior)[0] == frozenset({(t.lift_base_vertex(0, 1),)})
+    assert_snap_matches_oracle(t, 1, interior)
 
 
 def test_indexed_snap_on_a_wheel_element():
     bundle = build_cover(builtin("delta-2"), 0, 5)
     assert bundle.construction == "wheel-cracks"
     el = bundle.elements[0]
-    cells = frozenset(el.cells)
-    rng = random.Random(5)
-    for kind in SNAP_KINDS:
-        assert_snap_matches_oracle(bundle.tower, el.level, cells,
-                                   assignment_of(bundle.tower, el.level, cells, rng, kind))
+    assert_snap_matches_oracle(bundle.tower, el.level, frozenset(el.cells))
 
 
-def snap_verdicts(tower, start, assignment):
+def snap_verdicts(tower, start):
     """(passed, reason, failing_step, witness) of a one-snap certificate
     on the start set, the same on arrays and in plain Python."""
-    cert = Certificate(start, (StarSnap(start.level, assignment),), Target("skeletal", 0))
+    cert = Certificate(start, (StarSnap(start.level),), Target("skeletal", 0))
     verdicts = []
     for path in PATHS:
         with on_path(path):
@@ -446,59 +377,50 @@ def renumbered(tower, level, cells, rng):
     return out
 
 
-@pytest.mark.parametrize("kind", ["valid", "split", "outside"])
-def test_explicit_snap_reads_targets_in_the_order_of_the_numbers(kind):
-    # a set built from numbers and one that looks them up get the same
-    # verdict, passing or failing, as the union-find oracle. The carrier
-    # keeps the face components with a common base-carrier vertex, each
-    # sent to its least one, before the assignment is broken as kind says
-    tower = SubdivisionTower(builtin("delta-2"))
-    rng = random.Random(kind)
-    assign = {}
-    for comp in face_components([c for c in tower.cells(2) if rng.random() < 0.3]):
-        common = set.intersection(*(set(tower.carrier0(2, c)) for c in comp))
-        if common:
-            assign.update(dict.fromkeys(comp, min(common)))
-    cells = frozenset(assign)
-    if kind == "split":
-        c = min(c for c in cells if any(f in cells for f in proper_faces(c)))
-        assign[c] = (assign[c] + 1) % 3
-    elif kind == "outside":
-        c = min(c for c in cells if len(tower.carrier0(2, c)) < 3)
-        old = assign[c]
-        goal = min(set(range(3)) - set(tower.carrier0(2, c)))
-        assign.update((d, goal) for d, v in assign.items() if v == old)
-    assignment = tuple(sorted(assign.items()))
-    shuffled = renumbered(tower, 2, cells, rng)
-    verdict = snap_verdicts(tower, shuffled, assignment)
-    assert verdict == snap_verdicts(tower, OpenCellSet(tower, 2, cells), assignment)
-    _, failure = snap_oracle(tower, 2, cells, assignment)
-    assert verdict == ((True, "", None, None) if failure is None
+@pytest.mark.parametrize("passing", [True, False])
+def test_snap_verdict_does_not_depend_on_the_order_of_the_numbers(passing):
+    # a set built from shuffled numbers and one that looks them up get the
+    # oracle's verdict: a pass on the four open triangles, each its own
+    # component, and a failure on two disjoint closed edges, each joining
+    # two base vertices, whose witness is the least cell of either
+    tower = SubdivisionTower(builtin("boundary-delta-3"))
+    over = ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)] if passing
+            else [(0,), (1,), (0, 1), (2,), (3,), (2, 3)])
+    cells = frozenset(c for c in tower.cells(2) if tower.carrier0(2, c) in over)
+    assert len(face_components(cells)) == (4 if passing else 2)
+    verdict = snap_verdicts(tower, renumbered(tower, 2, cells, random.Random(7)))
+    assert verdict == snap_verdicts(tower, OpenCellSet(tower, 2, cells))
+    _, failure = snap_oracle(tower, 2, cells)
+    assert verdict == ((True, "", None, None) if passing
                        else (False, failure[0], 0, failure[1]))
-    assert verdict[1] == {
-        "valid": "", "split": "snap assigns different vertices inside one component",
-        "outside": "snap target is not a vertex of a member cell's base carrier"}[kind]
 
 
 def test_generated_snap_reads_targets_in_the_order_of_the_numbers(s2_tower):
-    # the explicit snap that certify_to_dimension ends with, replayed alone
-    # on its carrier renumbered, as it is and with one target moved out of
-    # its cell's base carrier
+    # the snap that certify_to_dimension ends with, replayed alone on its
+    # carrier renumbered, passes as on the carrier that looks its numbers up
     cert = certify_to_dimension(one_skeleton_complement(s2_tower), 0)
-    snap = cert.steps[-1]
     level, cells = run_steps(s2_tower, cert.start, cert.steps[:-1])
-    assert snap == make_star_snap(OpenCellSet(s2_tower, level, cells))
+    assert cert.steps[-1] == make_star_snap(OpenCellSet(s2_tower, level, cells))
     shuffled = renumbered(s2_tower, level, cells, random.Random(3))
-    (cell, _), *rest = snap.assignment
-    outside = set(range(len(s2_tower.base.vertices))) - set(s2_tower.carrier0(level, cell))
-    moved = ((cell, min(outside)), *rest)
-    for assignment, passed in ((snap.assignment, True), (moved, False)):
-        verdict = snap_verdicts(s2_tower, shuffled, assignment)
-        assert verdict == snap_verdicts(s2_tower, OpenCellSet(s2_tower, level, cells),
-                                        assignment)
-        assert verdict[0] is passed
-    assert verdict[1:] == ("snap target is not a vertex of a member cell's base carrier",
-                           0, cell)
+    assert snap_verdicts(s2_tower, shuffled) \
+        == snap_verdicts(s2_tower, OpenCellSet(s2_tower, level, cells)) \
+        == (True, "", None, None)
+
+
+def test_a_start_off_its_streamed_level_is_refused():
+    # level 1 of s1: vertices 0-2 are the base vertices, 3-5 the edges. A
+    # replay refuses such a start before its first step; with no step, the
+    # non-chains once passed as base vertices, and a snap raised IndexError
+    for cell, steps in itertools.product([(999,), (0, 1), (3, 5), ()],
+                                         [(), (StarSnap(1),)]):
+        tower = SubdivisionTower(builtin("s1"))
+        el = OpenCellSet(tower, 1, [cell, (0,)])
+        cert = Certificate(el, steps, Target("skeletal", 0))
+        reason = f"{cell} is not a chain of level-0 cells"
+        with pytest.raises(TowerError, match=re.escape(reason)):
+            verify_certificate(tower, cert)
+        assert check_certificate(tower, el, cert, 0) == (False, f"structural error: {reason}")
+        assert tower.level(1).cells_list is None
 
 
 def test_a_decoded_set_numbers_each_cell_once(s2_tower):
@@ -512,7 +434,7 @@ def test_a_decoded_set_numbers_each_cell_once(s2_tower):
 def test_certificate_json_round_trip(s2_tower):
     comp = one_skeleton_complement(s2_tower)
     cert = certify_to_dimension(comp, 0)
-    data = json.loads(json.dumps(certificate_to_json(s2_tower, cert)))
+    data = json.loads(json.dumps(certificate_to_json(cert)))
     again = certificate_from_json(s2_tower, data)
     assert verify_certificate(s2_tower, again).passed
     assert again.target == cert.target
@@ -521,7 +443,7 @@ def test_certificate_json_round_trip(s2_tower):
 
 def corrupt(rng, tower, cert):
     """Produce a structurally valid but semantically broken variant."""
-    kind = rng.choice(["drop-step", "shrink-keep", "bad-snap", "tighten-target"])
+    kind = rng.choice(["drop-step", "shrink-keep", "early-snap", "tighten-target"])
     steps = list(cert.steps)
     if kind == "drop-step" and steps:
         steps.pop(rng.randrange(len(steps)))
@@ -532,19 +454,12 @@ def corrupt(rng, tower, cert):
                 keep = frozenset(sorted(s.keep)[:len(s.keep) // 2])
                 steps[i] = PartitionPush(s.level, keep)
                 return Certificate(cert.start, tuple(steps), cert.target), kind
-    if kind == "bad-snap":
-        for i, s in enumerate(steps):
-            if isinstance(s, StarSnap) and s.assignment != "min-base-vertex":
-                pairs = list(s.assignment)
-                cell, v = pairs[rng.randrange(len(pairs))]
-                carrier = set(tower.carrier0(s.level, cell))
-                outside = [w for w in range(len(tower.base.vertices))
-                           if w not in carrier]
-                if outside:
-                    pairs = [(c, (rng.choice(outside) if c == cell else w))
-                             for c, w in pairs]
-                    steps[i] = StarSnap(s.level, tuple(pairs))
-                    return Certificate(cert.start, tuple(steps), cert.target), kind
+    if kind == "early-snap":
+        # the snap moved before the push it follows
+        for i, s in enumerate(steps[1:], 1):
+            if isinstance(s, StarSnap) and isinstance(steps[i - 1], PartitionPush):
+                steps[i - 1:i + 1] = [s, steps[i - 1]]
+                return Certificate(cert.start, tuple(steps), cert.target), kind
     if cert.target.kind == "dimensional" and cert.target.r > 0:
         return Certificate(cert.start, cert.steps,
                            Target("dimensional", cert.target.r - 1)), "tighten-target"

@@ -246,9 +246,12 @@ def test_product_verify_fails_on_stripped_certificates(tmp_path, capsys, factor)
 
 
 @pytest.mark.parametrize("command", ["cover", "product"])
-@pytest.mark.parametrize("field", ["step", "target", "keep", "centers", "assignment"])
+@pytest.mark.parametrize("field", ["step", "target", "keep", "centers", "assignment",
+                                   "explicit"])
 def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, field):
-    # an unknown vertex set or snap assignment kind was once read as explicit
+    # an unknown vertex set or snap assignment kind was once read as explicit;
+    # a snap has one rule, so explicit snap pairs are an unknown kind too
+    snap = field in ("assignment", "explicit")
     if command == "cover":
         # layered stars: a star start, a push and a snap
         data = build_cover(builtin("delta-2"), 0, 3).to_json()
@@ -256,7 +259,7 @@ def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, fiel
     else:
         # the staggered factor's stars push; the s1 arcs snap
         data = assemble_product_cover(builtin("boundary-delta-3"), builtin("s1")).to_json()
-        cert = data["b_bundle" if field == "assignment" else "x_bundle"]["certificates"][0]
+        cert = data["b_bundle" if snap else "x_bundle"]["certificates"][0]
     step = {s["kind"]: s for s in cert["steps"]}
     if field == "step":
         cert["steps"] = [{"kind": "twist"}]
@@ -266,13 +269,17 @@ def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, fiel
         step["push"]["keep"] = {"kind": "bogus", "verts": [0]}
     elif field == "centers":
         cert["start"]["centers"] = {"kind": "bogus", "verts": [0]}
-    else:
+    elif field == "assignment":
         step["snap"]["assignment"] = {"kind": "bogus", "pairs": []}
+    else:
+        step["snap"]["assignment"] = {"kind": "explicit", "pairs": [[[0], "0"]]}
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(data))
     code, _, err = invoke(capsys, command, "verify", "--in", str(path))
     assert code == 2
     assert err.startswith("error:") and "unknown" in err
+    if field == "explicit":
+        assert "unknown snap assignment kind 'explicit'" in err
 
 
 def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
@@ -365,6 +372,30 @@ def test_cover_verify_refuses_a_bundle_n_that_differs_from_the_complex(tmp_path,
     code, _, err = invoke(capsys, "cover", "verify", "--in", str(path))
     assert code == 2
     assert err.startswith("error:") and "'N' is 1" in err and "N=2" in err
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: p[0].update(min_multiplicity=99), id="multiplicity-99"),
+    pytest.param(lambda p: p.pop(), id="claim-dropped"),
+    pytest.param(lambda p: p.append(dict(p[-1], k=3)), id="claim-added"),
+])
+@pytest.mark.parametrize("command", ["cover", "product"])
+def test_cover_verify_refuses_a_profile_that_r_and_m_do_not_give(tmp_path, capsys,
+                                                                  command, edit):
+    # a claimed profile was once never read, so a bundle claiming
+    # min_multiplicity 99 passed verification
+    if command == "cover":
+        data = build_cover(builtin("s1"), 0, 5).to_json()
+        profile = data["profile"]
+    else:
+        data = assemble_product_cover(builtin("s1"), builtin("point")).to_json()
+        profile = data["x_bundle"]["profile"]
+    edit(profile)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, command, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'profile'" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "4.0"])
@@ -467,7 +498,7 @@ def test_deterministic_output(tmp_path, capsys):
 
 # sha256 of CLI cover and product bundles in format 2 (compact JSON, cells
 # as vertex-number lists) and of a certificate with explicit push verts and
-# snap pairs; the encoding must not drift
+# a snap; the encoding must not drift
 PINNED_SHA256 = {
     "arc-s1-m5": "11b984333f7302101631c14510e9ba30a6aa7605bc3097870678044dfa5aca45",
     "staggered-bd3-r1-m2":
@@ -475,7 +506,7 @@ PINNED_SHA256 = {
     "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
     "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
     "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
-    "certificate-s2-r0": "264f77b84ef06d1ab3ca2ddcebd5df7935dabcfbab467a597bb5c50807f09ffa",
+    "certificate-s2-r0": "8640136e34ce764f623bf0063a01156cf2db4666292e4ca959bba6599502f56b",
     "product-rp2-6-s1": "a397e4ab484950ea7b80f07b04d52bbb64bb479fa70bcde9836e58110b878536",
     "product-torus-7-s1": "1862afbdcbb11f3b64619a5968910501757ea15c7aaf6a81f6035b5c5e894602",
 }
@@ -500,7 +531,7 @@ for x in ("rp2-6", "torus-7"):
     out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
 t = SubdivisionTower(builtin("s2"))
 cert = certify_to_dimension(OpenCellSet(t, 0, [c for c in t.base.cells() if len(c) > 2]), 0)
-data = json.dumps(certificate_to_json(t, cert), sort_keys=True)
+data = json.dumps(certificate_to_json(cert), sort_keys=True)
 out["certificate-s2-r0"] = hashlib.sha256(data.encode()).hexdigest()
 print(json.dumps(out))
 """
@@ -652,6 +683,7 @@ def test_a_bundle_claiming_a_huge_m_fails_its_count_fast(tmp_path):
     # profile is checked only when the elements bear the claimed m out
     data = build_cover(builtin("torus-7"), 2, 3).to_json()
     data["params"]["m"] = 10 ** 9
+    data["profile"] = [{"k": 1, "skeleton": 2, "min_multiplicity": 10 ** 9}]
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(data))
     src = str(Path(kocover.__file__).parents[1])
