@@ -239,7 +239,10 @@ def product_complex(k: Complex, l: Complex, name: str | None = None) -> Complex:
 
 
 def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True) -> Complex:
-    """Seeded random complex of the given dimension on n_vertices vertices."""
+    """Seeded random complex of the given dimension on n_vertices vertices,
+    named random-<dim>-<n_vertices>-<seed>."""
+    if dim < 0:
+        raise ComplexError(f"dimension {dim} is negative")
     if n_vertices > len(_LABELS):
         raise ComplexError("too many vertices for the label alphabet")
     if dim + 1 > n_vertices:
@@ -249,6 +252,7 @@ def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True)
                            "cannot be connected")
     rng = _random.Random(seed)
     vs = _labels(n_vertices)
+    name = f"random-{dim}-{n_vertices}-{seed}"
     n_facets = max(1, n_vertices - dim + rng.randrange(0, n_vertices))
     chosen: set[Cell] = set()
     all_tops = list(itertools.combinations(range(n_vertices), dim + 1))
@@ -260,7 +264,7 @@ def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True)
     facets: set[Cell] = set(chosen)
     for i in lonely:
         facets.add((i,))
-    cx = Complex(vs, [[vs[i] for i in f] for f in _antichain(facets)], name=f"random-{dim}-{seed}")
+    cx = Complex(vs, [[vs[i] for i in f] for f in _antichain(facets)], name=name)
     if connected and not cx.is_connected():
         facets = set(cx.facets)
         comp = components(range(n_vertices), _facet_links(facets))
@@ -268,7 +272,7 @@ def random_complex(dim: int, n_vertices: int, seed: int, connected: bool = True)
         for a, b in zip(reps, reps[1:]):
             facets.add((a, b))
         cx = Complex(vs, [[vs[i] for i in f] for f in _antichain(facets)],
-                     name=f"random-{dim}-{seed}")
+                     name=name)
     return cx
 
 

@@ -34,13 +34,19 @@ is built, not when this module loads, so materializing levels, their tops,
 the count DP and the cell numbers of a set never load it. A CellIndex
 indexes one whole materialized level, built once (tower.index), and its
 face pairs are matched as rows of vertex numbers, with exact int64 keys.
-One size rule, ARRAY_MIN_CELLS, decides where arrays are used: only on a
-materialized level of more than 1,000 cells. A signature walk or a snap
-on any other level (is_small) runs in plain Python, on a level that was
-only streamed too. A plain snap costs 4-5 us a cell against 0.5-0.7 us on
-an index that exists, which takes 1-2 ms to build, so at most about 5 ms
-at the rule, well under the 100-120 ms that importing numpy adds to a
-fresh process; every wheel level has 3,937 cells or more.
+Its components contract whole chain blocks first: a block the set holds
+whole is one node, joined to another whole block through the face pair
+of their maxima, and only the face pairs with an end in a block held in
+part are read cell by cell. One size rule, ARRAY_MIN_CELLS, decides
+where arrays are used: only on a materialized level of more than 1,000
+cells. A signature walk or a snap on any other level (is_small) runs in
+plain Python, on a level that was only streamed too. A plain snap costs
+4-5 us a cell against 0.4-0.6 us on an index that exists (0.17-0.21 us
+on a wheel element, which holds nearly every block whole), and an index
+takes 1-2 ms to build, so at most about 5 ms at the rule, well under the
+100-120 ms that importing numpy adds to a fresh process; every wheel
+level has 3,937 cells or more (delta-2 level 4: 1.3-1.5 ms indexed on a
+random 80% carrier, 15-17 ms plain).
 """
 
 from __future__ import annotations
@@ -333,8 +339,8 @@ class SubdivisionTower:
 
 
 class CellIndex:
-    """Dense numbers, face incidence and base carriers of the cells of one
-    materialized level t.
+    """Dense numbers, face incidence, chain blocks and base carriers of the
+    cells of one materialized level t.
 
     Cell i is cells[i], the level's cells_list, and position, the level's
     cell_index, maps each cell to its number. The face pairs (face_cell[k],
@@ -342,6 +348,14 @@ class CellIndex:
     each cell's faces in proper_faces order. carrier[i] numbers carrier0
     of cell i among the base cells, and base_verts is the base cells x
     base vertices table of "v is a vertex of that cell".
+
+    The cells that share one chain maximum c, a cell of level t-1, form
+    block c: block[i] is the block of cell i (the level's tops table, not a
+    copy), and block c is the block_size[c] cells from block_start[c] on,
+    led by the singleton (c,). The block pairs (block_cell[k],
+    block_face[k]) are the face pairs of level t-1, one for each 2-vertex
+    cell: its block and its other vertex. At level 0 every cell is its own
+    block and the block pairs are the face pairs.
     """
 
     def __init__(self, tower: SubdivisionTower, t: int):
@@ -359,6 +373,20 @@ class CellIndex:
                       flat[np.repeat(size == k, size)].reshape(-1, k))
                   for k in np.flatnonzero(np.bincount(size)).tolist()}
         self.face_cell, self.face = _face_pairs(groups, size, int(flat.max(initial=0)) + 1)
+        if t == 0:
+            self.block = np.arange(n, dtype=np.int32)
+            self.block_cell, self.block_face = self.face_cell, self.face
+        else:
+            self.block = np.frombuffer(lv.tops, dtype=np.int32)
+            # each 2-vertex cell lies in the block of one vertex, and its
+            # other vertex is a face of that one
+            nums, rows = groups.get(2, (np.empty(0, dtype=np.intp),
+                                        np.empty((0, 2), dtype=np.int32)))
+            self.block_cell = self.block[nums]
+            self.block_face = rows[:, 0] + rows[:, 1] - self.block_cell
+        # every block holds at least its singleton
+        self.block_size = np.bincount(self.block)
+        self.block_start = (np.cumsum(self.block_size) - self.block_size).astype(np.int32)
         # the base cells' own numbers, gathered through the tops table of
         # each level from 1 to t
         self.carrier = np.arange(len(tower.cells(0)), dtype=np.int32)
@@ -374,17 +402,35 @@ class CellIndex:
         joined when one is a face of the other: the least number in each
         cell's component, aligned with pos.
 
-        Min-label hooking with pointer jumping. parent[x] <= x always holds
-        and jumping runs until every cell points at a root, so each round
-        hooks roots only; the loop ends when every face pair has one root,
-        whatever the number of rounds.
+        A block that pos holds whole is connected through its leading
+        singleton, which is a face of each of its cells, so it enters as
+        one node, its first cell. Two cells of different blocks are a face
+        pair only if the blocks' maxima are, and when both blocks are whole
+        the block pair's 2-vertex cell and its face join them; every other
+        face pair, one with an end in a block that pos holds in part, is
+        read cell by cell. Min-label hooking with pointer jumping then runs
+        on these nodes. parent[x] <= x always holds and jumping runs until
+        every cell points at a root, so each round hooks roots only; the
+        loop ends when every pair has one root, whatever the number of
+        rounds. A wheel element holds nearly every block whole, so its
+        face pairs are mostly not read at all: the 17 wheel elements of
+        the benchmark's seed-11 instances take 24-30 ms here, 45-48 ms when
+        every face pair is hooked.
         """
         import numpy as np
-        inside = np.zeros(len(self.cells), dtype=bool)
-        inside[pos] = True
-        keep = inside[self.face_cell] & inside[self.face]
-        u, v = self.face_cell[keep], self.face[keep]
-        parent = np.arange(len(self.cells), dtype=np.int32)
+        block, start = self.block, self.block_start
+        at = block[pos]
+        whole = np.bincount(at, minlength=len(start)) == self.block_size
+        # 0 absent, 1 in a whole block, 2 in a block held in part: a face
+        # pair is read when both ends are present and one is in part
+        state = np.zeros(len(self.cells), dtype=np.uint8)
+        state[pos] = 2 - whole[at]
+        keep = state[self.face_cell] * state[self.face] > 1
+        joined = whole[self.block_cell] & whole[self.block_face]
+        u = np.concatenate((start[self.block_cell[joined]], self.face_cell[keep]))
+        v = np.concatenate((start[self.block_face[joined]], self.face[keep]))
+        parent = np.where(whole[block], start[block],
+                          np.arange(len(self.cells), dtype=np.int32))
         while True:
             pu, pv = parent[u], parent[v]
             split = pu != pv

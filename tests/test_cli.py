@@ -144,6 +144,13 @@ def test_bary_facets_match_the_quadratic_scan(capsys, name):
     assert json.loads(out) == expected.to_json()
 
 
+@pytest.mark.parametrize("spec", ["random:-1:3:1", "random:-2:3:1"])
+def test_negative_random_dimension_is_usage_error(capsys, spec):
+    code, out, err = invoke(capsys, "complex", "info", "--builtin", spec)
+    assert (code, out) == (2, "")
+    assert f"dimension {spec.split(':')[1]} is negative" in err
+
+
 def test_unknown_builtin_is_usage_error(capsys):
     code, _, err = invoke(capsys, "complex", "info", "--builtin", "nope")
     assert code == 2

@@ -87,6 +87,20 @@ def test_random_dim0_connected_rejected():
         random_complex(0, 3, 1)
 
 
+@pytest.mark.parametrize("dim", [-1, -2])
+def test_random_negative_dimension_rejected(dim):
+    with pytest.raises(ComplexError, match=f"dimension {dim} is negative"):
+        random_complex(dim, 3, 1)
+    with pytest.raises(ComplexError, match=f"dimension {dim} is negative"):
+        builtin(f"random:{dim}:3:1")
+
+
+def test_random_names_tell_the_vertex_count_apart():
+    assert random_complex(2, 7, 5).name == "random-2-7-5"
+    assert random_complex(2, 8, 5).name == "random-2-8-5"
+    assert builtin("random:1:5:42").name == "random-1-5-42"
+
+
 @given(st.integers(1, 2), st.integers(3, 8), st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_random_complexes_are_valid(dim, nverts, seed):

@@ -14,7 +14,7 @@ import kocover
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
-from kocover.complexes import CATALOG
+from kocover.complexes import CATALOG, components
 from kocover.tower import (_match_rows, cells_from_json, proper_faces,
                            vertex_set_from_json)
 
@@ -291,6 +291,81 @@ def test_row_matching_is_exact_where_a_radix_key_would_wrap():
     rows = np.array([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [2 ** 16 - 1, 0, 0, 0, 7]])
     queries = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [2 ** 16 - 1, 0, 0, 0, 7]])
     assert _match_rows(rows, 2 ** 16, list(queries.T)).tolist() == [1, 0, 2]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_blocks_are_the_runs_of_one_chain_maximum(name):
+    # the facts CellIndex.components contracts whole blocks by: each block
+    # is led by its singleton, sized by the count DP, and the block pairs
+    # are the face pairs of the level below, each once
+    tower = SubdivisionTower(builtin(name), max_cells=ORACLE_CELLS)
+    index = tower.index(0)
+    assert index.block.tolist() == index.block_start.tolist() == list(range(len(index.cells)))
+    assert set(index.block_size.tolist()) == {1}
+    assert index.block_cell is index.face_cell and index.block_face is index.face
+    for t in range(1, tower.max_level + 1):
+        try:
+            index = tower.index(t)
+        except TowerSizeError:
+            break
+        lower = tower.cells(t - 1)
+        assert index.block.tolist() == list(tower.level(t).tops)
+        assert all(index.cells[s] == (c,) for c, s in enumerate(index.block_start.tolist()))
+        assert index.block_size.tolist() == tower._chain_counts(t)
+        position = tower.cell_index(t - 1)
+        pairs = sorted((i, position[f]) for i, c in enumerate(lower) for f in proper_faces(c))
+        assert sorted(zip(index.block_cell.tolist(), index.block_face.tolist())) == pairs
+
+
+# (complex, level) pairs for the components test: the small levels, on
+# arrays whatever their size, and one level over tower.ARRAY_MIN_CELLS
+COMPONENT_LEVELS = [(name, t) for name in SMALL_NAMES for t in (0, 1, 2)] + [("delta-2", 4)]
+
+
+# towers of their own: materializing delta-2 level 4 on the session's
+# small_towers would change which levels later tests find materialized
+@pytest.fixture(scope="module")
+def component_towers():
+    return {name: SubdivisionTower(builtin(name)) for name in SMALL_NAMES}
+
+
+def drawn_cells(tower, t, kind, density, rng):
+    """A set of level-t cells of one kind: any subset, the complement of a
+    small closed set (the shape of a wheel element), or the open star of
+    some vertices."""
+    cells = tower.cells(t)
+    if kind == "subset":
+        return [c for c in cells if rng.random() < density]
+    if kind == "closed-complement":
+        seeds = rng.sample(cells, rng.randint(1, min(8, len(cells))))
+        closed = {f for c in seeds for f in (c, *proper_faces(c))}
+        return [c for c in cells if c not in closed]
+    centers = {v for v in range(len(tower.level(t).verts)) if rng.random() < density}
+    return [c for c in cells if not centers.isdisjoint(c)]
+
+
+@given(level=st.sampled_from(COMPONENT_LEVELS),
+       kind=st.sampled_from(["subset", "closed-complement", "star"]),
+       density=st.floats(0, 1), rng=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_components_over_whole_blocks_match_union_find(component_towers, level, kind,
+                                                       density, rng):
+    import numpy as np
+    name, t = level
+    tower = component_towers[name]
+    cells = drawn_cells(tower, t, kind, density, rng)
+    index = tower.index(t)
+    numbers = [index.position[c] for c in cells]
+    rng.shuffle(numbers)
+    root = index.components(np.array(numbers, dtype=np.int32))
+    parts = {}
+    for p, r in zip(numbers, root.tolist()):
+        parts.setdefault(r, set()).add(p)
+    links = ((index.position[c], index.position[f]) for c in cells for f in proper_faces(c))
+    inside = set(numbers)
+    expected = components(numbers, ((a, b) for a, b in links if b in inside))
+    assert sorted(map(sorted, parts.values())) == sorted(map(sorted, expected))
+    assert all(r == min(part) for r, part in parts.items())
 
 
 def test_dual_complex_examples():
