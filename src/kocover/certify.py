@@ -271,33 +271,27 @@ def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
 def _verify_star_old(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     """Structural path for star sets centered at all old vertices.
 
-    Expected shape: [push(old)] followed by an optional snap rule. The push
+    Shapes read structurally: [push(old)] alone or followed by a snap, at
+    the star's level; any other shape is replayed explicitly. The push
     precondition holds by definition of the star; each cell keeps at most
     one vertex because a cell's elements form a chain, which contains at
     most one zero-dimensional member. The pushed carrier is the set of old
     vertex cells, whose points are the vertices of the level below.
     """
-    start: VertexStarSet = cert.start  # type: ignore[assignment]
-    level = start.level
-    steps = list(cert.steps)
-    if not steps or not isinstance(steps[0], PartitionPush) or steps[0].keep != "old" \
-            or steps[0].level != level:
-        # fall back to explicit verification, which may be expensive
-        return _verify_explicit(tower, cert)
-    # after the push: one cell per old vertex; old vertices at `level` are
-    # exactly the vertices of level-1, i.e. the cells of level-2
-    lowlv = tower.level(level - 1)
-    old_verts = list(range(len(lowlv.verts)))  # level-(L-1) vertex ids
-    rest = steps[1:]
-    if not rest:
-        # bare push: final carrier is the old vertex cells
-        max_base = max((len(lowlv.vbase[w]) - 1 for w in old_verts), default=-1)
+    level = cert.start.level
+    push = PartitionPush(level, "old")
+    steps = tuple(cert.steps)
+    if steps == (push,):
+        # the final carrier is the old vertex cells: one per level-(L-1)
+        # vertex, over that vertex's base carrier
+        max_base = max(len(b) for b in tower.level(level - 1).vbase) - 1
         return _target_verdict(cert.target, 0, max_base)
-    if len(rest) == 1 and isinstance(rest[0], StarSnap) and rest[0].level == level:
+    if steps == (push, StarSnap(level)):
         # isolated vertex cells are their own components; the rule sends
         # each to the least vertex of its base carrier
         return _target_verdict(cert.target, 0, 0)
-    return _fail(1, "unsupported step after a lazy star push", witness=None)
+    # fall back to explicit verification, which may be expensive
+    return _verify_explicit(tower, cert)
 
 
 def _target_verdict(target: Target, max_dim: int, max_base: int) -> Verdict:
@@ -430,23 +424,25 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
         elif kind == "snap":
             level = json_field(sd, "level", int, CertificateFormatError)
             assignment = json_field(sd, "assignment", dict, CertificateFormatError)
-            if assignment["kind"] != "min-base-vertex":
-                raise CertificateFormatError(
-                    f"unknown snap assignment kind {assignment['kind']!r}")
+            rule = json_field(assignment, "kind", str, CertificateFormatError)
+            if rule != "min-base-vertex":
+                raise CertificateFormatError(f"unknown snap assignment kind {rule!r}")
             steps.append(StarSnap(level))
         else:
             raise CertificateFormatError(f"unknown step kind {kind!r}")
     tgt = json_field(data, "target", dict, CertificateFormatError)
     return Certificate(start, tuple(steps),
-                       Target(tgt["kind"], json_field(tgt, "r", int, CertificateFormatError)))
+                       Target(json_field(tgt, "kind", str, CertificateFormatError),
+                              json_field(tgt, "r", int, CertificateFormatError)))
 
 
 def cellset_from_json(tower: SubdivisionTower, data: dict) -> CellSet:
     level = json_field(data, "level", int, CertificateFormatError)
-    if data["kind"] == "cells":
+    kind = json_field(data, "kind", str, CertificateFormatError)
+    if kind == "cells":
         return OpenCellSet.from_json_cells(
             tower, level, json_field(data, "cells", list, CertificateFormatError))
-    if data["kind"] == "star":
+    if kind == "star":
         centers = json_field(data, "centers", dict, CertificateFormatError)
         return VertexStarSet(tower, level, vertex_set_from_json(tower, level, centers))
-    raise CertificateFormatError(f"unknown cell set kind {data.get('kind')!r}")
+    raise CertificateFormatError(f"unknown cell set kind {kind!r}")

@@ -1,8 +1,11 @@
 """Command-line front end: catalog, constructions, verification, bounds.
 
-Exit codes: 0 success or verified, 1 verification or construction failure,
-2 usage error (the message names the violated precondition), a missing
-input flag and an input file that cannot be read as UTF-8 text included.
+Exit codes: 0 success or verified, 1 verification or construction failure
+(such as a star family whose level m is past the depth cap or whose
+verified level is over the cell budget), 2 usage error (the message names
+the violated precondition or the missing or malformed bundle field), a
+missing input flag and an input file that cannot be read as UTF-8 text
+included.
 
 A command imports only what it runs. `bounds` and `cuplength` import
 `bounds.py`; `complex bary|dual`, `cover` and `product` import the cover
@@ -10,10 +13,9 @@ stack (tower, certify, cover, product). No command loads numpy when it
 starts: numpy comes with the first CellIndex, which the wheel builder
 reads, and a certificate snap or a signature walk without a star DP on
 a materialized level of more than tower.ARRAY_MIN_CELLS (1,000) cells.
-So `cover verify` of an arc, trivial, layered or staggered bundle on a
-catalog complex and `product verify` of torus-7 x s1 run without it, as
-every build but the wheel's does; `cover verify` of a wheel bundle loads
-it.
+So `cover verify` of an arc, trivial or star bundle on a catalog complex
+and `product verify` of torus-7 x s1 run without it, as every build but
+the wheel's does; `cover verify` of a wheel bundle loads it.
 Every exit-2 exception derives from complexes.UsageError, so a failing
 command loads nothing more to report it.
 """

@@ -18,8 +18,15 @@ level of at most tower.ARRAY_MIN_CELLS cells groups the same tables' cell
 masks in plain Python; a larger one is boolean rows over the level's
 CellIndex, an explicit set's row set at its cell numbers, with identical
 columns grouped by a sort. That indexed walk and the wheel builder import
-numpy when they run, so loading this module, building an arc, layered,
-staggered or trivial cover and verifying one do not.
+numpy when they run, so loading this module, building an arc, star or
+trivial cover and verifying one do not.
+
+build_cover has one star family for every r: element w is the open star
+at level w of the level-w vertices over level-(w-1) cells of dimension
+at most r, "old" for r = 0 ("layered-stars") and written out otherwise
+("staggered-duals"), certified by one push onto those centres and, for
+r = 0, a snap. Graphs (arc phases) and r = 0 surfaces past the depth cap
+(wheel cracks) have their own builders.
 """
 
 from __future__ import annotations
@@ -409,10 +416,13 @@ def cover_parameters(cx: Complex, r: int) -> int:
 def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
     """Construct an m-element cover with the graded multiplicity profile.
 
-    Elements are unions of open vertex stars (or arc complements on graphs)
-    chosen so that a single partition push, plus a final vertex snap when
-    r = 0, certifies every element. The layered star families realize the
-    profile exactly; see the construction notes in the README.
+    Past the trivial and graph cases, one star family serves every r:
+    element w, for w = 1..m, is the open star at level w of the level-w
+    vertices whose underlying level-(w-1) cell has dimension at most r
+    ("old" when r = 0). One partition push onto those centres certifies
+    it, followed by a vertex snap when r = 0. Deeper than the depth cap
+    only r = 0 surfaces have a construction, the wheel cracks. See the
+    construction notes in the README.
     """
     N = cover_parameters(cx, r)
     if m < N:
@@ -421,10 +431,10 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
         raise CoverError("the complex must be connected")
     tower = SubdivisionTower(cx)
     n = cx.dim
+    target = Target("skeletal", 0) if r == 0 else Target("dimensional", r)
 
     if N == 1:
         whole = OpenCellSet(tower, 0, cx.cells())
-        target = Target("skeletal", 0) if r == 0 else Target("dimensional", r)
         elements: list[CellSet] = [whole for _ in range(m)]
         certs = [Certificate(whole, (), target) for _ in range(m)]
         return CoverBundle(cx, tower, r, m, elements, certs, "trivial")
@@ -432,40 +442,39 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
     if r == 0 and n == 1:
         return _build_arc_cover(cx, tower, m)
 
-    if r == 0:
-        if m > tower.max_level:
-            if n == 2 and tower.max_level >= 4:
-                return _build_wheel_cover(cx, tower, m)
-            raise ConstructionError(
-                f"the layered star family needs subdivision level {m}, over the "
-                f"cap {tower.max_level} (KO_COVER_MAX_LEVEL); packing several "
-                f"elements into one level needs separating-crack components, "
-                f"which this builder only constructs for graphs and surfaces")
-        try:
-            tower.cells(m - 2)  # the level the verifier's signature walk reads
-        except TowerSizeError as exc:
-            raise ConstructionError(
-                f"verification at level {m} walks level {m - 2}: {exc}; the "
-                f"complex is too large for m={m}") from None
-        elements = [VertexStarSet(tower, w, "old") for w in range(1, m + 1)]
-        certs = [Certificate(el,
-                             (PartitionPush(el.level, "old"),
-                              StarSnap(el.level)),
-                             Target("skeletal", 0))
-                 for el in elements]
-        return CoverBundle(cx, tower, r, m, elements, certs, "layered-stars")
-
-    # r >= 1
-    if N > 2:
+    if r > 0 and N > 2:
         raise ConstructionError(
-            f"r={r} with N={N} > 2 is outside the implemented construction "
-            f"(catalog complexes always have N <= 2 for r >= 1)")
-    if m > 2:
+            f"r={r} with N={N} > 2 is outside the implemented construction: "
+            f"the star family for r >= 1 is built for dimension at most "
+            f"2r+1 = {2 * r + 1}, and this complex has dimension {n}")
+    if m > tower.max_level:
+        if r == 0 and n == 2 and tower.max_level >= 4:
+            return _build_wheel_cover(cx, tower, m)
         raise ConstructionError(
-            f"every element must contain the full {r}-skeleton, and a third "
-            f"certified element cannot cover the saturated mixed-flag vertices; "
-            f"m={m} > 2 is unattainable in this certificate language")
-    return _build_staggered_cover(cx, tower, r, m)
+            f"the star family needs subdivision level {m}, over the cap "
+            f"{tower.max_level} (KO_COVER_MAX_LEVEL); packing several "
+            f"elements into one level needs separating-crack components, "
+            f"which this builder only constructs for r = 0 graphs and surfaces")
+    # the signature walk under old stars reads level m-2; a certificate
+    # pushing explicit centres is replayed on its own level
+    deepest = m - 2 if r == 0 else m
+    try:
+        tower.cells(deepest)
+    except TowerSizeError as exc:
+        raise ConstructionError(
+            f"verification at m={m} reads level {deepest}: {exc}; the "
+            f"complex is too large for m={m}") from None
+    elements = []
+    certs = []
+    for w in range(1, m + 1):
+        centers: frozenset[int] | str = "old" if r == 0 else frozenset(
+            v for v, d in enumerate(tower.level(w).vdim) if d <= r)
+        el = VertexStarSet(tower, w, centers)
+        steps = (PartitionPush(w, centers),) + ((StarSnap(w),) if r == 0 else ())
+        elements.append(el)
+        certs.append(Certificate(el, steps, target))
+    return CoverBundle(cx, tower, r, m, elements, certs,
+                       "layered-stars" if r == 0 else "staggered-duals")
 
 
 def _build_arc_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBundle:
@@ -670,34 +679,6 @@ def _arc_bfs(adjacency: tuple[memoryview, memoryview, memoryview], free: memoryv
                 nxt.append(w)
         queue = sorted(nxt)
     return None
-
-
-def _build_staggered_cover(cx: Complex, tower: SubdivisionTower,
-                           r: int, m: int) -> CoverBundle:
-    """Two-element cover for N = 2: the first element keeps everything near
-    the r-skeleton (star of low barycenters at level 1), the second adds
-    the barycenters of all-high flags at level 2, which are exactly the
-    cells of the dual complex the first element misses."""
-    lv1 = tower.level(1)
-    low1 = frozenset(v for v in range(len(lv1.verts))
-                     if len(lv1.vbase[v]) - 1 <= r)
-    el1 = VertexStarSet(tower, 1, low1)
-    cert1 = Certificate(el1, (PartitionPush(1, low1),), Target("dimensional", r))
-
-    lv2 = tower.level(2)
-    centers2 = set()
-    for v in range(len(lv2.verts)):
-        if len(lv2.vbase[v]) - 1 <= r:
-            centers2.add(v)
-            continue
-        flag = lv2.verts[v]  # a level-1 cell: a chain of base cells
-        if all(lv1.vdim[w] > r for w in flag):
-            centers2.add(v)
-    el2 = VertexStarSet(tower, 2, frozenset(centers2))
-    cert2 = Certificate(el2, (PartitionPush(2, frozenset(centers2)),),
-                        Target("dimensional", r))
-    return CoverBundle(cx, tower, r, m, [el1, el2], [cert1, cert2],
-                       "staggered-duals")
 
 
 # -- verification -------------------------------------------------------------

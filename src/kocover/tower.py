@@ -687,12 +687,14 @@ _JSON_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a str
 
 
 def json_field(data: dict, name: str, kind: type, error: type[Exception]):
-    """data[name], which must be an int that is not a bool (kind int), a
-    list, an object (kind dict) or a string; otherwise error names the
-    field. data itself must be an object."""
+    """data[name], which must be present and an int that is not a bool
+    (kind int), a list, an object (kind dict) or a string; otherwise error
+    names the field. data itself must be an object."""
     if not isinstance(data, dict):
         raise error(f"expected an object with the field {name!r}, "
                     f"got {type(data).__name__}")
+    if name not in data:
+        raise error(f"bundle field {name!r} is missing")
     value = data[name]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise error(f"bundle field {name!r} must be {_JSON_KINDS[kind]}, got {value!r}")
@@ -741,10 +743,11 @@ def vertex_set_from_json(tower: SubdivisionTower, level: int,
     """Inverse of vertex_set_to_json; TowerError on an unknown kind, or
     unless the explicit list is strictly increasing vertex numbers of the
     level."""
-    if data["kind"] == "old-vertices":
+    kind = json_field(data, "kind", str, TowerError)
+    if kind == "old-vertices":
         return "old"
-    if data["kind"] != "explicit":
-        raise TowerError(f"unknown vertex set kind {data['kind']!r}")
+    if kind != "explicit":
+        raise TowerError(f"unknown vertex set kind {kind!r}")
     verts = json_field(data, "verts", list, TowerError)
     n = len(tower.level(level).verts)
     if not all(type(v) is int and 0 <= v < n for v in verts) \

@@ -214,7 +214,10 @@ def test_monotone_along_every_step(s2_tower):
 def test_lazy_and_explicit_verification_agree():
     """The structural star path gives the verdict of an explicit replay of
     the materialized start, on every catalog complex at every level up to 3
-    that fits the tower budget, with and without the trailing snap."""
+    that fits the tower budget, for the push with and without the trailing
+    snap, under both target kinds. On the small complexes it also covers
+    shapes that the structural path hands to explicit replay (they were
+    once refused as unsupported)."""
     for name in CATALOG_NAMES:
         t = SubdivisionTower(builtin(name))
         for level in (1, 2, 3):
@@ -225,14 +228,21 @@ def test_lazy_and_explicit_verification_agree():
             lazy = VertexStarSet(t, level, "old")
             explicit = lazy.materialize()
             push, snap = PartitionPush(level, "old"), StarSnap(level)
-            for steps in ((push,), (push, snap)):
-                v_lazy = verify_certificate(t, Certificate(lazy, steps, Target("skeletal", 0)))
-                v_exp = verify_certificate(t, Certificate(explicit, steps,
-                                                          Target("skeletal", 0)))
-                assert (v_lazy.passed, v_lazy.monotone, v_lazy.achieved, v_lazy.reason) \
-                    == (v_exp.passed, v_exp.monotone, v_exp.achieved, v_exp.reason), \
-                    (name, level, len(steps))
-                assert v_lazy.passed == (len(steps) == 2 or level == 1)
+            shapes = [(push,), (push, snap)]
+            if name in SMALL_NAMES:
+                shapes += [(push, push), (push, snap, snap), (push, Refine())]
+            for steps in shapes:
+                for target in (Target("skeletal", 0), Target("dimensional", 0)):
+                    v_lazy = verify_certificate(t, Certificate(lazy, steps, target))
+                    v_exp = verify_certificate(t, Certificate(explicit, steps, target))
+                    assert (v_lazy.passed, v_lazy.monotone, v_lazy.achieved,
+                            v_lazy.reason) == (v_exp.passed, v_exp.monotone,
+                                               v_exp.achieved, v_exp.reason), \
+                        (name, level, steps, target)
+                    if target.kind == "dimensional" or snap in steps:
+                        assert v_lazy.passed, (name, level, steps, target)
+                    elif len(steps) == 1:
+                        assert v_lazy.passed == (level == 1)
 
 
 def face_components(cells):

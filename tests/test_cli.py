@@ -214,12 +214,13 @@ def test_kcheck_refuses_a_negative_skeleton(tmp_path, capsys):
     assert err.startswith("error:") and "skeleton dimension must be nonnegative" in err
 
 
-def test_cover_build_infeasible_fails(capsys, tmp_path):
+def test_cover_build_infeasible_fails(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("KO_COVER_MAX_LEVEL", "4")
     code, _, err = invoke(capsys, "cover", "build", "--builtin", "delta-2",
-                          "--r", "1", "--m", "4",
+                          "--r", "1", "--m", "5",
                           "--out", str(tmp_path / "x.json"))
     assert code == 1
-    assert "unattainable" in err
+    assert "level 5, over the cap 4" in err
 
 
 def test_cover_build_m_below_n_usage_error(capsys, tmp_path):
@@ -287,6 +288,28 @@ def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, fiel
     assert err.startswith("error:") and "unknown" in err
     if field == "explicit":
         assert "unknown snap assignment kind 'explicit'" in err
+
+
+@pytest.mark.parametrize("spec,path", [
+    ("s1", ("certificates", 0, "steps")),
+    ("s1", ("certificates", 0, "target", "kind")),
+    ("s1", ("certificates", 0, "steps", 0, "assignment", "kind")),
+    ("s1", ("elements", 0, "kind")),
+    ("delta-2", ("elements", 0, "centers", "kind")),
+    ("delta-2", ("certificates", 0, "steps", 0, "keep", "kind")),
+])
+def test_missing_bundle_field_is_named(tmp_path, capsys, spec, path):
+    # a missing field once exited 2 with only "input error: 'kind'"
+    data = build_cover(builtin(spec), 0, 3).to_json()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "cover", "verify", "--in", str(bundle))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"field {path[-1]!r} is missing" in err
 
 
 def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
@@ -509,13 +532,13 @@ def test_deterministic_output(tmp_path, capsys):
 PINNED_SHA256 = {
     "arc-s1-m5": "11b984333f7302101631c14510e9ba30a6aa7605bc3097870678044dfa5aca45",
     "staggered-bd3-r1-m2":
-        "bd72bc357e709aa2dcc869f7c3f22699ca6a374e929db0c263d2ccaa6a3757e1",
+        "cf7295dcaddcdbc8ae919cce57aec2d3c3e61ad621a1d644888fe05affbf6ce7",
     "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
     "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
     "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
     "certificate-s2-r0": "8640136e34ce764f623bf0063a01156cf2db4666292e4ca959bba6599502f56b",
-    "product-rp2-6-s1": "a397e4ab484950ea7b80f07b04d52bbb64bb479fa70bcde9836e58110b878536",
-    "product-torus-7-s1": "1862afbdcbb11f3b64619a5968910501757ea15c7aaf6a81f6035b5c5e894602",
+    "product-rp2-6-s1": "052800cd0db7e75611d6990e58071f3f232785d3d46a1d1c9e26730dff06af6f",
+    "product-torus-7-s1": "01df5dba99f6ac067e6fedc7b3f76041e35d4b3c49b0ddaf454cb7009d08abe5",
 }
 
 _PIN_SCRIPT = """
@@ -652,6 +675,7 @@ def test_failing_light_command_leaves_out_the_cover_stack(tmp_path):
     ["cover", "kcheck", "--in", "layered.json", "--k", "2", "--skeleton", "1"],
     ["product", "build", "--x", "torus-7", "--b", "s1", "--out", "product.json"],
     ["cover", "verify", "--in", "staggered.json"],
+    ["cover", "verify", "--in", "staggered-m4.json"],
     ["cover", "verify", "--in", "arc.json"],
     ["cover", "verify", "--in", "trivial.json"],
     ["product", "verify", "--in", "product.json"],
@@ -667,6 +691,7 @@ def test_cover_commands_without_arrays_leave_out_numpy_and_bounds(tmp_path, argv
     for path, spec, r, m, construction in [
             ("layered.json", "boundary-delta-3", 0, 4, "layered-stars"),
             ("staggered.json", "random:2:8:11", 1, 2, "staggered-duals"),
+            ("staggered-m4.json", "torus-7", 1, 4, "staggered-duals"),
             ("arc.json", "s1", 0, 5, "arc-phases"),
             ("trivial.json", "torus-7", 2, 3, "trivial")]:
         bundle = build_cover(builtin(spec), r, m)

@@ -146,8 +146,10 @@ def test_build_cover_argument_errors():
 
 
 def test_build_cover_infeasible_raises_diagnostics():
-    with pytest.raises(ConstructionError, match="unattainable"):
-        build_cover(builtin("boundary-delta-3"), 1, 3)
+    # the r = 1 star family's third element would be replayed on level 3,
+    # which is over the cell budget
+    with pytest.raises(ConstructionError, match=r"level 3\b.*budget 600000"):
+        build_cover(builtin("s1-x-s2"), 1, 3)
     # packing beyond the depth cap is only implemented up to dimension 2
     with pytest.raises(ConstructionError, match="graphs and surfaces"):
         build_cover(builtin("delta-3"), 0, 5)

@@ -61,6 +61,24 @@ def test_assemble_and_verify(xname, bname):
     assert report.ok, [c for c in report.checks if not c.passed]
 
 
+@pytest.mark.parametrize("xname,bname", [
+    ("boundary-delta-3", "s2"),
+    ("torus-7", "s2"),
+    ("torus-7", "torus-7"),
+    ("s1-x-s1", "delta-2"),
+])
+def test_assemble_and_verify_with_a_surface_second_factor(xname, bname):
+    # m = 3 needs a third element of the r = 1 cover of the first factor
+    pcb = assemble_product_cover(builtin(xname), builtin(bname))
+    assert pcb.m == 3 and pcb.x_bundle.construction == "staggered-duals"
+    checks = {c.name: c.passed for c in verify_product_cover(pcb).checks}
+    expected = {"element-count", "arithmetic-guard", "coverage-direct", "coverage-replay",
+                "coverage-agreement", *(f"b-filtration-{i}" for i in range(3)),
+                *(f"x-deformability-{i}" for i in range(3))}
+    assert expected <= checks.keys()
+    assert all(checks[name] for name in expected), checks
+
+
 def test_dimension_precondition():
     with pytest.raises(CoverError):
         assemble_product_cover(builtin("s1"), builtin("boundary-delta-3"))
