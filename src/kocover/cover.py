@@ -456,10 +456,13 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
             f"elements into one level needs separating-crack components, "
             f"which this builder only constructs for r = 0 graphs and surfaces")
     # the signature walk under old stars reads level m-2; a certificate
-    # pushing explicit centres is replayed on its own level
+    # pushing explicit centres is replayed on its own level, counted here
     deepest = m - 2 if r == 0 else m
     try:
-        tower.cells(deepest)
+        size = len(tower.cells(deepest)) if r == 0 else tower.count_cells(m)
+        if size > tower.max_cells:
+            raise TowerSizeError(f"level {m} has {size} cells, over the "
+                                 f"materialization budget {tower.max_cells}")
     except TowerSizeError as exc:
         raise ConstructionError(
             f"verification at m={m} reads level {deepest}: {exc}; the "
@@ -551,7 +554,8 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     certificate verifier re-checks that claim from scratch.
 
     The search runs on the level's CellIndex, the one the snaps replay on:
-    regions, rings, cracks and miss counts are arrays over cell numbers.
+    regions, rings, cracks and miss counts are arrays over cell numbers,
+    and an element's arcs at one edge slot are one search over all 2-cells.
     """
     import numpy as np
     level = 4
@@ -608,31 +612,37 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     if (counts > carrier_dim).any():
         raise ConstructionError("wheel cracks: ring reservation exceeds a budget")
 
-    # vertex -> edge adjacency (CSR over cell numbers) from the face pairs
-    # of the edges; a stable sort keeps each vertex's edges ascending.
-    # Memoryviews read Python ints from the arrays without a list of them
+    # vertex -> edge adjacency from the face pairs of the edges: slots
+    # sorted by vertex (a stable sort keeps each vertex's edges ascending)
     pair = np.flatnonzero(dim[index.face_cell] == 1)
     ends = index.face[pair].reshape(-1, 2)
     order = np.argsort(ends.ravel(), kind="stable")
-    adjacency = (memoryview(np.searchsorted(ends.ravel()[order], np.arange(n + 1))),
-                 memoryview(ends[:, ::-1].ravel()[order]),
-                 memoryview(np.repeat(index.face_cell[pair[::2]], 2)[order]))
+    adjacency = (ends.ravel()[order], ends[:, ::-1].ravel()[order],
+                 np.repeat(index.face_cell[pair[::2]], 2)[order])
+    # the 2-cell of each cell inside one, by position in two_cells; the
+    # edge vertex of element i at edge slot k of 2-cell j is targets[i, k, j]
+    cell_of = np.full(len(base), -1)
+    cell_of[[base[t] for t in two_cells]] = np.arange(len(two_cells))
+    cell_of = cell_of[index.carrier]
+    targets = np.array([[edge_vert[e] for e in itertools.combinations(t, 2)]
+                        for t in two_cells]).T
     for i in range(m):
         crack = cracks[i]
-        for t in two_cells:
-            # the crack's vertices over t are still those of its ring
-            inside = index.carrier == base[t]
-            starts = np.flatnonzero(crack & inside & (dim == 0)).tolist()
-            for e in itertools.combinations(t, 2):
-                free = memoryview(inside & ~crack & (counts < carrier_dim))
-                path = _arc_bfs(adjacency, free, starts, edge_vert[e][i])
-                if path is None:
-                    raise ConstructionError(
-                        f"wheel cracks: no room for an arc of element {i} "
-                        f"in 2-cell {cx.label_cell(t)}")
-                new = path[~crack[path]]
-                crack[new] = True
-                counts[new] += 1
+        # the crack's vertices inside a 2-cell are still those of its ring
+        starts = np.flatnonzero(crack & (cell_of >= 0) & (dim == 0))
+        failed = np.zeros(len(two_cells), dtype=bool)
+        for target in targets[i]:
+            free = (cell_of >= 0) & ~crack & (counts < carrier_dim)
+            found, new = _arc_paths(adjacency, free, starts[~failed[cell_of[starts]]],
+                                    cell_of, target)
+            failed |= ~found
+            crack[new] = True
+            counts[new] += 1
+        if failed.any():
+            raise ConstructionError(
+                f"wheel cracks: no room for an arc of element {i} "
+                f"in 2-cell {cx.label_cell(two_cells[failed.argmax()])}")
+    del adjacency, pair, ends, order  # the elements' sets below reuse this memory
 
     elements: list[CellSet] = [
         OpenCellSet.from_numbers(tower, level, np.flatnonzero(~crack).tolist())
@@ -647,38 +657,43 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     return CoverBundle(cx, tower, 0, m, elements, certs, "wheel-cracks")
 
 
-def _arc_bfs(adjacency: tuple[memoryview, memoryview, memoryview], free: memoryview,
-             starts: list[int], target: int) -> np.ndarray | None:
-    """Shortest vertex path from a ring to an edge vertex through free
-    cells (a memoryview of booleans over cell numbers, read as Python
-    bools), by cell number; returns its cells apart from the start, or None.
+def _arc_paths(adjacency: tuple[np.ndarray, ...], free: np.ndarray, starts: np.ndarray,
+               cell_of: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest vertex paths through free cells, one per 2-cell j from its
+    starts to target[j], by one frontier search over all 2-cells at once.
 
-    adjacency holds, per vertex cell u, the slots offsets[u]:offsets[u+1]
-    of its other ends and edges, edges ascending; starts ascend. The
-    target, already in the crack, needs no room.
+    adjacency is (vertex, other end, edge) per slot, sorted by vertex. Free
+    cells lie inside one 2-cell, cell_of[cell], and no edge joins two, so
+    the searches share no node. A node's parent is its first slot in the
+    previous round, the least node, as in a queue sorted each round. Targets
+    are not free and may be shared, so each 2-cell keeps its own hit and
+    leaves. Returns which 2-cells were reached, and the paths' cells apart
+    from their starts and targets.
     """
     import numpy as np
-    offsets, other, edge = adjacency
-    prev: dict[int, tuple[int, int] | None] = dict.fromkeys(starts)
-    queue = starts
-    while queue:
-        nxt = []
-        for u in queue:
-            for j in range(offsets[u], offsets[u + 1]):
-                w, e = other[j], edge[j]
-                if w in prev or not free[e] or not (w == target or free[w]):
-                    continue
-                prev[w] = (u, e)
-                if w == target:
-                    path = []
-                    while prev[w] is not None:
-                        u, e = prev[w]  # type: ignore[misc]
-                        path += [w, e]
-                        w = u
-                    return np.array(path)
-                nxt.append(w)
-        queue = sorted(nxt)
-    return None
+    vertex, other, edge = adjacency
+    prev = np.full(len(free), -1, dtype=np.int32)  # slot reaching each node
+    hit = np.full(len(target), -1, dtype=np.int32)  # slot reaching each target
+    frontier = starts
+    while len(frontier):
+        lo = np.searchsorted(vertex, frontier)
+        count = np.searchsorted(vertex, frontier, side="right") - lo
+        slot = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        w, j = other[slot], cell_of[vertex[slot]]
+        step = free[edge[slot]]
+        at = step & (w == target[j])
+        done, first = np.unique(j[at], return_index=True)
+        hit[done] = slot[at][first]
+        step &= free[w] & (prev[w] < 0) & (hit[j] < 0)
+        frontier, first = np.unique(w[step], return_index=True)
+        prev[frontier] = slot[step][first]
+    found = hit >= 0
+    slot, path = hit[found], [np.empty(0, dtype=np.int32)]
+    while len(slot):  # back from the targets to the starts
+        u = vertex[slot]
+        path += [edge[slot], u[prev[u] >= 0]]
+        slot = prev[u][prev[u] >= 0]
+    return found, np.concatenate(path)
 
 
 # -- verification -------------------------------------------------------------

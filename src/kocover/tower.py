@@ -253,7 +253,8 @@ class SubdivisionTower:
                      blocks: dict[CellT, list[CellT]]) -> list[CellT]:
         """The block of c, from the blocks of its faces, memoized in blocks
         (a method, not a closure, so that no reference cycle keeps the
-        blocks alive after the walk)."""
+        blocks alive after the walk). A level lists each cell after its
+        faces, so vid[c] tops every face's chain and keeps it sorted."""
         v = (vid[c],)
         block = [v]
         for f in reversed(list(proper_faces(c))):
@@ -261,7 +262,7 @@ class SubdivisionTower:
                 face_block = blocks.get(f)
                 if face_block is None:
                     face_block = blocks[f] = self._chain_block(f, vid, within, blocks)
-                block += [tuple(sorted(ch + v)) for ch in face_block]
+                block += [ch + v for ch in face_block]
         return block
 
     def _chain_counts(self, t: int) -> list[int]:
@@ -408,7 +409,8 @@ class CellIndex:
         pair only if the blocks' maxima are, and when both blocks are whole
         the block pair's 2-vertex cell and its face join them; every other
         face pair, one with an end in a block that pos holds in part, is
-        read cell by cell. Min-label hooking with pointer jumping then runs
+        read cell by cell, in a pass skipped when pos holds every block it
+        meets whole. Min-label hooking with pointer jumping then runs
         on these nodes. parent[x] <= x always holds and jumping runs until
         every cell points at a root, so each round hooks roots only; the
         loop ends when every pair has one root, whatever the number of
@@ -421,14 +423,16 @@ class CellIndex:
         block, start = self.block, self.block_start
         at = block[pos]
         whole = np.bincount(at, minlength=len(start)) == self.block_size
-        # 0 absent, 1 in a whole block, 2 in a block held in part: a face
-        # pair is read when both ends are present and one is in part
-        state = np.zeros(len(self.cells), dtype=np.uint8)
-        state[pos] = 2 - whole[at]
-        keep = state[self.face_cell] * state[self.face] > 1
         joined = whole[self.block_cell] & whole[self.block_face]
-        u = np.concatenate((start[self.block_cell[joined]], self.face_cell[keep]))
-        v = np.concatenate((start[self.block_face[joined]], self.face[keep]))
+        u, v = start[self.block_cell[joined]], start[self.block_face[joined]]
+        if not whole[at].all():
+            # 0 absent, 1 in a whole block, 2 in a block held in part: a
+            # face pair is read when both ends are present and one is in part
+            state = np.zeros(len(self.cells), dtype=np.uint8)
+            state[pos] = 2 - whole[at]
+            keep = state[self.face_cell] * state[self.face] > 1
+            u = np.concatenate((u, self.face_cell[keep]))
+            v = np.concatenate((v, self.face[keep]))
         parent = np.where(whole[block], start[block],
                           np.arange(len(self.cells), dtype=np.int32))
         while True:

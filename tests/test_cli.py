@@ -536,6 +536,8 @@ PINNED_SHA256 = {
     "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
     "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
     "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
+    "wheel-random-2-7-m5":
+        "26ae06034d602204c845d0e25e53ddf32a6594c3d3449daa0ae578433c49101f",
     "certificate-s2-r0": "8640136e34ce764f623bf0063a01156cf2db4666292e4ca959bba6599502f56b",
     "product-rp2-6-s1": "052800cd0db7e75611d6990e58071f3f232785d3d46a1d1c9e26730dff06af6f",
     "product-torus-7-s1": "01df5dba99f6ac067e6fedc7b3f76041e35d4b3c49b0ddaf454cb7009d08abe5",
@@ -552,7 +554,8 @@ for tag, argv in [("arc-s1-m5", ["s1", "--r", "0", "--m", "5"]),
                   ("staggered-bd3-r1-m2", ["boundary-delta-3", "--r", "1", "--m", "2"]),
                   ("layered-bd3-m4", ["boundary-delta-3", "--r", "0", "--m", "4"]),
                   ("wheel-delta-2-m5", ["delta-2", "--r", "0", "--m", "5"]),
-                  ("wheel-bd3-m6", ["boundary-delta-3", "--r", "0", "--m", "6"])]:
+                  ("wheel-bd3-m6", ["boundary-delta-3", "--r", "0", "--m", "6"]),
+                  ("wheel-random-2-7-m5", ["random:2:7:161751", "--r", "0", "--m", "5"])]:
     run(["cover", "build", "--builtin", *argv, "--out", tag + ".json"])
     out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
 for x in ("rp2-6", "torus-7"):

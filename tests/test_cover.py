@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -14,7 +15,9 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      cover_signatures, is_k_cover, pullback_cover,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, Target
-from kocover.cover import _edge_path_vertices, _k_cover, check_certificate
+from kocover import cover
+from kocover.cover import (_arc_paths, _edge_path_vertices, _k_cover,
+                           check_certificate)
 from kocover.tower import CellIndex
 
 
@@ -256,6 +259,119 @@ def test_wheel_cracks_stop_at_m7():
         build_cover(builtin("delta-2"), 0, 8)
     with pytest.raises(ConstructionError, match="rings .* reach its boundary"):
         build_cover(builtin("boundary-delta-3"), 0, 8)
+
+
+def _arc_bfs(adjacency, free, starts, target):
+    """Reference for cover._arc_paths: the queue search the wheel builder
+    ran once per element, 2-cell and edge slot. Shortest vertex path from
+    the starts (ascending) to target through free cells, by cell number,
+    as the cells after the start (target first), or None.
+
+    adjacency holds, per vertex cell u, the slots offsets[u]:offsets[u+1]
+    of its other ends and edges, edges ascending; free is read per cell.
+    The target, already in the crack, needs no room.
+    """
+    offsets, other, edge = adjacency
+    prev = dict.fromkeys(starts)
+    queue = starts
+    while queue:
+        nxt = []
+        for u in queue:
+            for j in range(offsets[u], offsets[u + 1]):
+                w, e = other[j], edge[j]
+                if w in prev or not free[e] or not (w == target or free[w]):
+                    continue
+                prev[w] = (u, e)
+                if w == target:
+                    path = []
+                    while prev[w] is not None:
+                        u, e = prev[w]
+                        path += [w, e]
+                        w = u
+                    return path
+                nxt.append(w)
+        queue = sorted(nxt)
+    return None
+
+
+@pytest.fixture(scope="module")
+def arc_levels():
+    """Per complex, level 4 as the wheel builder searches it: the cells'
+    2-cells (cell_of), the adjacency by slot and as offsets, and the
+    interior vertices of each base edge."""
+    import numpy as np
+    out = {}
+    for spec in ("delta-2", "random:2:7:161751"):
+        cx = builtin(spec)
+        tower = SubdivisionTower(cx)
+        index = tower.index(4)
+        n = len(index.cells)
+        dim = np.array([len(c) - 1 for c in index.cells])
+        base = tower.cell_index(0)
+        two_cells = [c for c in cx.cells() if len(c) == 3]
+        cell_of = np.full(len(base), -1)
+        cell_of[[base[t] for t in two_cells]] = np.arange(len(two_cells))
+        cell_of = cell_of[index.carrier]
+        pair = np.flatnonzero(dim[index.face_cell] == 1)
+        ends = index.face[pair].reshape(-1, 2)
+        order = np.argsort(ends.ravel(), kind="stable")
+        vertex = ends.ravel()[order]
+        other = ends[:, ::-1].ravel()[order]
+        edge = np.repeat(index.face_cell[pair[::2]], 2)[order]
+        offsets = np.searchsorted(vertex, np.arange(n + 1))
+        on_edge = {e: [index.position[(v,)] for v in _edge_path_vertices(tower, 4, e)[1:-1]]
+                   for e in cx.cells() if len(e) == 2}
+        out[spec] = (two_cells, dim, cell_of, (vertex, other, edge),
+                     (offsets, other, edge), on_edge)
+    return out
+
+
+@given(spec=st.sampled_from(["delta-2", "random:2:7:161751"]),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.3, 1.0),
+       slot=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_frontier_arcs_are_the_queue_search_paths(arc_levels, spec, seed, density, slot):
+    # random free cells and starts inside the 2-cells, one target per base
+    # edge, shared by the 2-cells on that edge at this slot
+    import numpy as np
+    two_cells, dim, cell_of, adjacency, offsets, on_edge = arc_levels[spec]
+    rng = random.Random(seed)
+    inside = cell_of >= 0
+    free = inside & (np.array([rng.random() for _ in cell_of]) < density)
+    start = inside & (dim == 0) & (np.array([rng.random() for _ in cell_of]) < 0.03)
+    free &= ~start
+    pick = {e: rng.choice(verts) for e, verts in on_edge.items()}
+    target = np.array([pick[list(itertools.combinations(t, 2))[slot]] for t in two_cells])
+    found, new = _arc_paths(adjacency, free, np.flatnonzero(start), cell_of, target)
+    assert len(set(new.tolist())) == len(new)
+    for j, t in enumerate(two_cells):
+        mine = cell_of == j
+        path = _arc_bfs(offsets, memoryview(free & mine),
+                        np.flatnonzero(start & mine).tolist(), int(target[j]))
+        assert found[j] == (path is not None)
+        assert set(new[cell_of[new] == j].tolist()) == set(path or ()) - {target[j]}
+
+
+def test_wheel_arc_failure_names_the_first_failing_two_cell(monkeypatch):
+    # 2-cell 3 fails at the first edge slot and 2-cell 1 at the last; the
+    # error names 2-cell 1, the first of them in the builder's order
+    cx = builtin("boundary-delta-3")
+    two_cells = [c for c in cx.cells() if len(c) == 3]
+    fail = {0: 3, 2: 1}  # search number (element 0's edge slot) -> failing 2-cell
+    calls = []
+
+    def failing(*args):
+        found, new = _arc_paths(*args)
+        if len(calls) in fail:
+            found[fail[len(calls)]] = False
+        calls.append(len(calls))
+        return found, new
+
+    monkeypatch.setattr(cover, "_arc_paths", failing)
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"no room for an arc of element 0 in 2-cell {cx.label_cell(two_cells[1])}")):
+        build_cover(cx, 0, 5)
+    assert calls == [0, 1, 2]
 
 
 def test_single_vertex_cover():

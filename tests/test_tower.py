@@ -1,6 +1,7 @@
 import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,23 @@ def test_chains_are_the_filtered_level_cells(small_towers, name, level, top_dens
     assert sorted(t.chains(level, tops, keep)) == sorted(expected)
 
 
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_a_cell_ends_at_its_chain_maximum(name):
+    # a level lists each cell after its faces, so a block's top has a
+    # larger number than any vertex of a face's chain: a chain with that
+    # top appended is sorted as built, and the top is its last vertex
+    t = SubdivisionTower(builtin(name))
+    rng = random.Random(name)
+    for level in (1, 2, 3):
+        cells = t.cells(level)
+        assert list(t.level(level).tops) == [c[-1] for c in cells]
+        assert all(list(c) == sorted(set(c)) for c in cells)
+        lower = t.cells(level - 1)
+        tops = rng.sample(lower, len(lower) // 2)
+        keep = {c for c in lower if rng.random() < 0.7}
+        assert all(list(c) == sorted(set(c)) for c in t.chains(level, tops, keep))
+
+
 def test_streamed_cells_follow_the_stack_descent():
     # level 3 is streamed, not materialized, on a fresh tower
     for name in SMALL_NAMES:
@@ -330,12 +348,16 @@ def component_towers():
 
 
 def drawn_cells(tower, t, kind, density, rng):
-    """A set of level-t cells of one kind: any subset, the complement of a
-    small closed set (the shape of a wheel element), or the open star of
-    some vertices."""
+    """A set of level-t cells of one kind: any subset, whole chain blocks,
+    the complement of a small closed set (the shape of a wheel element), or
+    the open star of some vertices."""
     cells = tower.cells(t)
     if kind == "subset":
         return [c for c in cells if rng.random() < density]
+    if kind == "blocks":
+        tops = tower.level(t).tops if t else range(len(cells))
+        whole = [rng.random() < density for _ in range(max(tops, default=-1) + 1)]
+        return [c for c, top in zip(cells, tops) if whole[top]]
     if kind == "closed-complement":
         seeds = rng.sample(cells, rng.randint(1, min(8, len(cells))))
         closed = {f for c in seeds for f in (c, *proper_faces(c))}
@@ -345,7 +367,7 @@ def drawn_cells(tower, t, kind, density, rng):
 
 
 @given(level=st.sampled_from(COMPONENT_LEVELS),
-       kind=st.sampled_from(["subset", "closed-complement", "star"]),
+       kind=st.sampled_from(["subset", "blocks", "closed-complement", "star"]),
        density=st.floats(0, 1), rng=st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_components_over_whole_blocks_match_union_find(component_towers, level, kind,
