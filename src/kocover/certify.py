@@ -67,7 +67,7 @@ class Refine:
 @dataclass(frozen=True)
 class PartitionPush:
     level: int
-    keep: frozenset[int] | str  # vertex ids at `level`, or "old"
+    keep: frozenset[int] | int  # vertex ids at `level`, or a center dimension
     kind: str = field(default="push", init=False)
 
 
@@ -122,14 +122,14 @@ def _fail(step: int | None, reason: str, witness=None) -> Verdict:
 def verify_certificate(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     """Check every step precondition and the claimed final target.
 
-    Star-backed sets whose centers are the "old" vertices follow a
+    Star-backed sets whose centers are given by a dimension follow a
     structural path that never materializes the top level; it relies only
     on tower facts (the elements of a cell form a chain of distinct
     dimensions, so a cell holds at most one vertex of each kind), which the
     test suite checks independently on materialized levels.
     """
-    if isinstance(cert.start, VertexStarSet) and cert.start.centers == "old":
-        return _verify_star_old(tower, cert)
+    if isinstance(cert.start, VertexStarSet) and isinstance(cert.start.centers, int):
+        return _verify_low_star(tower, cert)
     return _verify_explicit(tower, cert)
 
 
@@ -189,13 +189,12 @@ def replay(tower: SubdivisionTower, carrier: OpenCellSet,
 
 
 def _expand_keep(tower: SubdivisionTower, level: int,
-                 keep: frozenset[int] | str) -> frozenset[int]:
-    lv = tower.level(level)
-    if keep == "old":
-        return frozenset(v for v in range(len(lv.verts)) if lv.vdim[v] == 0)
-    if not all(0 <= v < len(lv.verts) for v in keep):  # type: ignore[operator]
+                 keep: frozenset[int] | int) -> frozenset[int]:
+    if isinstance(keep, int):
+        return tower.low_vertices(level, keep)
+    if not all(0 <= v < len(tower.level(level).verts) for v in keep):
         raise CertificateFormatError("push keeps a vertex that is not at its level")
-    return keep  # type: ignore[return-value]
+    return keep
 
 
 def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> OpenCellSet:
@@ -268,27 +267,24 @@ def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
     return verdict
 
 
-def _verify_star_old(tower: SubdivisionTower, cert: Certificate) -> Verdict:
-    """Structural path for star sets centered at all old vertices.
-
-    Shapes read structurally: [push(old)] alone or followed by a snap, at
-    the star's level; any other shape is replayed explicitly. The push
-    precondition holds by definition of the star; each cell keeps at most
-    one vertex because a cell's elements form a chain, which contains at
-    most one zero-dimensional member. The pushed carrier is the set of old
-    vertex cells, whose points are the vertices of the level below.
+def _verify_low_star(tower: SubdivisionTower, cert: Certificate) -> Verdict:
+    """Structural path for a star set at level L centered at the vertices
+    over level-(L-1) cells of dimension at most r: [push(r)] and, for
+    r = 0, [push(0), snap]; any other shape is replayed explicitly. The
+    push holds by definition of the star and leaves the subdivided
+    r-skeleton of level L-1, of dimension min(r, n), which at level 1 is
+    the base one and higher up holds every level-(L-1) vertex. For r = 0
+    its vertex cells are isolated, so the snap sends each to a base vertex.
     """
-    level = cert.start.level
-    push = PartitionPush(level, "old")
+    level, r = cert.start.level, cert.start.centers
+    push = PartitionPush(level, r)
     steps = tuple(cert.steps)
     if steps == (push,):
-        # the final carrier is the old vertex cells: one per level-(L-1)
-        # vertex, over that vertex's base carrier
-        max_base = max(len(b) for b in tower.level(level - 1).vbase) - 1
-        return _target_verdict(cert.target, 0, max_base)
-    if steps == (push, StarSnap(level)):
-        # isolated vertex cells are their own components; the rule sends
-        # each to the least vertex of its base carrier
+        dim = min(r, tower.base.dim)
+        max_base = dim if level == 1 else \
+            max(len(b) for b in tower.level(level - 1).vbase) - 1
+        return _target_verdict(cert.target, dim, max_base)
+    if r == 0 and steps == (push, StarSnap(level)):
         return _target_verdict(cert.target, 0, 0)
     # fall back to explicit verification, which may be expensive
     return _verify_explicit(tower, cert)

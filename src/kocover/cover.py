@@ -9,7 +9,7 @@ The verifier recomputes multiplicities from scratch with one engine,
 cover_signatures: the exact set of cover index sets of the cells at the
 finest element level, per base-carrier dimension. A cell there is a chain
 of cells one level down and inherits its coarser memberships from the
-chain maximum, so "old" stars on the top level become a per-chain flag,
+chain maximum, so r = 0 stars on the top level become a per-chain flag,
 the stars of the level below become a DP over the face poset, and the
 remaining elements are read from membership tables built once per level
 up to the walk level below those; an explicit set sets its bit at its
@@ -23,10 +23,10 @@ trivial cover and verifying one do not.
 
 build_cover has one star family for every r: element w is the open star
 at level w of the level-w vertices over level-(w-1) cells of dimension
-at most r, "old" for r = 0 ("layered-stars") and written out otherwise
-("staggered-duals"), certified by one push onto those centres and, for
-r = 0, a snap. Graphs (arc phases) and r = 0 surfaces past the depth cap
-(wheel cracks) have their own builders.
+at most r, its centres given by r ("layered-stars" for r = 0,
+"staggered-duals" otherwise), certified by one push onto those centres
+and, for r = 0, a snap. Graphs (arc phases) and r = 0 surfaces past the
+depth cap (wheel cracks) have their own builders.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def cover_signatures(tower: SubdivisionTower,
     carrier one level down, so membership in every coarser element and the
     base carrier are the maximum's. Up to two top levels are not walked:
 
-    * when every level-L element is an "old" star, a chain lies in them
-      exactly when it holds a vertex of level L-1: always for a singleton
-      chain over a vertex, and for any other maximum both ways (a flag);
+    * when every level-L element is a star of center dimension 0, a chain
+      lies in them exactly when it holds a vertex of level L-1: always for
+      a singleton chain over a vertex, and for any other maximum both ways
+      (a flag);
     * when every element at the next level t is a star, membership is an
       OR over the chain's vertices, so a DP over level t-1, faces first,
       gives every star mask of a chain with maximum c:
@@ -101,7 +102,7 @@ def cover_signatures(tower: SubdivisionTower,
         raise CoverError("empty family")
     level = max(el.level for el in elements)
     flag = 0
-    if level >= 1 and all(isinstance(el, VertexStarSet) and el.centers == "old"
+    if level >= 1 and all(isinstance(el, VertexStarSet) and el.centers == 0
                           for el in elements if el.level == level):
         flag = sum(1 << i for i, el in enumerate(elements) if el.level == level)
         level -= 1
@@ -121,12 +122,14 @@ def cover_signatures(tower: SubdivisionTower,
         for d, lo, longer in set(zip(dims, masks, (len(c) > 1 for c in cells))):
             out.setdefault(d, set()).update((lo | flag, lo) if longer else (lo | flag,))
         return _index_sets(out, len(elements))
-    # s(c): the stars centered at the barycenter of c, which is vertex i
-    # of the star level when c is cells[i]
-    old = sum(1 << i for i, el in stars if el.centers == "old")
-    star = [old if len(c) == 1 else 0 for c in cells]
+    # s(c): the stars centered at the barycenter of c, which is vertex j
+    # of the star level when c is cells[j], of dimension len(c) - 1
+    star = [0] * len(cells)
     for i, el in stars:
-        if el.centers != "old":
+        if isinstance(el.centers, int):
+            star = [s | 1 << i if len(c) <= el.centers + 1 else s
+                    for s, c in zip(star, cells)]
+        else:
             star = [s | 1 << i if j in el.centers else s for j, s in enumerate(star)]
     seen: list[int] = []  # bit j of a reach stands for the star mask seen[j]
     bit: dict[int, int] = {}
@@ -184,18 +187,17 @@ def _membership(tower: SubdivisionTower, level: int,
     One table per level, from the lowest element level up: a level-t
     cell's mask is that of its chain maximum one level down, gathered
     through the level's tops table, ORed with the level-t elements that
-    hold the cell: an explicit set sets its bit at its cell numbers, an
-    "old" star when the cell has a vertex over a level-(t-1) vertex, an
-    explicit star when it has a center. The base carrier is the maximum's
-    too. No maximum is computed per cell, and no numpy is loaded. An
-    explicit set holding a cell that is not on its level raises
-    TowerError.
+    hold the cell: an explicit set sets its bit at its cell numbers, a
+    star of center dimension r when the cell has a vertex over a
+    level-(t-1) cell of dimension at most r, an explicit star when it has
+    a center. The base carrier is the maximum's too. No maximum is
+    computed per cell, and no numpy is loaded. An explicit set holding a
+    cell that is not on its level raises TowerError.
     """
     masks: list[int] | None = None
     for t in range(min((el.level for _, el in low), default=level), level + 1):
         cells = tower.cells(t)
         if t:
-            vdim = tower.level(t).vdim
             tops = tower.level(t).tops
         masks = [0] * len(cells) if masks is None else [masks[v] for v in tops]
         for i, el in low:
@@ -206,11 +208,10 @@ def _membership(tower: SubdivisionTower, level: int,
                 for j in el.numbers():
                     masks[j] |= bit
                 continue
-            if el.centers == "old":
-                hits = (0 in map(vdim.__getitem__, c) for c in cells)
-            else:
-                hits = (not el.centers.isdisjoint(c) for c in cells)  # type: ignore[union-attr]
-            masks = [m | 1 << i if h else m for m, h in zip(masks, hits)]
+            centers = tower.low_vertices(t, el.centers) \
+                if isinstance(el.centers, int) else el.centers
+            masks = [m | 1 << i if not centers.isdisjoint(c) else m
+                     for m, c in zip(masks, cells)]
     if level == 0:
         return masks, [len(c) - 1 for c in cells]
     vbase = tower.level(level).vbase
@@ -418,11 +419,11 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
 
     Past the trivial and graph cases, one star family serves every r:
     element w, for w = 1..m, is the open star at level w of the level-w
-    vertices whose underlying level-(w-1) cell has dimension at most r
-    ("old" when r = 0). One partition push onto those centres certifies
-    it, followed by a vertex snap when r = 0. Deeper than the depth cap
-    only r = 0 surfaces have a construction, the wheel cracks. See the
-    construction notes in the README.
+    vertices whose underlying level-(w-1) cell has dimension at most r,
+    VertexStarSet(tower, w, r). One partition push onto those centres
+    certifies it, followed by a vertex snap when r = 0. Deeper than the
+    depth cap only r = 0 surfaces have a construction, the wheel cracks.
+    See the construction notes in the README.
     """
     N = cover_parameters(cx, r)
     if m < N:
@@ -455,27 +456,19 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
             f"{tower.max_level} (KO_COVER_MAX_LEVEL); packing several "
             f"elements into one level needs separating-crack components, "
             f"which this builder only constructs for r = 0 graphs and surfaces")
-    # the signature walk under old stars reads level m-2; a certificate
-    # pushing explicit centres is replayed on its own level, counted here
-    deepest = m - 2 if r == 0 else m
+    # the signature walk reads level m-2 under r = 0 stars, whose top
+    # level is a flag, and level m-1 otherwise
+    deepest = m - 2 if r == 0 else m - 1
     try:
-        size = len(tower.cells(deepest)) if r == 0 else tower.count_cells(m)
-        if size > tower.max_cells:
-            raise TowerSizeError(f"level {m} has {size} cells, over the "
-                                 f"materialization budget {tower.max_cells}")
+        tower.cells(deepest)
     except TowerSizeError as exc:
         raise ConstructionError(
             f"verification at m={m} reads level {deepest}: {exc}; the "
             f"complex is too large for m={m}") from None
-    elements = []
-    certs = []
-    for w in range(1, m + 1):
-        centers: frozenset[int] | str = "old" if r == 0 else frozenset(
-            v for v, d in enumerate(tower.level(w).vdim) if d <= r)
-        el = VertexStarSet(tower, w, centers)
-        steps = (PartitionPush(w, centers),) + ((StarSnap(w),) if r == 0 else ())
-        elements.append(el)
-        certs.append(Certificate(el, steps, target))
+    elements = [VertexStarSet(tower, w, r) for w in range(1, m + 1)]
+    certs = [Certificate(el, (PartitionPush(el.level, r),)
+                         + ((StarSnap(el.level),) if r == 0 else ()), target)
+             for el in elements]
     return CoverBundle(cx, tower, r, m, elements, certs,
                        "layered-stars" if r == 0 else "staggered-duals")
 

@@ -283,12 +283,12 @@ class SubdivisionTower:
     # -- carriers ----------------------------------------------------------
 
     def carrier_down(self, t: int, cell: CellT) -> CellT:
-        """Minimal level-(t-1) cell carrying the open cell (the chain maximum)."""
+        """Minimal level-(t-1) cell carrying the open cell: the chain
+        maximum, its last vertex, since a level lists each cell after its
+        faces."""
         if t == 0:
             raise TowerError("level 0 has no lower carrier")
-        lv = self.level(t)
-        top = max(cell, key=lambda v: lv.vdim[v])
-        return lv.verts[top]
+        return self.level(t).verts[cell[-1]]
 
     def carrier(self, t: int, cell: CellT, s: int) -> CellT:
         """Carrier of a level-t cell at level s <= t."""
@@ -299,12 +299,13 @@ class SubdivisionTower:
             cur = self.carrier_down(lvl, cur)
         return cur
 
+    def low_vertices(self, t: int, r: int) -> frozenset[int]:
+        """The level-t vertices whose underlying level-(t-1) cell has
+        dimension at most r: the centres and keep set that r stands for."""
+        return frozenset(v for v, d in enumerate(self.level(t).vdim) if d <= r)
+
     def carrier0(self, t: int, cell: CellT) -> CellT:
-        if t == 0:
-            return cell
-        lv = self.level(t)
-        top = max(cell, key=lambda v: lv.vdim[v])
-        return lv.vbase[top]
+        return cell if t == 0 else self.level(t).vbase[cell[-1]]
 
     def carrier0_dim(self, t: int, cell: CellT) -> int:
         return len(self.carrier0(t, cell)) - 1
@@ -616,51 +617,47 @@ class OpenCellSet:
 class VertexStarSet:
     """Union of open vertex stars at one level, kept implicit.
 
-    centers is either a frozenset of vertex ids at this level or the string
-    "old", meaning every vertex that was already a vertex one level down
-    (underlying cell of dimension 0). Cells of the set are exactly the
-    level cells meeting the center set.
+    centers is either a frozenset of vertex ids at this level or an int
+    r >= 0, meaning every vertex whose underlying level-(level-1) cell has
+    dimension at most r (0: every vertex that was already a vertex one
+    level down). Cells of the set are exactly the level cells meeting the
+    center set.
     """
 
     kind = "star"
 
     def __init__(self, tower: SubdivisionTower, level: int,
-                 centers: frozenset[int] | str):
+                 centers: frozenset[int] | int):
         if level < 1:
             raise TowerError("vertex stars live at level 1 or deeper")
         self.tower = tower
         self.level = level
         self.centers = centers
 
-    def center_has_vert(self, v: int) -> bool:
-        if self.centers == "old":
-            return self.tower.level(self.level).vdim[v] == 0
-        return v in self.centers  # type: ignore[operator]
-
     def contains(self, cell: CellT) -> bool:
-        return any(self.center_has_vert(v) for v in cell)
+        if isinstance(self.centers, int):
+            vdim = self.tower.level(self.level).vdim
+            return any(vdim[v] <= self.centers for v in cell)
+        return not self.centers.isdisjoint(cell)
 
     def contains_at(self, t: int, cell: CellT) -> bool:
         if t < self.level:
             raise TowerError("cannot test a coarser cell against a finer set")
         return self.contains(self.tower.carrier(t, cell, self.level))
 
-    def is_empty(self) -> bool:
-        if self.centers == "old":
-            return False
-        return not self.centers
-
     def materialize(self) -> OpenCellSet:
+        centers = self.tower.low_vertices(self.level, self.centers) \
+            if isinstance(self.centers, int) else self.centers
         cells = self.tower.cells(self.level)
         return OpenCellSet.from_numbers(self.tower, self.level, itertools.compress(
-            range(len(cells)), map(self.contains, cells)))
+            range(len(cells)), (not centers.isdisjoint(c) for c in cells)))
 
     def to_json(self) -> dict:
         return {"kind": "star", "level": self.level,
                 "centers": vertex_set_to_json(self.centers)}
 
     def __repr__(self) -> str:
-        c = "old" if self.centers == "old" else len(self.centers)  # type: ignore[arg-type]
+        c = self.centers if isinstance(self.centers, int) else len(self.centers)
         return f"VertexStarSet(level={self.level}, centers={c})"
 
 
@@ -733,23 +730,30 @@ def cells_from_json(tower: SubdivisionTower, t: int,
     return cells, numbers
 
 
-def vertex_set_to_json(verts: frozenset[int] | str) -> dict:
-    """Star centers or a push keep set as JSON: "old" (every vertex that was
-    already a vertex one level down) by its kind, explicit vertex numbers
-    as a sorted list."""
-    if verts == "old":
-        return {"kind": "old-vertices"}
+def vertex_set_to_json(verts: frozenset[int] | int) -> dict:
+    """Star centers or a push keep set as JSON: a center dimension by its
+    kind, "old-vertices" for 0 (every vertex that was already a vertex one
+    level down) and "low-vertices" with its "dim" otherwise, explicit
+    vertex numbers as a sorted list."""
+    if isinstance(verts, int):
+        return {"kind": "low-vertices", "dim": verts} if verts else {"kind": "old-vertices"}
     return {"kind": "explicit", "verts": sorted(verts)}
 
 
 def vertex_set_from_json(tower: SubdivisionTower, level: int,
-                         data: dict) -> frozenset[int] | str:
-    """Inverse of vertex_set_to_json; TowerError on an unknown kind, or
-    unless the explicit list is strictly increasing vertex numbers of the
-    level."""
+                         data: dict) -> frozenset[int] | int:
+    """Inverse of vertex_set_to_json; TowerError on an unknown kind, on a
+    "low-vertices" dim that is not a positive int (0 is "old-vertices"),
+    or unless the explicit list is strictly increasing vertex numbers of
+    the level."""
     kind = json_field(data, "kind", str, TowerError)
     if kind == "old-vertices":
-        return "old"
+        return 0
+    if kind == "low-vertices":
+        dim = json_field(data, "dim", int, TowerError)
+        if dim < 1:
+            raise TowerError(f"bundle field 'dim' must be positive, got {dim!r}")
+        return dim
     if kind != "explicit":
         raise TowerError(f"unknown vertex set kind {kind!r}")
     verts = json_field(data, "verts", list, TowerError)

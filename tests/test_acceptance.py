@@ -229,7 +229,8 @@ def _corrupt_certificate(rng, tower, cert):
         return Certificate(cert.start, tuple(steps), cert.target)
     if kind == "shrink-keep":
         for i, s in enumerate(steps):
-            if isinstance(s, PartitionPush) and s.keep != "old" and len(s.keep) > 1:
+            if isinstance(s, PartitionPush) and isinstance(s.keep, frozenset) \
+                    and len(s.keep) > 1:
                 steps[i] = PartitionPush(s.level,
                                          frozenset(sorted(s.keep)[:len(s.keep) // 2]))
                 return Certificate(cert.start, tuple(steps), cert.target)

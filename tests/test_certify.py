@@ -214,35 +214,46 @@ def test_monotone_along_every_step(s2_tower):
 def test_lazy_and_explicit_verification_agree():
     """The structural star path gives the verdict of an explicit replay of
     the materialized start, on every catalog complex at every level up to 3
-    that fits the tower budget, for the push with and without the trailing
-    snap, under both target kinds. On the small complexes it also covers
-    shapes that the structural path hands to explicit replay (they were
-    once refused as unsupported)."""
+    that fits the tower budget, for stars of center dimension r from 0 to
+    3, for the push and, when r = 0, the push with the trailing snap,
+    under a skeletal target of dimension 0 and a dimensional one of
+    dimension r. On the small complexes it also covers shapes that the
+    structural path hands to explicit replay, a snap after a push with
+    r >= 1 among them (they were once refused as unsupported)."""
     for name in CATALOG_NAMES:
         t = SubdivisionTower(builtin(name))
+        n = t.base.dim
         for level in (1, 2, 3):
             try:
                 t.cells(level)
             except TowerSizeError:
                 break
-            lazy = VertexStarSet(t, level, "old")
-            explicit = lazy.materialize()
-            push, snap = PartitionPush(level, "old"), StarSnap(level)
-            shapes = [(push,), (push, snap)]
-            if name in SMALL_NAMES:
-                shapes += [(push, push), (push, snap, snap), (push, Refine())]
-            for steps in shapes:
-                for target in (Target("skeletal", 0), Target("dimensional", 0)):
-                    v_lazy = verify_certificate(t, Certificate(lazy, steps, target))
-                    v_exp = verify_certificate(t, Certificate(explicit, steps, target))
-                    assert (v_lazy.passed, v_lazy.monotone, v_lazy.achieved,
-                            v_lazy.reason) == (v_exp.passed, v_exp.monotone,
-                                               v_exp.achieved, v_exp.reason), \
-                        (name, level, steps, target)
-                    if target.kind == "dimensional" or snap in steps:
-                        assert v_lazy.passed, (name, level, steps, target)
-                    elif len(steps) == 1:
-                        assert v_lazy.passed == (level == 1)
+            for r in range(4):
+                lazy = VertexStarSet(t, level, r)
+                explicit = lazy.materialize()
+                push, snap = PartitionPush(level, r), StarSnap(level)
+                # a snap after a push is read structurally only for r = 0
+                small = name in SMALL_NAMES
+                shapes = [(push,), (push, snap)] if r == 0 or small else [(push,)]
+                if small:
+                    shapes += [(push, push), (push, snap, snap), (push, Refine())]
+                for steps in shapes:
+                    for target in (Target("skeletal", 0), Target("dimensional", r)):
+                        v_lazy = verify_certificate(t, Certificate(lazy, steps, target))
+                        v_exp = verify_certificate(t, Certificate(explicit, steps, target))
+                        assert (v_lazy.passed, v_lazy.monotone, v_lazy.achieved,
+                                v_lazy.reason, v_lazy.failing_step) == \
+                            (v_exp.passed, v_exp.monotone, v_exp.achieved,
+                             v_exp.reason, v_exp.failing_step), (name, level, r, steps, target)
+                        if steps == (push,) and target.kind == "dimensional":
+                            # the subdivided r-skeleton of level L-1, which
+                            # above level 1 holds a vertex over every base cell
+                            low = min(r, n)
+                            assert v_lazy.achieved == (low, low if level == 1 else n)
+                        elif r == 0 and (target.kind == "dimensional" or snap in steps):
+                            assert v_lazy.passed, (name, level, steps, target)
+                        elif r == 0 and len(steps) == 1:
+                            assert v_lazy.passed == (level == 1)
 
 
 def face_components(cells):
@@ -460,7 +471,8 @@ def corrupt(rng, tower, cert):
         return Certificate(cert.start, tuple(steps), cert.target), kind
     if kind == "shrink-keep":
         for i, s in enumerate(steps):
-            if isinstance(s, PartitionPush) and s.keep != "old" and len(s.keep) > 1:
+            if isinstance(s, PartitionPush) and isinstance(s.keep, frozenset) \
+                    and len(s.keep) > 1:
                 keep = frozenset(sorted(s.keep)[:len(s.keep) // 2])
                 steps[i] = PartitionPush(s.level, keep)
                 return Certificate(cert.start, tuple(steps), cert.target), kind

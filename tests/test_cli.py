@@ -363,6 +363,11 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
                  "'assignment'", id="cover-assignment-list"),
     pytest.param("cover", ("elements", 0), {"kind": "star", "level": 1, "centers": "old"},
                  "'centers'", id="cover-centers-old"),
+    # a center dimension of 0 has one spelling, old-vertices
+    *(pytest.param("cover", ("elements", 0), {"kind": "star", "level": 1, "centers": {
+        "kind": "low-vertices", **dim}}, "'dim'", id=f"cover-low-vertices-dim-{tag}")
+      for tag, dim in [("missing", {}), ("bool", {"dim": True}), ("string", {"dim": "1"}),
+                       ("0", {"dim": 0}), ("negative", {"dim": -1})]),
     pytest.param("cover", ("complex", "vertices"), 5, "'vertices'",
                  id="cover-complex-vertices-5"),
     pytest.param("cover", ("complex", "facets"), 5, "'facets'", id="cover-complex-facets-5"),
@@ -532,15 +537,15 @@ def test_deterministic_output(tmp_path, capsys):
 PINNED_SHA256 = {
     "arc-s1-m5": "11b984333f7302101631c14510e9ba30a6aa7605bc3097870678044dfa5aca45",
     "staggered-bd3-r1-m2":
-        "cf7295dcaddcdbc8ae919cce57aec2d3c3e61ad621a1d644888fe05affbf6ce7",
+        "b81689dffa0e3713a9cefa1e4f9a3080f9f38561acdb35180970a8b61d504492",
     "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
     "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
     "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
     "wheel-random-2-7-m5":
         "26ae06034d602204c845d0e25e53ddf32a6594c3d3449daa0ae578433c49101f",
     "certificate-s2-r0": "8640136e34ce764f623bf0063a01156cf2db4666292e4ca959bba6599502f56b",
-    "product-rp2-6-s1": "052800cd0db7e75611d6990e58071f3f232785d3d46a1d1c9e26730dff06af6f",
-    "product-torus-7-s1": "01df5dba99f6ac067e6fedc7b3f76041e35d4b3c49b0ddaf454cb7009d08abe5",
+    "product-rp2-6-s1": "360bf8fdd6e8793efd2c7393d7677b344466513100af5e93e1a0c012f927f7b4",
+    "product-torus-7-s1": "71df0cc9cea7755655a4fa286fa7f2bb541c74e30479a1d908748c2f4165abca",
 }
 
 _PIN_SCRIPT = """
@@ -685,9 +690,9 @@ def test_failing_light_command_leaves_out_the_cover_stack(tmp_path):
     ["cover", "verify", "--in", "dropped.json"],
 ])
 def test_cover_commands_without_arrays_leave_out_numpy_and_bounds(tmp_path, argv):
-    # the arc builder, the layered walk (a DP over the face poset), the lazy
-    # star certificates, the staggered stars' pushes and the product
-    # builders build no CellIndex; the walks and snaps of the arc and
+    # the arc builder, the star walks (a DP over the face poset), the lazy
+    # star certificates of every r and the product builders build no
+    # CellIndex; the walks and snaps of the arc and
     # trivial bundles, the product's factors among them, run on levels of
     # at most ARRAY_MIN_CELLS cells, in plain Python
     bundles = {}

@@ -61,12 +61,12 @@ def test_signatures_match_naive_recount():
 def test_signatures_without_a_streamable_top_level():
     # the signatures walk level 2, although level 3 is over the cell budget
     tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
-    fam = [VertexStarSet(tower, w, "old") for w in range(1, 5)]
+    fam = [VertexStarSet(tower, w, 0) for w in range(1, 5)]
     with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
         tower.cells(3)
     free = SubdivisionTower(builtin("delta-2"))
     assert cover_signatures(tower, fam) == \
-        cover_signatures(free, [VertexStarSet(free, w, "old") for w in range(1, 5)])
+        cover_signatures(free, [VertexStarSet(free, w, 0) for w in range(1, 5)])
 
 
 @pytest.mark.parametrize("name", ["s1", "delta-2", "torus-7", "boundary-delta-3",
@@ -149,13 +149,24 @@ def test_build_cover_argument_errors():
 
 
 def test_build_cover_infeasible_raises_diagnostics():
-    # the r = 1 star family's third element would be replayed on level 3,
-    # which is over the cell budget
-    with pytest.raises(ConstructionError, match=r"level 3\b.*budget 600000"):
-        build_cover(builtin("s1-x-s2"), 1, 3)
+    # the r = 1 star family's signature walk at m = 4 reads level 3, which
+    # is over the cell budget
+    with pytest.raises(ConstructionError,
+                       match=r"reads level 3: level 3\b.*budget 600000"):
+        build_cover(builtin("s1-x-s2"), 1, 4)
     # packing beyond the depth cap is only implemented up to dimension 2
     with pytest.raises(ConstructionError, match="graphs and surfaces"):
         build_cover(builtin("delta-3"), 0, 5)
+
+
+def test_dual_star_bundle_verifies_without_its_top_level():
+    # every certificate is read structurally and the walk reads level 2,
+    # so level 3 (2,171,712 cells) is never listed
+    bundle = build_cover(builtin("s1-x-s2"), 1, 3)
+    again = CoverBundle.from_json(json.loads(json.dumps(bundle.to_json())))
+    assert all(el.centers == 1 for el in again.elements)
+    assert verify_cover_bundle(again).ok
+    assert again.tower.level(3).cells_list is None
 
 
 def test_wheel_cover_structure():
@@ -474,8 +485,8 @@ def _random_element(rng, tower, kind, level):
     if kind == "cells":
         cells = tower.cells(level)
         return OpenCellSet(tower, level, rng.sample(cells, rng.randrange(len(cells) + 1)))
-    if kind == "old":
-        return VertexStarSet(tower, level, "old")
+    if kind == "low":  # centered by a dimension, 0 to 2
+        return VertexStarSet(tower, level, rng.randrange(3))
     verts = range(len(tower.level(level).verts))
     return VertexStarSet(tower, level,
                          frozenset(rng.sample(verts, rng.randrange(len(verts) + 1))))
@@ -487,7 +498,7 @@ def _random_family(seed):
     tower = SubdivisionTower(builtin(name))
     fam = []
     for _ in range(rng.randrange(2, 6)):
-        kind = rng.choice(["cells", "old", "explicit"])
+        kind = rng.choice(["cells", "low", "explicit"])
         level = rng.randrange(3) if kind == "cells" else rng.randrange(1, 4)
         fam.append(_random_element(rng, tower, kind, level))
     if rng.random() < 0.5:
@@ -498,37 +509,43 @@ def _random_family(seed):
 
 
 def _special_family(which):
-    """explicit-beside-old-top: an explicit set beside an "old" star on the
-    top level (no flag). explicit-below-old-top: an explicit set one level
-    below an "old" top (no DP). chain-skipping-faces: on the triangle T, the
+    """explicit-beside-old-top: an explicit set beside a star of center
+    dimension 0 on the top level (no flag). explicit-below-old-top: an
+    explicit set one level below such a top (no DP). chain-skipping-faces: on the triangle T, the
     chain {v, T} skips both edges through v, and only it has the star mask
     {0}, so the DP must reach v from T directly, not through facets.
-    old-level-1-stars-n: n "old" stars at level 1 and nothing else.
+    old-level-1-stars-n: n stars of center dimension 0 at level 1 and
+    nothing else.
     seventy-stars: 70 explicit stars on the DP level, so its masks are
     wider than a machine word. explicit-centers-two-levels: explicit stars
-    on the DP level and one level below it, an "old" flag above and a
-    level-0 region."""
+    on the DP level and one level below it, a center-dimension-0 flag
+    above and a level-0 region. low-stars-every-level: stars of center
+    dimension 1 and 2 on levels 1 to 3, as a staggered family has, beside
+    a level-2 explicit set."""
     tower = SubdivisionTower(builtin("delta-2"))
     if which.startswith("old-level-1-stars-"):
         # the flag alone: the walk reads level 0 with no membership rows
-        return tower, [VertexStarSet(tower, 1, "old")] * int(which[-1])
+        return tower, [VertexStarSet(tower, 1, 0)] * int(which[-1])
     rng = random.Random(which)
     if which == "seventy-stars":
         fam = [_random_element(rng, tower, "explicit", 2) for _ in range(70)]
         return tower, fam + [_random_element(rng, tower, "cells", 1),
-                             VertexStarSet(tower, 3, "old")]
+                             VertexStarSet(tower, 3, 0)]
     if which == "explicit-centers-two-levels":
         region = OpenCellSet(tower, 0, [c for c in tower.base.cells() if len(c) < 3])
         return tower, [_random_element(rng, tower, "explicit", 2),
                        _random_element(rng, tower, "explicit", 2),
                        _random_element(rng, tower, "explicit", 1),
-                       VertexStarSet(tower, 3, "old"), region]
+                       VertexStarSet(tower, 3, 0), region]
+    if which == "low-stars-every-level":
+        return tower, [VertexStarSet(tower, w, r) for w in (1, 2, 3) for r in (1, 2)] \
+            + [_random_element(rng, tower, "cells", 2)]
     if which == "chain-skipping-faces":
         vid = tower.level(1).vert_id
         return tower, [VertexStarSet(tower, 1, frozenset({vid[(0,)]})),
                        VertexStarSet(tower, 1, frozenset({vid[(0, 1)], vid[(0, 2)]}))]
     top = 3 if which == "explicit-beside-old-top" else 2
-    fam = [_random_element(rng, tower, "old", 3),
+    fam = [VertexStarSet(tower, 3, 0),
            _random_element(rng, tower, "cells", top),
            _random_element(rng, tower, "explicit", 2),
            _random_element(rng, tower, "cells", 1)]
@@ -538,7 +555,7 @@ def _special_family(which):
 @pytest.mark.parametrize("family", [f"seed-{seed}" for seed in range(40)] + [
     "explicit-beside-old-top", "explicit-below-old-top", "chain-skipping-faces",
     "old-level-1-stars-1", "old-level-1-stars-3", "seventy-stars",
-    "explicit-centers-two-levels"])
+    "explicit-centers-two-levels", "low-stars-every-level"])
 def test_signatures_equal_chain_enumeration_on_mixed_families(family):
     if family.startswith("seed-"):
         tower, fam = _random_family(int(family[5:]))
@@ -552,8 +569,8 @@ def test_signatures_equal_chain_enumeration_on_mixed_families(family):
 @settings(max_examples=40, deadline=None)
 def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, seed):
     """Explicit sets on the walk level (so no star DP applies), beside
-    explicit sets and stars below it and, with flag, an "old" star one
-    level up."""
+    explicit sets and stars below it and, with flag, a star of center
+    dimension 0 one level up."""
     # a seeded Random, not a Hypothesis one: torus-7 level 3 has 9,072
     # cells and Hypothesis refuses a sample of more than 8,192
     rng = random.Random(seed)
@@ -561,11 +578,11 @@ def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, 
     fam = [_random_element(rng, tower, "cells", level)
            for _ in range(rng.randrange(1, 4))]
     for _ in range(rng.randrange(4)):
-        kind = rng.choice(["cells", "old", "explicit"])
+        kind = rng.choice(["cells", "low", "explicit"])
         low = rng.randrange(level + 1) if kind == "cells" else rng.randrange(1, level + 1)
         fam.append(_random_element(rng, tower, kind, low))
     if flag:
-        fam.append(VertexStarSet(tower, level + 1, "old"))
+        fam.append(VertexStarSet(tower, level + 1, 0))
     rng.shuffle(fam)
     assert walks_on_both_paths(tower, level, fam) == chain_enumeration(tower, fam)
 
@@ -587,7 +604,7 @@ def test_indexed_walk_of_seventy_explicit_sets():
     rng = random.Random(70)
     tower = SubdivisionTower(builtin("delta-2"))
     fam = [_random_element(rng, tower, "cells", 2) for _ in range(70)]
-    fam += [_random_element(rng, tower, "cells", 1), VertexStarSet(tower, 3, "old")]
+    fam += [_random_element(rng, tower, "cells", 1), VertexStarSet(tower, 3, 0)]
     sigs = walks_on_both_paths(tower, 2, fam)
     assert sigs == chain_enumeration(tower, fam)
     assert any(69 in s and 71 in s for ss in sigs.values() for s in ss)

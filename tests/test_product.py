@@ -66,6 +66,8 @@ def test_assemble_and_verify(xname, bname):
     ("torus-7", "s2"),
     ("torus-7", "torus-7"),
     ("s1-x-s1", "delta-2"),
+    ("s1-x-s2", "s2"),
+    ("s1-x-s2", "torus-7"),
 ])
 def test_assemble_and_verify_with_a_surface_second_factor(xname, bname):
     # m = 3 needs a third element of the r = 1 cover of the first factor
