@@ -177,7 +177,7 @@ def replay(tower: SubdivisionTower, carrier: OpenCellSet,
                 keep = _expand_keep(tower, level, step.keep)
                 pushed = set()
                 for c in carrier.cells:
-                    kept = tuple(v for v in c if v in keep)
+                    kept = tuple(filter(keep.__contains__, c))
                     if not kept:
                         raise StepFailure(
                             idx, "push leaves a carrier cell with no kept vertex", c)
@@ -199,7 +199,7 @@ def _expand_keep(tower: SubdivisionTower, level: int,
 
 def _apply_snap(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> OpenCellSet:
     level = carrier.level
-    if not carrier.cells:
+    if carrier.is_empty():
         return carrier
     snap = _snap_targets if tower.is_small(level) else _indexed_snap_targets
     return OpenCellSet(tower, level, ((tower.lift_base_vertex(v, level),)
@@ -384,7 +384,7 @@ def certify_to_dimension(s: CellSet, r: int) -> Certificate:
 
 def certificate_to_json(cert: Certificate) -> dict:
     """A certificate as JSON: cells and kept vertices as vertex numbers (see
-    tower.cells_from_json), a snap as its level and its rule."""
+    tower.cell_numbers_from_json), a snap as its level and its rule."""
     steps = []
     for step in cert.steps:
         if isinstance(step, Refine):

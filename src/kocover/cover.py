@@ -316,7 +316,7 @@ def _k_cover(sigs: dict[int, set[frozenset[int]]], k: int, m: int,
 # -- bundles ------------------------------------------------------------------
 
 # the bundle layout this module writes and the only one it reads: cells as
-# vertex-number lists (tower.cells_from_json)
+# vertex-number lists (tower.cell_numbers_from_json)
 BUNDLE_FORMAT = 2
 
 
@@ -361,14 +361,21 @@ class CoverBundle:
         return _profile_claims(self.r, self.m, self.N)
 
     def to_json(self) -> dict:
+        """The bundle as JSON. An element that is its certificate's start,
+        as in every bundle that build_cover makes, is written as the
+        start's JSON object, so editing one edits both."""
+        certificates = [certificate_to_json(c) for c in self.certificates]
+        elements = [certificates[i]["start"]
+                    if i < len(certificates) and self.certificates[i].start is el
+                    else el.to_json() for i, el in enumerate(self.elements)]
         return {
             "format": BUNDLE_FORMAT,
             "complex": self.complex.to_json(),
             "params": {"r": self.r, "N": self.N, "m": self.m,
                        "max_level": self.tower.max_level,
                        "construction": self.construction},
-            "elements": [el.to_json() for el in self.elements],
-            "certificates": [certificate_to_json(c) for c in self.certificates],
+            "elements": elements,
+            "certificates": certificates,
             "profile": [asdict(p) for p in self.profile_claims],
         }
 

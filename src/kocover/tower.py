@@ -13,25 +13,31 @@ cells live on a materialized level.
 
 An OpenCellSet on a materialized level carries its cell numbers, their
 positions in cells(t), as an array('i'). A set made from numbers (the
-wheel builder's, a materialized star's) gathers its cells from them, the
-decoder gathers each cell with its number in one loop, and any other set
+wheel builder's, the arc builder's, a materialized star's, a decoded
+one) keeps only those numbers, each once, and gathers the frozenset of
+the level's own tuples on the first read of its cells; any other set
 looks its numbers up once, on first use. The signature walk and a snap on
-a CellIndex read these numbers, so neither looks a cell tuple up again.
+a CellIndex read only the numbers, so a wheel element is built, verified
+and decoded without a set of its cell tuples.
 
 Each level is built from the tables of the level below, faces first. The
 chains with one maximum c, the block of c, are c alone and then the
 blocks of c's faces with c added, so every block is computed once from
 the memoized blocks of its faces, and a level lists the blocks of the
-lower cells in order. A count DP over the faces sizes the level before it
-is built. The chains of one maximum are contiguous, so the level's tops
-table, the chain-maximum vertex of every cell, is each lower cell's number
-repeated by its count. Through tops, the base carriers of the next level's
-vertices, the membership tables of the signature walk and the base
-carriers of a CellIndex are gathers, not a maximum per cell.
+lower cells in order. Every lower cell is a simplex whose faces all lie
+on its level, so its block holds the chains of a simplex's face poset
+that end at the simplex itself: a Fubini number of its vertex count
+(1, 3, 13, 75, 541, ...), which sizes the level before it is built with
+no walk over faces. The chains of one maximum are contiguous, so the
+level's tops table, the chain-maximum vertex of every cell, is each lower
+cell's number repeated by its count. Through tops, the base carriers of
+the next level's vertices, the membership tables of the signature walk
+and the base carriers of a CellIndex are gathers, not a maximum per
+cell.
 
 CellIndex is where kocover starts using arrays: numpy is imported when one
 is built, not when this module loads, so materializing levels, their tops,
-the count DP and the cell numbers of a set never load it. A CellIndex
+the chain counts and the cell numbers of a set never load it. A CellIndex
 indexes one whole materialized level, built once (tower.index), and its
 face pairs are matched as rows of vertex numbers, with exact int64 keys.
 Its components contract whole chain blocks first: a block the set holds
@@ -52,6 +58,7 @@ random 80% carrier, 15-17 ms plain).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from array import array
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator
@@ -89,6 +96,16 @@ def max_level_from_env() -> int:
     if raw and not raw.isdecimal():
         raise TowerError(f"KO_COVER_MAX_LEVEL={raw!r} is not a non-negative integer")
     return int(raw) if raw else DEFAULT_MAX_LEVEL
+
+
+def fubini(k: int) -> list[int]:
+    """The Fubini numbers a(0..k), a(n) = sum of C(n, j) a(j) over j < n:
+    a(n) counts the chains of faces of an (n-1)-simplex that end at the
+    simplex (1, 1, 3, 13, 75, 541, ...)."""
+    a = [1]
+    for n in range(1, k + 1):
+        a.append(sum(math.comb(n, j) * a[j] for j in range(n)))
+    return a
 
 
 def proper_faces(cell: CellT) -> Iterator[CellT]:
@@ -267,15 +284,14 @@ class SubdivisionTower:
 
     def _chain_counts(self, t: int) -> list[int]:
         """Number of level-t chains with each level-(t-1) cell as maximum,
-        aligned with cells(t-1): the count DP over faces."""
+        aligned with cells(t-1). A lower cell c is a simplex with all its
+        faces on its level, so they are the chains of the faces of a
+        simplex that end at c: the Fubini number of len(c)."""
         lower = self.cells(t - 1)
-        memo: dict[CellT, int] = {}
-        for c in sorted(lower, key=len):
-            memo[c] = 1 + sum(map(memo.__getitem__, proper_faces(c)))
-        return list(map(memo.__getitem__, lower))
+        return list(map(fubini(self.base.dim + 1).__getitem__, map(len, lower)))
 
     def count_cells(self, t: int) -> int:
-        """Exact cell count of level t (chain-count DP over level t-1)."""
+        """Exact cell count of level t (chain counts over level t-1)."""
         if t == 0:
             return len(self.cells(0))
         return sum(self._chain_counts(t))
@@ -507,10 +523,13 @@ def _match_rows(rows: np.ndarray, radix: int, columns: list[np.ndarray]) -> np.n
 class OpenCellSet:
     """A union of open cells at one tower level, stored explicitly.
 
-    Beside its cells, a set keeps their numbers, their positions in
-    cells(level). A set made from numbers (from_numbers) gathers its cells
-    from them; any other set looks its numbers up once, on first use. The
-    two come from one source either way, so they cannot disagree.
+    A set keeps its cells, a frozenset of cell tuples, and their numbers,
+    their positions in cells(level), as an array('i'), each made from the
+    other on first use. A set made from numbers (from_numbers and the
+    decoder) holds only the numbers, each once, until its cells are read,
+    and then gathers the level's own tuples; any other set looks its
+    numbers up once, when they are first asked for. The two come from one
+    source either way, so they cannot disagree.
     """
 
     kind = "cells"
@@ -518,7 +537,7 @@ class OpenCellSet:
     def __init__(self, tower: SubdivisionTower, level: int, cells: Iterable[CellT]):
         self.tower = tower
         self.level = level
-        self.cells = frozenset(cells)
+        self._cells: frozenset[CellT] | None = frozenset(cells)
         self._numbers: array | None = None
 
     @classmethod
@@ -526,26 +545,39 @@ class OpenCellSet:
                      numbers: Iterable[int]) -> "OpenCellSet":
         """The set of the level cells numbered by numbers, nonnegative
         positions in cells(level), which this materializes."""
-        numbers = array("i", numbers)
-        return cls._numbered(tower, level, map(tower.cells(level).__getitem__, numbers),
-                             numbers)
+        tower.cells(level)
+        return cls._numbered(tower, level, array("i", numbers))
 
     @classmethod
     def from_json_cells(cls, tower: SubdivisionTower, level: int,
                         items: list) -> "OpenCellSet":
-        """The set of the level cells listed in their JSON form, each cell
-        gathered with its number in the one loop of cells_from_json."""
-        return cls._numbered(tower, level, *cells_from_json(tower, level, items))
+        """The set of the level cells listed in their JSON form, by the
+        numbers that cell_numbers_from_json looks up."""
+        return cls._numbered(tower, level, cell_numbers_from_json(tower, level, items))
 
     @classmethod
-    def _numbered(cls, tower: SubdivisionTower, level: int, cells: Iterable[CellT],
+    def _numbered(cls, tower: SubdivisionTower, level: int,
                   numbers: array) -> "OpenCellSet":
-        """The set of the given level cells, numbered by numbers in order."""
-        out = cls(tower, level, cells)
-        if len(out.cells) != len(numbers):  # a cell given twice
+        """The set of the level cells numbered by numbers, a number given
+        twice kept once; its cells are gathered on first read."""
+        out = cls(tower, level, ())
+        if len(set(numbers)) != len(numbers):
             numbers = array("i", sorted(set(numbers)))
-        out._numbers = numbers
+        out._cells, out._numbers = None, numbers
         return out
+
+    @property
+    def cells(self) -> frozenset[CellT]:
+        """The cells, the level's own tuples for a set made from numbers."""
+        if self._cells is None:
+            self._cells = frozenset(self._members())
+        return self._cells
+
+    def _members(self) -> Iterable[CellT]:
+        """The cells, without gathering a frozenset when there is none."""
+        if self._cells is None:
+            return map(self.tower.cells(self.level).__getitem__, self._numbers)
+        return self._cells
 
     def numbers(self) -> array:
         """The numbers of the cells, in no set order. Materializes the level;
@@ -553,7 +585,7 @@ class OpenCellSet:
         if self._numbers is None:
             position = self.tower.cell_index(self.level)
             try:
-                self._numbers = array("i", map(position.__getitem__, self.cells))
+                self._numbers = array("i", map(position.__getitem__, self._cells))
             except KeyError as exc:
                 raise TowerError(
                     f"{exc.args[0]} is not a cell of level {self.level}") from None
@@ -570,7 +602,7 @@ class OpenCellSet:
         return self.contains(self.tower.carrier(t, cell, self.level))
 
     def is_empty(self) -> bool:
-        return not self.cells
+        return not (self._cells if self._numbers is None else self._numbers)
 
     def materialize(self) -> "OpenCellSet":
         return self
@@ -604,14 +636,15 @@ class OpenCellSet:
         return not any(coarse.contains_at(t, c) for c in fine.cells)
 
     def dim(self) -> int:
-        return max((len(c) - 1 for c in self.cells), default=-1)
+        return max(map(len, self._members()), default=0) - 1
 
     def to_json(self) -> dict:
         return {"kind": "cells", "level": self.level,
-                "cells": [list(c) for c in sorted(self.cells)]}
+                "cells": [list(c) for c in sorted(self._members())]}
 
     def __repr__(self) -> str:
-        return f"OpenCellSet(level={self.level}, cells={len(self.cells)})"
+        size = len(self._cells if self._numbers is None else self._numbers)
+        return f"OpenCellSet(level={self.level}, cells={size})"
 
 
 class VertexStarSet:
@@ -702,16 +735,12 @@ def json_field(data: dict, name: str, kind: type, error: type[Exception]):
     return value
 
 
-def cells_from_json(tower: SubdivisionTower, t: int,
-                    items: list) -> tuple[list[CellT], array]:
-    """Level-t cells in their JSON form, each the strictly increasing list
-    of its level-t vertex numbers, as the level's own cell tuples and their
-    numbers, positions in cells(t), gathered in one loop. Materializes
-    level t (TowerSizeError over the cell budget) and raises TowerError at
-    the first item that is not one of cells(t)."""
+def cell_numbers_from_json(tower: SubdivisionTower, t: int, items: list) -> array:
+    """The numbers, positions in cells(t), of level-t cells in their JSON
+    form, each the strictly increasing list of its level-t vertex numbers.
+    Materializes level t (TowerSizeError over the cell budget) and raises
+    TowerError at the first item that is not one of cells(t)."""
     index = tower.cell_index(t)
-    level_cells = tower.cells(t)
-    cells: list[CellT] = []
     numbers = array("i")
     for data in items:
         if type(data) is not list:
@@ -724,10 +753,9 @@ def cells_from_json(tower: SubdivisionTower, t: int,
             i = index.get(cell)
             if i is not None:
                 numbers.append(i)
-                cells.append(level_cells[i])
                 continue
         raise TowerError(f"{data!r} is not a cell of level {t}")
-    return cells, numbers
+    return numbers
 
 
 def vertex_set_to_json(verts: frozenset[int] | int) -> dict:

@@ -449,7 +449,9 @@ def v1_bundle():
     enc = cell_encoder(bundle.tower)
     data = bundle.to_json()
     del data["format"]
-    for cellset in [*data["elements"], *(c["start"] for c in data["certificates"])]:
+    # a certificate start that is its element is the element's own object
+    cellsets = [*data["elements"], *(c["start"] for c in data["certificates"])]
+    for cellset in {id(c): c for c in cellsets}.values():
         cellset["cells"] = sorted(enc(cellset["level"], tuple(c)) for c in cellset["cells"])
     return data
 

@@ -212,6 +212,23 @@ def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch, dec
     assert built == [4]
 
 
+def test_a_wheel_build_and_its_verification_read_no_element_cells(monkeypatch):
+    # the builder makes its elements from numbers, and its snap checks,
+    # the signature walk and the verifier's snaps read only those numbers,
+    # so no element gathers the frozenset of its cell tuples
+    read = []
+    cells = OpenCellSet.cells
+
+    def counting_cells(self):
+        read.append(self)
+        return cells.fget(self)
+
+    monkeypatch.setattr(OpenCellSet, "cells", property(counting_cells))
+    bundle = build_cover(builtin("delta-2"), 0, 5)
+    assert verify_cover_bundle(bundle).ok
+    assert read and not any(r is el for r in read for el in bundle.elements)
+
+
 class CountingPositions(dict):
     """A level's cell numbers, counting every lookup of a cell."""
 

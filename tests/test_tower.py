@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -16,7 +17,7 @@ from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
 from kocover.complexes import CATALOG, components
-from kocover.tower import (_match_rows, cells_from_json, proper_faces,
+from kocover.tower import (_match_rows, cell_numbers_from_json, fubini, proper_faces,
                            vertex_set_from_json)
 
 
@@ -139,12 +140,11 @@ def test_cells_from_json_accepts_exactly_the_cells(small_towers, name, level, da
     is_cell = tuple(item) in set(cells)
     for tower in (materialized, fresh):
         if is_cell:
-            # the level's own tuple, not a copy of the item
-            (cell,), (i,) = cells_from_json(tower, level, [item])
-            assert cell is tower.cells(level)[i] and cell == tuple(item)
+            (i,) = cell_numbers_from_json(tower, level, [item])
+            assert tower.cells(level)[i] == tuple(item)
         else:
             with pytest.raises(TowerError, match=f"is not a cell of level {level}"):
-                cells_from_json(tower, level, [item])
+                cell_numbers_from_json(tower, level, [item])
     # decoding materialized the level
     assert fresh.level(level).cells_list == materialized.cells(level)
 
@@ -153,7 +153,7 @@ def test_cells_from_json_over_the_budget_is_a_size_error():
     # level 3 of delta-2 has 673 cells
     tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
     with pytest.raises(TowerSizeError, match="level 3 has 673 cells"):
-        cells_from_json(tower, 3, [[0]])
+        cell_numbers_from_json(tower, 3, [[0]])
 
 
 @pytest.mark.parametrize("verts", [[1, 0], [2, 2], [True], [-1], [7], ["a"]])
@@ -268,6 +268,80 @@ def test_tops_and_vbase_are_the_chain_maxima(name):
         assert list(lv.tops) == [max(c, key=lv.vdim.__getitem__) for c in cells]
         if t < tower.max_level:
             assert tower.level(t + 1).vbase == [tower.carrier(t, c, 0) for c in cells]
+
+
+def face_memo_counts(tower, t):
+    """Reference for SubdivisionTower._chain_counts: the chains with each
+    level-(t-1) cell as maximum, by a memo over its proper faces."""
+    lower = tower.cells(t - 1)
+    memo = {}
+    for c in sorted(lower, key=len):
+        memo[c] = 1 + sum(map(memo.__getitem__, proper_faces(c)))
+    return list(map(memo.__getitem__, lower))
+
+
+def test_fubini_numbers():
+    assert fubini(6) == [1, 1, 3, 13, 75, 541, 4683]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_chain_counts_are_the_face_memo_counts(name):
+    # every catalog level up to 3 that fits the oracle budget
+    tower = SubdivisionTower(builtin(name), max_cells=ORACLE_CELLS)
+    for t in range(1, 4):
+        try:
+            counts = face_memo_counts(tower, t)
+        except TowerSizeError:
+            break
+        assert tower._chain_counts(t) == counts
+        assert tower.count_cells(t) == sum(counts)
+
+
+@given(st.integers(1, 3), st.integers(4, 7), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_chain_counts_of_random_complexes(dim, nverts, seed):
+    tower = SubdivisionTower(random_complex(dim, nverts, seed), max_cells=20_000)
+    for t in range(1, 3):
+        assert tower._chain_counts(t) == face_memo_counts(tower, t)
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_level(name, t):
+    """A tower of a catalog complex with level t materialized, or None
+    when the level is over the oracle budget."""
+    tower = SubdivisionTower(builtin(name), max_cells=ORACLE_CELLS)
+    try:
+        tower.cells(t)
+    except TowerSizeError:
+        return None
+    return tower
+
+
+@given(name=st.sampled_from(sorted(CATALOG)), t=st.integers(0, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_set_from_numbers_is_the_eager_gather(name, t, data):
+    tower = catalog_level(name, t)
+    if tower is None:
+        return
+    cells = tower.cells(t)
+    numbers = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=60))
+    repeats = data.draw(st.lists(st.sampled_from(numbers), max_size=10)) if numbers else []
+    out = OpenCellSet.from_numbers(tower, t, numbers + repeats)
+    # each number kept once, and the order of the given numbers kept when
+    # none repeats
+    assert sorted(out.numbers()) == sorted(set(numbers))
+    if not repeats and len(set(numbers)) == len(numbers):
+        assert list(out.numbers()) == numbers
+    assert out.is_empty() == (not numbers)
+    assert out.dim() == max((len(cells[i]) - 1 for i in numbers), default=-1)
+    assert out.to_json() == OpenCellSet(tower, t, map(cells.__getitem__, numbers)).to_json()
+    # the first read of the cells gathers the eager set, once, from the
+    # level's own tuples
+    gathered = out.cells
+    assert gathered == frozenset(map(cells.__getitem__, numbers))
+    assert out.cells is gathered
+    position = tower.cell_index(t)
+    assert all(c is cells[position[c]] for c in gathered)
 
 
 def python_loop_index(tower, t):
