@@ -19,7 +19,7 @@ A snap has one rule, min-base-vertex: its components join each carrier
 cell to its faces in the carrier, and the members' base carriers are
 intersected per component. Every check is exact; a failure names the
 failing component that holds the least cell. Arrays are used only on a
-materialized level of more than tower.ARRAY_MIN_CELLS (1,000) cells:
+sized level of more than tower.ARRAY_MIN_CELLS (1,000) cells:
 there the snap reads the cell numbers the carrier set carries (replay
 hands each step the carrier as a set, so a first-step snap reads the
 numbers its start was decoded or built with) and is replayed on the
@@ -157,7 +157,7 @@ def replay(tower: SubdivisionTower, carrier: OpenCellSet,
         carrier = OpenCellSet(tower, carrier.level, carrier.cells)
     # refine and push send cells of a level to cells of a level, so only
     # the start can hold a cell that is not on its level
-    if tower.level(carrier.level).cells_list is not None:
+    if tower.is_sized(carrier.level):
         carrier.numbers()  # refuses a cell that is not on the level
     else:
         for c in carrier.cells:
@@ -229,8 +229,8 @@ def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> se
 
 def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
                           idx: int) -> set[int]:
-    """_snap_targets on the CellIndex of the carrier's materialized level,
-    over the carrier's cell numbers."""
+    """_snap_targets on the CellIndex of the carrier's sized level, over
+    the carrier's cell numbers; a witness is gathered from its block."""
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
@@ -249,19 +249,26 @@ def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
         # that does not depend on how the cells were numbered
         failing = member[empty[np.cumsum(first) - 1]]
         raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                          min(map(index.cells.__getitem__, failing.tolist())))
+                          min(tower.cells_at(carrier.level, failing.tolist())))
     return set(common.argmax(axis=1).tolist())  # the least common vertex
 
 
 def _final_verdict(tower: SubdivisionTower, target: Target, level: int,
                    cells: frozenset[CellT]) -> Verdict:
-    max_dim = max((len(c) - 1 for c in cells), default=-1)
-    max_base = max((tower.carrier0_dim(level, c) for c in cells), default=-1)
-    verdict = _target_verdict(target, max_dim, max_base)
+    """Judge the final carrier; a failing verdict's witness is the first
+    cell, in the set's order, over the target. A cell's base carrier is
+    carrier0: the cell itself at level 0, above it vbase of its chain
+    maximum, its last vertex."""
+    max_dim = max(map(len, cells), default=0) - 1
+    if level:
+        vbase = tower.level(level).vbase
+        base_dims = [len(vbase[c[-1]]) - 1 for c in cells]
+    else:
+        base_dims = [len(c) - 1 for c in cells]
+    verdict = _target_verdict(target, max_dim, max(base_dims, default=-1))
     if not verdict.passed:
         if target.kind == "skeletal":
-            verdict.witness = next(c for c in cells
-                                   if tower.carrier0_dim(level, c) > target.r)
+            verdict.witness = next(c for c, d in zip(cells, base_dims) if d > target.r)
         else:
             verdict.witness = next(c for c in cells if len(c) - 1 > target.r)
     return verdict

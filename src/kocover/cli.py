@@ -12,7 +12,7 @@ A command imports only what it runs. `bounds` and `cuplength` import
 stack (tower, certify, cover, product). No command loads numpy when it
 starts: numpy comes with the first CellIndex, which the wheel builder
 reads, and a certificate snap or a signature walk without a star DP on
-a materialized level of more than tower.ARRAY_MIN_CELLS (1,000) cells.
+a sized level of more than tower.ARRAY_MIN_CELLS (1,000) cells.
 So `cover verify` of an arc, trivial or star bundle on a catalog complex
 and `product verify` of torus-7 x s1 run without it, as every build but
 the wheel's does; `cover verify` of a wheel bundle loads it.

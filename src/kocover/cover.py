@@ -90,13 +90,14 @@ def cover_signatures(tower: SubdivisionTower,
 
     Every other element is read from the per-level membership tables of
     _membership, at the walk level below the stars in the DP. Without a DP
-    the walk level is materialized (TowerSizeError over the cell budget;
-    every bundle's explicit cells lie on a materialized level). On a level
-    of at most tower.ARRAY_MIN_CELLS cells its table is grouped in plain
-    Python, one (base-carrier dimension, mask, more than a vertex) triple
-    per cell; on a larger one the walk reads the level's CellIndex
-    (_indexed_signatures). The tables and the DP are plain Python, so a
-    walk with a star DP or on a small level loads no numpy.
+    the walk level is sized (TowerSizeError over the cell budget; every
+    bundle's explicit cells lie on a sized level). On a level of at most
+    tower.ARRAY_MIN_CELLS cells it is listed and its table grouped in
+    plain Python, one (base-carrier dimension, mask, more than a vertex)
+    triple per cell; on a larger one the walk reads the level's CellIndex
+    (_indexed_signatures) and lists no cell of its own. The tables and the
+    DP are plain Python, so a walk with a star DP or on a small level
+    loads no numpy.
     """
     if not elements:
         raise CoverError("empty family")
@@ -111,9 +112,10 @@ def cover_signatures(tower: SubdivisionTower,
     if dp:
         level -= 1
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
-    cells = tower.cells(level)
+    tower.sized(level)
     if not dp and not tower.is_small(level):
         return _indexed_signatures(tower, level, low, flag)
+    cells = tower.cells(level)
     masks, dims = _membership(tower, level, low)
     out: dict[int, set[int]] = {}
     if not dp:
@@ -234,9 +236,8 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     element holding a cell that is not on the level raises TowerError.
     """
     import numpy as np
-    cells = tower.cells(level)
     index = tower.index(level)
-    n = len(cells)
+    n = len(index.block)
     listed = [isinstance(el, OpenCellSet) and el.level == level for _, el in low]
     if not all(listed):
         masks, _ = _membership(tower, level, [e for e, x in zip(low, listed) if not x])
@@ -248,7 +249,7 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
             row[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
     base_dim = np.array([len(c) - 1 for c in tower.cells(0)], dtype=np.int8)
     dims = base_dim[index.carrier]
-    longer = np.fromiter(map(len, cells), dtype=np.int32, count=n) > 1
+    longer = index.size > 1
     keys = [*rows, dims, longer]
     order = np.lexsort(keys)
     first = np.zeros(n, dtype=bool)  # does a group of equal columns start here?
@@ -556,6 +557,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     The search runs on the level's CellIndex, the one the snaps replay on:
     regions, rings, cracks and miss counts are arrays over cell numbers,
     and an element's arcs at one edge slot are one search over all 2-cells.
+    No level-4 cell tuple is listed: a vertex's singleton leads its block.
     """
     import numpy as np
     level = 4
@@ -564,14 +566,13 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
             f"wheel cracks need subdivision level {level}, over the cap "
             f"{tower.max_level} (KO_COVER_MAX_LEVEL)")
     try:
-        cells = tower.cells(level)
+        index = tower.index(level)
     except TowerSizeError as exc:
         raise ConstructionError(f"wheel cracks: {exc}") from None
-    index = tower.index(level)
-    n = len(cells)
+    n = len(index.block)
     base = tower.cell_index(0)
     carrier_dim = np.array([len(c) - 1 for c in base])[index.carrier]
-    dim = np.fromiter(map(len, cells), dtype=np.int8, count=n) - 1
+    dim = index.size - 1
     two_cells = [c for c in cx.cells() if len(c) == 3]
     base_edges = [c for c in cx.cells() if len(c) == 2]
 
@@ -586,7 +587,8 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     for f, k in Counter(f for t in two_cells for f in proper_faces(t)).items():
         shared[base[f]] = k > 1
     region = np.zeros(n, dtype=bool)
-    region[[index.position[(tower.barycenter(t, level),)] for t in two_cells]] = True
+    # the singleton (v,) leads the block of v
+    region[index.block_start[[tower.barycenter(t, level) for t in two_cells]]] = True
     cracks = np.zeros((m, n), dtype=bool)  # element i misses ring i+1
     for ring in cracks:
         # the region is closed, so the cells with a face in it are the
@@ -606,7 +608,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     edge_vert: dict[CellT, list[int]] = {}  # base edge -> cell number per element
     for e in base_edges:
         path = _edge_path_vertices(tower, level, e)
-        edge_vert[e] = [index.position[(path[p],)] for p in positions]
+        edge_vert[e] = index.block_start[[path[p] for p in positions]].tolist()
         cracks[np.arange(m), edge_vert[e]] = True
     counts = cracks.sum(axis=0)
     if (counts > carrier_dim).any():

@@ -6,59 +6,68 @@ level t+1 is a chain of level-t cells, stored as a strictly increasing
 tuple of vertex ids. Chain elements have pairwise distinct dimensions, so
 the inclusion order of a chain is recovered by sorting on dimension.
 
-Deep levels explode factorially. Levels are materialized lazily and only
-up to a cell budget; one level beyond the last materialized level can
-still be enumerated by streaming chains of the level below. Decoded
-cells live on a materialized level.
+Deep levels explode factorially. Levels are sized and materialized
+lazily and only up to a cell budget; one level beyond the last
+materialized level can still be enumerated by streaming chains of the
+level below. Decoded cells live on a materialized level.
 
-An OpenCellSet on a materialized level carries its cell numbers, their
+An OpenCellSet on a sized level carries its cell numbers, their
 positions in cells(t), as an array('i'). A set made from numbers (the
 wheel builder's, the arc builder's, a materialized star's, a decoded
 one) keeps only those numbers, each once, and gathers the frozenset of
-the level's own tuples on the first read of its cells; any other set
-looks its numbers up once, on first use. The signature walk and a snap on
-a CellIndex read only the numbers, so a wheel element is built, verified
-and decoded without a set of its cell tuples.
+its cell tuples on the first read of its cells (from the level's list,
+or block by block on a level that is only sized); any other set looks
+its numbers up once, on first use. The signature walk and a snap on a
+CellIndex read only the numbers, so a wheel element is built and
+verified without a cell tuple of its level.
 
 Each level is built from the tables of the level below, faces first. The
-chains with one maximum c, the block of c, are c alone and then the
-blocks of c's faces with c added, so every block is computed once from
-the memoized blocks of its faces, and a level lists the blocks of the
-lower cells in order. Every lower cell is a simplex whose faces all lie
-on its level, so its block holds the chains of a simplex's face poset
-that end at the simplex itself: a Fubini number of its vertex count
-(1, 3, 13, 75, 541, ...), which sizes the level before it is built with
-no walk over faces. The chains of one maximum are contiguous, so the
-level's tops table, the chain-maximum vertex of every cell, is each lower
-cell's number repeated by its count. Through tops, the base carriers of
-the next level's vertices, the membership tables of the signature walk
-and the base carriers of a CellIndex are gathers, not a maximum per
-cell.
+chains with one maximum c, the block of c, are contiguous, and a level
+lists the blocks of the lower cells in order. Every lower cell is a
+simplex whose faces all lie on its level, so its block is the same for
+every cell with k vertices: the chains of a (k-1)-simplex's faces that
+end at the simplex, a Fubini number of them (1, 3, 13, 75, 541, ...).
+One template per k, built on first use, holds them as face slots in
+block order, and a block is one gather over the vertex numbers of its
+cell's faces. The counts size a level before it is built, with no walk
+over faces: a sized level has its tops table, the chain-maximum vertex of
+every cell (each lower cell's number repeated by its count), and the
+first cell of every block, checked against the cell budget, and lists
+its cell tuples only when something reads them. Through tops, the base
+carriers of the next level's vertices, the membership tables of the
+signature walk and the base carriers of a CellIndex are gathers, not a
+maximum per cell.
 
 CellIndex is where kocover starts using arrays: numpy is imported when one
 is built, not when this module loads, so materializing levels, their tops,
 the chain counts and the cell numbers of a set never load it. A CellIndex
-indexes one whole materialized level, built once (tower.index), and its
-face pairs are matched as rows of vertex numbers, with exact int64 keys.
-Its components contract whole chain blocks first: a block the set holds
-whole is one node, joined to another whole block through the face pair
-of their maxima, and only the face pairs with an end in a block held in
-part are read cell by cell. One size rule, ARRAY_MIN_CELLS, decides
-where arrays are used: only on a materialized level of more than 1,000
-cells. A signature walk or a snap on any other level (is_small) runs in
-plain Python, on a level that was only streamed too. A plain snap costs
-4-5 us a cell against 0.4-0.6 us on an index that exists (0.17-0.21 us
-on a wheel element, which holds nearly every block whole), and an index
-takes 1-2 ms to build, so at most about 5 ms at the rule, well under the
-100-120 ms that importing numpy adds to a fresh process; every wheel
-level has 3,937 cells or more (delta-2 level 4: 1.3-1.5 ms indexed on a
-random 80% carrier, 15-17 ms plain).
+indexes one whole sized level, built once (tower.index) from the index of
+the level below, whose face table gives every block's face cells: the
+template of each cell size names the face (its maximum's slot and its
+position in that slot's block) of every chain, so the face pairs are
+gathers and no level-t tuple is read. A wheel level is searched, walked
+and snapped on its index without listing its cells. The components of a
+set contract whole chain blocks first: a block the set holds whole is one
+node, joined to another whole block through the face pair of their
+maxima, and only the face pairs with an end in a block held in part are
+read cell by cell. One size rule, ARRAY_MIN_CELLS, decides where arrays
+are used: only on a sized level of more than 1,000 cells. A signature
+walk or a snap on any other level (is_small) runs in plain Python, on a
+level that was only streamed too. A plain snap costs 4-5 us a cell
+against 0.4-0.6 us on an index that exists (0.17-0.21 us on a wheel
+element, which holds nearly every block whole), and an index takes 1-2 ms
+to build, so at most about 5 ms at the rule, well under the 100-120 ms
+that importing numpy adds to a fresh process; every wheel level has 3,937
+cells or more (delta-2 level 4: 1.3-1.5 ms indexed on a random 80%
+carrier, 15-17 ms plain).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 from array import array
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator
@@ -72,7 +81,7 @@ CellT = tuple[int, ...]
 
 DEFAULT_MAX_LEVEL = 4
 DEFAULT_MAX_CELLS = 600_000
-# a signature walk or a snap runs on a CellIndex only on a materialized
+# a signature walk or a snap runs on a CellIndex only on a sized
 # level of more than this many cells; on any other level it runs in plain
 # Python (a few ms at most, well under the numpy import it saves a fresh
 # process)
@@ -114,6 +123,65 @@ def proper_faces(cell: CellT) -> Iterator[CellT]:
         yield from itertools.combinations(cell, k)
 
 
+class _Template:
+    """The block of a cell with k vertices, the same for every such cell.
+
+    A face of the cell is named by its slot: slot s < 2^k - 2 is the s-th
+    proper face in proper_faces order, slot 2^k - 2 the cell itself. slots
+    lists the chains of the block in block order, each as the slots of its
+    members from the smallest up: a level lists each cell after its faces,
+    so their vertex numbers then increase. The block of a cell c is the
+    singleton (c,) followed, for each face f of c from the smallest up, by
+    every chain of f's block with c added. Chain 0 is the singleton; chain
+    j + 1 is gathered by gathers[j], and masks[j] has bit s set when it
+    holds slot s.
+    """
+
+    def __init__(self, k: int):
+        simplex = tuple(range(k))
+        self.faces = [*proper_faces(simplex), simplex]
+        self.slot = {f: s for s, f in enumerate(self.faces)}
+        # every face's block, chains as tuples of faces, faces first
+        self.blocks: dict[CellT, list[tuple[CellT, ...]]] = {}
+        for f in sorted(self.faces, key=len):
+            self.blocks[f] = [(f,)] + [ch + (f,) for g in reversed(list(proper_faces(f)))
+                                       for ch in self.blocks[g]]
+        self.slots = [tuple(map(self.slot.__getitem__, ch)) for ch in self.blocks[simplex]]
+        self.gathers = [operator.itemgetter(*s) for s in self.slots[1:]]
+        self.masks = [sum(1 << s for s in ch) for ch in self.slots[1:]]
+
+    @functools.cached_property
+    def face_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(size, slot, position): the vertex count of every chain of the
+        block, and for each chain in block order, its proper faces in
+        proper_faces order, each the slot of the face's maximum and its
+        position in that slot's block."""
+        import numpy as np
+        position = {ch: p for block in self.blocks.values() for p, ch in enumerate(block)}
+        faces = [sub for ch in self.blocks[self.faces[-1]] for sub in proper_faces(ch)]
+        return (np.array(list(map(len, self.slots)), dtype=np.int32),
+                np.array([self.slot[sub[-1]] for sub in faces], dtype=np.intp),
+                np.array(list(map(position.__getitem__, faces)), dtype=np.int32))
+
+
+_template = functools.cache(_Template)  # built on first use, once per k
+
+
+def _block(vid: dict[CellT, int], c: CellT, within: Container[CellT] | None = None
+           ) -> list[CellT]:
+    """The level-t cells with maximum c, a level-(t-1) cell, whose
+    members all lie in within when it is given (c itself must): one
+    gather from its template over the vertex numbers vid gives c's faces."""
+    template = _template(len(c))
+    faces = list(proper_faces(c))
+    ids = [*map(vid.__getitem__, faces), vid[c]]
+    if within is None:
+        return [(ids[-1],), *[g(ids) for g in template.gathers]]
+    out = sum(1 << s for s, f in enumerate(faces) if f not in within)
+    return [(ids[-1],), *[g(ids) for g, mask in zip(template.gathers, template.masks)
+                          if not mask & out]]
+
+
 class _Level:
     """Vertex tables for one tower level.
 
@@ -121,9 +189,13 @@ class _Level:
     level 0, and the level-(t-1) cell at level t, so that verts and its
     inverse vert_id are the lower level's cells_list and cell_index. vdim
     is the dimension of that underlying cell; vbase is the base cell whose
-    open cell contains the vertex point. Once the level's cells are
-    materialized, tops[i] is the vertex of cells_list[i] of largest
-    dimension, its chain maximum (levels 1 and up).
+    open cell contains the vertex point.
+
+    Once the level is sized, count is its number of cells and, on levels 1
+    and up, tops[i] is the chain maximum of cell i, the vertex of largest
+    dimension, and starts[v] the number of the first cell of the block of
+    vertex v, its singleton (v,). cells_list and cell_index, the cell
+    tuples and their numbers, are listed only when read.
     """
 
     def __init__(self, t: int, verts: list, vert_id: dict, vdim: list[int],
@@ -133,8 +205,10 @@ class _Level:
         self.vert_id = vert_id
         self.vdim = vdim
         self.vbase = vbase
-        self.cells_list: list[CellT] | None = None
+        self.count: int | None = None
         self.tops: array | None = None
+        self.starts: array | None = None
+        self.cells_list: list[CellT] | None = None
         # position of each cell in cells_list, its dense cell number
         self.cell_index: dict[CellT, int] | None = None
         self.index: CellIndex | None = None
@@ -152,7 +226,8 @@ class SubdivisionTower:
         lvl0 = _Level(0, list(verts), dict(zip(verts, verts)), [0] * len(verts),
                       [(i,) for i in verts])
         lvl0.cells_list = list(base.cells())
-        lvl0.cell_index = dict(zip(lvl0.cells_list, range(len(lvl0.cells_list))))
+        lvl0.count = len(lvl0.cells_list)
+        lvl0.cell_index = dict(zip(lvl0.cells_list, range(lvl0.count)))
         self._levels: list[_Level] = [lvl0]
 
     # -- level materialization ------------------------------------------
@@ -176,31 +251,65 @@ class SubdivisionTower:
                                        [len(c) - 1 for c in lower_cells], vbase))
         return self._levels[t]
 
-    def cells(self, t: int) -> list[CellT]:
-        """All cells of level t, materialized (guarded by the cell budget).
-
-        The chains with one maximum are contiguous, so the level's tops
-        table is each lower cell's number repeated by its chain count."""
+    def sized(self, t: int) -> int:
+        """The number of level-t cells, checked against the cell budget
+        (TowerSizeError), with the level's tops and block starts; lists no
+        level-t cell. The chains with one maximum are contiguous, so tops
+        is each lower cell's number repeated by its chain count."""
         lv = self.level(t)
-        if lv.cells_list is None:
+        if lv.count is None:
             counts = self._chain_counts(t)
             n = sum(counts)
             if n > self.max_cells:
                 raise TowerSizeError(
                     f"level {t} has {n} cells, over the materialization budget "
                     f"{self.max_cells}")
-            lv.cells_list = list(self.iter_cells(t))
-            lv.cell_index = dict(zip(lv.cells_list, range(n)))
             lv.tops = array("i", itertools.chain.from_iterable(
                 map(itertools.repeat, range(len(counts)), counts)))
+            lv.starts = array("i", itertools.accumulate(counts, initial=0))
+            lv.starts.pop()  # the total
+            lv.count = n
+        return lv.count
+
+    def is_sized(self, t: int) -> bool:
+        """Has level t been sized (by sized, cells or index)?"""
+        return self.level(t).count is not None
+
+    def cells(self, t: int) -> list[CellT]:
+        """All cells of level t, listed (the level sized first, under the
+        cell budget)."""
+        lv = self.level(t)
+        if lv.cells_list is None:
+            self.sized(t)
+            lv.cells_list = list(self.iter_cells(t))
+            lv.cell_index = dict(zip(lv.cells_list, range(lv.count)))
         return lv.cells_list
 
+    def cells_at(self, t: int, numbers: Iterable[int]) -> list[CellT]:
+        """The level-t cells numbered by numbers, in their order: the
+        listed tuples, or on a level that is only sized, each gathered
+        from its block, which leaves the level unlisted."""
+        lv = self.level(t)
+        if lv.cells_list is not None:
+            return list(map(lv.cells_list.__getitem__, numbers))
+        self.sized(t)
+        lower, vid, tops, starts = lv.verts, lv.vert_id, lv.tops, lv.starts
+        blocks: dict[int, list[CellT]] = {}
+        out = []
+        for i in numbers:
+            c = tops[i]
+            block = blocks.get(c)
+            if block is None:
+                block = blocks[c] = _block(vid, lower[c])
+            out.append(block[i - starts[c]])
+        return out
+
     def is_small(self, t: int) -> bool:
-        """Is level t not materialized, or materialized with at most
-        ARRAY_MIN_CELLS cells? A walk or a snap on such a level runs in
-        plain Python, on any other on the level's CellIndex."""
-        cells = self.level(t).cells_list
-        return cells is None or len(cells) <= ARRAY_MIN_CELLS
+        """Is level t not sized, or sized with at most ARRAY_MIN_CELLS
+        cells? A walk or a snap on such a level runs in plain Python, on
+        any other on the level's CellIndex."""
+        count = self.level(t).count
+        return count is None or count <= ARRAY_MIN_CELLS
 
     def is_chain(self, t: int, cell: CellT) -> bool:
         """Is cell one of the cells of level t >= 1, a strictly increasing
@@ -220,11 +329,12 @@ class SubdivisionTower:
         return self._levels[t].cell_index  # type: ignore[return-value]
 
     def index(self, t: int) -> "CellIndex":
-        """The CellIndex of level t, built the first time it is asked for;
-        materializes the level (guarded by the cell budget)."""
-        self.cells(t)
-        lv = self._levels[t]
+        """The CellIndex of level t, built the first time it is asked for,
+        with those of the levels below; sizes the level (guarded by the
+        cell budget) and lists none of its cells."""
+        lv = self.level(t)
         if lv.index is None:
+            self.sized(t)
             lv.index = CellIndex(self, t)
         return lv.index
 
@@ -243,44 +353,14 @@ class SubdivisionTower:
     def chains(self, t: int, tops: Iterable[CellT],
                within: Container[CellT] | None = None) -> Iterator[CellT]:
         """Level-t cells whose chain maximum is in tops (level t-1 cells)
-        and, when within is given, whose members all lie in within.
-
-        The chains with maximum c, its block, are the singleton (c,)
-        followed, for each face f of c from the smallest up, by every chain
-        of f's block with c added: the order of a descent from each top
-        through faces of the current minimum. Each block is computed once
-        and kept for the rest of the walk, unless its cell has as many
-        vertices as the largest base facet and so is no proper face.
-        """
+        and, when within is given, whose members all lie in within: the
+        block of each top, gathered from its cell size's template, in
+        block order (the order of a descent from each top through faces of
+        the current minimum)."""
         vid = self.level(t).vert_id
-        if within is not None:
-            tops = [c for c in tops if c in within]
-        longest = self.base.dim + 1
-        blocks: dict[CellT, list[CellT]] = {}
         for top in tops:
-            block = blocks.get(top)
-            if block is None:
-                block = self._chain_block(top, vid, within, blocks)
-                if len(top) < longest:
-                    blocks[top] = block
-            yield from block
-
-    def _chain_block(self, c: CellT, vid: dict[CellT, int],
-                     within: Container[CellT] | None,
-                     blocks: dict[CellT, list[CellT]]) -> list[CellT]:
-        """The block of c, from the blocks of its faces, memoized in blocks
-        (a method, not a closure, so that no reference cycle keeps the
-        blocks alive after the walk). A level lists each cell after its
-        faces, so vid[c] tops every face's chain and keeps it sorted."""
-        v = (vid[c],)
-        block = [v]
-        for f in reversed(list(proper_faces(c))):
-            if within is None or f in within:
-                face_block = blocks.get(f)
-                if face_block is None:
-                    face_block = blocks[f] = self._chain_block(f, vid, within, blocks)
-                block += [ch + v for ch in face_block]
-        return block
+            if within is None or top in within:
+                yield from _block(vid, top, within)
 
     def _chain_counts(self, t: int) -> list[int]:
         """Number of level-t chains with each level-(t-1) cell as maximum,
@@ -357,63 +437,79 @@ class SubdivisionTower:
 
 
 class CellIndex:
-    """Dense numbers, face incidence, chain blocks and base carriers of the
-    cells of one materialized level t.
+    """Face incidence, chain blocks and base carriers of the cells of one
+    sized level t, by cell number, built from the index of level t-1
+    without reading a level-t cell tuple.
 
-    Cell i is cells[i], the level's cells_list, and position, the level's
-    cell_index, maps each cell to its number. The face pairs (face_cell[k],
-    face[k]) list every cell with each of its proper faces, cell-major and
-    each cell's faces in proper_faces order. carrier[i] numbers carrier0
-    of cell i among the base cells, and base_verts is the base cells x
-    base vertices table of "v is a vertex of that cell".
+    size[i] is the number of vertices of cell i. The face pairs
+    (face_cell[k], face[k]) list every cell with each of its proper faces,
+    cell-major and each cell's faces in proper_faces order. carrier[i]
+    numbers carrier0 of cell i among the base cells, and base_verts is the
+    base cells x base vertices table of "v is a vertex of that cell".
 
     The cells that share one chain maximum c, a cell of level t-1, form
     block c: block[i] is the block of cell i (the level's tops table, not a
     copy), and block c is the block_size[c] cells from block_start[c] on,
     led by the singleton (c,). The block pairs (block_cell[k],
-    block_face[k]) are the face pairs of level t-1, one for each 2-vertex
-    cell: its block and its other vertex. At level 0 every cell is its own
-    block and the block pairs are the face pairs.
+    block_face[k]) are the face pairs of level t-1: each is a 2-vertex
+    cell, in the block of the pair's cell, whose other vertex is its face.
+    At level 0 every cell is its own block and the block pairs are the
+    face pairs.
+
+    Above level 0 the face pairs are gathers. Cell j of block c is chain j
+    of the template of c's vertex count k, and each of its proper faces is
+    a chain of the block of one face f of c: f's slot in c and the chain's
+    position in f's block are the template's, and the number of f is read
+    from the face pairs of level t-1 (the slot of c itself is c).
     """
 
     def __init__(self, tower: SubdivisionTower, t: int):
         import numpy as np
-        lv = tower.level(t)
         self.t = t
-        self.cells = cells = lv.cells_list
-        self.position = lv.cell_index
-        n = len(cells)
-        size = np.fromiter(map(len, cells), dtype=np.int32, count=n)
-        flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int32,
-                           count=int(size.sum()))
-        # the numbers and the vertex rows of the cells with k vertices
-        groups = {k: (np.flatnonzero(size == k),
-                      flat[np.repeat(size == k, size)].reshape(-1, k))
-                  for k in np.flatnonzero(np.bincount(size)).tolist()}
-        self.face_cell, self.face = _face_pairs(groups, size, int(flat.max(initial=0)) + 1)
         if t == 0:
-            self.block = np.arange(n, dtype=np.int32)
-            self.block_cell, self.block_face = self.face_cell, self.face
+            cells, position = tower.cells(0), tower.cell_index(0)
+            n = len(cells)
+            self.size = np.fromiter(map(len, cells), dtype=np.int32, count=n)
+            self.face = np.fromiter((position[f] for c in cells for f in proper_faces(c)),
+                                    dtype=np.int32)
+            self.block = self.block_start = self.carrier = np.arange(n, dtype=np.int32)
+            self.block_size = np.ones(n, dtype=np.intp)
+            self.base_verts = np.zeros((n, len(tower.base.vertices)), dtype=bool)
+            for i, c in enumerate(cells):
+                self.base_verts[i, list(c)] = True
         else:
+            low = tower.index(t - 1)
+            lv = tower.level(t)
             self.block = np.frombuffer(lv.tops, dtype=np.int32)
-            # each 2-vertex cell lies in the block of one vertex, and its
-            # other vertex is a face of that one
-            nums, rows = groups.get(2, (np.empty(0, dtype=np.intp),
-                                        np.empty((0, 2), dtype=np.int32)))
-            self.block_cell = self.block[nums]
-            self.block_face = rows[:, 0] + rows[:, 1] - self.block_cell
-        # every block holds at least its singleton
-        self.block_size = np.bincount(self.block)
-        self.block_start = (np.cumsum(self.block_size) - self.block_size).astype(np.int32)
-        # the base cells' own numbers, gathered through the tops table of
-        # each level from 1 to t
-        self.carrier = np.arange(len(tower.cells(0)), dtype=np.int32)
-        for s in range(1, t + 1):
-            self.carrier = self.carrier[np.frombuffer(tower.level(s).tops, dtype=np.int32)]
-        base = tower.cell_index(0)
-        self.base_verts = np.zeros((len(base), len(tower.base.vertices)), dtype=bool)
-        for c, i in base.items():
-            self.base_verts[i, list(c)] = True
+            self.block_start = np.frombuffer(lv.starts, dtype=np.int32)
+            self.block_size = np.bincount(self.block, minlength=len(self.block_start))
+            self.carrier = low.carrier[self.block]
+            self.base_verts = low.base_verts
+            n = len(self.block)
+            self.size = np.empty(n, dtype=np.int32)
+            # the face pairs, block by block: one template per vertex count
+            # (bincount, as np.unique imports numpy.ma: 0.5 MB resident)
+            sizes = np.flatnonzero(np.bincount(low.size)).tolist()
+            tables = {k: _template(k).face_table for k in sizes}
+            width = np.zeros(max(sizes, default=0) + 1, dtype=np.intp)
+            for k, (size, _, _) in tables.items():
+                width[k] = int((2 ** size - 2).sum())
+            self.face = np.empty(int(width[low.size].sum()), dtype=np.int32)
+            low_width = 2 ** low.size - 2
+            for k, (size, slot, pos) in tables.items():
+                is_k = low.size == k
+                lower = np.flatnonzero(is_k)
+                # the numbers of the faces of each k-vertex cell, itself last
+                faces = np.empty((len(lower), 2 ** k - 1), dtype=np.int32)
+                faces[:, :-1] = low.face[np.repeat(is_k, low_width)].reshape(len(lower), -1)
+                faces[:, -1] = lower
+                self.size[np.repeat(is_k, self.block_size)] = np.tile(size, len(lower))
+                self.face[np.repeat(is_k, width[low.size])] = \
+                    (self.block_start[faces[:, slot]] + pos).ravel()
+            self.block_cell, self.block_face = low.face_cell, low.face
+        self.face_cell = np.repeat(np.arange(n, dtype=np.int32), 2 ** self.size - 2)
+        if t == 0:
+            self.block_cell, self.block_face = self.face_cell, self.face
 
     def components(self, pos: np.ndarray) -> np.ndarray:
         """Connected components of the cells numbered pos, two of them
@@ -445,13 +541,13 @@ class CellIndex:
         if not whole[at].all():
             # 0 absent, 1 in a whole block, 2 in a block held in part: a
             # face pair is read when both ends are present and one is in part
-            state = np.zeros(len(self.cells), dtype=np.uint8)
+            state = np.zeros(len(block), dtype=np.uint8)
             state[pos] = 2 - whole[at]
             keep = state[self.face_cell] * state[self.face] > 1
             u = np.concatenate((u, self.face_cell[keep]))
             v = np.concatenate((v, self.face[keep]))
         parent = np.where(whole[block], start[block],
-                          np.arange(len(self.cells), dtype=np.int32))
+                          np.arange(len(block), dtype=np.int32))
         while True:
             pu, pv = parent[u], parent[v]
             split = pu != pv
@@ -466,57 +562,6 @@ class CellIndex:
                 parent = jumped
 
 
-def _face_pairs(groups: dict[int, tuple[np.ndarray, np.ndarray]], size: np.ndarray,
-                radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (cell, face) pair of the cells of a level, cell-major and each
-    cell's faces in proper_faces order.
-
-    size holds the number of vertices of each cell, and groups maps k to
-    the numbers and vertex rows of the cells with k vertices, whose entries
-    lie below radix. A level is a complex, so each cell with k vertices has
-    all its 2^k - 2 proper faces on it, and they fill its 2^k - 2 slots:
-    those with k - 1 vertices first, each size in combinations order. The
-    slots of the cells with k vertices are filled as one block, placed by
-    a mask.
-    """
-    import numpy as np
-    width = 2 ** size - 2
-    face_cell = np.repeat(np.arange(len(size), dtype=np.int32), width)
-    face = np.empty(len(face_cell), dtype=np.int32)
-    for k, (cells, rows) in groups.items():
-        block = np.empty((len(cells), 2 ** k - 2), dtype=np.int32)
-        filled = 0
-        for j in range(k - 1, 0, -1):
-            combos = np.array(list(itertools.combinations(range(k), j)))
-            nums, faces = groups[j]
-            block[:, filled:filled + len(combos)] = \
-                nums[_match_rows(faces, radix, [rows[:, c] for c in combos.T])]
-            filled += len(combos)
-        face[np.repeat(size == k, width)] = block.ravel()
-    return face_cell, face
-
-
-def _match_rows(rows: np.ndarray, radix: int, columns: list[np.ndarray]) -> np.ndarray:
-    """For the queries whose j entries are columns[0..j-1], elementwise, the
-    index of the equal row of rows (distinct rows of j entries); each query
-    must equal one of them.
-
-    Entries lie below radix. A row is keyed by the rank of its prefix among
-    the distinct prefixes of rows, times radix, plus its next entry, one
-    column at a time, so keys stay below len(rows) * radix and are exact in
-    int64 whatever the number of columns.
-    """
-    import numpy as np
-    key = rows[:, 0].astype(np.int64)
-    query = columns[0].astype(np.int64)
-    for col, qcol in zip(rows.T[1:], columns[1:]):
-        prefixes, rank = np.unique(key, return_inverse=True)
-        query = np.searchsorted(prefixes, query) * radix + qcol
-        key = rank.reshape(-1) * radix + col
-    order = np.argsort(key)
-    return order[np.searchsorted(key[order], query)]
-
-
 # -- open cell sets ----------------------------------------------------------
 
 
@@ -527,7 +572,7 @@ class OpenCellSet:
     their positions in cells(level), as an array('i'), each made from the
     other on first use. A set made from numbers (from_numbers and the
     decoder) holds only the numbers, each once, until its cells are read,
-    and then gathers the level's own tuples; any other set looks its
+    and then gathers them with cells_at; any other set looks its
     numbers up once, when they are first asked for. The two come from one
     source either way, so they cannot disagree.
     """
@@ -544,8 +589,8 @@ class OpenCellSet:
     def from_numbers(cls, tower: SubdivisionTower, level: int,
                      numbers: Iterable[int]) -> "OpenCellSet":
         """The set of the level cells numbered by numbers, nonnegative
-        positions in cells(level), which this materializes."""
-        tower.cells(level)
+        positions in cells(level); sizes the level and lists none of it."""
+        tower.sized(level)
         return cls._numbered(tower, level, array("i", numbers))
 
     @classmethod
@@ -576,7 +621,7 @@ class OpenCellSet:
     def _members(self) -> Iterable[CellT]:
         """The cells, without gathering a frozenset when there is none."""
         if self._cells is None:
-            return map(self.tower.cells(self.level).__getitem__, self._numbers)
+            return self.tower.cells_at(self.level, self._numbers)
         return self._cells
 
     def numbers(self) -> array:
@@ -639,6 +684,10 @@ class OpenCellSet:
         return max(map(len, self._members()), default=0) - 1
 
     def to_json(self) -> dict:
+        if self._cells is None:
+            # a bundle writes every element, which together read nearly
+            # every block: list the level once rather than gather each
+            self.tower.cells(self.level)
         return {"kind": "cells", "level": self.level,
                 "cells": [list(c) for c in sorted(self._members())]}
 

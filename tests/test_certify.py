@@ -337,16 +337,16 @@ def test_indexed_snap_matches_union_find(small_towers, name, level, density, str
     tower = small_towers[name]
     cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
     index = tower.index(level)
-    lv = tower.level(level)
-    assert index is lv.index and index.position is lv.cell_index
+    assert index is tower.level(level).index
+    listed, position = tower.cells(level), tower.cell_index(level)
     pos = np.frombuffer(OpenCellSet(tower, level, cells).numbers(), dtype=np.int32)
-    assert sorted(index.cells[p] for p in pos.tolist()) == sorted(cells)
+    assert sorted(listed[p] for p in pos.tolist()) == sorted(cells)
     root = index.components(pos)
     parts = {}
     for p, r in zip(pos.tolist(), root.tolist()):
-        parts.setdefault(r, set()).add(index.cells[p])
+        parts.setdefault(r, set()).add(listed[p])
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, face_components(cells)))
-    assert all(r == min(index.position[c] for c in part) for r, part in parts.items())
+    assert all(r == min(position[c] for c in part) for r, part in parts.items())
     assert_snap_matches_oracle(tower, level, cells)
 
 

@@ -195,7 +195,8 @@ def test_wheel_cover_structure():
 @pytest.mark.parametrize("decoded", [False, True], ids=["built", "decoded"])
 def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch, decoded):
     # the builder searches on level 4's one index and its snaps replay on
-    # it; decoding materializes level 4, so the five snaps share its index
+    # it; decoding materializes level 4, so the five snaps share its index.
+    # Each index is built from the one below, so every level has one
     built = []
     init = CellIndex.__init__
 
@@ -209,7 +210,7 @@ def test_verifying_a_decoded_wheel_bundle_builds_one_cell_index(monkeypatch, dec
         bundle = CoverBundle.from_json(json.loads(json.dumps(bundle.to_json())))
         built.clear()
     assert verify_cover_bundle(bundle).ok
-    assert built == [4]
+    assert built == [4, 3, 2, 1, 0]
 
 
 def test_a_wheel_build_and_its_verification_read_no_element_cells(monkeypatch):
@@ -227,6 +228,18 @@ def test_a_wheel_build_and_its_verification_read_no_element_cells(monkeypatch):
     bundle = build_cover(builtin("delta-2"), 0, 5)
     assert verify_cover_bundle(bundle).ok
     assert read and not any(r is el for r in read for el in bundle.elements)
+
+
+@pytest.mark.parametrize("spec, m", [("delta-2", 6), ("boundary-delta-3", 6),
+                                     ("random:2:7:161751", 5)])
+def test_a_wheel_build_and_its_verification_list_no_level_4_cell(spec, m):
+    # the builder searches, and the signature walk and the snaps read, the
+    # index of level 4, built from level 3's without a level-4 tuple
+    bundle = build_cover(builtin(spec), 0, m)
+    assert bundle.construction == "wheel-cracks"
+    assert verify_cover_bundle(bundle).ok
+    assert bundle.tower.level(4).cells_list is None
+    assert bundle.tower.level(3).cells_list is not None
 
 
 class CountingPositions(dict):
@@ -255,7 +268,7 @@ def test_verifying_a_decoded_wheel_bundle_looks_up_no_cell():
     lv = bundle.tower.level(4)
     lv.cell_index = counting = CountingPositions(lv.cell_index)
     assert verify_cover_bundle(bundle).ok
-    assert bundle.tower.cell_index(4) is counting and lv.index.position is counting
+    assert bundle.tower.cell_index(4) is counting
     assert counting.lookups == 0
 
 
@@ -333,8 +346,8 @@ def arc_levels():
         cx = builtin(spec)
         tower = SubdivisionTower(cx)
         index = tower.index(4)
-        n = len(index.cells)
-        dim = np.array([len(c) - 1 for c in index.cells])
+        n = len(index.block)
+        dim = index.size - 1
         base = tower.cell_index(0)
         two_cells = [c for c in cx.cells() if len(c) == 3]
         cell_of = np.full(len(base), -1)
@@ -347,7 +360,7 @@ def arc_levels():
         other = ends[:, ::-1].ravel()[order]
         edge = np.repeat(index.face_cell[pair[::2]], 2)[order]
         offsets = np.searchsorted(vertex, np.arange(n + 1))
-        on_edge = {e: [index.position[(v,)] for v in _edge_path_vertices(tower, 4, e)[1:-1]]
+        on_edge = {e: index.block_start[_edge_path_vertices(tower, 4, e)[1:-1]].tolist()
                    for e in cx.cells() if len(e) == 2}
         out[spec] = (two_cells, dim, cell_of, (vertex, other, edge),
                      (offsets, other, edge), on_edge)

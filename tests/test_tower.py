@@ -17,7 +17,7 @@ from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
 from kocover.complexes import CATALOG, components
-from kocover.tower import (_match_rows, cell_numbers_from_json, fubini, proper_faces,
+from kocover.tower import (cell_numbers_from_json, fubini, proper_faces,
                            vertex_set_from_json)
 
 
@@ -356,12 +356,11 @@ def python_loop_index(tower, t):
 
 def assert_index_matches_the_loop(tower, t):
     index = tower.index(t)
-    lv = tower.level(t)
-    assert index is lv.index and index.cells is lv.cells_list
-    assert index.position is lv.cell_index
+    assert index is tower.level(t).index
     pairs, carrier = python_loop_index(tower, t)
     assert list(zip(index.face_cell.tolist(), index.face.tolist())) == pairs
     assert index.carrier.tolist() == carrier
+    assert index.size.tolist() == list(map(len, tower.cells(t)))
     assert index.face_cell.dtype == index.face.dtype == index.carrier.dtype == "int32"
 
 
@@ -371,18 +370,79 @@ def assert_index_matches_the_loop(tower, t):
                                      ("boundary-delta-4", 2), ("delta-4", 1)])
 def test_cell_index_matches_the_python_loop(name, t):
     tower = SubdivisionTower(builtin(name))
+    # the index is built from the one below without listing its level
+    tower.index(t)
+    assert t == 0 or tower.level(t).cells_list is None
     assert_index_matches_the_loop(tower, t)
     for s in range(t + 1):
         assert_index_matches_the_loop(tower, s)
 
 
-def test_row_matching_is_exact_where_a_radix_key_would_wrap():
-    import numpy as np
-    # entries below 2**16 in five columns: a radix key is 2**64 times the
-    # first entry plus the rest, so in int64 the first entry would vanish
-    rows = np.array([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [2 ** 16 - 1, 0, 0, 0, 7]])
-    queries = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [2 ** 16 - 1, 0, 0, 0, 7]])
-    assert _match_rows(rows, 2 ** 16, list(queries.T)).tolist() == [1, 0, 2]
+def assert_templates_match_the_oracles(cx, max_cells, rng):
+    """Every level of cx within max_cells, built from the block templates,
+    against the stack descent: its cells, tops and vbase on a tower that
+    lists it, the face pairs, sizes and carriers of a CellIndex built on a
+    fresh tower without listing it, and chains over random tops and a
+    random within set."""
+    tower = SubdivisionTower(cx, max_cells=max_cells)
+    fresh = SubdivisionTower(cx, max_cells=max_cells)
+    for t in range(1, tower.max_level + 1):
+        if tower.count_cells(t) > max_cells:
+            break
+        lower = tower.cells(t - 1)
+        cells = tower.cells(t)
+        assert cells == list(stack_descent(tower, t, lower))
+        lv = tower.level(t)
+        assert list(lv.tops) == [max(c, key=lv.vdim.__getitem__) for c in cells]
+        position = tower.cell_index(t)
+        assert list(lv.starts) == [position[v,] for v in range(len(lower))]
+        if t < tower.max_level:
+            assert tower.level(t + 1).vbase == [tower.carrier(t, c, 0) for c in cells]
+        index = fresh.index(t)
+        assert fresh.level(t).cells_list is None
+        pairs, carrier = python_loop_index(tower, t)
+        assert list(zip(index.face_cell.tolist(), index.face.tolist())) == pairs
+        assert index.carrier.tolist() == carrier
+        assert index.size.tolist() == list(map(len, cells))
+        assert index.block_start.tolist() == list(lv.starts)
+        tops = rng.sample(lower, len(lower) // 3)
+        within = {c for c in lower if rng.random() < 0.7}
+        for keep in (None, within):
+            assert list(tower.chains(t, tops, keep)) == list(stack_descent(tower, t, tops, keep))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_template_levels_match_the_stack_descent(name):
+    # every catalog level within the oracle budget
+    assert_templates_match_the_oracles(builtin(name), ORACLE_CELLS, random.Random(name))
+
+
+@given(st.integers(1, 3), st.integers(4, 7), st.integers(0, 10 ** 6),
+       st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_template_levels_of_random_complexes(dim, nverts, seed, rng):
+    assert_templates_match_the_oracles(random_complex(dim, nverts, seed), 10_000, rng)
+
+
+def test_cells_at_gathers_blocks_without_listing_the_level():
+    tower = SubdivisionTower(builtin("torus-7"))
+    cells = SubdivisionTower(builtin("torus-7")).cells(3)
+    numbers = random.Random(3).sample(range(len(cells)), 500) + [0, len(cells) - 1]
+    assert tower.cells_at(3, numbers) == [cells[i] for i in numbers]
+    assert tower.level(3).cells_list is None
+    assert tower.sized(3) == len(cells)
+
+
+def test_an_over_budget_level_is_refused_unlisted():
+    # level 3 of delta-2 has 673 cells: sizing it for an index or a set
+    # made from numbers is refused as listing it is
+    for make in (lambda t: t.index(3), lambda t: OpenCellSet.from_numbers(t, 3, [0]),
+                 lambda t: t.cells(3)):
+        tower = SubdivisionTower(builtin("delta-2"), max_cells=200)
+        with pytest.raises(TowerSizeError,
+                           match="^level 3 has 673 cells, over the materialization budget 200$"):
+            make(tower)
+        assert not tower.is_sized(3) and tower.level(3).cells_list is None
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -392,7 +452,7 @@ def test_blocks_are_the_runs_of_one_chain_maximum(name):
     # are the face pairs of the level below, each once
     tower = SubdivisionTower(builtin(name), max_cells=ORACLE_CELLS)
     index = tower.index(0)
-    assert index.block.tolist() == index.block_start.tolist() == list(range(len(index.cells)))
+    assert index.block.tolist() == index.block_start.tolist() == list(range(len(tower.cells(0))))
     assert set(index.block_size.tolist()) == {1}
     assert index.block_cell is index.face_cell and index.block_face is index.face
     for t in range(1, tower.max_level + 1):
@@ -402,7 +462,8 @@ def test_blocks_are_the_runs_of_one_chain_maximum(name):
             break
         lower = tower.cells(t - 1)
         assert index.block.tolist() == list(tower.level(t).tops)
-        assert all(index.cells[s] == (c,) for c, s in enumerate(index.block_start.tolist()))
+        cells = tower.cells(t)
+        assert all(cells[s] == (c,) for c, s in enumerate(index.block_start.tolist()))
         assert index.block_size.tolist() == tower._chain_counts(t)
         position = tower.cell_index(t - 1)
         pairs = sorted((i, position[f]) for i, c in enumerate(lower) for f in proper_faces(c))
@@ -450,14 +511,14 @@ def test_components_over_whole_blocks_match_union_find(component_towers, level, 
     name, t = level
     tower = component_towers[name]
     cells = drawn_cells(tower, t, kind, density, rng)
-    index = tower.index(t)
-    numbers = [index.position[c] for c in cells]
+    index, position = tower.index(t), tower.cell_index(t)
+    numbers = [position[c] for c in cells]
     rng.shuffle(numbers)
     root = index.components(np.array(numbers, dtype=np.int32))
     parts = {}
     for p, r in zip(numbers, root.tolist()):
         parts.setdefault(r, set()).add(p)
-    links = ((index.position[c], index.position[f]) for c in cells for f in proper_faces(c))
+    links = ((position[c], position[f]) for c in cells for f in proper_faces(c))
     inside = set(numbers)
     expected = components(numbers, ((a, b) for a, b in links if b in inside))
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, expected))
