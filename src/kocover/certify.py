@@ -280,17 +280,17 @@ def _verify_low_star(tower: SubdivisionTower, cert: Certificate) -> Verdict:
     r = 0, [push(0), snap]; any other shape is replayed explicitly. The
     push holds by definition of the star and leaves the subdivided
     r-skeleton of level L-1, of dimension min(r, n), which at level 1 is
-    the base one and higher up holds every level-(L-1) vertex. For r = 0
-    its vertex cells are isolated, so the snap sends each to a base vertex.
+    the base one and higher up holds every level-(L-1) vertex, among them
+    the barycentres of the base n-cells, so its base carriers reach
+    dimension n. For r = 0 its vertex cells are isolated, so the snap
+    sends each to a base vertex. No level of the tower is read.
     """
     level, r = cert.start.level, cert.start.centers
     push = PartitionPush(level, r)
     steps = tuple(cert.steps)
     if steps == (push,):
         dim = min(r, tower.base.dim)
-        max_base = dim if level == 1 else \
-            max(len(b) for b in tower.level(level - 1).vbase) - 1
-        return _target_verdict(cert.target, dim, max_base)
+        return _target_verdict(cert.target, dim, dim if level == 1 else tower.base.dim)
     if r == 0 and steps == (push, StarSnap(level)):
         return _target_verdict(cert.target, 0, 0)
     # fall back to explicit verification, which may be expensive

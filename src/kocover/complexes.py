@@ -179,8 +179,11 @@ def _labels(n: int) -> list[str]:
 
 
 def simplex_complex(n: int) -> Complex:
-    if not 0 <= n <= 4:
-        raise ComplexError("full simplices are provided for dimensions 0..4")
+    """The standard n-simplex, one vertex per letter: the catalog's delta-n
+    and the model cell of every signature walk of a star family."""
+    if not 0 <= n < len(_LABELS):
+        raise ComplexError(f"full simplices are provided for dimensions "
+                           f"0..{len(_LABELS) - 1}")
     vs = _labels(n + 1)
     return Complex(vs, [vs], name=f"delta-{n}")
 

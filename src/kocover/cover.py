@@ -21,6 +21,20 @@ columns grouped by a sort. That indexed walk and the wheel builder import
 numpy when they run, so loading this module, building an arc, star or
 trivial cover and verifying one do not.
 
+A family of stars whose centres are all given by a dimension is walked on
+the standard n-simplex, n = dim X, not on X. Whether a star at level w
+centred by dimension r holds a cell x depends only on x's position inside
+its closed base carrier sigma: x's level-w carrier must have a vertex over
+a level-(w-1) cell of dimension at most r. The order-preserving vertex
+bijection sigma = Delta^(dim sigma) carries every level, carrier and
+dimension across, so the index sets of the cells over sigma depend only
+on dim sigma. An n-complex, like Delta^n, has cells of every dimension
+0..n, so the two give the same signatures; and each level of Delta^n is
+that of one closed n-cell of X, so it is never larger than X's. The
+simplex's tower, with the bundle tower's depth cap and cell budget, is
+built once per process (_simplex_tower); signatures are not kept, so
+every walk is its own.
+
 build_cover has one star family for every r: element w is the open star
 at level w of the level-w vertices over level-(w-1) cells of dimension
 at most r, its centres given by r ("layered-stars" for r = 0,
@@ -31,13 +45,14 @@ depth cap (wheel cracks) have their own builders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from .complexes import Complex, SimplicialMap, UsageError
+from .complexes import Complex, SimplicialMap, UsageError, simplex_complex
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
@@ -98,9 +113,21 @@ def cover_signatures(tower: SubdivisionTower,
     (_indexed_signatures) and lists no cell of its own. The tables and the
     DP are plain Python, so a walk with a star DP or on a small level
     loads no numpy.
+
+    When every element is a star centred by a dimension, the same walk
+    runs on the standard n-simplex, n = dim X, with the elements rebuilt
+    on its tower (_simplex_tower), and reads no level of X. It gives X's
+    signatures: such a star's membership of a cell depends only on the
+    cell's position in its closed base carrier, every closed d-cell is a
+    copy of Delta^d, and X and Delta^n both have cells of every dimension
+    0..n (see the module docstring).
     """
     if not elements:
         raise CoverError("empty family")
+    if all(isinstance(el, VertexStarSet) and isinstance(el.centers, int)
+           for el in elements):
+        tower = _simplex_tower(tower)
+        elements = [VertexStarSet(tower, el.level, el.centers) for el in elements]
     level = max(el.level for el in elements)
     flag = 0
     if level >= 1 and all(isinstance(el, VertexStarSet) and el.centers == 0
@@ -164,6 +191,19 @@ def cover_signatures(tower: SubdivisionTower,
         for j in _bits(longer):
             sigs.update((seen[j] | lo, seen[j] | lo | flag))
     return _index_sets(out, len(elements))
+
+
+def _simplex_tower(tower: SubdivisionTower) -> SubdivisionTower:
+    """The tower of the standard n-simplex, n = dim of tower's base, with
+    tower's depth cap and cell budget: the one every walk of a family of
+    stars centred by dimensions runs on, its levels listed once per
+    process."""
+    return _standard_tower(tower.base.dim, tower.max_level, tower.max_cells)
+
+
+@functools.cache
+def _standard_tower(n: int, max_level: int, max_cells: int) -> SubdivisionTower:
+    return SubdivisionTower(simplex_complex(n), max_level, max_cells)
 
 
 def _index_sets(masks: dict[int, set[int]], n: int) -> dict[int, set[frozenset[int]]]:
@@ -464,15 +504,16 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
             f"{tower.max_level} (KO_COVER_MAX_LEVEL); packing several "
             f"elements into one level needs separating-crack components, "
             f"which this builder only constructs for r = 0 graphs and surfaces")
-    # the signature walk reads level m-2 under r = 0 stars, whose top
-    # level is a flag, and level m-1 otherwise
+    # the signature walk runs on the standard n-simplex and reads its
+    # level m-2 under r = 0 stars, whose top level is a flag, and level
+    # m-1 otherwise; sizing it lists nothing
     deepest = m - 2 if r == 0 else m - 1
     try:
-        tower.cells(deepest)
+        _simplex_tower(tower).sized(deepest)
     except TowerSizeError as exc:
         raise ConstructionError(
-            f"verification at m={m} reads level {deepest}: {exc}; the "
-            f"complex is too large for m={m}") from None
+            f"verification at m={m} reads level {deepest} of the standard "
+            f"{n}-simplex: {exc}") from None
     elements = [VertexStarSet(tower, w, r) for w in range(1, m + 1)]
     certs = [Certificate(el, (PartitionPush(el.level, r),)
                          + ((StarSnap(el.level),) if r == 0 else ()), target)

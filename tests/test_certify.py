@@ -256,6 +256,22 @@ def test_lazy_and_explicit_verification_agree():
                             assert v_lazy.passed == (level == 1)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_every_level_has_a_vertex_over_a_top_cell(name):
+    """The structural push verdict takes dim X for the largest base-carrier
+    dimension of the level-(L-1) vertices, L >= 2: checked by listing on
+    every level whose vertices, the cells one level down, number at most
+    100,000."""
+    tower = SubdivisionTower(builtin(name))
+    checked = 0
+    for t in range(1, tower.max_level + 1):
+        if tower.count_cells(t - 1) > 100_000:
+            break
+        assert max(len(b) for b in tower.level(t).vbase) - 1 == tower.base.dim
+        checked += 1
+    assert checked >= 2
+
+
 def face_components(cells):
     """Components of cells joined to their present faces, by union-find."""
     return components(cells, ((c, f) for c in cells for f in proper_faces(c)

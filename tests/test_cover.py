@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CATALOG_NAMES, PATHS, SMALL_NAMES, cover_grid, on_path
 
@@ -16,6 +16,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
                      random_complex, verify_cover_bundle)
 from kocover.certify import Certificate, PartitionPush, Target
 from kocover import cover
+from kocover.cli import run
 from kocover.cover import (_arc_paths, _edge_path_vertices, _k_cover,
                            check_certificate)
 from kocover.tower import CellIndex
@@ -148,12 +149,15 @@ def test_build_cover_argument_errors():
         build_cover(disconnected, 0, 3)
 
 
-def test_build_cover_infeasible_raises_diagnostics():
-    # the r = 1 star family's signature walk at m = 4 reads level 3, which
-    # is over the cell budget
-    with pytest.raises(ConstructionError,
-                       match=r"reads level 3: level 3\b.*budget 600000"):
-        build_cover(builtin("s1-x-s2"), 1, 4)
+def test_build_cover_infeasible_raises_diagnostics(monkeypatch):
+    # at depth cap 5 the r = 1 star family's signature walk at m = 5 reads
+    # level 4 of the standard 3-simplex, which is over the cell budget
+    with monkeypatch.context() as patch:
+        patch.setenv("KO_COVER_MAX_LEVEL", "5")
+        with pytest.raises(ConstructionError,
+                           match=r"reads level 4 of the standard 3-simplex: "
+                                 r"level 4 has 1455585 cells\b.*budget 600000"):
+            build_cover(builtin("s1-x-s2"), 1, 5)
     # packing beyond the depth cap is only implemented up to dimension 2
     with pytest.raises(ConstructionError, match="graphs and surfaces"):
         build_cover(builtin("delta-3"), 0, 5)
@@ -167,6 +171,36 @@ def test_dual_star_bundle_verifies_without_its_top_level():
     assert all(el.centers == 1 for el in again.elements)
     assert verify_cover_bundle(again).ok
     assert again.tower.level(3).cells_list is None
+
+
+@pytest.mark.parametrize("name,r,m", [("s1-x-s2", 1, 4), ("boundary-delta-4", 0, 4)])
+def test_star_bundles_list_no_level_of_their_own_tower(monkeypatch, tmp_path, capsys,
+                                                       name, r, m):
+    """Building, verifying, a JSON round trip and kcheck read the standard
+    3-simplex's levels and list no level >= 1 of the bundle's tower (level
+    3 of s1-x-s2 has 2,171,712 cells, over the cell budget)."""
+    cx = builtin(name)
+    listed = []
+    cells = SubdivisionTower.cells
+
+    def record(tower, t):
+        if t >= 1 and tower.base == cx:
+            listed.append(t)
+        return cells(tower, t)
+
+    monkeypatch.setattr(SubdivisionTower, "cells", record)
+    bundle = build_cover(cx, r, m)
+    assert verify_cover_bundle(bundle).ok
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle.to_json()))
+    again = CoverBundle.from_json(json.loads(path.read_text()))
+    assert verify_cover_bundle(again).ok
+    assert run(["cover", "kcheck", "--in", str(path), "--k", str(m), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_k_cover"]
+    assert listed == []
+    # level t >= 2 is built from the cells of level t-1, so this holds for all
+    for tower in (bundle.tower, again.tower):
+        assert tower.level(1).cells_list is None
 
 
 def test_wheel_cover_structure():
@@ -509,6 +543,42 @@ def test_signatures_equal_chain_enumeration_on_the_grid(name, monkeypatch):
             chain_enumeration(bundle.tower, bundle.elements), (r, m)
         checked += 1
     assert checked
+
+
+_CATALOG_TOWERS = {}
+
+
+@st.composite
+def int_star_families(draw):
+    """A catalog complex or a random one of dimension 1 to 3, and 1 to 5
+    stars on levels 1 to 3 centred by dimensions 0 to 3, whose finest
+    level has at most 100k cells."""
+    spec = draw(st.sampled_from(CATALOG_NAMES) | st.integers(1, 3).flatmap(
+        lambda d: st.builds(f"random:{d}:{{}}:{{}}".format, st.integers(d + 1, d + 4),
+                            st.integers(0, 10 ** 6))))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+                           min_size=1, max_size=5))
+    tower = _CATALOG_TOWERS.get(spec) or SubdivisionTower(builtin(spec))
+    if spec in CATALOG_NAMES:  # a catalog tower lists its levels once
+        _CATALOG_TOWERS[spec] = tower
+    try:
+        assume(tower.count_cells(max(w for w, _ in shapes)) <= 100_000)
+    except TowerSizeError:
+        assume(False)
+    return tower, [VertexStarSet(tower, w, r) for w, r in shapes]
+
+
+@given(family=int_star_families())
+@settings(max_examples=25, deadline=None)
+def test_star_signatures_from_the_standard_simplex(family):
+    """A family of stars centred by dimensions is walked on the standard
+    simplex of the complex's dimension; the signatures are those of the
+    complex's own cells, one by one, and of the general walk over the
+    stars' explicit copies on the complex's tower."""
+    tower, fam = family
+    sigs = cover_signatures(tower, fam)
+    assert sigs == chain_enumeration(tower, fam)
+    assert sigs == cover_signatures(tower, [el.materialize() for el in fam])
 
 
 def _random_element(rng, tower, kind, level):
