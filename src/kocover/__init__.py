@@ -13,10 +13,8 @@ _EXPORTS = {
                   "product_complex", "random_complex"),
     "tower": ("OpenCellSet", "SubdivisionTower", "TowerDepthError", "TowerError",
               "TowerSizeError", "VertexStarSet", "dual_complex", "preimage", "star"),
-    "certify": ("Certificate", "CertificateFormatError", "CertificateGenerationError",
-                "PartitionPush", "Refine", "StarSnap", "Target", "Verdict",
-                "certify_to_dimension", "make_dual_push", "make_star_snap",
-                "verify_certificate"),
+    "certify": ("Certificate", "CertificateFormatError", "PartitionPush", "StarSnap",
+                "Target", "Verdict", "verify_certificate"),
     "cover": ("ConstructionError", "CoverBundle", "CoverError", "CoverReport",
               "build_cover", "cover_parameters", "cover_signatures", "is_k_cover",
               "pullback_cover", "verify_cover_bundle"),

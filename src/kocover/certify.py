@@ -1,8 +1,8 @@
 """Deformation certificates and their step-by-step verifier.
 
-A certificate deforms an open cell set by three step kinds:
+A certificate deforms an open cell set, on its own tower level, by two
+step kinds:
 
-* refine: pass to the next tower level (identity on points);
 * partition push: inside each cell, push points along join lines away from
   the vertices outside a kept set T, landing on the face spanned by T; the
   cell effect is sigma -> sigma intersect T;
@@ -10,24 +10,25 @@ A certificate deforms an open cell set by three step kinds:
   straight lines to the least base vertex lying in every member cell's
   base carrier.
 
-All three are monotone: along every track the base-carrier dimension never
+Both are monotone: along every track the base-carrier dimension never
 increases (push and snap tracks stay inside the open carrier cell until
-they land in a face, refine is the identity). Verification is independent
-of how a certificate was produced.
+they land in a face). Verification is independent of how a certificate
+was produced.
 
 A snap has one rule, min-base-vertex: its components join each carrier
 cell to its faces in the carrier, and the members' base carriers are
 intersected per component. Every check is exact; a failure names the
-failing component that holds the least cell. Arrays are used only on a
-sized level of more than tower.ARRAY_MIN_CELLS (1,000) cells:
-there the snap reads the cell numbers the carrier set carries (replay
-hands each step the carrier as a set, so a first-step snap reads the
-numbers its start was decoded or built with) and is replayed on the
-level's one CellIndex (tower.index), the face pairs masked to the carrier
-and labelled with array operations. On any other level, a small one or
-one that was only streamed, it is plain Python: union-find over the
-carrier's own cells, base carriers from tower.carrier0. Only the indexed
-snap imports numpy, so loading this module does not.
+failing component that holds the least cell. Every carrier lies on its
+start's level, which replay sizes under the cell budget. Arrays are used
+only on a level of more than tower.ARRAY_MIN_CELLS (1,000) cells: there
+the snap reads the cell numbers the carrier set carries (replay hands
+each step the carrier as a set, so a first-step snap reads the numbers
+its start was decoded or built with) and is replayed on the level's one
+CellIndex (tower.index), the face pairs masked to the carrier and
+labelled with array operations. On a smaller level it is plain Python:
+union-find over the carrier's own cells, base carriers from
+tower.carrier0. Only the indexed snap imports numpy, so loading this
+module does not.
 """
 
 from __future__ import annotations
@@ -36,17 +37,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complexes import UsageError, components
-from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
-                    VertexStarSet, json_field, proper_faces, vertex_set_from_json,
-                    vertex_set_to_json)
+from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, VertexStarSet,
+                    json_field, proper_faces, vertex_set_from_json, vertex_set_to_json)
 
 
 class CertificateFormatError(UsageError):
     """Structurally malformed certificate (distinct from a failing verdict)."""
-
-
-class CertificateGenerationError(ValueError):
-    """A certificate generator could not produce a valid certificate."""
 
 
 class StepFailure(ValueError):
@@ -57,11 +53,6 @@ class StepFailure(ValueError):
         self.step = step
         self.reason = reason
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class Refine:
-    kind: str = field(default="refine", init=False)
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,7 @@ class StarSnap:
     kind: str = field(default="snap", init=False)
 
 
-Step = Refine | PartitionPush | StarSnap
+Step = PartitionPush | StarSnap
 
 
 @dataclass(frozen=True)
@@ -144,47 +135,36 @@ def _verify_explicit(tower: SubdivisionTower, cert: Certificate) -> Verdict:
 def replay(tower: SubdivisionTower, carrier: OpenCellSet,
            steps: Sequence[Step]) -> OpenCellSet:
     """Apply certificate steps to a materialized carrier, one at a time,
-    and return the final carrier.
+    and return the final carrier, on the same level.
 
     A snap reads the cell numbers of the carrier it is handed, so a
     first-step snap reuses the start's. Raises TowerError when the start
-    holds a cell that is not on its level, StepFailure when a step's
-    precondition fails on the carrier, and CertificateFormatError when a
-    step does not fit the carrier's level or names something outside the
-    tower.
+    holds a cell that is not on its level or its level is over the cell
+    budget, StepFailure when a step's precondition fails on the carrier,
+    and CertificateFormatError when a step does not fit the carrier's
+    level or names something outside the tower.
     """
     if carrier.tower is not tower:  # the steps read this tower's tables
         carrier = OpenCellSet(tower, carrier.level, carrier.cells)
-    # refine and push send cells of a level to cells of a level, so only
+    # push and snap send cells of a level to cells of that level, so only
     # the start can hold a cell that is not on its level
-    if tower.is_sized(carrier.level):
-        carrier.numbers()  # refuses a cell that is not on the level
-    else:
-        for c in carrier.cells:
-            if not tower.is_chain(carrier.level, c):
-                raise TowerError(f"{c} is not a chain of level-{carrier.level - 1} cells")
+    carrier.numbers()  # refuses one, on a level sized under the budget
+    level = carrier.level
     for idx, step in enumerate(steps):
-        level = carrier.level
-        if isinstance(step, Refine):
-            carrier = OpenCellSet(tower, level + 1, tower.chains(level + 1, carrier.cells))
-        elif isinstance(step, (PartitionPush, StarSnap)):
-            if step.level != level:
-                raise CertificateFormatError(
-                    f"{step.kind} at level {step.level} applied to a level-{level} carrier")
-            if isinstance(step, StarSnap):
-                carrier = _apply_snap(tower, carrier, idx)
-            else:
-                keep = _expand_keep(tower, level, step.keep)
-                pushed = set()
-                for c in carrier.cells:
-                    kept = tuple(filter(keep.__contains__, c))
-                    if not kept:
-                        raise StepFailure(
-                            idx, "push leaves a carrier cell with no kept vertex", c)
-                    pushed.add(kept)
-                carrier = OpenCellSet(tower, level, pushed)
-        else:
-            raise CertificateFormatError(f"unknown step {step!r}")
+        if step.level != level:
+            raise CertificateFormatError(
+                f"{step.kind} at level {step.level} applied to a level-{level} carrier")
+        if isinstance(step, StarSnap):
+            carrier = _apply_snap(tower, carrier, idx)
+            continue
+        keep = _expand_keep(tower, level, step.keep)
+        pushed = set()
+        for c in carrier.cells:
+            kept = tuple(filter(keep.__contains__, c))
+            if not kept:
+                raise StepFailure(idx, "push leaves a carrier cell with no kept vertex", c)
+            pushed.add(kept)
+        carrier = OpenCellSet(tower, level, pushed)
     return carrier
 
 
@@ -307,85 +287,6 @@ def _target_verdict(target: Target, max_dim: int, max_base: int) -> Verdict:
     return Verdict(True, True, (max_dim, max_base))
 
 
-# -- generators ---------------------------------------------------------------
-
-
-def run_steps(tower: SubdivisionTower, start: CellSet,
-              steps: Sequence[Step]) -> tuple[int, frozenset[CellT]]:
-    """Apply steps to a set, returning the final carrier; raises
-    CertificateGenerationError when a step precondition fails."""
-    try:
-        carrier = replay(tower, start.materialize(), steps)
-    except StepFailure as exc:
-        raise CertificateGenerationError(exc.reason) from exc
-    return carrier.level, carrier.cells
-
-
-def make_dual_push(s: CellSet, avoid_cells: set[CellT]) -> list[Step]:
-    """Refine then push away from a base subcomplex the set does not meet.
-
-    The kept vertices are the barycenters of the cells not contained in the
-    avoided subcomplex; when the avoided set contains the base m-skeleton
-    and the input lives at level 0, the result lands in the dual complex of
-    dimension at most dim - m - 1.
-    """
-    tower = s.tower
-    for c in s.materialize().cells:
-        if tower.carrier0(s.level, c) in avoid_cells:
-            raise CertificateGenerationError(
-                f"set meets the avoided subcomplex at {c}")
-    nxt = tower.level(s.level + 1)
-    keep = frozenset(
-        v for v in range(len(nxt.verts))
-        if nxt.vbase[v] not in avoid_cells)
-    return [Refine(), PartitionPush(s.level + 1, keep)]
-
-
-def make_star_snap(s: CellSet) -> StarSnap:
-    """Snap a set of isolated points to base vertices, each point being
-    its own component: the least vertex of its base carrier."""
-    s = s.materialize()
-    if any(len(c) != 1 for c in s.cells):
-        raise CertificateGenerationError("star snap needs a zero-dimensional carrier")
-    return StarSnap(s.level)
-
-
-def certify_to_dimension(s: CellSet, r: int) -> Certificate:
-    """Dual-push certificate for a set avoiding a deep enough skeleton.
-
-    Scans for the largest skeleton the set misses; fails (with a report,
-    not a crash) when no skeleton of dimension at least dim-r-1 qualifies.
-    """
-    tower = s.tower
-    n = tower.base.dim
-    if r < 0:
-        raise CertificateGenerationError("negative target dimension")
-    cells = s.materialize().cells
-    if n <= r:
-        return Certificate(s, (), Target("dimensional", r))
-    lowest = n - r - 1
-    base_cells = tower.cells(0)
-    for sk in range(n - 1, lowest - 1, -1):
-        avoid = {c for c in base_cells if len(c) - 1 <= sk}
-        if any(tower.carrier0(s.level, c) in avoid for c in cells):
-            continue
-        steps = make_dual_push(s, avoid)
-        if r == 0:
-            level, carrier = run_steps(tower, s, steps)
-            try:
-                snap = make_star_snap(OpenCellSet(tower, level, carrier))
-            except CertificateGenerationError:
-                continue
-            cert = Certificate(s, tuple(steps) + (snap,), Target("skeletal", 0))
-        else:
-            cert = Certificate(s, tuple(steps), Target("dimensional", r))
-        verdict = verify_certificate(tower, cert)
-        if verdict.passed:
-            return cert
-    raise CertificateGenerationError(
-        f"no skeleton of dimension >= {lowest} is avoided by the set")
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -394,9 +295,7 @@ def certificate_to_json(cert: Certificate) -> dict:
     tower.cell_numbers_from_json), a snap as its level and its rule."""
     steps = []
     for step in cert.steps:
-        if isinstance(step, Refine):
-            steps.append({"kind": "refine"})
-        elif isinstance(step, PartitionPush):
+        if isinstance(step, PartitionPush):
             steps.append({"kind": "push", "level": step.level,
                           "keep": vertex_set_to_json(step.keep)})
         elif isinstance(step, StarSnap):
@@ -418,9 +317,7 @@ def certificate_from_json(tower: SubdivisionTower, data: dict,
     steps: list[Step] = []
     for sd in json_field(data, "steps", list, CertificateFormatError):
         kind = json_field(sd, "kind", str, CertificateFormatError)
-        if kind == "refine":
-            steps.append(Refine())
-        elif kind == "push":
+        if kind == "push":
             level = json_field(sd, "level", int, CertificateFormatError)
             keep = json_field(sd, "keep", dict, CertificateFormatError)
             steps.append(PartitionPush(level, vertex_set_from_json(tower, level, keep)))

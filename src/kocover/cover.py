@@ -139,7 +139,6 @@ def cover_signatures(tower: SubdivisionTower,
     if dp:
         level -= 1
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
-    tower.sized(level)
     if not dp and not tower.is_small(level):
         return _indexed_signatures(tower, level, low, flag)
     cells = tower.cells(level)
@@ -825,8 +824,9 @@ def check_certificate(tower: SubdivisionTower, element: CellSet,
         verdict = verify_certificate(tower, cert)
     except (CertificateFormatError, TowerError) as exc:
         return False, f"structural error: {exc}"
-    if not verdict.passed:
-        return False, f"step {verdict.failing_step}: {verdict.reason}"
+    if not verdict.passed:  # a final-target failure names no step
+        step = verdict.failing_step
+        return False, verdict.reason if step is None else f"step {step}: {verdict.reason}"
     if r == 0:
         good = cert.target.kind == "skeletal" and cert.target.r == 0 and verdict.monotone
         return good, "" if good else "r=0 needs a monotone certificate into the 0-skeleton"

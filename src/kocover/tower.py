@@ -51,9 +51,9 @@ set contract whole chain blocks first: a block the set holds whole is one
 node, joined to another whole block through the face pair of their
 maxima, and only the face pairs with an end in a block held in part are
 read cell by cell. One size rule, ARRAY_MIN_CELLS, decides where arrays
-are used: only on a sized level of more than 1,000 cells. A signature
-walk or a snap on any other level (is_small) runs in plain Python, on a
-level that was only streamed too. A plain snap costs 4-5 us a cell
+are used: only on a level of more than 1,000 cells. A signature walk or
+a snap on a smaller level (is_small) runs in plain Python; both run on
+a sized level only. A plain snap costs 4-5 us a cell
 against 0.4-0.6 us on an index that exists (0.17-0.21 us on a wheel
 element, which holds nearly every block whole), and an index takes 1-2 ms
 to build, so at most about 5 ms at the rule, well under the 100-120 ms
@@ -271,10 +271,6 @@ class SubdivisionTower:
             lv.count = n
         return lv.count
 
-    def is_sized(self, t: int) -> bool:
-        """Has level t been sized (by sized, cells or index)?"""
-        return self.level(t).count is not None
-
     def cells(self, t: int) -> list[CellT]:
         """All cells of level t, listed (the level sized first, under the
         cell budget)."""
@@ -305,23 +301,10 @@ class SubdivisionTower:
         return out
 
     def is_small(self, t: int) -> bool:
-        """Is level t not sized, or sized with at most ARRAY_MIN_CELLS
-        cells? A walk or a snap on such a level runs in plain Python, on
-        any other on the level's CellIndex."""
-        count = self.level(t).count
-        return count is None or count <= ARRAY_MIN_CELLS
-
-    def is_chain(self, t: int, cell: CellT) -> bool:
-        """Is cell one of the cells of level t >= 1, a strictly increasing
-        tuple of level-t vertex numbers whose level-(t-1) cells, ordered
-        by dimension, are each a proper face of the next? Reads only the
-        vertex tables, so level t stays unmaterialized."""
-        verts = self.level(t).verts
-        if not cell or not all(0 <= v < len(verts) for v in cell) \
-                or not all(a < b for a, b in zip(cell, cell[1:])):
-            return False
-        chain = sorted((set(verts[v]) for v in cell), key=len)
-        return all(a < b for a, b in zip(chain, chain[1:]))
+        """Does level t, sized here under the cell budget, have at most
+        ARRAY_MIN_CELLS cells? A walk or a snap on such a level runs in
+        plain Python, on any other on the level's CellIndex."""
+        return self.sized(t) <= ARRAY_MIN_CELLS
 
     def cell_index(self, t: int) -> dict[CellT, int]:
         """Dense number of every level-t cell: its position in cells(t)."""

@@ -6,7 +6,8 @@ from unittest import mock
 import pytest
 
 import kocover.tower
-from kocover import SubdivisionTower, builtin, cover_parameters
+from kocover import (Certificate, OpenCellSet, PartitionPush, StarSnap, SubdivisionTower,
+                     Target, builtin, cover_parameters)
 
 CATALOG_NAMES = [
     "delta-2", "delta-3", "boundary-delta-3", "boundary-delta-4", "s1",
@@ -38,11 +39,27 @@ def on_path(path):
     """Run every signature walk and snap without a star DP on a CellIndex
     ("arrays") or in plain Python ("plain"), whatever the size of its
     level: the one size rule, tower.ARRAY_MIN_CELLS, moved to either end.
-    The arrays path needs a materialized level; a snap on a level that was
-    only streamed runs in plain Python on either path."""
+    Both paths run on a sized level."""
     size = {"arrays": -1, "plain": sys.maxsize}[path]
     with mock.patch.object(kocover.tower, "ARRAY_MIN_CELLS", size):
         yield
+
+
+def dual_push_certificate(s: OpenCellSet, skeleton: int, r: int) -> Certificate:
+    """A certificate for an open cell set s that misses the base
+    skeleton-skeleton: its start is s one level down, the chains of its
+    cells (tower.chains), and its push keeps the vertices over base cells
+    of higher dimension, so the carrier lands in the dual complex, of
+    dimension at most dim X - skeleton - 1. For r = 0 a star snap follows, into the base
+    0-skeleton; otherwise the target is dimension r."""
+    tower, level = s.tower, s.level + 1
+    start = OpenCellSet(tower, level, tower.chains(level, s.cells))
+    keep = frozenset(v for v, b in enumerate(tower.level(level).vbase) if len(b) > skeleton + 1)
+    if r == 0:
+        return Certificate(start, (PartitionPush(level, keep), StarSnap(level)),
+                           Target("skeletal", 0))
+    return Certificate(start, (PartitionPush(level, keep),), Target("dimensional", r))
+
 
 # acceptance results: criterion id -> list of (label, passed, detail)
 ACCEPTANCE = collections.defaultdict(list)

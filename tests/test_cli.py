@@ -312,6 +312,32 @@ def test_missing_bundle_field_is_named(tmp_path, capsys, spec, path):
     assert err.startswith("error:") and f"field {path[-1]!r} is missing" in err
 
 
+def test_a_refine_step_is_usage_error(tmp_path, capsys):
+    # refine, a step no builder writes, once verified as a pass to the next level
+    data = build_cover(builtin("s1"), 0, 3).to_json()
+    data["certificates"][0]["steps"].append({"kind": "refine"})
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "cover", "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "unknown step kind 'refine'" in err
+
+
+def test_a_final_target_failure_names_no_step(tmp_path, capsys):
+    # it was once reported as "step None: ..."
+    data = build_cover(builtin("boundary-delta-3"), 0, 3).to_json()
+    cert = data["certificates"][2]
+    cert["steps"] = [s for s in cert["steps"] if s["kind"] != "snap"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, "cover", "verify", "--in", str(path), "--json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert (checks["certificate-2"]["passed"], checks["certificate-2"]["detail"]) == \
+        (False, "final carrier leaves the base 0-skeleton")
+    assert not any("step None" in c["detail"] for c in checks.values())
+
+
 def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
     data = build_cover(builtin("s1"), 0, 3).to_json()
     data["certificates"] = []
@@ -545,14 +571,15 @@ PINNED_SHA256 = {
     "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
     "wheel-random-2-7-m5":
         "26ae06034d602204c845d0e25e53ddf32a6594c3d3449daa0ae578433c49101f",
-    "certificate-s2-r0": "8640136e34ce764f623bf0063a01156cf2db4666292e4ca959bba6599502f56b",
+    "certificate-s2-r0": "daf288274032fe10f64557a3d3562779c26cb038fba07c16c58438fdd10a6e0a",
     "product-rp2-6-s1": "360bf8fdd6e8793efd2c7393d7677b344466513100af5e93e1a0c012f927f7b4",
     "product-torus-7-s1": "71df0cc9cea7755655a4fa286fa7f2bb541c74e30479a1d908748c2f4165abca",
 }
 
 _PIN_SCRIPT = """
 import hashlib, json
-from kocover import OpenCellSet, SubdivisionTower, builtin, certify_to_dimension
+from conftest import dual_push_certificate
+from kocover import OpenCellSet, SubdivisionTower, builtin
 from kocover.certify import certificate_to_json
 from kocover.cli import run
 
@@ -570,7 +597,7 @@ for x in ("rp2-6", "torus-7"):
     run(["product", "build", "--x", x, "--b", "s1", "--out", tag + ".json"])
     out[tag] = hashlib.sha256(open(tag + ".json", "rb").read()).hexdigest()
 t = SubdivisionTower(builtin("s2"))
-cert = certify_to_dimension(OpenCellSet(t, 0, [c for c in t.base.cells() if len(c) > 2]), 0)
+cert = dual_push_certificate(OpenCellSet(t, 0, [c for c in t.base.cells() if len(c) > 2]), 1, 0)
 data = json.dumps(certificate_to_json(cert), sort_keys=True)
 out["certificate-s2-r0"] = hashlib.sha256(data.encode()).hexdigest()
 print(json.dumps(out))
@@ -581,7 +608,8 @@ print(json.dumps(out))
 def test_bundle_bytes_are_pinned(tmp_path, hashseed):
     src = str(Path(kocover.__file__).parents[1])
     env = dict(os.environ, PYTHONHASHSEED=hashseed,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+               PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent),
+                                           os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _PIN_SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == PINNED_SHA256
@@ -609,15 +637,14 @@ def test_complex_with_integer_labels_is_usage_error(tmp_path, capsys, action):
 # the package's public names; a lazy export must not drop or add one
 EXPORTS = {
     "BoundProfile", "BoundResult", "BoundsError", "Certificate", "CertificateFormatError",
-    "CertificateGenerationError", "Complex", "ComplexError", "ConstructionError",
-    "CoverBundle", "CoverError", "CoverReport", "FibrationProfile", "NotApplicable",
-    "OpenCellSet", "PartitionPush", "ProductCoverBundle", "Refine", "SimplicialMap",
-    "StarSnap", "SubdivisionTower", "Target", "TowerDepthError", "TowerError",
-    "TowerSizeError", "Verdict", "VertexStarSet", "assemble_product_cover", "best_upper",
-    "betti_mod2", "bounds", "build_cover", "builtin", "certify", "certify_to_dimension",
-    "complexes", "corollary_bound", "cover", "cover_parameters", "cover_signatures",
-    "cuplength_mod2", "dual_complex", "fibration_bound", "is_k_cover", "lemma_bound",
-    "main_bound", "make_dual_push", "make_star_snap", "preimage", "product",
+    "Complex", "ComplexError", "ConstructionError", "CoverBundle", "CoverError",
+    "CoverReport", "FibrationProfile", "NotApplicable", "OpenCellSet", "PartitionPush",
+    "ProductCoverBundle", "SimplicialMap", "StarSnap", "SubdivisionTower", "Target",
+    "TowerDepthError", "TowerError", "TowerSizeError", "Verdict", "VertexStarSet",
+    "assemble_product_cover", "best_upper", "betti_mod2", "bounds", "build_cover",
+    "builtin", "certify", "complexes", "corollary_bound", "cover", "cover_parameters",
+    "cover_signatures", "cuplength_mod2", "dual_complex", "fibration_bound", "is_k_cover",
+    "lemma_bound", "main_bound", "preimage", "product",
     "product_complex", "product_skeleton", "pullback_cover", "random_complex",
     "rconn_bound", "star", "tower", "verify_certificate", "verify_cover_bundle",
     "verify_product_cover",
@@ -668,9 +695,9 @@ def test_the_exit_2_exceptions_share_one_base_class():
     bad_input = (kocover.ComplexError, kocover.BoundsError, kocover.CoverError,
                  kocover.TowerError, kocover.CertificateFormatError)
     assert all(issubclass(cls, UsageError) for cls in bad_input)
-    # a failed step, generation or construction is not bad input (exit 1)
+    # a failed step or construction is not bad input (exit 1)
     assert not any(issubclass(cls, UsageError) for cls in (
-        StepFailure, kocover.CertificateGenerationError, kocover.ConstructionError))
+        StepFailure, kocover.ConstructionError))
 
 
 def test_failing_light_command_leaves_out_the_cover_stack(tmp_path):

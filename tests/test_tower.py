@@ -442,7 +442,7 @@ def test_an_over_budget_level_is_refused_unlisted():
         with pytest.raises(TowerSizeError,
                            match="^level 3 has 673 cells, over the materialization budget 200$"):
             make(tower)
-        assert not tower.is_sized(3) and tower.level(3).cells_list is None
+        assert tower.level(3).count is None and tower.level(3).cells_list is None
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
