@@ -22,18 +22,29 @@ numpy when they run, so loading this module, building an arc, star or
 trivial cover and verifying one do not.
 
 A family of stars whose centres are all given by a dimension is walked on
-the standard n-simplex, n = dim X, not on X. Whether a star at level w
-centred by dimension r holds a cell x depends only on x's position inside
-its closed base carrier sigma: x's level-w carrier must have a vertex over
-a level-(w-1) cell of dimension at most r. The order-preserving vertex
-bijection sigma = Delta^(dim sigma) carries every level, carrier and
-dimension across, so the index sets of the cells over sigma depend only
-on dim sigma. An n-complex, like Delta^n, has cells of every dimension
-0..n, so the two give the same signatures; and each level of Delta^n is
-that of one closed n-cell of X, so it is never larger than X's. The
-simplex's tower, with the bundle tower's depth cap and cell budget, is
-built once per process (_simplex_tower); signatures are not kept, so
-every walk is its own.
+one closed level-1 cell of the standard n-simplex, n = dim X, not on X.
+Whether a star at level w centred by dimension r holds a cell x depends
+only on x's position inside its closed base carrier sigma: x's level-w
+carrier must have a vertex over a level-(w-1) cell of dimension at most
+r. The order-preserving vertex bijection sigma = Delta^(dim sigma)
+carries every level, carrier and dimension across, so the index sets of
+the cells over sigma depend only on dim sigma. An n-complex, like
+Delta^n, has cells of every dimension 0..n, so the two give the same
+signatures. Within Delta^n one level-1 cell is enough, the flag cell
+F = ({0} < {0,1} < ... < {0..n}):
+
+1. the symmetric group S_(n+1) permutes the vertices of Delta^n; this
+   lifts to every level and keeps vertex and base-carrier dimensions, so
+   it fixes every such star and every signature;
+2. it is transitive on the level-1 facets, the full flags;
+3. every cell of level >= 1 lies in the closure of a level-1 facet.
+
+The tower of F's closure from level 1 up is that of Delta^n one level
+down (_flag_cell), so a walk whose stars are finest at level L reads
+level L-3 of Delta^n under a top-level flag and L-2 otherwise, one level
+below a walk over whole levels of Delta^n. The simplex's tower, with the
+bundle tower's depth cap and cell budget, is built once per process
+(_standard_tower); signatures are not kept, so every walk is its own.
 
 build_cover has one star family for every r: element w is the open star
 at level w of the level-w vertices over level-(w-1) cells of dimension
@@ -50,7 +61,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .complexes import Complex, SimplicialMap, UsageError, simplex_complex
 from .certify import (Certificate, CertificateFormatError, PartitionPush,
@@ -114,20 +125,22 @@ def cover_signatures(tower: SubdivisionTower,
     DP are plain Python, so a walk with a star DP or on a small level
     loads no numpy.
 
-    When every element is a star centred by a dimension, the same walk
-    runs on the standard n-simplex, n = dim X, with the elements rebuilt
-    on its tower (_simplex_tower), and reads no level of X. It gives X's
-    signatures: such a star's membership of a cell depends only on the
-    cell's position in its closed base carrier, every closed d-cell is a
-    copy of Delta^d, and X and Delta^n both have cells of every dimension
-    0..n (see the module docstring).
+    When every element is a star centred by a dimension, the walk runs on
+    one closed level-1 cell of the standard n-simplex, n = dim X, the flag
+    cell F = ({0} < {0,1} < ... < {0..n}), and reads no level of X (see
+    the module docstring). The tower of F from level 1 up is the tower of
+    Delta^n one level down (_flag_cell), so a star at level w >= 2 is
+    VertexStarSet(std, w-1, r), one at level 1 the level-0 cells whose
+    least vertex is at most r, and a cell's base-carrier dimension is the
+    largest vertex of its base carrier there (base_dim = max).
     """
     if not elements:
         raise CoverError("empty family")
+    base_dim = _dim
     if all(isinstance(el, VertexStarSet) and isinstance(el.centers, int)
            for el in elements):
-        tower = _simplex_tower(tower)
-        elements = [VertexStarSet(tower, el.level, el.centers) for el in elements]
+        tower, elements = _flag_cell(tower, elements)
+        base_dim = max
     level = max(el.level for el in elements)
     flag = 0
     if level >= 1 and all(isinstance(el, VertexStarSet) and el.centers == 0
@@ -140,9 +153,9 @@ def cover_signatures(tower: SubdivisionTower,
         level -= 1
     low = [(i, el) for i, el in enumerate(elements) if el.level <= level]
     if not dp and not tower.is_small(level):
-        return _indexed_signatures(tower, level, low, flag)
+        return _indexed_signatures(tower, level, low, flag, base_dim)
     cells = tower.cells(level)
-    masks, dims = _membership(tower, level, low)
+    masks, dims = _membership(tower, level, low, base_dim)
     out: dict[int, set[int]] = {}
     if not dp:
         # the flagged stars hold the chains over c that have a vertex: all
@@ -192,17 +205,34 @@ def cover_signatures(tower: SubdivisionTower,
     return _index_sets(out, len(elements))
 
 
-def _simplex_tower(tower: SubdivisionTower) -> SubdivisionTower:
-    """The tower of the standard n-simplex, n = dim of tower's base, with
-    tower's depth cap and cell budget: the one every walk of a family of
-    stars centred by dimensions runs on, its levels listed once per
-    process."""
-    return _standard_tower(tower.base.dim, tower.max_level, tower.max_cells)
+def _flag_cell(tower: SubdivisionTower, elements: list[VertexStarSet]
+               ) -> tuple[SubdivisionTower, list[CellSet]]:
+    """A family of stars centred by dimensions on X's tower, moved onto the
+    closed flag cell F of Delta^n, n = dim X, whose tower from level 1 up
+    is that of Delta^n one level down: vertex k of Delta^n stands for the
+    face {0..k}, a level-0 cell S of Delta^n for the level-1 chain of the
+    faces {0..k}, k in S, and so, level by level, each level-(w-1) cell of
+    Delta^n for one level-w cell in the closure of F.
+
+    A level-w vertex of F then keeps its dimension, so a star at level
+    w >= 2 is the same star at level w-1. A level-1 cell of F is a set S of
+    faces {0..k}, held by the level-1 star centred by r when some k in S
+    is at most r: the level-0 cells of Delta^n whose least vertex is at
+    most r. The tower is built with the bundle tower's depth cap and cell
+    budget, once per process (_standard_tower)."""
+    std = _standard_tower(tower.base.dim, tower.max_level, tower.max_cells)
+    return std, [VertexStarSet(std, el.level - 1, el.centers) if el.level > 1
+                 else OpenCellSet(std, 0, [c for c in std.cells(0) if c[0] <= el.centers])
+                 for el in elements]
 
 
 @functools.cache
 def _standard_tower(n: int, max_level: int, max_cells: int) -> SubdivisionTower:
     return SubdivisionTower(simplex_complex(n), max_level, max_cells)
+
+
+def _dim(cell: CellT) -> int:
+    return len(cell) - 1
 
 
 def _index_sets(masks: dict[int, set[int]], n: int) -> dict[int, set[frozenset[int]]]:
@@ -219,11 +249,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _membership(tower: SubdivisionTower, level: int,
-                low: list[tuple[int, CellSet]]) -> tuple[list[int], list[int]]:
-    """Element masks and base-carrier dimensions of the cells of a level,
-    aligned with cells(level): bit i of a mask is set when the element
-    (i, el) of low, none of them finer than the level, holds the cell.
+def _membership(tower: SubdivisionTower, level: int, low: list[tuple[int, CellSet]],
+                base_dim: Callable[[CellT], int]) -> tuple[list[int], list[int]]:
+    """Element masks and base-carrier dimensions (base_dim of the base
+    carrier) of the cells of a level, aligned with cells(level): bit i of a
+    mask is set when the element (i, el) of low, none of them finer than
+    the level, holds the cell.
 
     One table per level, from the lowest element level up: a level-t
     cell's mask is that of its chain maximum one level down, gathered
@@ -254,14 +285,15 @@ def _membership(tower: SubdivisionTower, level: int,
             masks = [m | 1 << i if not centers.isdisjoint(c) else m
                      for m, c in zip(masks, cells)]
     if level == 0:
-        return masks, [len(c) - 1 for c in cells]
-    vbase = tower.level(level).vbase
-    return masks, [len(vbase[v]) - 1 for v in tops]
+        return masks, list(map(base_dim, cells))
+    dims = list(map(base_dim, tower.level(level).vbase))
+    return masks, list(map(dims.__getitem__, tops))
 
 
 def _indexed_signatures(tower: SubdivisionTower, level: int,
-                        low: list[tuple[int, CellSet]],
-                        flag: int) -> dict[int, set[frozenset[int]]]:
+                        low: list[tuple[int, CellSet]], flag: int,
+                        base_dim: Callable[[CellT], int]
+                        ) -> dict[int, set[frozenset[int]]]:
     """cover_signatures' walk without a star DP on a level of more than
     tower.ARRAY_MIN_CELLS cells, on the level's CellIndex.
 
@@ -279,15 +311,15 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     n = len(index.block)
     listed = [isinstance(el, OpenCellSet) and el.level == level for _, el in low]
     if not all(listed):
-        masks, _ = _membership(tower, level, [e for e, x in zip(low, listed) if not x])
+        masks, _ = _membership(tower, level, [e for e, x in zip(low, listed) if not x],
+                               base_dim)
     rows = np.zeros((len(low), n), dtype=bool)  # no rows under a lone flag
     for row, (i, el), x in zip(rows, low, listed):
         if x:
             row[np.frombuffer(el.numbers(), dtype=np.int32)] = True
         else:
             row[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
-    base_dim = np.array([len(c) - 1 for c in tower.cells(0)], dtype=np.int8)
-    dims = base_dim[index.carrier]
+    dims = np.array(list(map(base_dim, tower.cells(0))), dtype=np.int8)[index.carrier]
     longer = index.size > 1
     keys = [*rows, dims, longer]
     order = np.lexsort(keys)
@@ -503,16 +535,17 @@ def build_cover(cx: Complex, r: int, m: int) -> CoverBundle:
             f"{tower.max_level} (KO_COVER_MAX_LEVEL); packing several "
             f"elements into one level needs separating-crack components, "
             f"which this builder only constructs for r = 0 graphs and surfaces")
-    # the signature walk runs on the standard n-simplex and reads its
-    # level m-2 under r = 0 stars, whose top level is a flag, and level
-    # m-1 otherwise; sizing it lists nothing
-    deepest = m - 2 if r == 0 else m - 1
+    # the signature walk runs on Delta^n one level down (_flag_cell) and
+    # reads its level m-3 under r = 0 stars, whose top level is a flag, and
+    # level m-2 otherwise; sizing it lists nothing of that level
+    deepest = max(m - 3 if r == 0 else m - 2, 0)
     try:
-        _simplex_tower(tower).sized(deepest)
+        _standard_tower(n, tower.max_level, tower.max_cells).sized(deepest)
     except TowerSizeError as exc:
+        below = "" if exc.level == deepest else f"which needs level {exc.level} listed, "
         raise ConstructionError(
             f"verification at m={m} reads level {deepest} of the standard "
-            f"{n}-simplex: {exc}") from None
+            f"{n}-simplex, {below}and {exc}") from None
     elements = [VertexStarSet(tower, w, r) for w in range(1, m + 1)]
     certs = [Certificate(el, (PartitionPush(el.level, r),)
                          + ((StarSnap(el.level),) if r == 0 else ()), target)

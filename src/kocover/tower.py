@@ -99,6 +99,11 @@ class TowerDepthError(TowerError):
 class TowerSizeError(TowerError):
     """A level is too large to materialize under the cell budget."""
 
+    def __init__(self, level: int, count: int, budget: int):
+        super().__init__(f"level {level} has {count} cells, over the "
+                         f"materialization budget {budget}")
+        self.level = level
+
 
 def max_level_from_env() -> int:
     raw = os.environ.get("KO_COVER_MAX_LEVEL", "")
@@ -261,9 +266,7 @@ class SubdivisionTower:
             counts = self._chain_counts(t)
             n = sum(counts)
             if n > self.max_cells:
-                raise TowerSizeError(
-                    f"level {t} has {n} cells, over the materialization budget "
-                    f"{self.max_cells}")
+                raise TowerSizeError(t, n, self.max_cells)
             lv.tops = array("i", itertools.chain.from_iterable(
                 map(itertools.repeat, range(len(counts)), counts)))
             lv.starts = array("i", itertools.accumulate(counts, initial=0))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -17,6 +18,7 @@ from kocover import (Complex, ConstructionError, CoverBundle, CoverError,
 from kocover.certify import Certificate, PartitionPush, Target
 from kocover import cover
 from kocover.cli import run
+from kocover.complexes import simplex_complex
 from kocover.cover import (_arc_paths, _edge_path_vertices, _k_cover,
                            check_certificate)
 from kocover.tower import CellIndex
@@ -150,22 +152,44 @@ def test_build_cover_argument_errors():
 
 
 def test_build_cover_infeasible_raises_diagnostics(monkeypatch):
-    # at depth cap 5 the r = 1 star family's signature walk at m = 5 reads
+    # at depth cap 6 the r = 1 star family's signature walk at m = 6 reads
     # level 4 of the standard 3-simplex, which is over the cell budget
     with monkeypatch.context() as patch:
-        patch.setenv("KO_COVER_MAX_LEVEL", "5")
+        patch.setenv("KO_COVER_MAX_LEVEL", "6")
         with pytest.raises(ConstructionError,
-                           match=r"reads level 4 of the standard 3-simplex: "
+                           match=r"reads level 4 of the standard 3-simplex, and "
                                  r"level 4 has 1455585 cells\b.*budget 600000"):
-            build_cover(builtin("s1-x-s2"), 1, 5)
+            build_cover(builtin("s1-x-s2"), 1, 6)
     # packing beyond the depth cap is only implemented up to dimension 2
     with pytest.raises(ConstructionError, match="graphs and surfaces"):
         build_cover(builtin("delta-3"), 0, 5)
 
 
+def test_budget_refusal_names_the_walk_level_and_the_level_over_budget(monkeypatch):
+    # at m = 7 the walk reads level 5 of the standard 3-simplex, whose
+    # vertices are the cells of level 4, the level over the cell budget
+    monkeypatch.setenv("KO_COVER_MAX_LEVEL", "7")
+    with pytest.raises(ConstructionError,
+                       match=r"^verification at m=7 reads level 5 of the standard "
+                             r"3-simplex, which needs level 4 listed, and level 4 "
+                             r"has 1455585 cells, over the materialization budget "
+                             r"600000$"):
+        build_cover(builtin("s1-x-s2"), 1, 7)
+
+
+@pytest.mark.parametrize("r,m", [(1, 5), (0, 6)])
+def test_raised_cap_star_covers_build_and_verify(monkeypatch, r, m):
+    # the walk on one flag cell reads level m-2 (r >= 1) or m-3 (r = 0) of
+    # the standard 3-simplex: level 3, with 61,649 cells; the walk on the
+    # whole simplex read level 4, over the cell budget
+    monkeypatch.setenv("KO_COVER_MAX_LEVEL", str(m))
+    bundle = build_cover(builtin("s1-x-s2"), r, m)
+    assert verify_cover_bundle(bundle).ok
+
+
 def test_dual_star_bundle_verifies_without_its_top_level():
-    # every certificate is read structurally and the walk reads level 2,
-    # so level 3 (2,171,712 cells) is never listed
+    # every certificate is read structurally and the walk reads level 1 of
+    # the standard 3-simplex, so level 3 (2,171,712 cells) is never listed
     bundle = build_cover(builtin("s1-x-s2"), 1, 3)
     again = CoverBundle.from_json(json.loads(json.dumps(bundle.to_json())))
     assert all(el.centers == 1 for el in again.elements)
@@ -178,14 +202,19 @@ def test_star_bundles_list_no_level_of_their_own_tower(monkeypatch, tmp_path, ca
                                                        name, r, m):
     """Building, verifying, a JSON round trip and kcheck read the standard
     3-simplex's levels and list no level >= 1 of the bundle's tower (level
-    3 of s1-x-s2 has 2,171,712 cells, over the cell budget)."""
+    3 of s1-x-s2 has 2,171,712 cells, over the cell budget). Of the
+    standard 3-simplex they read no level past the flag-cell walk's: level
+    1 (149 cells) for r = 0 and level 2 (2,745 cells) for r = 1."""
     cx = builtin(name)
-    listed = []
+    std = simplex_complex(cx.dim)
+    listed, read = [], []
     cells = SubdivisionTower.cells
 
     def record(tower, t):
         if t >= 1 and tower.base == cx:
             listed.append(t)
+        if tower.base == std:
+            read.append(t)
         return cells(tower, t)
 
     monkeypatch.setattr(SubdivisionTower, "cells", record)
@@ -198,6 +227,7 @@ def test_star_bundles_list_no_level_of_their_own_tower(monkeypatch, tmp_path, ca
     assert run(["cover", "kcheck", "--in", str(path), "--k", str(m), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["is_k_cover"]
     assert listed == []
+    assert max(read) == (m - 3 if r == 0 else m - 2)
     # level t >= 2 is built from the cells of level t-1, so this holds for all
     for tower in (bundle.tower, again.tower):
         assert tower.level(1).cells_list is None
@@ -579,6 +609,51 @@ def test_star_signatures_from_the_standard_simplex(family):
     sigs = cover_signatures(tower, fam)
     assert sigs == chain_enumeration(tower, fam)
     assert sigs == cover_signatures(tower, [el.materialize() for el in fam])
+
+
+@functools.cache
+def standard_tower(n):
+    return SubdivisionTower(simplex_complex(n), max_level=4)
+
+
+def unshifted_signatures(tower, elements):
+    """Reference for the flag-cell walk: the int-centred stars rebuilt on
+    the tower of the standard n-simplex, n = dim X, at their own levels,
+    their centres listed, so that the walk takes its general path (a star
+    DP and no flag) over a whole level of Delta^n."""
+    std = standard_tower(tower.base.dim)
+    return cover_signatures(std, [VertexStarSet(std, el.level,
+                                                std.low_vertices(el.level, el.centers))
+                                  for el in elements])
+
+
+@st.composite
+def flag_cell_families(draw):
+    """A catalog complex or a random one of dimension 1 to 4, and 1 to 5
+    stars on levels 1 to 4, repeats allowed, centred by dimensions 0 to n,
+    whose reference walk reads a level of Delta^n of at most 100k cells."""
+    spec = draw(st.sampled_from(CATALOG_NAMES) | st.integers(1, 4).flatmap(
+        lambda d: st.builds(f"random:{d}:{{}}:{{}}".format, st.integers(d + 1, d + 4),
+                            st.integers(0, 10 ** 6))))
+    cx = builtin(spec)
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, cx.dim)),
+                           min_size=1, max_size=5))
+    # the reference's DP walks level L-1 of Delta^n, L the finest star level
+    level = max(w for w, _ in shapes) - 1
+    assume(standard_tower(cx.dim).count_cells(level) <= 100_000)
+    tower = SubdivisionTower(cx, max_level=4)
+    return tower, [VertexStarSet(tower, w, r) for w, r in shapes]
+
+
+@given(family=flag_cell_families())
+@settings(max_examples=30, deadline=None)
+def test_flag_cell_signatures_equal_the_whole_simplex_walk(family):
+    """The walk of a family of int-centred stars on one flag cell of
+    Delta^n gives the signatures of the walk over whole levels of Delta^n:
+    the symmetric group of Delta^n fixes every such star and every
+    signature and moves any level-1 facet onto the flag cell."""
+    tower, fam = family
+    assert cover_signatures(tower, fam) == unshifted_signatures(tower, fam)
 
 
 def _random_element(rng, tower, kind, level):
