@@ -24,8 +24,11 @@ only on a level of more than tower.ARRAY_MIN_CELLS (1,000) cells: there
 the snap reads the cell numbers the carrier set carries (replay hands
 each step the carrier as a set, so a first-step snap reads the numbers
 its start was decoded or built with) and is replayed on the level's one
-CellIndex (tower.index), the face pairs masked to the carrier and
-labelled with array operations. On a smaller level it is plain Python:
+CellIndex (tower.index): the components are labelled on compact nodes,
+one per chain block the carrier holds whole and one per present cell of
+a block it holds in part, and base carriers are intersected once per
+block of a component, since every cell of a block has the block's
+carrier. On a smaller level it is plain Python:
 union-find over the carrier's own cells, base carriers from
 tower.carrier0. Only the indexed snap imports numpy, so loading this
 module does not.
@@ -210,26 +213,35 @@ def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> se
 def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
                           idx: int) -> set[int]:
     """_snap_targets on the CellIndex of the carrier's sized level, over
-    the carrier's cell numbers; a witness is gathered from its block."""
+    the carrier's cell numbers; a witness is gathered from its block.
+
+    Every cell of a chain block has the block's base carrier, so the
+    carriers are intersected once per block of a component: one row for
+    a block the carrier holds whole (its leading singleton) and one for
+    each cell of a block it holds in part, whose cells may lie in several
+    components."""
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
     pos = np.frombuffer(carrier.numbers(), dtype=np.int32)
     index = tower.index(carrier.level)
     root = index.components(pos)
-    order = np.argsort(root, kind="stable")
-    member, root = pos[order], root[order]
-    first = np.ones(len(root), dtype=bool)  # does a component start here?
-    first[1:] = root[1:] != root[:-1]
-    in_carrier = index.base_verts[index.carrier[member]]  # member x base vertex
+    at = index.block[pos]
+    whole = np.bincount(at, minlength=len(index.block_start)) == index.block_size
+    row = np.flatnonzero(~whole[at] | (pos == index.block_start[at]))
+    row = row[np.argsort(root[row], kind="stable")]
+    first = np.ones(len(row), dtype=bool)  # does a component start here?
+    first[1:] = root[row[1:]] != root[row[:-1]]
+    in_carrier = index.base_verts[index.carrier[pos[row]]]  # row x base vertex
     common = np.logical_and.reduceat(in_carrier, np.flatnonzero(first), axis=0)
     empty = ~common.any(axis=1)
     if empty.any():
         # the least cell (tuple order) of any failing component: a witness
         # that does not depend on how the cells were numbered
-        failing = member[empty[np.cumsum(first) - 1]]
+        failing = np.zeros(len(index.block), dtype=bool)
+        failing[root[row[first]][empty]] = True
         raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                          min(tower.cells_at(carrier.level, failing.tolist())))
+                          min(tower.cells_at(carrier.level, pos[failing[root]].tolist())))
     return set(common.argmax(axis=1).tolist())  # the least common vertex
 
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -688,12 +689,14 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
         raise ConstructionError("wheel cracks: ring reservation exceeds a budget")
 
     # vertex -> edge adjacency from the face pairs of the edges: slots
-    # sorted by vertex (a stable sort keeps each vertex's edges ascending)
+    # sorted by vertex (a stable sort keeps each vertex's edges ascending),
+    # those of vertex u from row[u] to row[u + 1]
     pair = np.flatnonzero(dim[index.face_cell] == 1)
     ends = index.face[pair].reshape(-1, 2)
     order = np.argsort(ends.ravel(), kind="stable")
-    adjacency = (ends.ravel()[order], ends[:, ::-1].ravel()[order],
-                 np.repeat(index.face_cell[pair[::2]], 2)[order])
+    vertex = ends.ravel()[order]
+    adjacency = (np.searchsorted(vertex, np.arange(n + 1)).astype(np.int32), vertex,
+                 ends[:, ::-1].ravel()[order], np.repeat(index.face_cell[pair[::2]], 2)[order])
     # the 2-cell of each cell inside one, by position in two_cells; the
     # edge vertex of element i at edge slot k of 2-cell j is targets[i, k, j]
     cell_of = np.full(len(base), -1)
@@ -717,10 +720,12 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
             raise ConstructionError(
                 f"wheel cracks: no room for an arc of element {i} "
                 f"in 2-cell {cx.label_cell(two_cells[failed.argmax()])}")
-    del adjacency, pair, ends, order  # the elements' sets below reuse this memory
+    del adjacency, vertex, pair, ends, order  # the elements' sets below reuse this memory
 
+    # each element's numbers as array('i'), from the bytes of int32 cell numbers
     elements: list[CellSet] = [
-        OpenCellSet.from_numbers(tower, level, np.flatnonzero(~crack).tolist())
+        OpenCellSet.from_numbers(tower, level, array(
+            "i", np.flatnonzero(~crack).astype(np.int32).tobytes()))
         for crack in cracks]
     certs = [Certificate(el, (StarSnap(level),), Target("skeletal", 0))
              for el in elements]
@@ -737,37 +742,41 @@ def _arc_paths(adjacency: tuple[np.ndarray, ...], free: np.ndarray, starts: np.n
     """Shortest vertex paths through free cells, one per 2-cell j from its
     starts to target[j], by one frontier search over all 2-cells at once.
 
-    adjacency is (vertex, other end, edge) per slot, sorted by vertex. Free
-    cells lie inside one 2-cell, cell_of[cell], and no edge joins two, so
-    the searches share no node. A node's parent is its first slot in the
-    previous round, the least node, as in a queue sorted each round. Targets
-    are not free and may be shared, so each 2-cell keeps its own hit and
-    leaves. Returns which 2-cells were reached, and the paths' cells apart
-    from their starts and targets.
+    adjacency is (row, vertex, other end, edge): the slots sorted by
+    vertex, those of vertex u from row[u] to row[u + 1]. Free cells lie
+    inside one 2-cell, cell_of[cell], and no edge joins two, so the
+    searches share no node. A node's parent is its least slot from the
+    previous round, the least node, as in a queue sorted each round.
+    Targets are not free and may be shared, so each 2-cell keeps its own
+    hit, its least slot reaching its target, and leaves. Returns which
+    2-cells were reached, and the paths' cells apart from their starts and
+    targets.
     """
     import numpy as np
-    vertex, other, edge = adjacency
-    prev = np.full(len(free), -1, dtype=np.int32)  # slot reaching each node
-    hit = np.full(len(target), -1, dtype=np.int32)  # slot reaching each target
+    row, vertex, other, edge = adjacency
+    none = len(vertex)  # no slot reaches the node (or the 2-cell's target) yet
+    prev = np.full(len(free), none)  # the slot reaching each node
+    hit = np.full(len(target), none)  # the slot reaching each target
     frontier = starts
     while len(frontier):
-        lo = np.searchsorted(vertex, frontier)
-        count = np.searchsorted(vertex, frontier, side="right") - lo
+        lo = row[frontier]
+        count = row[frontier + 1] - lo
         slot = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
         w, j = other[slot], cell_of[vertex[slot]]
         step = free[edge[slot]]
         at = step & (w == target[j])
-        done, first = np.unique(j[at], return_index=True)
-        hit[done] = slot[at][first]
-        step &= free[w] & (prev[w] < 0) & (hit[j] < 0)
-        frontier, first = np.unique(w[step], return_index=True)
-        prev[frontier] = slot[step][first]
-    found = hit >= 0
+        np.minimum.at(hit, j[at], slot[at])
+        step &= free[w] & (prev[w] == none) & (hit[j] == none)
+        w, slot = w[step], slot[step]
+        np.minimum.at(prev, w, slot)
+        frontier = w[prev[w] == slot]  # each node once, by its least slot
+    found = hit < none
     slot, path = hit[found], [np.empty(0, dtype=np.int32)]
     while len(slot):  # back from the targets to the starts
         u = vertex[slot]
-        path += [edge[slot], u[prev[u] >= 0]]
-        slot = prev[u][prev[u] >= 0]
+        back = prev[u] < none
+        path += [edge[slot], u[back]]
+        slot = prev[u][back]
     return found, np.concatenate(path)
 
 

@@ -30,7 +30,9 @@ end at the simplex, a Fubini number of them (1, 3, 13, 75, 541, ...).
 One template per k, built on first use, holds them as face slots in
 block order, and a block is one gather over the vertex numbers of its
 cell's faces. The counts size a level before it is built, with no walk
-over faces: a sized level has its tops table, the chain-maximum vertex of
+over faces: the budget is checked level by level on cell-size
+histograms, which need level 0 alone, and a sized level has its tops
+table, the chain-maximum vertex of
 every cell (each lower cell's number repeated by its count), and the
 first cell of every block, checked against the cell budget, and lists
 its cell tuples only when something reads them. Through tops, the base
@@ -47,14 +49,16 @@ template of each cell size names the face (its maximum's slot and its
 position in that slot's block) of every chain, so the face pairs are
 gathers and no level-t tuple is read. A wheel level is searched, walked
 and snapped on its index without listing its cells. The components of a
-set contract whole chain blocks first: a block the set holds whole is one
-node, joined to another whole block through the face pair of their
-maxima, and only the face pairs with an end in a block held in part are
-read cell by cell. One size rule, ARRAY_MIN_CELLS, decides where arrays
+set are labelled on compact nodes, so their cost scales with chain
+blocks, not cells: a block the set holds whole is one node, joined to
+another whole block through the face pair of their maxima and to every
+present cell of a block of a face of its maximum, and only the face
+pairs of the present cells of blocks held in part are read cell by cell.
+One size rule, ARRAY_MIN_CELLS, decides where arrays
 are used: only on a level of more than 1,000 cells. A signature walk or
 a snap on a smaller level (is_small) runs in plain Python; both run on
 a sized level only. A plain snap costs 4-5 us a cell
-against 0.4-0.6 us on an index that exists (0.17-0.21 us on a wheel
+against 0.4-0.6 us on an index that exists (0.10-0.11 us on a wheel
 element, which holds nearly every block whole), and an index takes 1-2 ms
 to build, so at most about 5 ms at the rule, well under the 100-120 ms
 that importing numpy adds to a fresh process; every wheel level has 3,937
@@ -120,6 +124,13 @@ def fubini(k: int) -> list[int]:
     for n in range(1, k + 1):
         a.append(sum(math.comb(n, j) * a[j] for j in range(n)))
     return a
+
+
+@functools.cache
+def _surjections(j: int, k: int) -> int:
+    """k! S(j, k), the maps of a j-set onto a k-set: the chains of k faces
+    of a (j-1)-simplex that end at the simplex."""
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** j for i in range(k + 1))
 
 
 def proper_faces(cell: CellT) -> Iterator[CellT]:
@@ -237,14 +248,17 @@ class SubdivisionTower:
 
     # -- level materialization ------------------------------------------
 
-    def level(self, t: int) -> _Level:
-        """Vertex tables at level t (cells of level t-1 must fit the budget)."""
+    def _check_depth(self, t: int) -> None:
         if t < 0:
             raise TowerError("negative level")
         if t > self.max_level:
             raise TowerDepthError(
                 f"level {t} exceeds the subdivision depth cap {self.max_level} "
                 f"(KO_COVER_MAX_LEVEL)")
+
+    def level(self, t: int) -> _Level:
+        """Vertex tables at level t (cells of level t-1 must fit the budget)."""
+        self._check_depth(t)
         while len(self._levels) <= t:
             s = len(self._levels) - 1
             lower_cells = self.cells(s)
@@ -259,27 +273,32 @@ class SubdivisionTower:
     def sized(self, t: int) -> int:
         """The number of level-t cells, checked against the cell budget
         (TowerSizeError), with the level's tops and block starts; lists no
-        level-t cell. The chains with one maximum are contiguous, so tops
-        is each lower cell's number repeated by its chain count."""
+        level-t cell. The budget is checked on the cell-size histograms,
+        level by level from level 1 up, before any level is listed: the
+        lowest level over it is refused. The chains with one maximum are
+        contiguous, so tops is each lower cell's number repeated by its
+        chain count."""
+        self._check_depth(t)
+        if t >= len(self._levels) or self._levels[t].count is None:
+            for s, hist in enumerate(self._size_histograms(t)):
+                if s and sum(hist) > self.max_cells:
+                    raise TowerSizeError(s, sum(hist), self.max_cells)
         lv = self.level(t)
         if lv.count is None:
             counts = self._chain_counts(t)
-            n = sum(counts)
-            if n > self.max_cells:
-                raise TowerSizeError(t, n, self.max_cells)
             lv.tops = array("i", itertools.chain.from_iterable(
                 map(itertools.repeat, range(len(counts)), counts)))
             lv.starts = array("i", itertools.accumulate(counts, initial=0))
             lv.starts.pop()  # the total
-            lv.count = n
+            lv.count = len(lv.tops)
         return lv.count
 
     def cells(self, t: int) -> list[CellT]:
         """All cells of level t, listed (the level sized first, under the
         cell budget)."""
+        self.sized(t)
         lv = self.level(t)
         if lv.cells_list is None:
-            self.sized(t)
             lv.cells_list = list(self.iter_cells(t))
             lv.cell_index = dict(zip(lv.cells_list, range(lv.count)))
         return lv.cells_list
@@ -318,9 +337,9 @@ class SubdivisionTower:
         """The CellIndex of level t, built the first time it is asked for,
         with those of the levels below; sizes the level (guarded by the
         cell budget) and lists none of its cells."""
+        self.sized(t)
         lv = self.level(t)
         if lv.index is None:
-            self.sized(t)
             lv.index = CellIndex(self, t)
         return lv.index
 
@@ -356,11 +375,26 @@ class SubdivisionTower:
         lower = self.cells(t - 1)
         return list(map(fubini(self.base.dim + 1).__getitem__, map(len, lower)))
 
+    def _size_histograms(self, t: int) -> list[list[int]]:
+        """For each level 0..t, its number of cells with k vertices at
+        index k. A chain of k faces ending at a cell with j vertices is an
+        ordered partition of those vertices into k blocks, so level s has
+        sum over j of H[s-1][j] * k! S(j, k) cells with k vertices; only
+        level 0 is read."""
+        hist = [0] * (self.base.dim + 2)
+        for c in self.cells(0):
+            hist[len(c)] += 1
+        out = [hist]
+        for _ in range(t):
+            hist = [sum(h * _surjections(j, k) for j, h in enumerate(hist))
+                    for k in range(len(hist))]
+            out.append(hist)
+        return out
+
     def count_cells(self, t: int) -> int:
-        """Exact cell count of level t (chain counts over level t-1)."""
-        if t == 0:
-            return len(self.cells(0))
-        return sum(self._chain_counts(t))
+        """Exact cell count of level t, from the cell-size histograms;
+        lists no level above 0."""
+        return sum(self._size_histograms(t)[t])
 
     # -- carriers ----------------------------------------------------------
 
@@ -502,50 +536,95 @@ class CellIndex:
         joined when one is a face of the other: the least number in each
         cell's component, aligned with pos.
 
-        A block that pos holds whole is connected through its leading
-        singleton, which is a face of each of its cells, so it enters as
-        one node, its first cell. Two cells of different blocks are a face
-        pair only if the blocks' maxima are, and when both blocks are whole
-        the block pair's 2-vertex cell and its face join them; every other
-        face pair, one with an end in a block that pos holds in part, is
-        read cell by cell, in a pass skipped when pos holds every block it
-        meets whole. Min-label hooking with pointer jumping then runs
-        on these nodes. parent[x] <= x always holds and jumping runs until
-        every cell points at a root, so each round hooks roots only; the
-        loop ends when every pair has one root, whatever the number of
-        rounds. A wheel element holds nearly every block whole, so its
-        face pairs are mostly not read at all: the 17 wheel elements of
-        the benchmark's seed-11 instances take 24-30 ms here, 45-48 ms when
-        every face pair is hooked.
+        The components are found over compact nodes, not cells. A block
+        that pos holds whole is connected through its leading singleton,
+        which is a face of each of its cells, so it is one node; each
+        present cell of a block held in part is a node of its own. Nodes
+        are numbered in the order of their least cells, so the least node
+        of a component leads it. Two cells of different blocks are a face
+        pair only if the blocks' maxima are, so the edges are read block by
+        block:
+
+        * two whole blocks are joined when their maxima are a face pair of
+          the level below (a block pair);
+        * a whole block is joined to every present cell of the block of a
+          face of its maximum, since that cell with the maximum added is
+          in it: each such cell, and each such whole block, is joined to
+          one of these whole blocks;
+        * the face pairs of the present cells of blocks held in part are
+          read cell by cell, those with a present face kept.
+
+        Min-label hooking with pointer jumping then runs on the nodes.
+        parent[x] <= x always holds and jumping runs until every node
+        points at a root, so each round hooks roots only; an edge whose
+        ends share a root is dropped, and the loop ends when none is left,
+        whatever the number of rounds. A wheel element holds nearly every
+        block whole, so the nodes number about the level-3 cells plus the
+        cells of partial blocks (4.4k against 19.6k cells on random:2:7
+        level 4), and no face pair of a whole block is read.
         """
         import numpy as np
-        block, start = self.block, self.block_start
-        at = block[pos]
-        whole = np.bincount(at, minlength=len(start)) == self.block_size
-        joined = whole[self.block_cell] & whole[self.block_face]
-        u, v = start[self.block_cell[joined]], start[self.block_face[joined]]
-        if not whole[at].all():
-            # 0 absent, 1 in a whole block, 2 in a block held in part: a
-            # face pair is read when both ends are present and one is in part
-            state = np.zeros(len(block), dtype=np.uint8)
-            state[pos] = 2 - whole[at]
-            keep = state[self.face_cell] * state[self.face] > 1
-            u = np.concatenate((u, self.face_cell[keep]))
-            v = np.concatenate((v, self.face[keep]))
-        parent = np.where(whole[block], start[block],
-                          np.arange(len(block), dtype=np.int32))
-        while True:
-            pu, pv = parent[u], parent[v]
-            split = pu != pv
-            if not split.any():
-                return parent[pos]
-            pu, pv = pu[split], pv[split]
+        least, node, u, v = self._node_graph(pos)
+        parent = np.arange(len(least), dtype=np.int32)
+        pu, pv = u, v  # every node is its own root
+        while len(u):
             np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
             while True:
-                jumped = parent[parent]
+                jumped = parent.take(parent)  # take: int32 indices, no intp copy
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
+            pu, pv = parent.take(u), parent.take(v)
+            split = np.flatnonzero(pu != pv)
+            u, v, pu, pv = u[split], v[split], pu[split], pv[split]
+        return least[parent][node]
+
+    def _node_graph(self, pos: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The nodes and edges that components(pos) labels: the least cell
+        of each node, the node of each cell of pos, and the edges as two
+        arrays of node numbers. A cell of a whole block follows its
+        block's leading singleton, the last node led before it, so the
+        running count of node leads numbers it with its block."""
+        import numpy as np
+        block, start = self.block, self.block_start
+        at = block[pos]
+        held = np.bincount(at, minlength=len(start))
+        whole = held == self.block_size
+        loose = pos[~whole[at]]  # the present cells of blocks held in part
+        lead = np.zeros(len(block), dtype=bool)
+        lead[start[whole]] = True
+        lead[loose] = True
+        node = np.cumsum(lead, dtype=np.int32) - 1
+        head = node[start]  # the node of each whole block
+        bc, bf = self.block_cell, self.block_face
+        joined = whole[bc] & whole[bf]
+        u, v = [head[bc[joined]]], [head[bf[joined]]]
+        if len(loose):
+            # over[c]: one whole block over block c, held in part. Every
+            # loose cell of c is joined to it, and so is every other one
+            joined = whole[bc] & (held[bf] > 0) & ~whole[bf]
+            over = np.full(len(start), -1, dtype=np.int32)
+            over[bf[joined]] = head[bc[joined]]
+            up = over[block[loose]]
+            cell, face = self._loose_pairs(pos, loose)
+            u += [head[bc[joined]], node[loose[up >= 0]], node[cell]]
+            v += [over[bf[joined]], up[up >= 0], node[face]]
+        return (np.flatnonzero(lead).astype(np.int32), node[pos],
+                np.concatenate(u), np.concatenate(v))
+
+    def _loose_pairs(self, pos: np.ndarray, loose: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The face pairs of the loose cells whose face is in pos, as
+        (cell, face): each cell's face pairs are one run of the face
+        table, 2^k - 2 long for a cell of k vertices."""
+        import numpy as np
+        count = 2 ** self.size[loose] - 2
+        first = np.searchsorted(self.face_cell, loose)
+        face = self.face[np.repeat(first - np.cumsum(count) + count, count)
+                         + np.arange(count.sum())]
+        present = np.zeros(len(self.block), dtype=bool)
+        present[pos] = True
+        kept = present[face]
+        return np.repeat(loose, count)[kept], face[kept]
 
 
 # -- open cell sets ----------------------------------------------------------

@@ -369,6 +369,30 @@ def snap_verdicts(tower, start):
     return v.passed, v.reason, v.failing_step, v.witness
 
 
+@pytest.mark.parametrize("name", ["delta-2", "boundary-delta-3"])
+def test_snap_verdicts_agree_on_closed_complements_of_a_wheel_level(name):
+    # level 4 of a surface (3,937 and 15,554 cells), where wheel elements
+    # are snapped: the complement of the closure of a few random cells and
+    # of the cells over some base vertices and edges. The carrier fails
+    # when one component crosses the surface and passes when each stays
+    # near one base vertex or inside an open 2-cell; the two paths agree
+    # on every verdict, witness included
+    tower = SubdivisionTower(builtin(name))
+    cells = tower.cells(4)
+    low = [c for c in tower.cells(0) if len(c) < 3]
+    rng = random.Random(4)
+    verdicts = []
+    for share in (0, 0, 0.6, 0.8, 1, 1):
+        over = set(rng.sample(low, round(share * len(low))))
+        seeds = rng.sample(cells, rng.randint(1, 8))
+        closed = {f for c in seeds + [c for c in cells if tower.carrier0(4, c) in over]
+                  for f in (c, *proper_faces(c))}
+        start = OpenCellSet.from_numbers(
+            tower, 4, [i for i, c in enumerate(cells) if c not in closed])
+        verdicts.append(snap_verdicts(tower, start))
+    assert {v[0] for v in verdicts} == {True, False}
+
+
 def renumbered(tower, level, cells, rng):
     """The set of cells built from their numbers in a shuffled order, one
     unlike the iteration order of the cells themselves."""

@@ -21,7 +21,7 @@ from kocover.cli import run
 from kocover.complexes import simplex_complex
 from kocover.cover import (_arc_paths, _edge_path_vertices, _k_cover,
                            check_certificate)
-from kocover.tower import CellIndex
+from kocover.tower import DEFAULT_MAX_CELLS, CellIndex
 
 
 def three_point_family():
@@ -175,6 +175,19 @@ def test_budget_refusal_names_the_walk_level_and_the_level_over_budget(monkeypat
                              r"has 1455585 cells, over the materialization budget "
                              r"600000$"):
         build_cover(builtin("s1-x-s2"), 1, 7)
+
+
+def test_budget_refusal_lists_no_level_of_the_standard_simplex(monkeypatch):
+    # the budget is checked on cell-size histograms before anything is
+    # listed, so the refusal at m = 6 never lists level 3 (61,649 cells)
+    # to count level 4; a fresh simplex tower shows what the build listed
+    monkeypatch.setattr(cover, "_standard_tower",
+                        functools.cache(cover._standard_tower.__wrapped__))
+    monkeypatch.setenv("KO_COVER_MAX_LEVEL", "6")
+    with pytest.raises(ConstructionError, match=r"level 4 has 1455585 cells"):
+        build_cover(builtin("s1-x-s2"), 1, 6)
+    std = cover._standard_tower(3, 6, DEFAULT_MAX_CELLS)
+    assert len(std._levels) == 1 and std.level(3).cells_list is None
 
 
 @pytest.mark.parametrize("r,m", [(1, 5), (0, 6)])
@@ -402,8 +415,8 @@ def _arc_bfs(adjacency, free, starts, target):
 @pytest.fixture(scope="module")
 def arc_levels():
     """Per complex, level 4 as the wheel builder searches it: the cells'
-    2-cells (cell_of), the adjacency by slot and as offsets, and the
-    interior vertices of each base edge."""
+    2-cells (cell_of), the adjacency by slot with its row pointers
+    (offsets), and the interior vertices of each base edge."""
     import numpy as np
     out = {}
     for spec in ("delta-2", "random:2:7:161751"):
@@ -423,10 +436,10 @@ def arc_levels():
         vertex = ends.ravel()[order]
         other = ends[:, ::-1].ravel()[order]
         edge = np.repeat(index.face_cell[pair[::2]], 2)[order]
-        offsets = np.searchsorted(vertex, np.arange(n + 1))
+        offsets = np.searchsorted(vertex, np.arange(n + 1)).astype(np.int32)
         on_edge = {e: index.block_start[_edge_path_vertices(tower, 4, e)[1:-1]].tolist()
                    for e in cx.cells() if len(e) == 2}
-        out[spec] = (two_cells, dim, cell_of, (vertex, other, edge),
+        out[spec] = (two_cells, dim, cell_of, (offsets, vertex, other, edge),
                      (offsets, other, edge), on_edge)
     return out
 

@@ -16,7 +16,7 @@ import kocover
 from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
-from kocover.complexes import CATALOG, components
+from kocover.complexes import CATALOG, components, simplex_complex
 from kocover.tower import (cell_numbers_from_json, fubini, proper_faces,
                            vertex_set_from_json)
 
@@ -445,6 +445,23 @@ def test_an_over_budget_level_is_refused_unlisted():
         assert tower.level(3).count is None and tower.level(3).cells_list is None
 
 
+def test_sizing_checks_the_budget_from_level_one_up_before_listing():
+    # level 3 of the standard 3-simplex (61,649 cells) fits the budget and
+    # level 4 does not: sizing level 4 or above is refused at level 4 from
+    # the cell-size histograms, with only the base listed, and a level over
+    # the depth cap is refused for its depth first
+    tower = SubdivisionTower(simplex_complex(3), max_level=6)
+    for t in (4, 5, 6):
+        with pytest.raises(TowerSizeError, match="^level 4 has 1455585 cells, over "
+                                                 "the materialization budget 600000$"):
+            tower.sized(t)
+        assert len(tower._levels) == 1
+    assert tower.count_cells(4) == 1455585 and tower.count_cells(7) > 10 ** 9
+    assert [tower.count_cells(t) for t in range(3)] == [len(tower.cells(t)) for t in range(3)]
+    with pytest.raises(TowerDepthError):
+        SubdivisionTower(simplex_complex(3), max_level=3).sized(5)
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_blocks_are_the_runs_of_one_chain_maximum(name):
     # the facts CellIndex.components contracts whole blocks by: each block
@@ -471,8 +488,10 @@ def test_blocks_are_the_runs_of_one_chain_maximum(name):
 
 
 # (complex, level) pairs for the components test: the small levels, on
-# arrays whatever their size, and one level over tower.ARRAY_MIN_CELLS
-COMPONENT_LEVELS = [(name, t) for name in SMALL_NAMES for t in (0, 1, 2)] + [("delta-2", 4)]
+# arrays whatever their size, and two wheel levels over
+# tower.ARRAY_MIN_CELLS, one of them over 10,000 cells (15,554)
+COMPONENT_LEVELS = [(name, t) for name in SMALL_NAMES for t in (0, 1, 2)] \
+    + [("delta-2", 4), ("boundary-delta-3", 4)]
 
 
 # towers of their own: materializing delta-2 level 4 on the session's
