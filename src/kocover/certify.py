@@ -96,7 +96,6 @@ class Certificate:
 @dataclass
 class Verdict:
     passed: bool
-    monotone: bool
     achieved: tuple[int, int] | None  # (max final cell dim, max final base-carrier dim)
     failing_step: int | None = None
     reason: str = ""
@@ -107,7 +106,7 @@ class Verdict:
 
 
 def _fail(step: int | None, reason: str, witness=None) -> Verdict:
-    return Verdict(False, False, None, failing_step=step, reason=reason, witness=witness)
+    return Verdict(False, None, failing_step=step, reason=reason, witness=witness)
 
 
 # -- verification -------------------------------------------------------------
@@ -290,21 +289,21 @@ def _verify_low_star(tower: SubdivisionTower, cert: Certificate) -> Verdict:
 
 
 def _target_verdict(target: Target, max_dim: int, max_base: int) -> Verdict:
-    """Judge the final carrier's dimensions against the target. Every step
-    kind that replay accepts is monotone, so a passing verdict is monotone."""
+    """Judge the final carrier's dimensions against the target."""
     if target.kind == "skeletal" and max_base > target.r:
         return _fail(None, f"final carrier leaves the base {target.r}-skeleton")
     if target.kind == "dimensional" and max_dim > target.r:
         return _fail(None, f"final carrier has dimension {max_dim} > {target.r}")
-    return Verdict(True, True, (max_dim, max_base))
+    return Verdict(True, (max_dim, max_base))
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """A certificate as JSON: cells and kept vertices as vertex numbers (see
-    tower.cell_numbers_from_json), a snap as its level and its rule."""
+    """A certificate as JSON: kept vertices as vertex numbers (see
+    tower.vertex_set_to_json), a snap as its level and its rule. The
+    start is not written: in a bundle, certificate i starts at element i."""
     steps = []
     for step in cert.steps:
         if isinstance(step, PartitionPush):
@@ -313,19 +312,13 @@ def certificate_to_json(cert: Certificate) -> dict:
         elif isinstance(step, StarSnap):
             steps.append({"kind": "snap", "level": step.level,
                           "assignment": {"kind": "min-base-vertex"}})
-    return {"start": cert.start.to_json(), "steps": steps,
-            "target": {"kind": cert.target.kind, "r": cert.target.r}}
+    return {"steps": steps, "target": {"kind": cert.target.kind, "r": cert.target.r}}
 
 
 def certificate_from_json(tower: SubdivisionTower, data: dict,
-                          known: tuple[object, CellSet] | None = None) -> Certificate:
-    """Inverse of certificate_to_json. known, when given, is a JSON cell set
-    and its decoding: a start equal to it is not decoded again."""
-    start_data = json_field(data, "start", dict, CertificateFormatError)
-    if known is not None and start_data == known[0]:
-        start = known[1]
-    else:
-        start = cellset_from_json(tower, start_data)
+                          start: CellSet) -> Certificate:
+    """Inverse of certificate_to_json, for a certificate that starts at
+    start."""
     steps: list[Step] = []
     for sd in json_field(data, "steps", list, CertificateFormatError):
         kind = json_field(sd, "kind", str, CertificateFormatError)

@@ -389,8 +389,9 @@ def _k_cover(sigs: dict[int, set[frozenset[int]]], k: int, m: int,
 # -- bundles ------------------------------------------------------------------
 
 # the bundle layout this module writes and the only one it reads: cells as
-# vertex-number lists (tower.cell_numbers_from_json)
-BUNDLE_FORMAT = 2
+# vertex-number lists (tower.cell_numbers_from_json), and certificate i
+# starting at element i
+BUNDLE_FORMAT = 3
 
 
 def check_format(data: dict) -> None:
@@ -434,21 +435,16 @@ class CoverBundle:
         return _profile_claims(self.r, self.m, self.N)
 
     def to_json(self) -> dict:
-        """The bundle as JSON. An element that is its certificate's start,
-        as in every bundle that build_cover makes, is written as the
-        start's JSON object, so editing one edits both."""
-        certificates = [certificate_to_json(c) for c in self.certificates]
-        elements = [certificates[i]["start"]
-                    if i < len(certificates) and self.certificates[i].start is el
-                    else el.to_json() for i, el in enumerate(self.elements)]
+        """The bundle as JSON. A certificate's start is not written:
+        certificate i starts at element i."""
         return {
             "format": BUNDLE_FORMAT,
             "complex": self.complex.to_json(),
             "params": {"r": self.r, "N": self.N, "m": self.m,
                        "max_level": self.tower.max_level,
                        "construction": self.construction},
-            "elements": elements,
-            "certificates": certificates,
+            "elements": [el.to_json() for el in self.elements],
+            "certificates": [certificate_to_json(c) for c in self.certificates],
             "profile": [asdict(p) for p in self.profile_claims],
         }
 
@@ -463,19 +459,23 @@ class CoverBundle:
             raise CoverError(f"bundle field 'N' is {N}, but a {cx.dim}-complex with "
                              f"r={r} has N={derived}")
         profile = [asdict(p) for p in _profile_claims(r, m, N)]
-        if json_field(data, "profile", list, CoverError) != profile:
+        claimed = json_field(data, "profile", list, CoverError)
+        # == takes True or 1.0 for 1, and a claim holds ints only
+        if claimed != profile or any(type(v) is not int for p in claimed
+                                     for v in p.values()):
             raise CoverError(f"bundle field 'profile' is {data['profile']!r}, but r={r} "
                              f"and m={m} give {profile!r}")
         max_level = None if params.get("max_level") is None \
             else json_field(params, "max_level", int, CoverError)
         tower = SubdivisionTower(cx, max_level=max_level)
-        raw = json_field(data, "elements", list, CoverError)
-        elements = [cellset_from_json(tower, e) for e in raw]
-        # a certificate starts at its own element in every bundle that
-        # build_cover writes; that start is decoded once
-        certs = [certificate_from_json(tower, c, (raw[i], elements[i])
-                                       if i < len(raw) else None)
-                 for i, c in enumerate(json_field(data, "certificates", list, CoverError))]
+        elements = [cellset_from_json(tower, e)
+                    for e in json_field(data, "elements", list, CoverError)]
+        raw = json_field(data, "certificates", list, CoverError)
+        if len(raw) > len(elements):
+            raise CoverError(f"bundle field 'certificates' has {len(raw)} entries but "
+                             f"'elements' has {len(elements)}: certificate "
+                             f"{len(elements)} has no element to start at")
+        certs = [certificate_from_json(tower, c, el) for c, el in zip(raw, elements)]
         return cls(cx, tower, r, m, elements, certs, params.get("construction", ""))
 
 
@@ -856,34 +856,23 @@ def verify_cover_bundle(bundle: CoverBundle) -> CoverReport:
 
 def check_certificate(tower: SubdivisionTower, element: CellSet,
                       cert: Certificate, r: int) -> tuple[bool, str]:
-    """Does the certificate deform this element as an r-deformability
-    witness? It must start at the element and pass verify_certificate; for
-    r = 0 it must be monotone into the base 0-skeleton, otherwise its target
-    must have dimension at most r. Returns (passed, detail)."""
-    if not _same_set(element, cert.start):
-        return False, "certificate start differs from the element"
+    """Do the certificate's steps deform this element as an
+    r-deformability witness? They are replayed from the element, whatever
+    the certificate's own start, and must pass verify_certificate; for
+    r = 0 the target must be the base 0-skeleton (every step is monotone),
+    otherwise its dimension must be at most r. Returns (passed, detail)."""
     try:
-        verdict = verify_certificate(tower, cert)
+        verdict = verify_certificate(tower, Certificate(element, cert.steps, cert.target))
     except (CertificateFormatError, TowerError) as exc:
         return False, f"structural error: {exc}"
     if not verdict.passed:  # a final-target failure names no step
         step = verdict.failing_step
         return False, verdict.reason if step is None else f"step {step}: {verdict.reason}"
     if r == 0:
-        good = cert.target.kind == "skeletal" and cert.target.r == 0 and verdict.monotone
+        good = cert.target.kind == "skeletal" and cert.target.r == 0
         return good, "" if good else "r=0 needs a monotone certificate into the 0-skeleton"
     good = cert.target.r <= r
     return good, "" if good else f"target does not witness {r}-deformability"
-
-
-def _same_set(a: CellSet, b: CellSet) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, VertexStarSet) and isinstance(b, VertexStarSet):
-        return a.level == b.level and a.centers == b.centers
-    if isinstance(a, OpenCellSet) and isinstance(b, OpenCellSet):
-        return a.level == b.level and a.cells == b.cells
-    return False
 
 
 # -- pullback -----------------------------------------------------------------

@@ -60,6 +60,11 @@ class ProductCoverBundle:
         bb = CoverBundle.from_json(json_field(data, "b_bundle", dict, CoverError))
         params = json_field(data, "params", dict, CoverError)
         n, d, m = (json_field(params, name, int, CoverError) for name in ("n", "d", "m"))
+        # n and d follow from the factors, so a claim is refused, not trusted
+        for name, value, factor, cx in (("n", n, "x", xb.complex), ("d", d, "b", bb.complex)):
+            if value != cx.dim:
+                raise CoverError(f"bundle field {name!r} is {value}, but the {factor} "
+                                 f"factor is a {cx.dim}-complex")
         return cls(xb.complex, bb.complex, n, d, m, xb, bb)
 
 

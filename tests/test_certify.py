@@ -43,7 +43,7 @@ def test_empty_certificate_inside_skeleton(s2_tower):
     cx = s2_tower.base
     verts = OpenCellSet(s2_tower, 0, [c for c in cx.cells() if len(c) == 1])
     verdict = verify_certificate(s2_tower, Certificate(verts, (), Target("skeletal", 0)))
-    assert verdict.passed and verdict.monotone
+    assert verdict.passed
     # a complex of dimension at most r certifies with no steps
     t1 = SubdivisionTower(builtin("s1"))
     whole1 = OpenCellSet(t1, 0, t1.base.cells())
@@ -91,7 +91,7 @@ def test_star_snap_generator(s2_tower):
     snap = cert.steps[-1]
     cert = Certificate(pts, (snap,), Target("skeletal", 0))
     verdict = verify_certificate(s2_tower, cert)
-    assert verdict.passed and verdict.monotone
+    assert verdict.passed
     assert snap == StarSnap(level)
     # each barycenter snapped to the least vertex of its carrier cell
     assert final_carrier(s2_tower, pts, (snap,)) == (level, frozenset(
@@ -217,10 +217,10 @@ def test_lazy_and_explicit_verification_agree():
                     for target in (Target("skeletal", 0), Target("dimensional", r)):
                         v_lazy = verify_certificate(t, Certificate(lazy, steps, target))
                         v_exp = verify_certificate(t, Certificate(explicit, steps, target))
-                        assert (v_lazy.passed, v_lazy.monotone, v_lazy.achieved,
-                                v_lazy.reason, v_lazy.failing_step) == \
-                            (v_exp.passed, v_exp.monotone, v_exp.achieved,
-                             v_exp.reason, v_exp.failing_step), (name, level, r, steps, target)
+                        assert (v_lazy.passed, v_lazy.achieved, v_lazy.reason,
+                                v_lazy.failing_step) == \
+                            (v_exp.passed, v_exp.achieved, v_exp.reason,
+                             v_exp.failing_step), (name, level, r, steps, target)
                         if steps == (push,) and target.kind == "dimensional":
                             # the subdivided r-skeleton of level L-1, which
                             # above level 1 holds a vertex over every base cell
@@ -462,17 +462,20 @@ def test_a_decoded_set_numbers_each_cell_once(s2_tower):
 def test_certificate_json_round_trip(s2_tower):
     cert = dual_push_certificate(one_skeleton_complement(s2_tower), 1, 0)
     data = json.loads(json.dumps(certificate_to_json(cert)))
-    again = certificate_from_json(s2_tower, data)
+    assert "start" not in data  # its start is the caller's
+    again = certificate_from_json(s2_tower, data, cert.start)
+    assert again.start is cert.start
     assert verify_certificate(s2_tower, again).passed
     assert again.target == cert.target
     assert len(again.steps) == len(cert.steps)
 
 
 def test_the_refine_step_kind_is_refused(s2_tower):
-    data = certificate_to_json(dual_push_certificate(one_skeleton_complement(s2_tower), 1, 0))
+    cert = dual_push_certificate(one_skeleton_complement(s2_tower), 1, 0)
+    data = certificate_to_json(cert)
     data["steps"].insert(0, {"kind": "refine"})
     with pytest.raises(CertificateFormatError, match="unknown step kind 'refine'"):
-        certificate_from_json(s2_tower, data)
+        certificate_from_json(s2_tower, data, cert.start)
 
 
 def corrupt(rng, tower, cert):

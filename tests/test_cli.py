@@ -261,13 +261,13 @@ def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, fiel
     # a snap has one rule, so explicit snap pairs are an unknown kind too
     snap = field in ("assignment", "explicit")
     if command == "cover":
-        # layered stars: a star start, a push and a snap
-        data = build_cover(builtin("delta-2"), 0, 3).to_json()
-        cert = data["certificates"][0]
+        # layered stars: star elements, a push and a snap
+        data = bundle = build_cover(builtin("delta-2"), 0, 3).to_json()
     else:
         # the staggered factor's stars push; the s1 arcs snap
         data = assemble_product_cover(builtin("boundary-delta-3"), builtin("s1")).to_json()
-        cert = data["b_bundle" if snap else "x_bundle"]["certificates"][0]
+        bundle = data["b_bundle" if snap else "x_bundle"]
+    cert = bundle["certificates"][0]
     step = {s["kind"]: s for s in cert["steps"]}
     if field == "step":
         cert["steps"] = [{"kind": "twist"}]
@@ -276,7 +276,7 @@ def test_unknown_certificate_kind_is_usage_error(tmp_path, capsys, command, fiel
     elif field == "keep":
         step["push"]["keep"] = {"kind": "bogus", "verts": [0]}
     elif field == "centers":
-        cert["start"]["centers"] = {"kind": "bogus", "verts": [0]}
+        bundle["elements"][0]["centers"] = {"kind": "bogus", "verts": [0]}
     elif field == "assignment":
         step["snap"]["assignment"] = {"kind": "bogus", "pairs": []}
     else:
@@ -381,7 +381,7 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
     pytest.param("cover", ("params",), [], "'params'", id="cover-params-list"),
     pytest.param("cover", ("complex",), 5, "'complex'", id="cover-complex-5"),
     pytest.param("cover", ("elements", 0), 5, "'level'", id="cover-element-5"),
-    pytest.param("cover", ("certificates", 0), [], "'start'", id="cover-certificate-list"),
+    pytest.param("cover", ("certificates", 0), [], "'steps'", id="cover-certificate-list"),
     pytest.param("cover", ("certificates", 0, "target"), 3, "'target'",
                  id="cover-target-3"),
     pytest.param("cover", ("certificates", 0, "steps", 0), 3, "'kind'", id="cover-step-3"),
@@ -439,6 +439,8 @@ def test_cover_verify_refuses_a_bundle_n_that_differs_from_the_complex(tmp_path,
     pytest.param(lambda p: p[0].update(min_multiplicity=99), id="multiplicity-99"),
     pytest.param(lambda p: p.pop(), id="claim-dropped"),
     pytest.param(lambda p: p.append(dict(p[-1], k=3)), id="claim-added"),
+    # True == 1, so a bool once passed for the int it equals
+    pytest.param(lambda p: p[0].update(k=True), id="k-bool"),
 ])
 @pytest.mark.parametrize("command", ["cover", "product"])
 def test_cover_verify_refuses_a_profile_that_r_and_m_do_not_give(tmp_path, capsys,
@@ -459,6 +461,36 @@ def test_cover_verify_refuses_a_profile_that_r_and_m_do_not_give(tmp_path, capsy
     assert err.startswith("error:") and "'profile'" in err
 
 
+@pytest.mark.parametrize("field,value", [("n", 1), ("d", 0)])
+def test_product_verify_refuses_n_or_d_that_differs_from_its_factors(tmp_path, capsys,
+                                                                      field, value):
+    # n and d were once trusted: either edit verified with "ok": true
+    data = assemble_product_cover(builtin("torus-7"), builtin("s1")).to_json()
+    data["params"][field] = value
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "product", "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"field {field!r} is {value}" in err
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["certificates"].append(d["certificates"][0]), id="added"),
+    pytest.param(lambda d: d["elements"].pop(), id="element-dropped"),
+])
+def test_a_certificate_past_the_last_element_is_usage_error(tmp_path, capsys, edit):
+    # certificate i starts at element i, so a certificate with no element
+    # has no start
+    data = build_cover(builtin("s1"), 0, 3).to_json()
+    edit(data)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "cover", "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'certificates'" in err
+    assert f"certificate {len(data['elements'])} has no element to start at" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "4.0"])
 def test_malformed_max_level_variable_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("KO_COVER_MAX_LEVEL", value)
@@ -475,20 +507,30 @@ def v1_bundle():
     enc = cell_encoder(bundle.tower)
     data = bundle.to_json()
     del data["format"]
-    # a certificate start that is its element is the element's own object
-    cellsets = [*data["elements"], *(c["start"] for c in data["certificates"])]
-    for cellset in {id(c): c for c in cellsets}.values():
+    for cellset in data["elements"]:
         cellset["cells"] = sorted(enc(cellset["level"], tuple(c)) for c in cellset["cells"])
+    return data
+
+
+def v2_bundle(data):
+    """A format-3 cover or product bundle as format 2 wrote it: each
+    certificate with its element again as its "start"."""
+    for bundle in (data["x_bundle"], data["b_bundle"]) if "x_bundle" in data else (data,):
+        for el, cert in zip(bundle["elements"], bundle["certificates"]):
+            cert["start"] = el
+        bundle["format"] = 2
+    data["format"] = 2
     return data
 
 
 @pytest.mark.parametrize("command,data,named", [
     pytest.param("cover", v1_bundle, "no 'format' field", id="cover-v1"),
-    pytest.param("cover", lambda: {**build_cover(builtin("s1"), 0, 3).to_json(), "format": 3},
-                 "'format' 3", id="cover-format-3"),
-    pytest.param("product", lambda: {**assemble_product_cover(
-        builtin("s1"), builtin("point")).to_json(), "format": 3},
-                 "'format' 3", id="product-format-3"),
+    pytest.param("cover", lambda: v2_bundle(build_cover(builtin("s1"), 0, 3).to_json()),
+                 "'format' 2", id="cover-format-2"),
+    pytest.param("product", lambda: v2_bundle(assemble_product_cover(
+        builtin("s1"), builtin("point")).to_json()), "'format' 2", id="product-format-2"),
+    pytest.param("cover", lambda: {**build_cover(builtin("s1"), 0, 3).to_json(), "format": 4},
+                 "'format' 4", id="cover-format-4"),
 ])
 def test_other_bundle_formats_are_usage_errors(tmp_path, capsys, command, data, named):
     path = tmp_path / "bundle.json"
@@ -559,21 +601,21 @@ def test_deterministic_output(tmp_path, capsys):
     assert seeds[0] == seeds[1]
 
 
-# sha256 of CLI cover and product bundles in format 2 (compact JSON, cells
-# as vertex-number lists) and of a certificate with explicit push verts and
-# a snap; the encoding must not drift
+# sha256 of CLI cover and product bundles in format 3 (compact JSON, cells
+# as vertex-number lists, no certificate start) and of a certificate with
+# explicit push verts and a snap; the encoding must not drift
 PINNED_SHA256 = {
-    "arc-s1-m5": "11b984333f7302101631c14510e9ba30a6aa7605bc3097870678044dfa5aca45",
+    "arc-s1-m5": "df523f4e1246737703a1ccb8f382a24c3041d76f6aa3b239b4178b239d8c062d",
     "staggered-bd3-r1-m2":
-        "b81689dffa0e3713a9cefa1e4f9a3080f9f38561acdb35180970a8b61d504492",
-    "layered-bd3-m4": "53356dcd31e19ca1987482706e5f114bc21541cd495cd194b90e7e70687d5334",
-    "wheel-delta-2-m5": "2dd125b42af6b3162c65b619a5c8f2257cd07f5e597ef17b3fe55d6dd077ef87",
-    "wheel-bd3-m6": "f1bc238477f5580d7ae41cce15c7235360f2199ff56457b715cb7ac95f4b7966",
+        "fa6c678f7d2c432ef1f053f0ced9b67ba84ee059ea29acf2df26f40485ec7054",
+    "layered-bd3-m4": "0bf8da8ae6a7d020ea84d3ba046f71d705e12819dd5272e24b970335c68fd2bc",
+    "wheel-delta-2-m5": "33d3b19076ec06c2410de2ff847a23e7051ddf990f518ded9610d2b92cb06113",
+    "wheel-bd3-m6": "169af78f712e8c7ae72a7def2a99c0e3092b441502fe4a13815d0675c75d4744",
     "wheel-random-2-7-m5":
-        "26ae06034d602204c845d0e25e53ddf32a6594c3d3449daa0ae578433c49101f",
-    "certificate-s2-r0": "daf288274032fe10f64557a3d3562779c26cb038fba07c16c58438fdd10a6e0a",
-    "product-rp2-6-s1": "360bf8fdd6e8793efd2c7393d7677b344466513100af5e93e1a0c012f927f7b4",
-    "product-torus-7-s1": "71df0cc9cea7755655a4fa286fa7f2bb541c74e30479a1d908748c2f4165abca",
+        "fe4465324cf30cd64945ec6ec5b872f7dc6e600303554e1fc1d7f0d79ae9450c",
+    "certificate-s2-r0": "a3c7f486606a1355cd49014ab3f88ad7b796a615ea776436feda1db0368f4e1d",
+    "product-rp2-6-s1": "2485d9e19a09ed1a68a5b3297568fef9ab6b4b512817af534b4065349e1ef120",
+    "product-torus-7-s1": "57f3079ecb20f56b4b73ea089e54cf69b5c38dabc92321513d3652b4daa9a805",
 }
 
 _PIN_SCRIPT = """

@@ -504,11 +504,16 @@ def test_single_vertex_cover():
     ("delta-2", 0, 3),           # layered stars
     ("s1", 0, 4),                # arc phases
     ("point", 0, 2),             # trivial
+    ("delta-2", 0, 5),           # wheel cracks
 ])
 def test_bundle_json_round_trip(name, r, m):
+    # certificate i starts at element i, so no certificate writes a start
     bundle = build_cover(builtin(name), r, m)
     data = json.loads(json.dumps(bundle.to_json(), sort_keys=True))
+    assert all("start" not in c for c in data["certificates"])
     again = CoverBundle.from_json(data)
+    assert all(c.start is el for c, el in zip(again.certificates, again.elements))
+    assert verify_cover_bundle(again) == verify_cover_bundle(bundle)
     assert verify_cover_bundle(again).ok
     assert again.m == bundle.m and again.r == bundle.r
 
@@ -533,6 +538,17 @@ def test_corrupted_certificate_fails_only_itself():
     assert not names["certificate-1"]
     assert names["certificate-0"] and names["certificate-2"]
     assert names["coverage"] and names["profile-k1"]
+
+
+def test_a_certificate_is_replayed_from_its_element():
+    # certificate i of a bundle starts at element i, so the start it
+    # carries in memory is not read
+    bundle = build_cover(builtin("delta-2"), 0, 3)
+    before = verify_cover_bundle(bundle)
+    cert = bundle.certificates[1]
+    whole = OpenCellSet(bundle.tower, 0, bundle.complex.cells())
+    bundle.certificates[1] = Certificate(whole, cert.steps, cert.target)
+    assert verify_cover_bundle(bundle) == before and before.ok
 
 
 def test_profile_monotone_in_m():
