@@ -21,8 +21,9 @@ _EXPORTS = {
     "product": ("ProductCoverBundle", "assemble_product_cover", "lemma_bound",
                 "product_skeleton", "verify_product_cover"),
     "bounds": ("BoundProfile", "BoundResult", "BoundsError", "FibrationProfile",
-               "NotApplicable", "best_upper", "betti_mod2", "corollary_bound",
-               "cuplength_mod2", "fibration_bound", "main_bound", "rconn_bound"),
+               "NotApplicable", "best_upper", "corollary_bound", "fibration_bound",
+               "main_bound", "rconn_bound"),
+    "cohomology": ("betti_mod2", "cuplength_mod2"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -37,11 +37,16 @@ module does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .complexes import UsageError, components
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, VertexStarSet,
                     json_field, proper_faces, vertex_set_from_json, vertex_set_to_json)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tower import CellIndex
 
 
 class CertificateFormatError(UsageError):
@@ -235,13 +240,34 @@ def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
     common = np.logical_and.reduceat(in_carrier, np.flatnonzero(first), axis=0)
     empty = ~common.any(axis=1)
     if empty.any():
-        # the least cell (tuple order) of any failing component: a witness
-        # that does not depend on how the cells were numbered
         failing = np.zeros(len(index.block), dtype=bool)
         failing[root[row[first]][empty]] = True
         raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                          min(tower.cells_at(carrier.level, pos[failing[root]].tolist())))
+                          _least_cell(tower, index, pos[failing[root]]))
     return set(common.argmax(axis=1).tolist())  # the least common vertex
+
+
+def _least_cell(tower: SubdivisionTower, index: CellIndex, numbers: np.ndarray) -> CellT:
+    """The least, in tuple order, of the nonempty set of cells numbered
+    numbers: a witness that does not depend on how the cells were
+    numbered. It holds the set's least vertex v, so only the cells with v
+    are read as tuples. Vertex v is the singleton that leads block v, and
+    the singletons among a cell's faces are its vertices, read from the
+    face table."""
+    import numpy as np
+    member = np.zeros(len(index.block), dtype=bool)
+    member[numbers] = True
+    # the face pairs of the set's cells whose face is a vertex, and the
+    # set's own vertices
+    pairs = np.flatnonzero(member[index.face_cell])
+    pairs = pairs[index.size[index.face[pairs]] == 1]
+    singles = numbers[index.size[numbers] == 1]
+    v = min(index.block[np.concatenate((index.face[pairs], singles))].tolist())
+    vertex = int(index.block_start[v])
+    with_v = index.face_cell[pairs[index.face[pairs] == vertex]].tolist()
+    if member[vertex]:
+        with_v.append(vertex)
+    return min(tower.cells_at(index.t, with_v))
 
 
 def _final_verdict(tower: SubdivisionTower, target: Target, level: int,

@@ -7,10 +7,10 @@ the violated precondition or the missing or malformed bundle field), a
 missing input flag and an input file that cannot be read as UTF-8 text
 included.
 
-A command imports only what it runs. `bounds` and `cuplength` import
-`bounds.py`; `complex bary|dual`, `cover` and `product` import the cover
-stack (tower, certify, cover, product). No command loads numpy when it
-starts: numpy comes with the first CellIndex, which the wheel builder
+A command imports only what it runs. `bounds` imports `bounds.py`,
+`cuplength` only `cohomology.py` (no dataclasses either), and `complex
+bary|dual`, `cover` and `product` import the cover stack (tower,
+certify, cover, product). No command loads numpy when it starts: numpy comes with the first CellIndex, which the wheel builder
 reads, and a certificate snap or a signature walk without a star DP on
 a sized level of more than tower.ARRAY_MIN_CELLS (1,000) cells.
 So `cover verify` of an arc, trivial or star bundle on a catalog complex
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .complexes import Complex, ComplexError, UsageError, builtin, load_complex
 
@@ -138,7 +139,7 @@ def _cmd_cover(args) -> int:
         except ConstructionError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return FAILURE
-        _write_bundle(bundle.to_json(), args.out,
+        _write_bundle(bundle.iter_json(), args.out,
                       f"bundle ({bundle.construction}, m={bundle.m})")
         return OK
     if args.action == "verify":
@@ -154,15 +155,14 @@ def _cmd_cover(args) -> int:
     raise CoverError(f"unknown cover action {args.action!r}")
 
 
-def _write_bundle(payload: dict, out: str | None, what: str) -> None:
-    """Write a bundle as compact sorted-key JSON to the file out, or to
-    stdout without one; both get the same bytes."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _write_bundle(pieces: Iterable[str], out: str | None, what: str) -> None:
+    """Write a bundle's JSON text (its iter_json) piece by piece to the
+    file out, or to stdout without one; both get the same bytes."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     print(f"wrote {what} to {out}")
 
 
@@ -183,7 +183,7 @@ def _cmd_product(args) -> int:
         except ConstructionError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return FAILURE
-        _write_bundle(pcb.to_json(), args.out, f"product bundle (m={pcb.m})")
+        _write_bundle(pcb.iter_json(), args.out, f"product bundle (m={pcb.m})")
         return OK
     if args.action == "verify":
         report = verify_product_cover(_load_bundle(args, ProductCoverBundle))
@@ -220,7 +220,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_cuplength(args) -> int:
-    from .bounds import cuplength_mod2
+    from .cohomology import cuplength_mod2
     cx = _load_target(args)
     value = cuplength_mod2(cx)
     _emit({"complex": cx.name or "", "cuplength_mod2": value}, args)

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from array import array
 from collections import Counter
@@ -69,8 +70,8 @@ from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
-                    TowerSizeError, VertexStarSet, json_field, preimage,
-                    proper_faces)
+                    TowerSizeError, VertexStarSet, json_array, json_field,
+                    json_object, preimage, proper_faces)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -434,19 +435,24 @@ class CoverBundle:
     def profile_claims(self) -> list[ProfileClaim]:
         return _profile_claims(self.r, self.m, self.N)
 
-    def to_json(self) -> dict:
-        """The bundle as JSON. A certificate's start is not written:
+    def iter_json(self) -> Iterator[str]:
+        """The bundle's compact sorted-key JSON text, in pieces, one
+        element at a time. A certificate's start is not written:
         certificate i starts at element i."""
-        return {
+        return json_object({
             "format": BUNDLE_FORMAT,
             "complex": self.complex.to_json(),
             "params": {"r": self.r, "N": self.N, "m": self.m,
                        "max_level": self.tower.max_level,
                        "construction": self.construction},
-            "elements": [el.to_json() for el in self.elements],
+            "elements": json_array(el.iter_json() for el in self.elements),
             "certificates": [certificate_to_json(c) for c in self.certificates],
             "profile": [asdict(p) for p in self.profile_claims],
-        }
+        })
+
+    def to_json(self) -> dict:
+        """The bundle as JSON data, read back from its text."""
+        return json.loads("".join(self.iter_json()))
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverBundle":

@@ -10,12 +10,14 @@ n-skeleton, which bounds its category by m - 1.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .complexes import Complex
 from .cover import (BUNDLE_FORMAT, CoverBundle, CoverError, CoverReport,
                     build_cover, check_certificate, check_format, cover_signatures)
-from .tower import CellT, json_field
+from .tower import CellT, json_field, json_object
 
 Signatures = dict[int, set[frozenset[int]]]
 
@@ -45,13 +47,19 @@ class ProductCoverBundle:
     x_bundle: CoverBundle  # 1-deformable cover of the x factor
     b_bundle: CoverBundle  # monotone 0-deformable cover of the b factor
 
-    def to_json(self) -> dict:
-        return {
+    def iter_json(self) -> Iterator[str]:
+        """The bundle's compact sorted-key JSON text, in pieces, the factor
+        bundles streamed as CoverBundle.iter_json gives them."""
+        return json_object({
             "format": BUNDLE_FORMAT,
             "params": {"n": self.n, "d": self.d, "m": self.m},
-            "x_bundle": self.x_bundle.to_json(),
-            "b_bundle": self.b_bundle.to_json(),
-        }
+            "x_bundle": self.x_bundle.iter_json(),
+            "b_bundle": self.b_bundle.iter_json(),
+        })
+
+    def to_json(self) -> dict:
+        """The bundle as JSON data, read back from its text."""
+        return json.loads("".join(self.iter_json()))
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductCoverBundle":

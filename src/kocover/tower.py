@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 import os
@@ -300,7 +301,6 @@ class SubdivisionTower:
         lv = self.level(t)
         if lv.cells_list is None:
             lv.cells_list = list(self.iter_cells(t))
-            lv.cell_index = dict(zip(lv.cells_list, range(lv.count)))
         return lv.cells_list
 
     def cells_at(self, t: int, numbers: Iterable[int]) -> list[CellT]:
@@ -329,9 +329,14 @@ class SubdivisionTower:
         return self.sized(t) <= ARRAY_MIN_CELLS
 
     def cell_index(self, t: int) -> dict[CellT, int]:
-        """Dense number of every level-t cell: its position in cells(t)."""
-        self.cells(t)
-        return self._levels[t].cell_index  # type: ignore[return-value]
+        """Dense number of every level-t cell: its position in cells(t).
+        Built on first use, not when the level is listed: a bundle writer
+        lists a level and never looks a cell up."""
+        cells = self.cells(t)
+        lv = self._levels[t]
+        if lv.cell_index is None:
+            lv.cell_index = dict(zip(cells, range(len(cells))))
+        return lv.cell_index
 
     def index(self, t: int) -> "CellIndex":
         """The CellIndex of level t, built the first time it is asked for,
@@ -748,13 +753,27 @@ class OpenCellSet:
     def dim(self) -> int:
         return max(map(len, self._members()), default=0) - 1
 
-    def to_json(self) -> dict:
+    def iter_json(self) -> Iterator[str]:
+        """The set's compact sorted-key JSON text, in pieces: its cells,
+        sorted, are encoded CELLS_PER_PIECE at a time from their tuples."""
+        return json_object({"cells": self._iter_cells_json(), "kind": "cells",
+                            "level": self.level})
+
+    def _iter_cells_json(self) -> Iterator[str]:
         if self._cells is None:
             # a bundle writes every element, which together read nearly
             # every block: list the level once rather than gather each
             self.tower.cells(self.level)
-        return {"kind": "cells", "level": self.level,
-                "cells": [list(c) for c in sorted(self._members())]}
+        cells = sorted(self._members())
+        yield "["
+        for i in range(0, len(cells), CELLS_PER_PIECE):
+            # a tuple encodes as a JSON array: strip the chunk's brackets
+            text = ENCODER.encode(cells[i:i + CELLS_PER_PIECE])
+            yield text[1:-1] if i == 0 else "," + text[1:-1]
+        yield "]"
+
+    def to_json(self) -> dict:
+        return json.loads("".join(self.iter_json()))
 
     def __repr__(self) -> str:
         size = len(self._cells if self._numbers is None else self._numbers)
@@ -803,6 +822,9 @@ class VertexStarSet:
         return {"kind": "star", "level": self.level,
                 "centers": vertex_set_to_json(self.centers)}
 
+    def iter_json(self) -> Iterator[str]:
+        yield ENCODER.encode(self.to_json())
+
     def __repr__(self) -> str:
         c = self.centers if isinstance(self.centers, int) else len(self.centers)
         return f"VertexStarSet(level={self.level}, centers={c})"
@@ -829,6 +851,39 @@ def cell_encoder(tower: SubdivisionTower) -> Callable[[int, CellT], object]:
         return sorted(enc(t - 1, lv.verts[v]) for v in cell)
 
     return enc
+
+
+# the one encoder of bundle text: compact, keys sorted
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# explicit cells per encoded piece: enough to keep the calls few, few
+# enough that a piece's lists are short-lived and small
+CELLS_PER_PIECE = 256
+
+
+def json_object(fields: dict) -> Iterator[str]:
+    """The text ENCODER gives for the object fields, in pieces, keys
+    sorted. A value is JSON data, encoded whole, or an iterator of the
+    text pieces of one value, passed on as they come."""
+    sep = "{"
+    for name in sorted(fields):
+        yield f"{sep}{ENCODER.encode(name)}:"
+        value = fields[name]
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield ENCODER.encode(value)
+        sep = ","
+    yield "}" if fields else "{}"
+
+
+def json_array(items: Iterable[Iterator[str]]) -> Iterator[str]:
+    """The text of a JSON array from the text pieces of each item."""
+    sep = "["
+    for item in items:
+        yield sep
+        yield from item
+        sep = ","
+    yield "]" if sep == "," else "[]"
 
 
 _JSON_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}

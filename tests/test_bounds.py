@@ -5,7 +5,7 @@ from kocover import (BoundProfile, BoundsError, FibrationProfile, NotApplicable,
                      best_upper, betti_mod2, builtin, corollary_bound,
                      cuplength_mod2, fibration_bound, main_bound, random_complex,
                      rconn_bound)
-from kocover.bounds import Gf2Span, coboundary_columns, cohomology, cup_product
+from kocover.cohomology import Gf2Span, coboundary_columns, cohomology, cup_product
 
 
 def test_main_bound_examples():

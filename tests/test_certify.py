@@ -423,6 +423,34 @@ def test_snap_verdict_does_not_depend_on_the_order_of_the_numbers(passing):
                        else (False, failure[0], 0, failure[1]))
 
 
+def test_snap_witness_among_several_failing_components_of_a_large_level():
+    # level 3 of torus-7 (9,072 cells): the cells over three closed edges
+    # with no common vertex, each a component joining two base vertices,
+    # and the one cell over the seventh base vertex, a component that
+    # passes. The witness is the least cell of any failing component, read
+    # through the face table on arrays, and the same in plain Python,
+    # whatever the numbering
+    tower = SubdivisionTower(builtin("torus-7"))
+    assert tower.sized(3) > 1_000
+    edges, used = [], set()
+    for e in tower.base.cells(1):
+        if used.isdisjoint(e):
+            edges.append(e)
+            used.update(e)
+    assert len(edges) == 3 and len(used) == 6
+    over = {f for a, b in edges for f in ((a,), (b,), (a, b))}
+    over |= {(v,) for v in range(7) if v not in used}
+    cells = frozenset(c for c in tower.cells(3) if tower.carrier0(3, c) in over)
+    comps = face_components(cells)
+    failing = [comp for comp in comps
+               if not set.intersection(*(set(tower.carrier0(3, c)) for c in comp))]
+    assert (len(comps), len(failing)) == (4, 3)
+    _, failure = snap_oracle(tower, 3, cells)
+    expected = (False, failure[0], 0, failure[1])
+    assert snap_verdicts(tower, OpenCellSet(tower, 3, cells)) == expected
+    assert snap_verdicts(tower, renumbered(tower, 3, cells, random.Random(5))) == expected
+
+
 def test_generated_snap_reads_targets_in_the_order_of_the_numbers(s2_tower):
     # the snap a dual push certificate ends with, replayed alone on its
     # carrier renumbered, passes as on the carrier that looks its numbers up

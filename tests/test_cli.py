@@ -554,6 +554,8 @@ def test_bundle_that_is_not_an_object_is_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv,out_note", [
     (["cover", "build", "--builtin", "s1", "--r", "0", "--m", "3"], "arc-phases, m=3"),
     (["product", "build", "--x", "boundary-delta-3", "--b", "s1"], "(m=2)"),
+    (["cover", "build", "--builtin", "delta-2", "--r", "0", "--m", "5"],
+     "wheel-cracks, m=5"),
 ])
 def test_bundle_on_stdout_matches_the_out_file(tmp_path, capsys, argv, out_note):
     code, stdout, _ = invoke(capsys, *argv)
@@ -562,6 +564,61 @@ def test_bundle_on_stdout_matches_the_out_file(tmp_path, capsys, argv, out_note)
     code, note, _ = invoke(capsys, *argv, "--out", str(path))
     assert code == 0 and out_note in note
     assert stdout.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("spec,r,m,construction", [
+    ("torus-7", 2, 3, "trivial"),
+    ("s1", 0, 5, "arc-phases"),
+    ("boundary-delta-3", 0, 4, "layered-stars"),
+    ("boundary-delta-3", 1, 2, "staggered-duals"),
+    ("delta-2", 0, 5, "wheel-cracks"),
+    ("product", None, None, "product"),
+])
+def test_streamed_bundle_is_the_one_shot_encoding(tmp_path, capsys, spec, r, m,
+                                                  construction):
+    # the writer streams a bundle piece by piece; the file must be the bytes
+    # one json.dumps of the whole bundle, compact with sorted keys, gives
+    path = tmp_path / "bundle.json"
+    if construction == "product":
+        argv = ["product", "build", "--x", "torus-7", "--b", "s1"]
+        bundle = assemble_product_cover(builtin("torus-7"), builtin("s1"))
+    else:
+        argv = ["cover", "build", "--builtin", spec, "--r", str(r), "--m", str(m)]
+        bundle = build_cover(builtin(spec), r, m)
+        assert bundle.construction == construction
+    code, _, _ = invoke(capsys, *argv, "--out", str(path))
+    assert code == 0
+    expected = json.dumps(bundle.to_json(), sort_keys=True, separators=(",", ":"))
+    assert path.read_bytes() == expected.encode()
+
+
+_WRITE_PEAK_SCRIPT = """
+import os, resource, sys
+from kocover import build_cover, builtin
+from kocover.cli import _write_bundle
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+bundle = build_cover(builtin("boundary-delta-3"), 0, 6)
+built = peak_mb()
+_write_bundle(bundle.iter_json(), "bundle.json", "bundle")
+print(os.path.getsize("bundle.json"), peak_mb() - built)
+"""
+
+
+def test_writing_a_wheel_bundle_adds_little_to_the_build_peak(tmp_path):
+    # the writer encodes one element at a time, a few hundred cells a piece,
+    # so the process peaks in the build, not in the encoder: writing this
+    # 1 MB bundle whole, as one list per cell and one string, added 12 MB
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _WRITE_PEAK_SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    size, added_mb = proc.stdout.splitlines()[-1].split()
+    assert int(size) == 1_061_162
+    assert float(added_mb) <= 2.0
 
 
 def test_torus_wheel_bundle_round_trips_within_budget(tmp_path, capsys):
@@ -684,7 +741,7 @@ EXPORTS = {
     "ProductCoverBundle", "SimplicialMap", "StarSnap", "SubdivisionTower", "Target",
     "TowerDepthError", "TowerError", "TowerSizeError", "Verdict", "VertexStarSet",
     "assemble_product_cover", "best_upper", "betti_mod2", "bounds", "build_cover",
-    "builtin", "certify", "complexes", "corollary_bound", "cover", "cover_parameters",
+    "builtin", "certify", "cohomology", "complexes", "corollary_bound", "cover", "cover_parameters",
     "cover_signatures", "cuplength_mod2", "dual_complex", "fibration_bound", "is_k_cover",
     "lemma_bound", "main_bound", "preimage", "product",
     "product_complex", "product_skeleton", "pullback_cover", "random_complex",
@@ -698,7 +755,7 @@ def test_package_exports_every_public_name():
     namespace = {}
     exec("from kocover import *", namespace)
     assert EXPORTS <= namespace.keys()
-    assert namespace["cuplength_mod2"] is kocover.bounds.cuplength_mod2
+    assert namespace["cuplength_mod2"] is kocover.cohomology.cuplength_mod2
     with pytest.raises(AttributeError):
         kocover.no_such_name
 
@@ -729,6 +786,10 @@ def test_light_commands_leave_out_numpy_and_the_cover_stack(tmp_path, argv):
     loaded = imported_modules(tmp_path, *argv)
     assert "kocover.complexes" in loaded
     assert not loaded & COVER_STACK
+    if argv[0] == "cuplength":
+        # the cup length needs cohomology alone: no bound rules, no dataclasses
+        assert "kocover.cohomology" in loaded
+        assert not loaded & {"kocover.bounds", "dataclasses"}
 
 
 def test_the_exit_2_exceptions_share_one_base_class():
