@@ -41,7 +41,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .complexes import UsageError, components
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, VertexStarSet,
-                    json_field, proper_faces, vertex_set_from_json, vertex_set_to_json)
+                    index_array, json_field, proper_faces, vertex_set_from_json,
+                    vertex_set_to_json)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -227,7 +228,7 @@ def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present; sorting on the component roots groups each component
-    pos = np.frombuffer(carrier.numbers(), dtype=np.int32)
+    pos = index_array(carrier.numbers())
     index = tower.index(carrier.level)
     root = index.components(pos)
     at = index.block[pos]

@@ -60,7 +60,6 @@ import functools
 import itertools
 import json
 import math
-from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -70,8 +69,8 @@ from .certify import (Certificate, CertificateFormatError, PartitionPush,
                       StarSnap, Target, certificate_from_json,
                       certificate_to_json, cellset_from_json, verify_certificate)
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, TowerError,
-                    TowerSizeError, VertexStarSet, json_array, json_field,
-                    json_object, preimage, proper_faces)
+                    TowerSizeError, VertexStarSet, index_array, json_array,
+                    json_field, json_object, numbers_array, preimage, proper_faces)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -318,7 +317,7 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     rows = np.zeros((len(low), n), dtype=bool)  # no rows under a lone flag
     for row, (i, el), x in zip(rows, low, listed):
         if x:
-            row[np.frombuffer(el.numbers(), dtype=np.int32)] = True
+            row[index_array(el.numbers())] = True
         else:
             row[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
     dims = np.array(list(map(base_dim, tower.cells(0))), dtype=np.int8)[index.carrier]
@@ -701,7 +700,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     ends = index.face[pair].reshape(-1, 2)
     order = np.argsort(ends.ravel(), kind="stable")
     vertex = ends.ravel()[order]
-    adjacency = (np.searchsorted(vertex, np.arange(n + 1)).astype(np.int32), vertex,
+    adjacency = (np.searchsorted(vertex, np.arange(n + 1)), vertex,
                  ends[:, ::-1].ravel()[order], np.repeat(index.face_cell[pair[::2]], 2)[order])
     # the 2-cell of each cell inside one, by position in two_cells; the
     # edge vertex of element i at edge slot k of 2-cell j is targets[i, k, j]
@@ -728,10 +727,8 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
                 f"in 2-cell {cx.label_cell(two_cells[failed.argmax()])}")
     del adjacency, vertex, pair, ends, order  # the elements' sets below reuse this memory
 
-    # each element's numbers as array('i'), from the bytes of int32 cell numbers
     elements: list[CellSet] = [
-        OpenCellSet.from_numbers(tower, level, array(
-            "i", np.flatnonzero(~crack).astype(np.int32).tobytes()))
+        OpenCellSet.from_numbers(tower, level, numbers_array(np.flatnonzero(~crack)))
         for crack in cracks]
     certs = [Certificate(el, (StarSnap(level),), Target("skeletal", 0))
              for el in elements]
@@ -777,7 +774,7 @@ def _arc_paths(adjacency: tuple[np.ndarray, ...], free: np.ndarray, starts: np.n
         np.minimum.at(prev, w, slot)
         frontier = w[prev[w] == slot]  # each node once, by its least slot
     found = hit < none
-    slot, path = hit[found], [np.empty(0, dtype=np.int32)]
+    slot, path = hit[found], [np.empty(0, dtype=np.intp)]
     while len(slot):  # back from the targets to the starts
         u = vertex[slot]
         back = prev[u] < none

@@ -42,18 +42,25 @@ maximum per cell.
 
 CellIndex is where kocover starts using arrays: numpy is imported when one
 is built, not when this module loads, so materializing levels, their tops,
-the chain counts and the cell numbers of a set never load it. A CellIndex
-indexes one whole sized level, built once (tower.index) from the index of
-the level below, whose face table gives every block's face cells: the
-template of each cell size names the face (its maximum's slot and its
-position in that slot's block) of every chain, so the face pairs are
-gathers and no level-t tuple is read. A wheel level is searched, walked
-and snapped on its index without listing its cells. The components of a
-set are labelled on compact nodes, so their cost scales with chain
-blocks, not cells: a block the set holds whole is one node, joined to
-another whole block through the face pair of their maxima and to every
-present cell of a block of a face of its maximum, and only the face
-pairs of the present cells of blocks held in part are read cell by cell.
+the chain counts and the cell numbers of a set never load it. One dtype
+rule holds: cell numbers at rest (a set's numbers, a decoded set, the
+bundle bytes) are array('i'), and every table that numpy gathers or
+scatters through is intp, which numpy would otherwise copy an int32
+index to on every gather. A level's tops and starts are such tables,
+held at pointer width so that an index reads them in place, and
+index_array and numbers_array are the one place where numbers at rest
+and index tables are converted. A CellIndex indexes one whole sized
+level, built once (tower.index) from the index of the level below, whose
+face table gives every block's face cells: the template of each cell
+size names the face (its maximum's slot and its position in that slot's
+block) of every chain, so the face pairs are gathers and no level-t
+tuple is read. A wheel level is searched, walked and snapped on its
+index without listing its cells. The components of a set are labelled on
+compact nodes, so their cost scales with chain blocks, not cells: a
+block the set holds whole is one node, joined to another whole block
+through the face pair of their maxima and to every present cell of a
+block of a face of its maximum, and only the face pairs of the present
+cells of blocks held in part are read cell by cell.
 One size rule, ARRAY_MIN_CELLS, decides where arrays
 are used: only on a level of more than 1,000 cells. A signature walk or
 a snap on a smaller level (is_small) runs in plain Python; both run on
@@ -91,6 +98,9 @@ DEFAULT_MAX_CELLS = 600_000
 # Python (a few ms at most, well under the numpy import it saves a fresh
 # process)
 ARRAY_MIN_CELLS = 1_000
+# a level's tops and starts are index tables at rest: 8-byte numbers, numpy's
+# intp on a 64-bit host, so a CellIndex reads them in place (index_array)
+_INDEX_TYPECODE = "q"
 
 
 class TowerError(UsageError):
@@ -178,7 +188,7 @@ class _Template:
         faces = [sub for ch in self.blocks[self.faces[-1]] for sub in proper_faces(ch)]
         return (np.array(list(map(len, self.slots)), dtype=np.int32),
                 np.array([self.slot[sub[-1]] for sub in faces], dtype=np.intp),
-                np.array(list(map(position.__getitem__, faces)), dtype=np.int32))
+                np.array(list(map(position.__getitem__, faces)), dtype=np.intp))
 
 
 _template = functools.cache(_Template)  # built on first use, once per k
@@ -211,8 +221,9 @@ class _Level:
     Once the level is sized, count is its number of cells and, on levels 1
     and up, tops[i] is the chain maximum of cell i, the vertex of largest
     dimension, and starts[v] the number of the first cell of the block of
-    vertex v, its singleton (v,). cells_list and cell_index, the cell
-    tuples and their numbers, are listed only when read.
+    vertex v, its singleton (v,). Both are index tables at pointer width,
+    which the level's CellIndex reads in place. cells_list and cell_index,
+    the cell tuples and their numbers, are listed only when read.
     """
 
     def __init__(self, t: int, verts: list, vert_id: dict, vdim: list[int],
@@ -287,9 +298,9 @@ class SubdivisionTower:
         lv = self.level(t)
         if lv.count is None:
             counts = self._chain_counts(t)
-            lv.tops = array("i", itertools.chain.from_iterable(
+            lv.tops = array(_INDEX_TYPECODE, itertools.chain.from_iterable(
                 map(itertools.repeat, range(len(counts)), counts)))
-            lv.starts = array("i", itertools.accumulate(counts, initial=0))
+            lv.starts = array(_INDEX_TYPECODE, itertools.accumulate(counts, initial=0))
             lv.starts.pop()  # the total
             lv.count = len(lv.tops)
         return lv.count
@@ -461,10 +472,30 @@ class SubdivisionTower:
 # -- dense cell index ----------------------------------------------------------
 
 
+def index_array(numbers: array) -> np.ndarray:
+    """Cell numbers at rest, an array('i') or a level's tops or starts, as
+    an intp index table, the width numpy gathers and scatters with (an
+    int32 index is cast to intp on every gather): read in place when the
+    numbers are pointer width, else copied once."""
+    import numpy as np
+    return np.frombuffer(numbers, dtype=numbers.typecode).astype(np.intp, copy=False)
+
+
+def numbers_array(table: np.ndarray) -> array:
+    """The inverse of index_array for cell numbers at rest: an index table
+    of cell numbers as an array('i'), from the bytes of its int32 copy."""
+    import numpy as np
+    return array("i", table.astype(np.int32).tobytes())
+
+
 class CellIndex:
     """Face incidence, chain blocks and base carriers of the cells of one
     sized level t, by cell number, built from the index of level t-1
     without reading a level-t cell tuple.
+
+    Every table read as an index (face, face_cell, block, block_start,
+    carrier and the block pairs) is intp; size and block_size, which are
+    never an index, are int32.
 
     size[i] is the number of vertices of cell i. The face pairs
     (face_cell[k], face[k]) list every cell with each of its proper faces,
@@ -473,9 +504,9 @@ class CellIndex:
     base cells x base vertices table of "v is a vertex of that cell".
 
     The cells that share one chain maximum c, a cell of level t-1, form
-    block c: block[i] is the block of cell i (the level's tops table, not a
-    copy), and block c is the block_size[c] cells from block_start[c] on,
-    led by the singleton (c,). The block pairs (block_cell[k],
+    block c: block[i] is the block of cell i (the level's tops table, read
+    in place, as block_start reads its starts), and block c is the
+    block_size[c] cells from block_start[c] on, led by the singleton (c,). The block pairs (block_cell[k],
     block_face[k]) are the face pairs of level t-1: each is a 2-vertex
     cell, in the block of the pair's cell, whose other vertex is its face.
     At level 0 every cell is its own block and the block pairs are the
@@ -496,18 +527,18 @@ class CellIndex:
             n = len(cells)
             self.size = np.fromiter(map(len, cells), dtype=np.int32, count=n)
             self.face = np.fromiter((position[f] for c in cells for f in proper_faces(c)),
-                                    dtype=np.int32)
-            self.block = self.block_start = self.carrier = np.arange(n, dtype=np.int32)
-            self.block_size = np.ones(n, dtype=np.intp)
+                                    dtype=np.intp)
+            self.block = self.block_start = self.carrier = np.arange(n, dtype=np.intp)
+            self.block_size = np.ones(n, dtype=np.int32)
             self.base_verts = np.zeros((n, len(tower.base.vertices)), dtype=bool)
             for i, c in enumerate(cells):
                 self.base_verts[i, list(c)] = True
         else:
             low = tower.index(t - 1)
             lv = tower.level(t)
-            self.block = np.frombuffer(lv.tops, dtype=np.int32)
-            self.block_start = np.frombuffer(lv.starts, dtype=np.int32)
-            self.block_size = np.bincount(self.block, minlength=len(self.block_start))
+            self.block, self.block_start = index_array(lv.tops), index_array(lv.starts)
+            self.block_size = np.bincount(self.block, minlength=len(self.block_start)
+                                          ).astype(np.int32)
             self.carrier = low.carrier[self.block]
             self.base_verts = low.base_verts
             n = len(self.block)
@@ -519,20 +550,20 @@ class CellIndex:
             width = np.zeros(max(sizes, default=0) + 1, dtype=np.intp)
             for k, (size, _, _) in tables.items():
                 width[k] = int((2 ** size - 2).sum())
-            self.face = np.empty(int(width[low.size].sum()), dtype=np.int32)
+            self.face = np.empty(int(width[low.size].sum()), dtype=np.intp)
             low_width = 2 ** low.size - 2
             for k, (size, slot, pos) in tables.items():
                 is_k = low.size == k
                 lower = np.flatnonzero(is_k)
                 # the numbers of the faces of each k-vertex cell, itself last
-                faces = np.empty((len(lower), 2 ** k - 1), dtype=np.int32)
+                faces = np.empty((len(lower), 2 ** k - 1), dtype=np.intp)
                 faces[:, :-1] = low.face[np.repeat(is_k, low_width)].reshape(len(lower), -1)
                 faces[:, -1] = lower
                 self.size[np.repeat(is_k, self.block_size)] = np.tile(size, len(lower))
                 self.face[np.repeat(is_k, width[low.size])] = \
                     (self.block_start[faces[:, slot]] + pos).ravel()
             self.block_cell, self.block_face = low.face_cell, low.face
-        self.face_cell = np.repeat(np.arange(n, dtype=np.int32), 2 ** self.size - 2)
+        self.face_cell = np.repeat(np.arange(n, dtype=np.intp), 2 ** self.size - 2)
         if t == 0:
             self.block_cell, self.block_face = self.face_cell, self.face
 
@@ -570,12 +601,12 @@ class CellIndex:
         """
         import numpy as np
         least, node, u, v = self._node_graph(pos)
-        parent = np.arange(len(least), dtype=np.int32)
+        parent = np.arange(len(least), dtype=np.intp)
         pu, pv = u, v  # every node is its own root
         while len(u):
             np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
             while True:
-                jumped = parent.take(parent)  # take: int32 indices, no intp copy
+                jumped = parent.take(parent)  # intp, so no cast; take beats []
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
@@ -599,7 +630,7 @@ class CellIndex:
         lead = np.zeros(len(block), dtype=bool)
         lead[start[whole]] = True
         lead[loose] = True
-        node = np.cumsum(lead, dtype=np.int32) - 1
+        node = np.cumsum(lead, dtype=np.intp) - 1
         head = node[start]  # the node of each whole block
         bc, bf = self.block_cell, self.block_face
         joined = whole[bc] & whole[bf]
@@ -608,13 +639,13 @@ class CellIndex:
             # over[c]: one whole block over block c, held in part. Every
             # loose cell of c is joined to it, and so is every other one
             joined = whole[bc] & (held[bf] > 0) & ~whole[bf]
-            over = np.full(len(start), -1, dtype=np.int32)
+            over = np.full(len(start), -1, dtype=np.intp)
             over[bf[joined]] = head[bc[joined]]
             up = over[block[loose]]
             cell, face = self._loose_pairs(pos, loose)
             u += [head[bc[joined]], node[loose[up >= 0]], node[cell]]
             v += [over[bf[joined]], up[up >= 0], node[face]]
-        return (np.flatnonzero(lead).astype(np.int32), node[pos],
+        return (np.flatnonzero(lead), node[pos],
                 np.concatenate(u), np.concatenate(v))
 
     def _loose_pairs(self, pos: np.ndarray, loose: np.ndarray) -> tuple[np.ndarray, ...]:

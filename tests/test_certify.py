@@ -20,7 +20,7 @@ from kocover.certify import (cellset_from_json, certificate_from_json, certifica
                              replay)
 from kocover.complexes import components
 from kocover.cover import check_certificate
-from kocover.tower import proper_faces
+from kocover.tower import index_array, proper_faces
 
 
 @pytest.fixture
@@ -316,13 +316,12 @@ def snap_on_path(path, tower, level, cells):
 @settings(max_examples=120, deadline=None)
 def test_indexed_snap_matches_union_find(small_towers, name, level, density, rng):
     # a materialized level has its one index
-    import numpy as np
     tower = small_towers[name]
     cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
     index = tower.index(level)
     assert index is tower.level(level).index
     listed, position = tower.cells(level), tower.cell_index(level)
-    pos = np.frombuffer(OpenCellSet(tower, level, cells).numbers(), dtype=np.int32)
+    pos = index_array(OpenCellSet(tower, level, cells).numbers())
     assert sorted(listed[p] for p in pos.tolist()) == sorted(cells)
     root = index.components(pos)
     parts = {}

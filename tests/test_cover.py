@@ -436,7 +436,7 @@ def arc_levels():
         vertex = ends.ravel()[order]
         other = ends[:, ::-1].ravel()[order]
         edge = np.repeat(index.face_cell[pair[::2]], 2)[order]
-        offsets = np.searchsorted(vertex, np.arange(n + 1)).astype(np.int32)
+        offsets = np.searchsorted(vertex, np.arange(n + 1))
         on_edge = {e: index.block_start[_edge_path_vertices(tower, 4, e)[1:-1]].tolist()
                    for e in cx.cells() if len(e) == 2}
         out[spec] = (two_cells, dim, cell_of, (offsets, vertex, other, edge),
@@ -461,6 +461,12 @@ def test_frontier_arcs_are_the_queue_search_paths(arc_levels, spec, seed, densit
     pick = {e: rng.choice(verts) for e, verts in on_edge.items()}
     target = np.array([pick[list(itertools.combinations(t, 2))[slot]] for t in two_cells])
     found, new = _arc_paths(adjacency, free, np.flatnonzero(start), cell_of, target)
+    # the builder's intp tables and int32 copies of them give the same
+    # arrays, order included
+    narrow = [a.astype(np.int32) for a in adjacency]
+    found32, new32 = _arc_paths(narrow, free, np.flatnonzero(start).astype(np.int32),
+                                cell_of.astype(np.int32), target.astype(np.int32))
+    assert np.array_equal(found, found32) and np.array_equal(new, new32)
     assert len(set(new.tolist())) == len(new)
     for j, t in enumerate(two_cells):
         mine = cell_of == j

@@ -74,3 +74,17 @@ def test_definitions_used_only_by_tests_are_exported():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                    and node.name not in used and node.name not in kocover.__all__]
     assert not scaffolding
+
+
+def test_only_the_tower_converts_cell_numbers_to_arrays():
+    # cell numbers at rest are array('i') and index tables intp; the two
+    # meet only in tower.index_array and tower.numbers_array
+    offenders = []
+    for path in sorted(Path(kocover.__file__).parent.glob("*.py")):
+        if path.name == "tower.py":
+            continue
+        offenders += [f"{path.name}:{node.lineno}: np.{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr in ("int32", "frombuffer")
+                      and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert not offenders

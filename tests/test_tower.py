@@ -355,13 +355,17 @@ def python_loop_index(tower, t):
 
 
 def assert_index_matches_the_loop(tower, t):
+    import numpy as np
     index = tower.index(t)
     assert index is tower.level(t).index
     pairs, carrier = python_loop_index(tower, t)
     assert list(zip(index.face_cell.tolist(), index.face.tolist())) == pairs
     assert index.carrier.tolist() == carrier
     assert index.size.tolist() == list(map(len, tower.cells(t)))
-    assert index.face_cell.dtype == index.face.dtype == index.carrier.dtype == "int32"
+    # every table the index gathers or scatters through is intp
+    tables = (index.face_cell, index.face, index.carrier, index.block, index.block_start,
+              index.block_cell, index.block_face)
+    assert {table.dtype for table in tables} == {np.dtype(np.intp)}
 
 
 @pytest.mark.parametrize("name, t", [("point", 2), ("s1", 3), ("delta-2", 4),
@@ -376,6 +380,20 @@ def test_cell_index_matches_the_python_loop(name, t):
     assert_index_matches_the_loop(tower, t)
     for s in range(t + 1):
         assert_index_matches_the_loop(tower, s)
+
+
+def test_an_index_reads_its_level_tables_in_place():
+    # boundary-delta-3 level 4 (15,554 cells): block and block_start are the
+    # level's tops and starts, not copies of them, and the tables that are
+    # never an index stay narrow
+    import numpy as np
+    tower = SubdivisionTower(builtin("boundary-delta-3"))
+    index, lv = tower.index(4), tower.level(4)
+    assert len(index.block) == 15_554
+    for table, numbers in ((index.block, lv.tops), (index.block_start, lv.starts)):
+        assert table.dtype == np.intp
+        assert np.shares_memory(table, np.frombuffer(numbers, dtype=numbers.typecode))
+    assert index.size.dtype == index.block_size.dtype == np.int32
 
 
 def assert_templates_match_the_oracles(cx, max_cells, rng):
@@ -533,7 +551,9 @@ def test_components_over_whole_blocks_match_union_find(component_towers, level, 
     index, position = tower.index(t), tower.cell_index(t)
     numbers = [position[c] for c in cells]
     rng.shuffle(numbers)
+    # as int32, the width of numbers at rest, and as intp, as the snap reads them
     root = index.components(np.array(numbers, dtype=np.int32))
+    assert np.array_equal(index.components(np.array(numbers, dtype=np.intp)), root)
     parts = {}
     for p, r in zip(numbers, root.tolist()):
         parts.setdefault(r, set()).add(p)
