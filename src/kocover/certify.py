@@ -27,8 +27,12 @@ its start was decoded or built with) and is replayed on the level's one
 CellIndex (tower.index): the components are labelled on compact nodes,
 one per chain block the carrier holds whole and one per present cell of
 a block it holds in part, and base carriers are intersected once per
-block of a component, since every cell of a block has the block's
-carrier. On a smaller level it is plain Python:
+node, as packed vertex words, since every cell of a block has the
+block's carrier. The carrier's cells are read only to find the blocks it
+holds whole and the cells of the others, and the nodes are numbered by
+one running count over the level; hooking and intersecting cost what the
+nodes and their edges cost, and the node of each cell is looked up only
+for a failure's witness. On a smaller level it is plain Python:
 union-find over the carrier's own cells, base carriers from
 tower.carrier0. Only the indexed snap imports numpy, so loading this
 module does not.
@@ -218,34 +222,36 @@ def _snap_targets(tower: SubdivisionTower, carrier: OpenCellSet, idx: int) -> se
 def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
                           idx: int) -> set[int]:
     """_snap_targets on the CellIndex of the carrier's sized level, over
-    the carrier's cell numbers; a witness is gathered from its block.
+    the carrier's cell numbers and the compact nodes of its components.
 
-    Every cell of a chain block has the block's base carrier, so the
-    carriers are intersected once per block of a component: one row for
-    a block the carrier holds whole (its leading singleton) and one for
-    each cell of a block it holds in part, whose cells may lie in several
-    components."""
+    Every cell of a chain block has the block's base carrier, so a node
+    (a block the carrier holds whole, or a cell of a block it holds in
+    part) has the carrier of its least cell, and the base carriers are
+    intersected once per node, as packed vertex words ANDed onto the
+    node's root. A witness is gathered from the failing components'
+    cells, whose nodes are looked up only then."""
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
-    # present; sorting on the component roots groups each component
+    # present
     pos = index_array(carrier.numbers())
     index = tower.index(carrier.level)
-    root = index.components(pos)
-    at = index.block[pos]
-    whole = np.bincount(at, minlength=len(index.block_start)) == index.block_size
-    row = np.flatnonzero(~whole[at] | (pos == index.block_start[at]))
-    row = row[np.argsort(root[row], kind="stable")]
-    first = np.ones(len(row), dtype=bool)  # does a component start here?
-    first[1:] = root[row[1:]] != root[row[:-1]]
-    in_carrier = index.base_verts[index.carrier[pos[row]]]  # row x base vertex
-    common = np.logical_and.reduceat(in_carrier, np.flatnonzero(first), axis=0)
-    empty = ~common.any(axis=1)
+    least, root = index.components(pos)
+    words = index.base_words[:, index.carrier[least]]  # word x node
+    common = words.copy()
+    for acc, word in zip(common, words):  # AND each node's words into its root's
+        np.bitwise_and.at(acc, root, word)
+    tops = np.flatnonzero(root == np.arange(len(root)))
+    # root x base vertex: bit v % 64 of word v // 64 is vertex v
+    bits = np.unpackbits(np.ascontiguousarray(common[:, tops].T).view(np.uint8),
+                         axis=1, bitorder="little")
+    empty = ~bits.any(axis=1)
     if empty.any():
-        failing = np.zeros(len(index.block), dtype=bool)
-        failing[root[row[first]][empty]] = True
+        failing = np.zeros(len(root), dtype=bool)
+        failing[tops[empty]] = True
+        node = np.searchsorted(least, pos, side="right") - 1
         raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                          _least_cell(tower, index, pos[failing[root]]))
-    return set(common.argmax(axis=1).tolist())  # the least common vertex
+                          _least_cell(tower, index, pos[failing[root[node]]]))
+    return set(bits.argmax(axis=1).tolist())  # the least common vertex
 
 
 def _least_cell(tower: SubdivisionTower, index: CellIndex, numbers: np.ndarray) -> CellT:

@@ -298,14 +298,17 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     """cover_signatures' walk without a star DP on a level of more than
     tower.ARRAY_MIN_CELLS cells, on the level's CellIndex.
 
-    Each cell is a column: one membership row per element of low (the
+    Each cell is a column: one membership bit per element of low (the
     cell numbers of an explicit element of this level, the _membership
-    table for every other), its base-carrier dimension and whether its
-    chain is longer than a singleton, which under a flag also gives the
-    set without the flagged elements. A lexicographic sort and an adjacent difference
-    group identical columns, and index sets are built from one column per
-    group, so no column is packed into a machine-word bitmask. An explicit
-    element holding a cell that is not on the level raises TowerError.
+    table for every other), whether its chain is longer than a singleton,
+    which under a flag also gives the set without the flagged elements,
+    and its base-carrier dimension. The bits are packed into bytes
+    (np.packbits) and the dimension is the last byte of the cell's packed
+    key, a whole number of 64-bit words. Sorting the keys and an adjacent
+    difference leave the distinct ones, and index sets are built from each
+    distinct key unpacked; a key is as many words as the family needs, so
+    the family's width has no limit. An explicit element holding a cell
+    that is not on the level raises TowerError.
     """
     import numpy as np
     index = tower.index(level)
@@ -314,31 +317,32 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     if not all(listed):
         masks, _ = _membership(tower, level, [e for e, x in zip(low, listed) if not x],
                                base_dim)
-    rows = np.zeros((len(low), n), dtype=bool)  # no rows under a lone flag
-    for row, (i, el), x in zip(rows, low, listed):
+    width = -(-(len(low) + 1) // 8)  # bytes of membership and chain bits
+    bits = np.zeros((n, 8 * width), dtype=bool)  # cell x bit
+    for column, (i, el), x in zip(bits.T, low, listed):
         if x:
-            row[index_array(el.numbers())] = True
+            column[index_array(el.numbers())] = True
         else:
-            row[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
-    dims = np.array(list(map(base_dim, tower.cells(0))), dtype=np.int8)[index.carrier]
-    longer = index.size > 1
-    keys = [*rows, dims, longer]
-    order = np.lexsort(keys)
-    first = np.zeros(n, dtype=bool)  # does a group of equal columns start here?
-    first[:1] = True
-    for key in keys:
-        key = key[order]
-        first[1:] |= key[1:] != key[:-1]
-    reps = order[first]
+            column[:] = np.fromiter((m >> i & 1 for m in masks), dtype=bool, count=n)
+    bits[:, len(low)] = index.size > 1
+    key = np.zeros((n, 8 * -(-(width + 1) // 8)), dtype=np.uint8)  # cell x byte
+    key[:, :width] = np.packbits(bits.ravel(), bitorder="little").reshape(n, width)
+    dims = np.array(list(map(base_dim, tower.cells(0))), dtype=np.uint8)
+    key[:, -1] = dims[index.carrier]
+    key = key.view("<u8")  # cell x word
+    key = np.sort(key[:, 0])[:, None] if key.shape[1] == 1 else key[np.lexsort(key.T)]
+    first = np.ones(n, dtype=bool)  # does a run of equal keys start here?
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    key = key[first].view(np.uint8)  # the distinct keys, as bytes
+    columns = np.unpackbits(key[:, :width], axis=1, bitorder="little")
     flagged = frozenset(i for i in range(flag.bit_length()) if flag >> i & 1)
     members = [i for i, _ in low]
     out: dict[int, set[frozenset[int]]] = {}
-    for column, d, chain in zip(rows[:, reps].T.tolist(), dims[reps].tolist(),
-                                longer[reps].tolist()):
+    for column, d in zip(columns.tolist(), key[:, -1].tolist()):
         lo = frozenset(itertools.compress(members, column))
         sigs = out.setdefault(d, set())
         sigs.add(lo | flagged)
-        if chain:
+        if column[len(low)]:
             sigs.add(lo)
     return out
 
@@ -578,7 +582,7 @@ def _build_arc_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBundl
         for e in base_edges:
             path = _edge_path_vertices(tower, depth, e)
             miss.add((path[num],))
-        el = OpenCellSet.from_numbers(tower, depth, (
+        el = OpenCellSet.from_increasing(tower, depth, (
             j for j, c in enumerate(tower.cells(depth)) if c not in miss))
         elements.append(el)
         certs.append(Certificate(
@@ -728,7 +732,7 @@ def _build_wheel_cover(cx: Complex, tower: SubdivisionTower, m: int) -> CoverBun
     del adjacency, vertex, pair, ends, order  # the elements' sets below reuse this memory
 
     elements: list[CellSet] = [
-        OpenCellSet.from_numbers(tower, level, numbers_array(np.flatnonzero(~crack)))
+        OpenCellSet.from_increasing(tower, level, numbers_array(np.flatnonzero(~crack)))
         for crack in cracks]
     certs = [Certificate(el, (StarSnap(level),), Target("skeletal", 0))
              for el in elements]

@@ -500,8 +500,11 @@ class CellIndex:
     size[i] is the number of vertices of cell i. The face pairs
     (face_cell[k], face[k]) list every cell with each of its proper faces,
     cell-major and each cell's faces in proper_faces order. carrier[i]
-    numbers carrier0 of cell i among the base cells, and base_verts is the
-    base cells x base vertices table of "v is a vertex of that cell".
+    numbers carrier0 of cell i among the base cells, and base_words holds
+    the vertices of each base cell as packed 64-bit words: bit v % 64 of
+    base_words[v // 64, b] is set when v is a vertex of base cell b, so a
+    base cell takes ceil(V / 64) words on a base of V vertices. Every
+    level shares level 0's table.
 
     The cells that share one chain maximum c, a cell of level t-1, form
     block c: block[i] is the block of cell i (the level's tops table, read
@@ -530,9 +533,11 @@ class CellIndex:
                                     dtype=np.intp)
             self.block = self.block_start = self.carrier = np.arange(n, dtype=np.intp)
             self.block_size = np.ones(n, dtype=np.int32)
-            self.base_verts = np.zeros((n, len(tower.base.vertices)), dtype=bool)
+            verts = np.zeros((n, 64 * -(-len(tower.base.vertices) // 64)), dtype=bool)
             for i, c in enumerate(cells):
-                self.base_verts[i, list(c)] = True
+                verts[i, list(c)] = True
+            self.base_words = np.ascontiguousarray(
+                np.packbits(verts, axis=1, bitorder="little").view("<u8").T)
         else:
             low = tower.index(t - 1)
             lv = tower.level(t)
@@ -540,7 +545,7 @@ class CellIndex:
             self.block_size = np.bincount(self.block, minlength=len(self.block_start)
                                           ).astype(np.int32)
             self.carrier = low.carrier[self.block]
-            self.base_verts = low.base_verts
+            self.base_words = low.base_words
             n = len(self.block)
             self.size = np.empty(n, dtype=np.int32)
             # the face pairs, block by block: one template per vertex count
@@ -567,19 +572,22 @@ class CellIndex:
         if t == 0:
             self.block_cell, self.block_face = self.face_cell, self.face
 
-    def components(self, pos: np.ndarray) -> np.ndarray:
+    def components(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Connected components of the cells numbered pos, two of them
-        joined when one is a face of the other: the least number in each
-        cell's component, aligned with pos.
+        joined when one is a face of the other, on compact nodes: the
+        least cell of each node, ascending, and the root of each node, the
+        node that leads its component.
 
-        The components are found over compact nodes, not cells. A block
-        that pos holds whole is connected through its leading singleton,
-        which is a face of each of its cells, so it is one node; each
-        present cell of a block held in part is a node of its own. Nodes
-        are numbered in the order of their least cells, so the least node
-        of a component leads it. Two cells of different blocks are a face
-        pair only if the blocks' maxima are, so the edges are read block by
-        block:
+        A block that pos holds whole is connected through its leading
+        singleton, which is a face of each of its cells, so it is one
+        node; each present cell of a block held in part is a node of its
+        own. Nodes are numbered in the order of their least cells, so the
+        root of a component, its least node, holds its least cell. A block
+        is a run of cell numbers, so the node of a cell of pos is the last
+        one whose least cell is not after it: searchsorted(least, pos,
+        side="right") - 1, gathered only by a caller that needs it. Two
+        cells of different blocks are a face pair only if the blocks'
+        maxima are, so the edges are read block by block:
 
         * two whole blocks are joined when their maxima are a face pair of
           the level below (a block pair);
@@ -587,8 +595,12 @@ class CellIndex:
           face of its maximum, since that cell with the maximum added is
           in it: each such cell, and each such whole block, is joined to
           one of these whole blocks;
-        * the face pairs of the present cells of blocks held in part are
-          read cell by cell, those with a present face kept.
+        * a present cell of a block held in part that no whole block lies
+          over is joined to its present faces, read from the face pairs.
+          Under a whole block W, every present face of a cell is joined to
+          W already: its block is whole, and its maximum a face of W's, or
+          its block is held in part under W too. So no other face pair is
+          read.
 
         Min-label hooking with pointer jumping then runs on the nodes.
         parent[x] <= x always holds and jumping runs until every node
@@ -600,7 +612,7 @@ class CellIndex:
         level 4), and no face pair of a whole block is read.
         """
         import numpy as np
-        least, node, u, v = self._node_graph(pos)
+        least, u, v = self._node_graph(pos)
         parent = np.arange(len(least), dtype=np.intp)
         pu, pv = u, v  # every node is its own root
         while len(u):
@@ -613,14 +625,14 @@ class CellIndex:
             pu, pv = parent.take(u), parent.take(v)
             split = np.flatnonzero(pu != pv)
             u, v, pu, pv = u[split], v[split], pu[split], pv[split]
-        return least[parent][node]
+        return least, parent
 
     def _node_graph(self, pos: np.ndarray) -> tuple[np.ndarray, ...]:
         """The nodes and edges that components(pos) labels: the least cell
-        of each node, the node of each cell of pos, and the edges as two
-        arrays of node numbers. A cell of a whole block follows its
-        block's leading singleton, the last node led before it, so the
-        running count of node leads numbers it with its block."""
+        of each node, ascending, and the edges as two arrays of node
+        numbers. A cell of a whole block follows its block's leading
+        singleton, the last node led before it, so the running count of
+        node leads numbers it with its block."""
         import numpy as np
         block, start = self.block, self.block_start
         at = block[pos]
@@ -642,28 +654,38 @@ class CellIndex:
             over = np.full(len(start), -1, dtype=np.intp)
             over[bf[joined]] = head[bc[joined]]
             up = over[block[loose]]
-            cell, face = self._loose_pairs(pos, loose)
-            u += [head[bc[joined]], node[loose[up >= 0]], node[cell]]
-            v += [over[bf[joined]], up[up >= 0], node[face]]
-        return (np.flatnonzero(lead), node[pos],
-                np.concatenate(u), np.concatenate(v))
+            under = up >= 0
+            u += [head[bc[joined]], node[loose[under]]]
+            v += [over[bf[joined]], up[under]]
+            # every present face of a cell under a whole block is joined
+            # to that block already; a face is present when its block is
+            # whole or it leads a node of its own, as a loose cell does
+            cell, face = self._loose_pairs(loose[~under])
+            kept = whole[block[face]] | lead[face]
+            u.append(node[cell[kept]])
+            v.append(node[face[kept]])
+        return np.flatnonzero(lead), np.concatenate(u), np.concatenate(v)
 
-    def _loose_pairs(self, pos: np.ndarray, loose: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The face pairs of the loose cells whose face is in pos, as
-        (cell, face): each cell's face pairs are one run of the face
-        table, 2^k - 2 long for a cell of k vertices."""
+    def _loose_pairs(self, loose: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The face pairs of the cells loose, as (cell, face): each cell's
+        face pairs are one run of the face table, 2^k - 2 long for a cell
+        of k vertices."""
         import numpy as np
         count = 2 ** self.size[loose] - 2
         first = np.searchsorted(self.face_cell, loose)
         face = self.face[np.repeat(first - np.cumsum(count) + count, count)
                          + np.arange(count.sum())]
-        present = np.zeros(len(self.block), dtype=bool)
-        present[pos] = True
-        kept = present[face]
-        return np.repeat(loose, count)[kept], face[kept]
+        return np.repeat(loose, count), face
 
 
 # -- open cell sets ----------------------------------------------------------
+
+
+def _distinct(numbers: array) -> array:
+    """Cell numbers with each repeated one kept once: as given when none
+    repeats, else sorted."""
+    seen = set(numbers)
+    return numbers if len(seen) == len(numbers) else array("i", sorted(seen))
 
 
 class OpenCellSet:
@@ -671,8 +693,10 @@ class OpenCellSet:
 
     A set keeps its cells, a frozenset of cell tuples, and their numbers,
     their positions in cells(level), as an array('i'), each made from the
-    other on first use. A set made from numbers (from_numbers and the
-    decoder) holds only the numbers, each once, until its cells are read,
+    other on first use. A set made from numbers (from_numbers,
+    from_increasing and the decoder) holds only the numbers, each once
+    (from_increasing's producers emit no number twice, so they are not
+    hashed to find out), until its cells are read,
     and then gathers them with cells_at; any other set looks its
     numbers up once, when they are first asked for. The two come from one
     source either way, so they cannot disagree.
@@ -690,7 +714,17 @@ class OpenCellSet:
     def from_numbers(cls, tower: SubdivisionTower, level: int,
                      numbers: Iterable[int]) -> "OpenCellSet":
         """The set of the level cells numbered by numbers, nonnegative
-        positions in cells(level); sizes the level and lists none of it."""
+        positions in cells(level), a number given twice kept once; sizes
+        the level and lists none of it."""
+        tower.sized(level)
+        return cls._numbered(tower, level, _distinct(array("i", numbers)))
+
+    @classmethod
+    def from_increasing(cls, tower: SubdivisionTower, level: int,
+                        numbers: Iterable[int]) -> "OpenCellSet":
+        """from_numbers for numbers that their producer emits strictly
+        increasing (np.flatnonzero, or a filter over a level's positions in
+        order), so that none repeats and none is hashed."""
         tower.sized(level)
         return cls._numbered(tower, level, array("i", numbers))
 
@@ -698,17 +732,17 @@ class OpenCellSet:
     def from_json_cells(cls, tower: SubdivisionTower, level: int,
                         items: list) -> "OpenCellSet":
         """The set of the level cells listed in their JSON form, by the
-        numbers that cell_numbers_from_json looks up."""
-        return cls._numbered(tower, level, cell_numbers_from_json(tower, level, items))
+        numbers that cell_numbers_from_json looks up, a cell listed twice
+        kept once."""
+        return cls._numbered(tower, level,
+                             _distinct(cell_numbers_from_json(tower, level, items)))
 
     @classmethod
     def _numbered(cls, tower: SubdivisionTower, level: int,
                   numbers: array) -> "OpenCellSet":
-        """The set of the level cells numbered by numbers, a number given
-        twice kept once; its cells are gathered on first read."""
+        """The set of the level cells numbered by numbers, none of them
+        given twice; its cells are gathered on first read."""
         out = cls(tower, level, ())
-        if len(set(numbers)) != len(numbers):
-            numbers = array("i", sorted(set(numbers)))
         out._cells, out._numbers = None, numbers
         return out
 
@@ -846,7 +880,7 @@ class VertexStarSet:
         centers = self.tower.low_vertices(self.level, self.centers) \
             if isinstance(self.centers, int) else self.centers
         cells = self.tower.cells(self.level)
-        return OpenCellSet.from_numbers(self.tower, self.level, itertools.compress(
+        return OpenCellSet.from_increasing(self.tower, self.level, itertools.compress(
             range(len(cells)), (not centers.isdisjoint(c) for c in cells)))
 
     def to_json(self) -> dict:

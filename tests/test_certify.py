@@ -315,6 +315,7 @@ def snap_on_path(path, tower, level, cells):
        density=st.floats(0.05, 0.95), rng=st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
 def test_indexed_snap_matches_union_find(small_towers, name, level, density, rng):
+    import numpy as np
     # a materialized level has its one index
     tower = small_towers[name]
     cells = frozenset(c for c in tower.cells(level) if rng.random() < density)
@@ -323,7 +324,9 @@ def test_indexed_snap_matches_union_find(small_towers, name, level, density, rng
     listed, position = tower.cells(level), tower.cell_index(level)
     pos = index_array(OpenCellSet(tower, level, cells).numbers())
     assert sorted(listed[p] for p in pos.tolist()) == sorted(cells)
-    root = index.components(pos)
+    least, root = index.components(pos)
+    # each cell's label: the least cell of its node's root
+    root = least[root[np.searchsorted(least, pos, side="right") - 1]]
     parts = {}
     for p, r in zip(pos.tolist(), root.tolist()):
         parts.setdefault(r, set()).add(listed[p])
@@ -353,6 +356,40 @@ def test_indexed_snap_on_a_wheel_element():
     assert bundle.construction == "wheel-cracks"
     el = bundle.elements[0]
     assert_snap_matches_oracle(bundle.tower, el.level, frozenset(el.cells))
+
+
+@pytest.fixture(scope="module")
+def polygon_70():
+    # a 70-gon, whose level 3 (1,120 cells) is over ARRAY_MIN_CELLS, so the
+    # snap is indexed there, and whose 70 base vertices need two vertex
+    # words per node
+    labels = [f"v{i}" for i in range(70)]
+    cx = kocover.Complex(labels, [(labels[i], labels[(i + 1) % 70]) for i in range(70)])
+    tower = SubdivisionTower(cx)
+    assert len(tower.cells(3)) == 1120 and not tower.is_small(3)
+    return tower
+
+
+@given(density=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_indexed_snap_over_more_than_64_base_vertices(polygon_70, density, seed):
+    rng = random.Random(seed)
+    cells = frozenset(c for c in polygon_70.cells(3) if rng.random() < density)
+    assert_snap_matches_oracle(polygon_70, 3, cells)
+
+
+def test_indexed_snap_of_a_70_gon_reads_every_vertex_word(polygon_70):
+    tower = polygon_70
+    # the whole level is one component around the circle: it fails
+    cells = frozenset(tower.cells(3))
+    assert snap_oracle(tower, 3, cells)[1] is not None
+    assert_snap_matches_oracle(tower, 3, cells)
+    # the open star of base vertex 66, in the second word, snaps onto it,
+    # and so does each of its halves, on either side of the vertex
+    star = frozenset(c for c in cells if 66 in tower.carrier0(3, c))
+    assert snap_oracle(tower, 3, star)[0] == frozenset({(tower.lift_base_vertex(66, 3),)})
+    assert_snap_matches_oracle(tower, 3, star)
+    assert_snap_matches_oracle(tower, 3, star - {(tower.lift_base_vertex(66, 3),)})
 
 
 def snap_verdicts(tower, start):

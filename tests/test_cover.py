@@ -797,6 +797,29 @@ def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, 
     assert walks_on_both_paths(tower, level, fam) == chain_enumeration(tower, fam)
 
 
+@pytest.mark.parametrize("width", [9, 70])
+def test_indexed_walk_of_a_wide_family_equals_chain_enumeration(small_towers, width):
+    """Explicit sets on a level of more than ARRAY_MIN_CELLS cells
+    (boundary-delta-3 level 3, 2,594 cells), so many that a cell's packed
+    key spans several bytes: 9 sets and the chain bit take two bytes, 70
+    take two 64-bit words. Every other set is a union of whole chain
+    blocks, so that columns repeat; with 9 a flag star rides along."""
+    rng = random.Random(width)
+    tower = small_towers["boundary-delta-3"]
+    cells, tops = tower.cells(3), tower.level(3).tops
+    assert not tower.is_small(3)
+    fam = []
+    for i in range(width):
+        if i % 2:
+            kept = {b for b in set(tops) if rng.random() < 0.5}
+            fam.append(OpenCellSet(tower, 3, [c for c, b in zip(cells, tops) if b in kept]))
+        else:
+            fam.append(_random_element(rng, tower, "cells", 3))
+    if width < 64:
+        fam.append(VertexStarSet(tower, 4, 0))
+    assert walks_on_both_paths(tower, 3, fam) == chain_enumeration(tower, fam)
+
+
 def walks_on_both_paths(tower, level, fam):
     """The signatures of a family whose walk, at level, has no star DP,
     the same on arrays and in plain Python."""

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kocover
@@ -88,3 +91,18 @@ def test_only_the_tower_converts_cell_numbers_to_arrays():
                       if isinstance(node, ast.Attribute) and node.attr in ("int32", "frombuffer")
                       and isinstance(node.value, ast.Name) and node.value.id == "np"]
     assert not offenders
+
+
+def test_the_benchmark_set_up_leaves_out_numpy():
+    # bench/worker.py imports these and builds its random complexes before
+    # it starts the clock; none of it may load numpy
+    src = str(Path(kocover.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, kocover, kocover.cli, kocover.cover, kocover.product; "
+            "kocover.builtin('random:2:7:716971'); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
