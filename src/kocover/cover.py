@@ -330,6 +330,7 @@ def _indexed_signatures(tower: SubdivisionTower, level: int,
     dims = np.array(list(map(base_dim, tower.cells(0))), dtype=np.uint8)
     key[:, -1] = dims[index.carrier]
     key = key.view("<u8")  # cell x word
+    # one word (up to 55 elements) sorts in np.sort, about ten times faster than np.lexsort
     key = np.sort(key[:, 0])[:, None] if key.shape[1] == 1 else key[np.lexsort(key.T)]
     first = np.ones(n, dtype=bool)  # does a run of equal keys start here?
     first[1:] = (key[1:] != key[:-1]).any(axis=1)

@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import CATALOG_NAMES, PATHS, SMALL_NAMES, cover_grid, on_path
 
@@ -695,6 +695,10 @@ def _random_element(rng, tower, kind, level):
     if kind == "cells":
         cells = tower.cells(level)
         return OpenCellSet(tower, level, rng.sample(cells, rng.randrange(len(cells) + 1)))
+    if kind == "blocks":  # a union of whole chain blocks
+        cells, tops = tower.cells(level), tower.level(level).tops
+        kept = {b for b in set(tops) if rng.random() < 0.5}
+        return OpenCellSet(tower, level, [c for c, b in zip(cells, tops) if b in kept])
     if kind == "low":  # centered by a dimension, 0 to 2
         return VertexStarSet(tower, level, rng.randrange(3))
     verts = range(len(tower.level(level).verts))
@@ -775,49 +779,39 @@ def test_signatures_equal_chain_enumeration_on_mixed_families(family):
 
 
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
-       flag=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       flag=st.booleans(), seed=st.integers(0, 2**32 - 1), wide=st.just(0))
+@example(name="boundary-delta-3", level=3, flag=True, seed=9, wide=9)
+@example(name="boundary-delta-3", level=3, flag=False, seed=70, wide=70)
 @settings(max_examples=40, deadline=None)
-def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, seed):
+def test_indexed_walk_equals_chain_enumeration(small_towers, name, level, flag, seed,
+                                               wide):
     """Explicit sets on the walk level (so no star DP applies), beside
     explicit sets and stars below it and, with flag, a star of center
-    dimension 0 one level up."""
+    dimension 0 one level up. A wide family is that many sets on the
+    level: unions of whole chain blocks, so that columns repeat, then four
+    random sets of cells, whose bits come last in a cell's packed key. On
+    boundary-delta-3 level 3 (2,594 cells), 9 sets and the chain bit take
+    two bytes, and 70 take two 64-bit words, the first of which the cells
+    of a block share."""
     # a seeded Random, not a Hypothesis one: torus-7 level 3 has 9,072
     # cells and Hypothesis refuses a sample of more than 8,192
     rng = random.Random(seed)
     tower = small_towers[name]
-    fam = [_random_element(rng, tower, "cells", level)
-           for _ in range(rng.randrange(1, 4))]
-    for _ in range(rng.randrange(4)):
-        kind = rng.choice(["cells", "low", "explicit"])
-        low = rng.randrange(level + 1) if kind == "cells" else rng.randrange(1, level + 1)
-        fam.append(_random_element(rng, tower, kind, low))
+    if wide:
+        fam = [_random_element(rng, tower, "blocks" if i < wide - 4 else "cells", level)
+               for i in range(wide)]
+    else:
+        fam = [_random_element(rng, tower, "cells", level)
+               for _ in range(rng.randrange(1, 4))]
+        for _ in range(rng.randrange(4)):
+            kind = rng.choice(["cells", "low", "explicit"])
+            low = rng.randrange(level + 1) if kind == "cells" else rng.randrange(1, level + 1)
+            fam.append(_random_element(rng, tower, kind, low))
     if flag:
         fam.append(VertexStarSet(tower, level + 1, 0))
-    rng.shuffle(fam)
+    if not wide:
+        rng.shuffle(fam)
     assert walks_on_both_paths(tower, level, fam) == chain_enumeration(tower, fam)
-
-
-@pytest.mark.parametrize("width", [9, 70])
-def test_indexed_walk_of_a_wide_family_equals_chain_enumeration(small_towers, width):
-    """Explicit sets on a level of more than ARRAY_MIN_CELLS cells
-    (boundary-delta-3 level 3, 2,594 cells), so many that a cell's packed
-    key spans several bytes: 9 sets and the chain bit take two bytes, 70
-    take two 64-bit words. Every other set is a union of whole chain
-    blocks, so that columns repeat; with 9 a flag star rides along."""
-    rng = random.Random(width)
-    tower = small_towers["boundary-delta-3"]
-    cells, tops = tower.cells(3), tower.level(3).tops
-    assert not tower.is_small(3)
-    fam = []
-    for i in range(width):
-        if i % 2:
-            kept = {b for b in set(tops) if rng.random() < 0.5}
-            fam.append(OpenCellSet(tower, 3, [c for c, b in zip(cells, tops) if b in kept]))
-        else:
-            fam.append(_random_element(rng, tower, "cells", 3))
-    if width < 64:
-        fam.append(VertexStarSet(tower, 4, 0))
-    assert walks_on_both_paths(tower, 3, fam) == chain_enumeration(tower, fam)
 
 
 def walks_on_both_paths(tower, level, fam):
