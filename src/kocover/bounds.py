@@ -58,14 +58,11 @@ def corollary_bound(dim: int, cd_pi) -> int:
 
 
 def rconn_bound(dim: int, cat_u, r: int) -> int:
-    """Weighted average for an r-connected universal cover, r >= 1."""
-    if r == 0:
-        return main_bound(dim, cat_u)
+    """Weighted average for an r-connected universal cover, r >= 1; the
+    main bound for r = 0, whose input checks hold for every r."""
     _nonnegative(r=r)
-    if not isinstance(cat_u, int):
-        raise NotApplicable("cat_u is unknown")
-    _nonnegative(dim=dim, cat_u=cat_u)
-    return (r * cat_u + dim) // (r + 1)
+    bound = main_bound(dim, cat_u)
+    return bound if r == 0 else (r * cat_u + dim) // (r + 1)
 
 
 def fibration_bound(dim_base: int, dim_fiber: int,

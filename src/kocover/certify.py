@@ -32,7 +32,8 @@ block's carrier. The carrier's cells are read only to find the blocks it
 holds whole and the cells of the others, and the nodes are numbered by
 one running count over the level; hooking and intersecting cost what the
 nodes and their edges cost, and the node of each cell is looked up only
-for a failure's witness. On a smaller level it is plain Python:
+for a failure's witness, the least cell of the failing components, which
+is read from the level's listing. On a smaller level it is plain Python:
 union-find over the carrier's own cells, base carriers from
 tower.carrier0. Only the indexed snap imports numpy, so loading this
 module does not.
@@ -41,17 +42,12 @@ module does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .complexes import UsageError, components
 from .tower import (CellSet, CellT, OpenCellSet, SubdivisionTower, VertexStarSet,
                     index_array, json_field, proper_faces, vertex_set_from_json,
                     vertex_set_to_json)
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .tower import CellIndex
 
 
 class CertificateFormatError(UsageError):
@@ -228,8 +224,9 @@ def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
     (a block the carrier holds whole, or a cell of a block it holds in
     part) has the carrier of its least cell, and the base carriers are
     intersected once per node, as packed vertex words ANDed onto the
-    node's root. A witness is gathered from the failing components'
-    cells, whose nodes are looked up only then."""
+    node's root. Only when a component fails are the cells' nodes looked
+    up, and the witness, the least of the failing components' cells, is
+    read from the level's listing."""
     import numpy as np
     # two open cells touch iff one is a face of the other and both are
     # present
@@ -249,32 +246,10 @@ def _indexed_snap_targets(tower: SubdivisionTower, carrier: OpenCellSet,
         failing = np.zeros(len(root), dtype=bool)
         failing[tops[empty]] = True
         node = np.searchsorted(least, pos, side="right") - 1
+        cells = tower.cells(carrier.level)
         raise StepFailure(idx, "snap component has no common base-carrier vertex",
-                          _least_cell(tower, index, pos[failing[root[node]]]))
+                          min(map(cells.__getitem__, pos[failing[root[node]]].tolist())))
     return set(bits.argmax(axis=1).tolist())  # the least common vertex
-
-
-def _least_cell(tower: SubdivisionTower, index: CellIndex, numbers: np.ndarray) -> CellT:
-    """The least, in tuple order, of the nonempty set of cells numbered
-    numbers: a witness that does not depend on how the cells were
-    numbered. It holds the set's least vertex v, so only the cells with v
-    are read as tuples. Vertex v is the singleton that leads block v, and
-    the singletons among a cell's faces are its vertices, read from the
-    face table."""
-    import numpy as np
-    member = np.zeros(len(index.block), dtype=bool)
-    member[numbers] = True
-    # the face pairs of the set's cells whose face is a vertex, and the
-    # set's own vertices
-    pairs = np.flatnonzero(member[index.face_cell])
-    pairs = pairs[index.size[index.face[pairs]] == 1]
-    singles = numbers[index.size[numbers] == 1]
-    v = min(index.block[np.concatenate((index.face[pairs], singles))].tolist())
-    vertex = int(index.block_start[v])
-    with_v = index.face_cell[pairs[index.face[pairs] == vertex]].tolist()
-    if member[vertex]:
-        with_v.append(vertex)
-    return min(tower.cells_at(index.t, with_v))
 
 
 def _final_verdict(tower: SubdivisionTower, target: Target, level: int,

@@ -486,7 +486,9 @@ class CoverBundle:
                              f"'elements' has {len(elements)}: certificate "
                              f"{len(elements)} has no element to start at")
         certs = [certificate_from_json(tower, c, el) for c, el in zip(raw, elements)]
-        return cls(cx, tower, r, m, elements, certs, params.get("construction", ""))
+        construction = json_field(params, "construction", str, CoverError) \
+            if "construction" in params else ""
+        return cls(cx, tower, r, m, elements, certs, construction)
 
 
 def _profile_claims(r: int, m: int, N: int) -> list[ProfileClaim]:

@@ -11,15 +11,16 @@ lazily and only up to a cell budget; one level beyond the last
 materialized level can still be enumerated by streaming chains of the
 level below. Decoded cells live on a materialized level.
 
-An OpenCellSet on a sized level carries its cell numbers, their
-positions in cells(t), as an array('i'). A set made from numbers (the
-wheel builder's, the arc builder's, a materialized star's, a decoded
-one) keeps only those numbers, each once, and gathers the frozenset of
-its cell tuples on the first read of its cells (from the level's list,
-or block by block on a level that is only sized); any other set looks
-its numbers up once, on first use. The signature walk and a snap on a
-CellIndex read only the numbers, so a wheel element is built and
-verified without a cell tuple of its level.
+A level is read two ways: its cell tuples come from its listing,
+cells(t), and its cell numbers, their positions there, go through its
+CellIndex. An OpenCellSet on a sized level carries its cell numbers as
+an array('i'). A set made from numbers (the wheel builder's, the arc
+builder's, a materialized star's, a decoded one) keeps only those
+numbers, each once, and reads its cell tuples from the level's listing
+on the first read of its cells; any other set looks its numbers up
+once, on first use. The signature walk and a snap on a CellIndex read
+only the numbers, so a wheel element is built and verified without a
+cell tuple of its level.
 
 Each level is built from the tables of the level below, faces first. The
 chains with one maximum c, the block of c, are contiguous, and a level
@@ -82,7 +83,7 @@ import math
 import operator
 import os
 from array import array
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .complexes import Complex, ComplexError, SimplicialMap, UsageError
 
@@ -127,16 +128,6 @@ def max_level_from_env() -> int:
     return int(raw) if raw else DEFAULT_MAX_LEVEL
 
 
-def fubini(k: int) -> list[int]:
-    """The Fubini numbers a(0..k), a(n) = sum of C(n, j) a(j) over j < n:
-    a(n) counts the chains of faces of an (n-1)-simplex that end at the
-    simplex (1, 1, 3, 13, 75, 541, ...)."""
-    a = [1]
-    for n in range(1, k + 1):
-        a.append(sum(math.comb(n, j) * a[j] for j in range(n)))
-    return a
-
-
 @functools.cache
 def _surjections(j: int, k: int) -> int:
     """k! S(j, k), the maps of a j-set onto a k-set: the chains of k faces
@@ -160,8 +151,7 @@ class _Template:
     so their vertex numbers then increase. The block of a cell c is the
     singleton (c,) followed, for each face f of c from the smallest up, by
     every chain of f's block with c added. Chain 0 is the singleton; chain
-    j + 1 is gathered by gathers[j], and masks[j] has bit s set when it
-    holds slot s.
+    j + 1 is gathered by gathers[j].
     """
 
     def __init__(self, k: int):
@@ -175,7 +165,6 @@ class _Template:
                                        for ch in self.blocks[g]]
         self.slots = [tuple(map(self.slot.__getitem__, ch)) for ch in self.blocks[simplex]]
         self.gathers = [operator.itemgetter(*s) for s in self.slots[1:]]
-        self.masks = [sum(1 << s for s in ch) for ch in self.slots[1:]]
 
     @functools.cached_property
     def face_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,19 +183,11 @@ class _Template:
 _template = functools.cache(_Template)  # built on first use, once per k
 
 
-def _block(vid: dict[CellT, int], c: CellT, within: Container[CellT] | None = None
-           ) -> list[CellT]:
-    """The level-t cells with maximum c, a level-(t-1) cell, whose
-    members all lie in within when it is given (c itself must): one
-    gather from its template over the vertex numbers vid gives c's faces."""
-    template = _template(len(c))
-    faces = list(proper_faces(c))
-    ids = [*map(vid.__getitem__, faces), vid[c]]
-    if within is None:
-        return [(ids[-1],), *[g(ids) for g in template.gathers]]
-    out = sum(1 << s for s, f in enumerate(faces) if f not in within)
-    return [(ids[-1],), *[g(ids) for g, mask in zip(template.gathers, template.masks)
-                          if not mask & out]]
+def _block(vid: dict[CellT, int], c: CellT) -> list[CellT]:
+    """The level-t cells with maximum c, a level-(t-1) cell: one gather
+    from its template over the vertex numbers vid gives c's faces."""
+    ids = [*map(vid.__getitem__, proper_faces(c)), vid[c]]
+    return [(ids[-1],), *[g(ids) for g in _template(len(c)).gathers]]
 
 
 class _Level:
@@ -314,25 +295,6 @@ class SubdivisionTower:
             lv.cells_list = list(self.iter_cells(t))
         return lv.cells_list
 
-    def cells_at(self, t: int, numbers: Iterable[int]) -> list[CellT]:
-        """The level-t cells numbered by numbers, in their order: the
-        listed tuples, or on a level that is only sized, each gathered
-        from its block, which leaves the level unlisted."""
-        lv = self.level(t)
-        if lv.cells_list is not None:
-            return list(map(lv.cells_list.__getitem__, numbers))
-        self.sized(t)
-        lower, vid, tops, starts = lv.verts, lv.vert_id, lv.tops, lv.starts
-        blocks: dict[int, list[CellT]] = {}
-        out = []
-        for i in numbers:
-            c = tops[i]
-            block = blocks.get(c)
-            if block is None:
-                block = blocks[c] = _block(vid, lower[c])
-            out.append(block[i - starts[c]])
-        return out
-
     def is_small(self, t: int) -> bool:
         """Does level t, sized here under the cell budget, have at most
         ARRAY_MIN_CELLS cells? A walk or a snap on such a level runs in
@@ -361,35 +323,31 @@ class SubdivisionTower:
 
     def iter_cells(self, t: int) -> Iterator[CellT]:
         """Stream the cells of level t, the chains of level t-1 cells,
-        without materializing them."""
-        if t == 0:
-            yield from self.cells(0)
-            return
+        without materializing them (level 0 is always listed)."""
         lv = self.level(t)
         if lv.cells_list is not None:
             yield from lv.cells_list
             return
         yield from self.chains(t, lv.verts)
 
-    def chains(self, t: int, tops: Iterable[CellT],
-               within: Container[CellT] | None = None) -> Iterator[CellT]:
-        """Level-t cells whose chain maximum is in tops (level t-1 cells)
-        and, when within is given, whose members all lie in within: the
-        block of each top, gathered from its cell size's template, in
+    def chains(self, t: int, tops: Iterable[CellT]) -> Iterator[CellT]:
+        """Level-t cells whose chain maximum is in tops (level t-1 cells):
+        the block of each top, gathered from its cell size's template, in
         block order (the order of a descent from each top through faces of
         the current minimum)."""
         vid = self.level(t).vert_id
         for top in tops:
-            if within is None or top in within:
-                yield from _block(vid, top, within)
+            yield from _block(vid, top)
 
     def _chain_counts(self, t: int) -> list[int]:
         """Number of level-t chains with each level-(t-1) cell as maximum,
         aligned with cells(t-1). A lower cell c is a simplex with all its
         faces on its level, so they are the chains of the faces of a
-        simplex that end at c: the Fubini number of len(c)."""
-        lower = self.cells(t - 1)
-        return list(map(fubini(self.base.dim + 1).__getitem__, map(len, lower)))
+        simplex that end at c: sum over k of k! S(len(c), k), the chains of
+        each length."""
+        chains = [sum(_surjections(j, k) for k in range(j + 1))
+                  for j in range(self.base.dim + 2)]
+        return list(map(chains.__getitem__, map(len, self.cells(t - 1))))
 
     def _size_histograms(self, t: int) -> list[list[int]]:
         """For each level 0..t, its number of cells with k vertices at
@@ -696,10 +654,10 @@ class OpenCellSet:
     other on first use. A set made from numbers (from_numbers,
     from_increasing and the decoder) holds only the numbers, each once
     (from_increasing's producers emit no number twice, so they are not
-    hashed to find out), until its cells are read,
-    and then gathers them with cells_at; any other set looks its
-    numbers up once, when they are first asked for. The two come from one
-    source either way, so they cannot disagree.
+    hashed to find out), until its cells are read, and then reads them
+    from the level's listing; any other set looks its numbers up once,
+    when they are first asked for. The two come from one source either
+    way, so they cannot disagree.
     """
 
     kind = "cells"
@@ -754,9 +712,10 @@ class OpenCellSet:
         return self._cells
 
     def _members(self) -> Iterable[CellT]:
-        """The cells, without gathering a frozenset when there is none."""
+        """The cells, without gathering a frozenset when there is none:
+        for a set made from numbers, those of the level's listing."""
         if self._cells is None:
-            return self.tower.cells_at(self.level, self._numbers)
+            return map(self.tower.cells(self.level).__getitem__, self._numbers)
         return self._cells
 
     def numbers(self) -> array:
@@ -825,10 +784,6 @@ class OpenCellSet:
                             "level": self.level})
 
     def _iter_cells_json(self) -> Iterator[str]:
-        if self._cells is None:
-            # a bundle writes every element, which together read nearly
-            # every block: list the level once rather than gather each
-            self.tower.cells(self.level)
         cells = sorted(self._members())
         yield "["
         for i in range(0, len(cells), CELLS_PER_PIECE):
@@ -861,6 +816,7 @@ class VertexStarSet:
                  centers: frozenset[int] | int):
         if level < 1:
             raise TowerError("vertex stars live at level 1 or deeper")
+        tower._check_depth(level)
         self.tower = tower
         self.level = level
         self.centers = centers
@@ -1035,11 +991,12 @@ def dual_complex(tower: SubdivisionTower, m: int) -> OpenCellSet:
     dimension greater than m. Empty (not an error) when m >= dim."""
     if m < 0:
         raise ComplexError("dual skeleton dimension must be nonnegative")
-    base_cells = tower.cells(0)
-    high = [c for c in base_cells if len(c) - 1 > m]
+    high = [c for c in tower.cells(0) if len(c) - 1 > m]
     if not high:
         return OpenCellSet(tower, 1, ())
-    return OpenCellSet(tower, 1, tower.chains(1, high, set(high)))
+    verts, keep = tower.level(1).verts, set(high)
+    return OpenCellSet(tower, 1, (c for c in tower.chains(1, high)
+                                  if all(verts[v] in keep for v in c)))
 
 
 def star(tower: SubdivisionTower, core: CellSet, kind: str = "open") -> OpenCellSet:

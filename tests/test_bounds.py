@@ -39,6 +39,11 @@ def test_rconn_bound_examples():
         for c in range(n + 1):
             assert rconn_bound(n, c, 1) == main_bound(n, c)
     assert rconn_bound(5, 1, 0) == main_bound(5, 1)
+    # a cat_u above the dimension is refused for every r, as main_bound
+    # refuses it: rconn_bound(3, 5, 1) once gave 4, over the dimension
+    for r in range(4):
+        with pytest.raises(BoundsError, match="cannot exceed the dimension 3"):
+            rconn_bound(3, 5, r)
 
 
 def test_fibration_bound_examples():

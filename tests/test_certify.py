@@ -487,6 +487,23 @@ def test_snap_witness_among_several_failing_components_of_a_large_level():
     assert snap_verdicts(tower, renumbered(tower, 3, cells, random.Random(5))) == expected
 
 
+def test_a_failing_snap_on_an_unlisted_level_reads_its_witness_from_the_listing():
+    # all of delta-2 level 4 (3,937 cells) made from its numbers on a
+    # fresh tower, which sizes the level and lists none of it: one
+    # component over the three base vertices, so the snap fails. The
+    # indexed snap finds that from the numbers alone and then lists the
+    # level to read its witness, the oracle's
+    tower = SubdivisionTower(builtin("delta-2"))
+    start = OpenCellSet.from_increasing(tower, 4, range(tower.sized(4)))
+    assert tower.sized(4) == 3_937 and tower.level(4).cells_list is None
+    verdict = verify_certificate(
+        tower, Certificate(start, (StarSnap(4),), Target("skeletal", 0)))
+    assert tower.level(4).cells_list is not None
+    _, failure = snap_oracle(tower, 4, frozenset(tower.cells(4)))
+    assert (verdict.passed, verdict.failing_step, verdict.reason, verdict.witness) \
+        == (False, 0, *failure)
+
+
 def test_generated_snap_reads_targets_in_the_order_of_the_numbers(s2_tower):
     # the snap a dual push certificate ends with, replayed alone on its
     # carrier renumbered, passes as on the carrier that looks its numbers up

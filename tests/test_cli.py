@@ -353,6 +353,8 @@ def test_cover_verify_fails_on_emptied_certificate_list(tmp_path, capsys):
     pytest.param("cover", ("params", "r"), None, "'r'", id="cover-r-None"),
     pytest.param("cover", ("params", "max_level"), "4", "'max_level'",
                  id="cover-max_level-4"),
+    pytest.param("cover", ("params", "construction"), 5,
+                 "'construction' must be a string, got 5", id="cover-construction-5"),
     pytest.param("product", ("params", "m"), True, "'m'", id="product-m-True"),
     # an s1 arc bundle: element 0 is an open cell set, certificate 0 one snap
     pytest.param("cover", ("elements", 0, "level"), "1", "'level'",
@@ -413,6 +415,28 @@ def test_mistyped_bundle_parameter_is_usage_error(tmp_path, capsys, command, whe
     code, _, err = invoke(capsys, command, "verify", "--in", str(path))
     assert code == 2
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("spec,r,m,max_level", [
+    # an s1 arc bundle's explicit elements lie on levels 1 and 2, a layered
+    # or staggered star family's on levels 1 to m
+    *(("s1", 0, 3, cap) for cap in (0, 1)),
+    *(("boundary-delta-3", 0, 4, cap) for cap in (0, 1, 2, 3)),
+    *(("torus-7", 1, 2, cap) for cap in (0, 1)),
+])
+def test_a_set_above_the_bundle_depth_cap_is_usage_error(tmp_path, capsys, spec, r, m,
+                                                         max_level):
+    # star bundles once verified (exit 0) or failed their multiplicity
+    # (exit 1) with a star past the bundle's own depth cap; like an
+    # explicit set, the first element past it is refused when decoded
+    data = build_cover(builtin(spec), r, m).to_json()
+    data["params"]["max_level"] = max_level
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "cover", "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert f"level {max_level + 1} exceeds the subdivision depth cap {max_level}" in err
 
 
 def test_cover_verify_refuses_a_bundle_n_that_differs_from_the_complex(tmp_path, capsys):

@@ -17,7 +17,7 @@ from kocover import (Complex, OpenCellSet, SimplicialMap, SubdivisionTower,
                      TowerDepthError, TowerError, TowerSizeError, builtin, dual_complex,
                      preimage, random_complex, star)
 from kocover.complexes import CATALOG, components, simplex_complex
-from kocover.tower import (cell_numbers_from_json, fubini, proper_faces,
+from kocover.tower import (_surjections, _template, cell_numbers_from_json, proper_faces,
                            vertex_set_from_json)
 
 
@@ -176,39 +176,30 @@ def test_cells_have_distinct_member_dimensions():
                 assert len(set(dims)) == len(dims)
 
 
-def stack_descent(tower, t, tops, within=None):
+def stack_descent(tower, t, tops):
     """The chains of tops as a stack descent from each top through faces of
     the current minimum, pushed largest first: an oracle independent of
     the memoized blocks of SubdivisionTower.chains."""
     vid = tower.level(t).vert_id
     for top in tops:
-        if within is not None and top not in within:
-            continue
         stack = [([vid[top]], top)]
         while stack:
             ids, mn = stack.pop()
             yield tuple(sorted(ids))
-            stack.extend((ids + [vid[f]], f) for f in proper_faces(mn)
-                         if within is None or f in within)
+            stack.extend((ids + [vid[f]], f) for f in proper_faces(mn))
 
 
 @given(name=st.sampled_from(SMALL_NAMES), level=st.integers(1, 3),
-       top_density=st.floats(0.0, 1.0), within=st.one_of(st.none(), st.floats(0.0, 1.0)),
-       rng=st.randoms(use_true_random=False))
+       top_density=st.floats(0.0, 1.0), rng=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_chains_are_the_filtered_level_cells(small_towers, name, level, top_density,
-                                             within, rng):
+def test_chains_are_the_filtered_level_cells(small_towers, name, level, top_density, rng):
     t = small_towers[name]
     lower = t.cells(level - 1)
     tops = [c for c in lower if rng.random() < top_density]
     rng.shuffle(tops)
-    keep = None if within is None else {c for c in lower if rng.random() < within}
-    assert list(t.chains(level, tops, keep)) == list(stack_descent(t, level, tops, keep))
-    lv = t.level(level)
-    expected = [cell for cell in t.iter_cells(level)
-                if t.carrier_down(level, cell) in tops
-                and (keep is None or all(lv.verts[v] in keep for v in cell))]
-    assert sorted(t.chains(level, tops, keep)) == sorted(expected)
+    assert list(t.chains(level, tops)) == list(stack_descent(t, level, tops))
+    expected = [cell for cell in t.iter_cells(level) if t.carrier_down(level, cell) in tops]
+    assert sorted(t.chains(level, tops)) == sorted(expected)
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)
@@ -224,8 +215,7 @@ def test_a_cell_ends_at_its_chain_maximum(name):
         assert all(list(c) == sorted(set(c)) for c in cells)
         lower = t.cells(level - 1)
         tops = rng.sample(lower, len(lower) // 2)
-        keep = {c for c in lower if rng.random() < 0.7}
-        assert all(list(c) == sorted(set(c)) for c in t.chains(level, tops, keep))
+        assert all(list(c) == sorted(set(c)) for c in t.chains(level, tops))
 
 
 def test_streamed_cells_follow_the_stack_descent():
@@ -281,7 +271,11 @@ def face_memo_counts(tower, t):
 
 
 def test_fubini_numbers():
-    assert fubini(6) == [1, 1, 3, 13, 75, 541, 4683]
+    # the block of a cell with k vertices holds Fubini(k) chains, counted
+    # by their lengths as sum over j of j! S(k, j)
+    fubini = [1, 1, 3, 13, 75, 541, 4683]
+    assert [sum(_surjections(k, j) for j in range(k + 1)) for k in range(7)] == fubini
+    assert [len(_template(k).slots) for k in range(1, 7)] == fubini[1:]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -413,8 +407,7 @@ def assert_templates_match_the_oracles(cx, max_cells, rng):
     """Every level of cx within max_cells, built from the block templates,
     against the stack descent: its cells, tops and vbase on a tower that
     lists it, the face pairs, sizes and carriers of a CellIndex built on a
-    fresh tower without listing it, and chains over random tops and a
-    random within set."""
+    fresh tower without listing it, and chains over random tops."""
     tower = SubdivisionTower(cx, max_cells=max_cells)
     fresh = SubdivisionTower(cx, max_cells=max_cells)
     for t in range(1, tower.max_level + 1):
@@ -437,9 +430,7 @@ def assert_templates_match_the_oracles(cx, max_cells, rng):
         assert index.size.tolist() == list(map(len, cells))
         assert index.block_start.tolist() == list(lv.starts)
         tops = rng.sample(lower, len(lower) // 3)
-        within = {c for c in lower if rng.random() < 0.7}
-        for keep in (None, within):
-            assert list(tower.chains(t, tops, keep)) == list(stack_descent(tower, t, tops, keep))
+        assert list(tower.chains(t, tops)) == list(stack_descent(tower, t, tops))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -453,15 +444,6 @@ def test_template_levels_match_the_stack_descent(name):
 @settings(max_examples=25, deadline=None)
 def test_template_levels_of_random_complexes(dim, nverts, seed, rng):
     assert_templates_match_the_oracles(random_complex(dim, nverts, seed), 10_000, rng)
-
-
-def test_cells_at_gathers_blocks_without_listing_the_level():
-    tower = SubdivisionTower(builtin("torus-7"))
-    cells = SubdivisionTower(builtin("torus-7")).cells(3)
-    numbers = random.Random(3).sample(range(len(cells)), 500) + [0, len(cells) - 1]
-    assert tower.cells_at(3, numbers) == [cells[i] for i in numbers]
-    assert tower.level(3).cells_list is None
-    assert tower.sized(3) == len(cells)
 
 
 def test_an_over_budget_level_is_refused_unlisted():
